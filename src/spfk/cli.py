@@ -217,7 +217,11 @@ def _cmd_suite(ns) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = SuiteConfig(seed=ns.seed, paranoid=ns.paranoid, jobs=ns.jobs, caps=caps)
+    if ns.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {ns.jobs}", file=sys.stderr)
+        return 2
+    jobs = min(ns.jobs, os.cpu_count() or 1)
+    config = SuiteConfig(seed=ns.seed, paranoid=ns.paranoid, jobs=jobs, caps=caps)
     results, ok = run_suite(config)
     if ns.json:
         sys.stdout.buffer.write(suite_json_bytes(results))
@@ -232,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spfk",
         description="Exact shuffle/Pfaffian/hafnian identity verification kernel",
     )
-    default_seed = int(os.environ.get("SPFK_SEED", DEFAULT_SEED))
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a single identity verifier")
@@ -245,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--parts", type=str, default=None, help="composition, e.g. 1,2,3")
     pv.add_argument("--y", type=str, default=None, help="sample values, e.g. 1,2,5/2")
     pv.add_argument("--pairs", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=default_seed)
+    pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--format", choices=("text", "json"), default="text")
     pv.add_argument("--paranoid", action="store_true")
     pv.add_argument("--coeff", choices=("corrected", "paper"), default="corrected")
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         pt.add_argument("file")
 
     ps = sub.add_parser("suite", help="run the full verification matrix")
-    ps.add_argument("--seed", type=int, default=default_seed)
+    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--json", action="store_true")
     ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--paranoid", action="store_true")
@@ -267,6 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    if ns.command in ("verify", "suite") and ns.seed is None:
+        try:
+            ns.seed = int(os.environ.get("SPFK_SEED", DEFAULT_SEED))
+        except ValueError:
+            print("error: SPFK_SEED must be an integer", file=sys.stderr)
+            return 2
     if ns.command == "verify":
         return _cmd_verify(ns)
     if ns.command in ("pf", "hf", "hpf", "hhf"):

@@ -1,10 +1,13 @@
 """Alternating and symmetric tensors with exact Pfaffian, hafnian,
 hyperpfaffian and hyperhafnian kernels, plus determinant/permanent plumbing.
 
-All kernels are generic over a commutative Ring.  The Pfaffian is computed
-by two structurally different algorithms (first-row recursion and blocked
-enumeration) and cross-asserted internally; the hyper kernels have
-independent Grassmann/square-zero power oracles.
+All kernels are generic over a Ring.  pf, hf, hpf and hhf share one blocked
+partition sum, memoised on the set of remaining indices, which multiplies
+block entries in increasing-minimum order (so the graded-commutative
+antishuffle ring gets the enumeration's value).  The Pfaffian is also
+computed by first-row recursion and the two results are cross-asserted on
+every call; the hyper kernels have independent Grassmann/square-zero power
+oracles, and enumerate_blocked lists the partitions themselves.
 """
 from __future__ import annotations
 
@@ -268,44 +271,95 @@ def enumerate_block_assignments(n: int, k: int):
     yield from rec(tuple(range(1, n * k + 1)), [])
 
 
-def _pf_recursive(M: AltTensor, idx: tuple):
-    ring = M.ring
-    if not idx:
-        return ring.one
-    i0 = idx[0]
-    out = ring.zero
-    for t in range(1, len(idx)):
-        entry = M.get((i0, idx[t]))
-        if ring.is_zero(entry):
-            continue
-        rest = idx[1:t] + idx[t + 1 :]
-        term = ring.mul(entry, _pf_recursive(M, rest))
-        out = ring.add(out, term if t % 2 == 1 else ring.neg(term))
-    return out
+def _blocked_sum(tensor: _Tensor, signed: bool):
+    """Sum over the blocked partitions of {1..dim} into blocks of size order
+    of the products of the block entries; with ``signed``, each product
+    carries the sign of its concatenated block sequence.
+
+    Expands along the smallest remaining index and memoises on the bitmask
+    of remaining indices, so each subset is summed once per call.  A block's
+    entry multiplies the sub-result on the left: blocks multiply in
+    increasing-minimum order, as in enumerate_blocked, which keeps the value
+    over non-commutative rings such as the antishuffle ring.
+    """
+    k, d = tensor.order, tensor.dim
+    if d % k:
+        raise ValueError(f"order {k} must divide dimension {d}")
+    if d > MAX_BLOCKED:
+        raise ValueError(f"size cap exceeded: kn = {d} > {MAX_BLOCKED}")
+    ring = tensor.ring
+    # Nonzero entries by the bit of their smallest index, in lexicographic
+    # order: (block mask, masks of the indices below each other member, entry).
+    by_head = [[] for _ in range(d)]
+    for idx, c in tensor.entries():
+        mask = 0
+        for i in idx:
+            mask |= 1 << (i - 1)
+        below = tuple((1 << (i - 1)) - 1 for i in idx[1:])
+        by_head[idx[0] - 1].append((mask, below, c))
+    memo = {0: ring.one}
+
+    def rec(rest: int):
+        hit = memo.get(rest)
+        if hit is not None:
+            return hit
+        out = ring.zero
+        for mask, below, c in by_head[(rest & -rest).bit_length() - 1]:
+            if rest & mask != mask:
+                continue
+            left = rest ^ mask
+            sub = rec(left)
+            if ring.is_zero(sub):
+                continue
+            term = ring.mul(c, sub)
+            # Inversions between the block and the indices still left.
+            if signed and sum((left & m).bit_count() for m in below) & 1:
+                term = ring.neg(term)
+            out = ring.add(out, term)
+        memo[rest] = out
+        return out
+
+    return rec((1 << d) - 1)
 
 
-def _pf_blocked(M: AltTensor):
+def _pf_recursive(M: AltTensor):
+    """Pfaffian by first-row expansion over entries read through ``M.get``,
+    memoised per call on the tuple of remaining indices."""
     ring = M.ring
-    out = ring.zero
-    for blocks, sign in enumerate_blocked(M.dim // 2, 2):
-        term = ring.product(M.entry(b) for b in blocks)
-        out = ring.add(out, term if sign > 0 else ring.neg(term))
-    return out
+    memo = {(): ring.one}
+
+    def rec(idx: tuple):
+        hit = memo.get(idx)
+        if hit is not None:
+            return hit
+        i0 = idx[0]
+        out = ring.zero
+        for t in range(1, len(idx)):
+            entry = M.get((i0, idx[t]))
+            if ring.is_zero(entry):
+                continue
+            term = ring.mul(entry, rec(idx[1:t] + idx[t + 1 :]))
+            out = ring.add(out, term if t % 2 == 1 else ring.neg(term))
+        memo[idx] = out
+        return out
+
+    return rec(tuple(range(1, M.dim + 1)))
 
 
 def pfaffian(M: AltTensor):
     """Pfaffian of an order-2 alternating tensor of even dimension.
 
-    Computed both by first-row recursive expansion and by blocked-partition
-    enumeration; the two results are cross-asserted before returning.
+    Computed both by the memoised blocked-partition sum and by first-row
+    recursive expansion; the two results are cross-asserted before returning.
+    The blocked sum runs first, so its size cap fires before any work.
     """
     if M.order != 2:
         raise ValueError("pfaffian needs an order-2 tensor")
     if M.dim % 2:
         raise ValueError("pfaffian needs even dimension")
-    via_recursion = _pf_recursive(M, tuple(range(1, M.dim + 1)))
-    via_enumeration = _pf_blocked(M)
-    if not M.ring.eq(via_recursion, via_enumeration):
+    via_blocks = _blocked_sum(M, True)
+    via_recursion = _pf_recursive(M)
+    if not M.ring.eq(via_recursion, via_blocks):
         raise AssertionError("pfaffian internal cross-check failed")
     return via_recursion
 
@@ -316,36 +370,17 @@ def hafnian(S: SymTensor):
         raise ValueError("hafnian needs an order-2 tensor")
     if S.dim % 2:
         raise ValueError("hafnian needs even dimension")
-    ring = S.ring
-    out = ring.zero
-    for blocks, _sign in enumerate_blocked(S.dim // 2, 2):
-        out = ring.add(out, ring.product(S.entry(b) for b in blocks))
-    return out
+    return _blocked_sum(S, False)
 
 
 def hyperpfaffian(M: AltTensor):
     """Signed sum over blocked partitions of products of order-k entries."""
-    if M.dim % M.order:
-        raise ValueError(f"order {M.order} must divide dimension {M.dim}")
-    ring = M.ring
-    n = M.dim // M.order
-    out = ring.zero
-    for blocks, sign in enumerate_blocked(n, M.order):
-        term = ring.product(M.entry(b) for b in blocks)
-        out = ring.add(out, term if sign > 0 else ring.neg(term))
-    return out
+    return _blocked_sum(M, True)
 
 
 def hyperhafnian(S: SymTensor):
     """Unsigned analog of the hyperpfaffian for symmetric tensors."""
-    if S.dim % S.order:
-        raise ValueError(f"order {S.order} must divide dimension {S.dim}")
-    ring = S.ring
-    n = S.dim // S.order
-    out = ring.zero
-    for blocks, _sign in enumerate_blocked(n, S.order):
-        out = ring.add(out, ring.product(S.entry(b) for b in blocks))
-    return out
+    return _blocked_sum(S, False)
 
 
 def grassmann_pf_oracle(M: AltTensor):
@@ -448,13 +483,21 @@ def tensor_to_json(t: _Tensor) -> dict:
     return {"order": t.order, "dim": t.dim, "entries": entries}
 
 
+def _json_int(value) -> int:
+    # An integer or a decimal string.  int() would read JSON true/false as
+    # 1/0, truncate 1.5 and overflow on 1e400, so bools and floats are refused.
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def tensor_from_json(obj: dict, kind: str) -> _Tensor:
     """Parse the tensor JSON format; kind is "alt" or "sym"."""
     if not isinstance(obj, dict):
         raise ValueError("tensor JSON must be an object")
     try:
-        order = int(obj["order"])
-        dim = int(obj["dim"])
+        order = _json_int(obj["order"])
+        dim = _json_int(obj["dim"])
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor JSON: {exc}") from exc
@@ -463,9 +506,11 @@ def tensor_from_json(obj: dict, kind: str) -> _Tensor:
     entries = {}
     for item in raw:
         try:
-            idx = tuple(int(i) for i in item["idx"])
-            num = int(item["num"])
-            den = int(item["den"])
+            if not isinstance(item["idx"], list):
+                raise TypeError("idx must be a list")
+            idx = tuple(_json_int(i) for i in item["idx"])
+            num = _json_int(item["num"])
+            den = _json_int(item["den"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tensor entry: {exc}") from exc
         if den == 0:

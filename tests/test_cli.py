@@ -1,9 +1,13 @@
+import itertools
 import json
+import signal
+import time
 
 import pytest
 
+from spfk import suite
 from spfk.cli import main
-from spfk.tensors import hyperpfaffian, tensor_to_json
+from spfk.tensors import MAX_BLOCKED, hyperpfaffian, tensor_to_json
 from test_tensors import _random_alt
 
 
@@ -162,3 +166,114 @@ def test_env_seed_override(capsys, monkeypatch):
     assert json.loads(out)["seeds"] == [99]
     code, out, _ = run(capsys, "verify", "schur", "--n", "1", "--seed", "5", "--format", "json")
     assert json.loads(out)["seeds"] == [5]
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _raise_alarm(_signum, _frame):
+    raise _Alarm
+
+
+def _timed_run(capsys, *argv, limit=10.0):
+    """run() that fails, rather than hangs, if the command outlives the limit."""
+    previous = signal.signal(signal.SIGALRM, _raise_alarm)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    t0 = time.perf_counter()
+    try:
+        result = run(capsys, *argv)
+    except _Alarm:
+        pytest.fail(f"spfk {' '.join(argv)} still running after {limit} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return result, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("kind", ("pf", "hf", "hpf", "hhf"))
+def test_tensor_size_cap_fires_before_work(tmp_path, capsys, kind):
+    dim = MAX_BLOCKED + 2
+    dense = [{"idx": [i, j], "num": "1", "den": "1"}
+             for i, j in itertools.combinations(range(1, dim + 1), 2)]
+    files = {
+        "dense.json": {"order": 2, "dim": dim, "entries": dense},
+        "huge.json": {"order": 2, "dim": 10_000_000, "entries": []},
+    }
+    for name, obj in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        (code, _, err), elapsed = _timed_run(capsys, kind, str(path))
+        assert code == 2, name
+        assert "size cap" in err
+        assert elapsed < 2.0, (name, elapsed)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    (
+        {"order": True, "dim": 2, "entries": []},
+        {"order": 2, "dim": True, "entries": []},
+        {"order": 2, "dim": 2, "entries": [{"idx": [True, 2], "num": "1", "den": "1"}]},
+        {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "num": True, "den": "1"}]},
+        {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "num": "1", "den": True}]},
+        {"order": 2, "dim": 2, "entries": [{"idx": [1.5, 2], "num": "1", "den": "1"}]},
+        {"order": 2, "dim": 2, "entries": [{"idx": "12", "num": "1", "den": "1"}]},
+        {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "num": 1e400, "den": "1"}]},
+    ),
+)
+def test_tensor_json_non_integers_exit_2(tmp_path, capsys, obj):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "pf", str(path))
+    assert code == 2
+    assert "malformed" in err
+
+
+def test_env_seed_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SPFK_SEED", "abc")
+    code, _, err = run(capsys, "suite", "--max", "size=2")
+    assert code == 2
+    assert "error: SPFK_SEED must be an integer" in err
+    # An explicit --seed does not read the environment.
+    code, out, _ = run(capsys, "verify", "schur", "--n", "1", "--seed", "5", "--format", "json")
+    assert code == 0 and json.loads(out)["seeds"] == [5]
+
+
+@pytest.mark.parametrize("jobs", ("0", "-3"))
+def test_suite_jobs_below_one(capsys, jobs):
+    code, _, err = run(capsys, "suite", "--max", "size=2", "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    code0, serial, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--json")
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    code1, pooled, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "64", "--json")
+    assert _SerialPool.created == [3]
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    code2, single, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "64", "--json")
+    assert _SerialPool.created == [3]
+    assert code0 == code1 == code2 == 0
+    assert serial == pooled == single

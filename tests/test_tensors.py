@@ -4,13 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
+from spfk import tensors
 from spfk.core import QQ, SeededSampler, mix_seed
-from spfk.freealg import SHUFFLE_RING, FreePoly
+from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly
 from spfk.tensors import (
+    MAX_BLOCKED,
     AltTensor,
     DenseMatrix,
     SymTensor,
+    _blocked_sum,
     blocked_count,
     determinant,
     enumerate_block_assignments,
@@ -27,6 +31,7 @@ from spfk.tensors import (
     tensor_from_json,
     tensor_to_json,
 )
+from test_symbolic_ring import SYMPY_RING
 
 
 def _random_alt(seed, order, dim):
@@ -288,6 +293,19 @@ def test_tensor_json_roundtrip(tmp_path):
     assert hyperpfaffian(back) == hyperpfaffian(M)
 
 
+def test_tensor_json_rejects_booleans_and_floats():
+    ok = {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "num": "3", "den": 2}]}
+    assert tensor_from_json(ok, "alt").entry((1, 2)) == Fraction(3, 2)
+    for key in ("order", "dim"):
+        with pytest.raises(ValueError, match="malformed"):
+            tensor_from_json(dict(ok, **{key: True}), "alt")
+    for field, value in (("idx", [True, 2]), ("idx", [1.0, 2]), ("idx", "12"),
+                         ("num", True), ("num", 1e400), ("den", True)):
+        entry = dict(ok["entries"][0], **{field: value})
+        with pytest.raises(ValueError, match="malformed"):
+            tensor_from_json(dict(ok, entries=[entry]), "sym")
+
+
 def test_tensor_json_errors():
     with pytest.raises(ValueError, match="malformed"):
         tensor_from_json({"order": 2}, "alt")
@@ -314,3 +332,127 @@ def test_shuffle_ring_pfaffian_equals_permutation_sum():
         word = tuple(a(perm[j]) if j % 2 == 0 else b(perm[j]) for j in range(d))
         acc[word] = acc.get(word, 0) + sign
     assert pfaffian(Q) == FreePoly(acc)
+
+
+def _enumerated_sum(tensor, signed):
+    """Reference blocked sum: every partition of enumerate_blocked, its
+    entries multiplied left to right in block order."""
+    ring = tensor.ring
+    out = ring.zero
+    for blocks, sign in enumerate_blocked(tensor.dim // tensor.order, tensor.order):
+        term = ring.product(tensor.entry(b) for b in blocks)
+        out = ring.add(out, ring.neg(term) if signed and sign < 0 else term)
+    return out
+
+
+def _seeded_tensor(cls, ring, order, dim, seed, density, value):
+    """A tensor with round(density * C(dim, order)) nonzero entries (at least
+    one), chosen and valued from the seed; value(rng, slot_number) makes one."""
+    rng = SeededSampler(seed)
+    slots = list(itertools.combinations(range(1, dim + 1), order))
+    keep = max(1, round(density * len(slots)))
+    chosen = sorted(range(len(slots)), key=lambda i: (rng.next_int(1 << 30), i))[:keep]
+    return cls(ring, order, dim, {slots[i]: value(rng, i) for i in chosen})
+
+
+def _qq_value(rng, _slot):
+    sign = -1 if rng.next_int(2) == 1 else 1
+    return sign * rng.rational(9)
+
+
+# (order, dim) shapes up to dim 12; hpf needs an even order for its oracle,
+# since an odd-order Omega squares to zero in the Grassmann algebra.
+_SHAPES = [(2, d) for d in (2, 4, 6, 8, 10, 12)] + [(3, 3), (3, 6), (3, 9), (3, 12)] + [
+    (4, 4), (4, 8), (4, 12)
+]
+
+
+@pytest.mark.parametrize("density", (1.0, 0.25))
+def test_blocked_sum_matches_enumeration_qq(density):
+    shapes = [(1, 1), (1, 5), (2, 0)] + [s for s in _SHAPES if s[1] <= 10] + [(5, 10), (6, 12)]
+    for order, dim in shapes:
+        seed = mix_seed(61, (order, dim, round(100 * density)))
+        M = _seeded_tensor(AltTensor, QQ, order, dim, seed, density, _qq_value)
+        assert _blocked_sum(M, True) == _enumerated_sum(M, True), (order, dim)
+        S = _seeded_tensor(SymTensor, QQ, order, dim, seed + 1, density, _qq_value)
+        assert _blocked_sum(S, False) == _enumerated_sum(S, False), (order, dim)
+
+
+@pytest.mark.parametrize("density", (1.0, 0.25))
+def test_blocked_sum_matches_power_oracles_qq(density):
+    for order, dim in _SHAPES:
+        seed = mix_seed(67, (order, dim, round(100 * density)))
+        S = _seeded_tensor(SymTensor, QQ, order, dim, seed, density, _qq_value)
+        assert hyperhafnian(S) == sz_hf_oracle(S), (order, dim)
+        if order == 2:
+            assert hafnian(S) == hyperhafnian(S)
+        if order % 2 == 0:
+            M = _seeded_tensor(AltTensor, QQ, order, dim, seed + 1, density, _qq_value)
+            assert hyperpfaffian(M) == grassmann_pf_oracle(M), (order, dim)
+            if order == 2:
+                assert pfaffian(M) == hyperpfaffian(M)
+
+
+def _letter_value(rng, slot):
+    # A distinct letter per slot, with a small integer coefficient.
+    return FreePoly.from_letter(slot).scale(rng.next_int(5))
+
+
+def _symbol_value(_rng, slot):
+    return sp.Symbol(f"x{slot}")
+
+
+@pytest.mark.parametrize("density", (1.0, 0.25))
+@pytest.mark.parametrize(
+    "ring, value", ((SHUFFLE_RING, _letter_value), (SYMPY_RING, _symbol_value)),
+    ids=("shuffle", "sympy"),
+)
+def test_blocked_sum_matches_power_oracles_symbolic(ring, value, density):
+    for order, dim in ((2, 4), (2, 6), (3, 6), (4, 8)):
+        seed = mix_seed(71, (order, dim, round(100 * density)))
+        S = _seeded_tensor(SymTensor, ring, order, dim, seed, density, value)
+        assert ring.eq(hyperhafnian(S), sz_hf_oracle(S)), (order, dim)
+        if order % 2 == 0:
+            M = _seeded_tensor(AltTensor, ring, order, dim, seed + 1, density, value)
+            assert ring.eq(hyperpfaffian(M), grassmann_pf_oracle(M)), (order, dim)
+            if order == 2:
+                assert ring.eq(pfaffian(M), hyperpfaffian(M))
+
+
+def test_blocked_sum_keeps_block_order_in_antishuffle_ring():
+    # Single letters have odd degree and anticommute under the antishuffle
+    # product, so the value depends on the order the blocks multiply in.
+    for order, dim in ((2, 4), (2, 6), (3, 6), (2, 8)):
+        seed = mix_seed(79, (order, dim))
+        M = _seeded_tensor(AltTensor, ANTISHUFFLE_RING, order, dim, seed, 1.0, _letter_value)
+        expected = _enumerated_sum(M, True)
+        assert _blocked_sum(M, True) == expected, (order, dim)
+        assert _blocked_sum(M, False) == _enumerated_sum(M, False), (order, dim)
+        swapped = ANTISHUFFLE_RING.zero
+        for blocks, sign in enumerate_blocked(dim // order, order):
+            term = ANTISHUFFLE_RING.product(M.entry(b) for b in (blocks[1], blocks[0], *blocks[2:]))
+            swapped += term if sign > 0 else -term
+        assert swapped != expected, (order, dim)
+        if order == 2:
+            assert pfaffian(M) == expected
+
+
+def test_pfaffian_cross_check_trips_on_a_wrong_recursion(monkeypatch):
+    M = _random_alt(83, 2, 6)
+    good = tensors._pf_recursive
+    monkeypatch.setattr(tensors, "_pf_recursive", lambda T: good(T) + 1)
+    with pytest.raises(AssertionError, match="cross-check"):
+        pfaffian(M)
+
+
+def test_blocked_kernels_check_size_before_work():
+    # An empty tensor of huge dimension would still visit every index.
+    huge = 10_000_000
+    for kernel, cls in ((pfaffian, AltTensor), (hafnian, SymTensor),
+                        (hyperpfaffian, AltTensor), (hyperhafnian, SymTensor)):
+        with pytest.raises(ValueError, match="size cap"):
+            kernel(cls(QQ, 2, huge, {}))
+        with pytest.raises(ValueError, match="size cap"):
+            kernel(cls(QQ, 2, MAX_BLOCKED + 2, {(1, 2): Fraction(1)}))
+    with pytest.raises(ValueError, match="divide"):
+        hyperhafnian(SymTensor(QQ, 3, huge + 1, {}))
