@@ -289,7 +289,7 @@ def verify_hyperpf_structure(
         if t is None:
             raise ValueError("MINOR needs t")
         if t > n:
-            raise ValueError("size cap exceeded: 2mt <= 2mn")
+            raise ValueError(f"MINOR needs t <= n, got t={t} > n={n}")
         return _structure_minor(m, t, n, seed, sampler)
     return _structure_det_decomp(m, n, seed, sampler)
 

@@ -70,6 +70,21 @@ def test_verify_debruijn_general(capsys):
     assert code == 0 and json.loads(out)["equal"]
 
 
+@pytest.mark.parametrize("pairs", ("0", "-3"))
+def test_verify_chen_needs_a_pair(capsys, pairs):
+    code, out, err = run(capsys, "verify", "chen", "--pairs", pairs)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: chen needs pairs >= 1, got {pairs}\n"
+
+
+def test_verify_minor_t_above_n_is_a_domain_error(capsys):
+    code, _, err = run(capsys, "verify", "minor", "--m", "1", "--n", "1", "--t", "5")
+    assert code == 2
+    assert "MINOR needs t <= n" in err
+    assert "size cap" not in err
+
+
 def test_pf_command(tmp_path, capsys):
     path = tmp_path / "pf2.json"
     path.write_text(json.dumps({"order": 2, "dim": 2,

@@ -201,7 +201,7 @@ def test_structure_caps():
         verify_hyperpf_structure("COMPOSITION", 2, 3, seed=42)
     with pytest.raises(ValueError, match="needs t"):
         verify_hyperpf_structure("MINOR", 1, 2, seed=42)
-    with pytest.raises(ValueError, match="size cap"):
+    with pytest.raises(ValueError, match="MINOR needs t <= n"):
         verify_hyperpf_structure("MINOR", 1, 2, t=3, seed=42)
 
 

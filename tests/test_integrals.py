@@ -5,12 +5,15 @@ import pytest
 
 from spfk.core import SeededSampler, mix_seed
 from spfk.freealg import FreePoly, shuffle
+from spfk import integrals, tensors
 from spfk.integrals import (
+    DEBRUIJN_VARIANTS,
     MonomialFamily,
     chen_form,
     default_family,
     iterated_integral_oracle,
     merged_exponent,
+    ordered_sum,
     r_value,
     verify_chen,
     verify_chen_batch,
@@ -196,3 +199,123 @@ def test_even_debruijn_from_pairing_identity():
     assert chen_form(lhs_poly, fam) == chen_form(rhs_poly, fam)
     report = verify_debruijn("EVEN", n=d, fam=fam)
     assert report.equal
+
+
+# --- the left-side DP against the literal permutation expansion -------------
+
+UNSIGNED = ("PERM_PRODUCT", "PERM_INTERLEAVED", "GENERAL_PERM")
+
+
+def _left_side_args(variant, order, k, fam):
+    """(slots, width, signed) of a de Bruijn variant's left side."""
+    if variant.startswith("GENERAL"):
+        families, width = fam.grid, 2 * k
+    elif variant in ("INTERLEAVED", "PERM_INTERLEAVED"):
+        families, width = (fam.phi, fam.psi), 2
+    elif variant == "NEW_PAIRING":
+        families, width = (fam.phi, fam.psi), 1
+    else:
+        families, width = (fam.phi,), 1
+    slots = [families[p % len(families)] for p in range(order)]
+    return slots, width, variant not in UNSIGNED
+
+
+def _brute_force(slots, width, signed):
+    """Sum over all m! permutations of sgn^signed * R(merged block exponents)."""
+    total = Fraction(0)
+    for perm, sign in signed_permutations(len(slots)):
+        params = [slots[p][letter - 1] for p, letter in enumerate(perm)]
+        zs = [merged_exponent(params[b : b + width]) for b in range(0, len(params), width)]
+        total += (sign if signed else 1) * r_value(zs)
+    return total
+
+
+def _small_cases():
+    for variant in DEBRUIJN_VARIANTS:
+        if variant.startswith("GENERAL"):
+            for k, n in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1)):
+                yield variant, 2 * k * n, k
+        else:
+            for order in ((1, 3, 5) if variant == "ODD" else (2, 4, 6)):
+                yield variant, order, None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_left_side_matches_permutation_expansion(seed):
+    for variant, order, k in _small_cases():
+        fam = default_family(variant, order, k, seed)
+        lhs, _rhs = integrals._DEBRUIJN_IMPL[variant](order, k, fam, "corrected")
+        assert lhs == _brute_force(*_left_side_args(variant, order, k, fam)), (variant, order, k)
+
+
+def test_general_left_sides_order_8_match_permutation_expansion():
+    fam = default_family("GENERAL_DET", 8, 2, seed=42)
+    slots, width, _ = _left_side_args("GENERAL_DET", 8, 2, fam)
+    signed_sum = unsigned_sum = Fraction(0)
+    for perm, sign in signed_permutations(8):
+        params = [slots[p][letter - 1] for p, letter in enumerate(perm)]
+        term = r_value([merged_exponent(params[:4]), merged_exponent(params[4:])])
+        signed_sum += sign * term
+        unsigned_sum += term
+    assert ordered_sum(slots, width, signed=True) == signed_sum
+    assert ordered_sum(slots, width, signed=False) == unsigned_sum
+    assert integrals._DEBRUIJN_IMPL["GENERAL_DET"](8, 2, fam, "corrected")[0] == signed_sum
+
+
+def test_ordered_sum_non_integer_fractions():
+    phi = tuple(Fraction(z) for z in ("3/2", "5/3", "7/4", "2", "9/5", "11/6"))
+    psi = tuple(Fraction(z) for z in ("4/3", "3", "6/5", "8/7", "5/2", "7/3"))
+    fam = MonomialFamily(phi=phi, psi=psi, grid=(phi, psi, psi[::-1], phi[::-1]))
+    for variant, order, k in (
+        ("EVEN", 6, None),
+        ("NEW_PAIRING", 6, None),
+        ("INTERLEAVED", 6, None),
+        ("PERM_INTERLEAVED", 6, None),
+        ("GENERAL_DET", 4, 2),
+        ("GENERAL_PERM", 4, 2),
+    ):
+        args = _left_side_args(variant, order, k, fam)
+        value = ordered_sum(*args)
+        assert isinstance(value, Fraction) and value.denominator > 1
+        assert value == _brute_force(*args), variant
+        n = order if k is None else order // (2 * k)
+        assert verify_debruijn(variant, n=n, k=k, fam=fam).equal
+
+
+def test_left_side_calls_no_right_side_kernel(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the left side called a right-side kernel")
+
+    for name in ("pfaffian", "hafnian", "hyperpfaffian", "hyperhafnian"):
+        monkeypatch.setattr(tensors, name, refuse)
+        monkeypatch.setattr(integrals, name, refuse)
+    for variant, order, k in _small_cases():
+        fam = default_family(variant, order, k, seed=3)
+        ordered_sum(*_left_side_args(variant, order, k, fam))
+    with pytest.raises(AssertionError, match="right-side kernel"):
+        verify_debruijn("EVEN", n=4)
+
+
+def test_ordered_sum_argument_errors():
+    with pytest.raises(ValueError, match="width"):
+        ordered_sum([(Fraction(2),)] * 3, 2, signed=True)
+    with pytest.raises(ValueError, match="each of the 2 letters"):
+        ordered_sum([(Fraction(2),), (Fraction(3), Fraction(4))], 1, signed=True)
+    assert ordered_sum([], 1, signed=True) == 1
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        # Every pair sum below 1 goes unnoticed by the expansion (both sides agree).
+        (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3)),
+        # A neighbour whose expansion meets a zero partial sum.
+        (Fraction(4, 5), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3)),
+    ],
+)
+def test_divergent_block_exponent_refused(phi):
+    psi = (Fraction(1, 2), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3))
+    fam = MonomialFamily(phi=phi, psi=psi)
+    for variant in ("INTERLEAVED", "PERM_INTERLEAVED"):
+        with pytest.raises(ValueError, match="diverges"):
+            verify_debruijn(variant, n=4, fam=fam)
