@@ -13,35 +13,25 @@ import os
 import sys
 from fractions import Fraction
 
-from .identities import (
-    verify_VI,
-    verify_hyperpf_structure,
-    verify_rational_identity,
-    verify_shuffle_wick,
-    verify_vandermonde_average,
-)
-from .integrals import verify_chen_batch, verify_debruijn
 from .report import VerificationReport
-from .suite import DEFAULT_SEED, SuiteConfig, run_suite, suite_json_bytes, suite_text
+from .suite import (
+    DEFAULT_SEED,
+    IDENTITIES,
+    SuiteConfig,
+    make_case,
+    run_case,
+    run_suite,
+    suite_json_bytes,
+    suite_text,
+)
 from .tensors import hafnian, hyperhafnian, hyperpfaffian, pfaffian, tensor_from_json
-
-
-def _need(ns, attr: str, flag: str):
-    value = getattr(ns, attr)
-    if value is None:
-        raise ValueError(f"{flag} is required for this identity")
-    return value
-
-
-def _points(ns) -> int:
-    return 10 if ns.paranoid else 3
 
 
 def _parse_parts(text: str) -> tuple:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad --parts value: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad --parts value: {text!r}") from exc
 
 
 def _parse_rationals(text: str) -> list:
@@ -55,79 +45,38 @@ def _parse_rationals(text: str) -> list:
             else:
                 out.append(Fraction(int(piece)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational value: {piece!r}") from exc
+            raise argparse.ArgumentTypeError(f"bad rational value: {piece!r}") from exc
     return out
 
 
-def _run_identity(identity: str, ns, seed: int) -> VerificationReport:
-    wick = {"pfab": "PFAB", "sdb2": "SDB2", "fhaff2": "FHAFF2", "fhaff1": "FHAFF1",
-            "odd_even": "ODD_EVEN", "antishuffle": "ANTISHUFFLE"}
-    rational_n = {"schur": "SCHUR", "schur_hyper": "SCHUR_HYPER", "mehta1": "MEHTA1",
-                  "mehta2": "MEHTA2", "hafsym": "HAFSYM", "wigner_rank1": "WIGNER_RANK1"}
-    rational_m = {"sundquist": "SUNDQUIST", "sum1": "SUM1", "arq": "ARQ"}
-    debruijn_order = {"debruijn_even": "EVEN", "debruijn_odd": "ODD",
-                      "debruijn_interleaved": "INTERLEAVED",
-                      "debruijn_new_pairing": "NEW_PAIRING",
-                      "debruijn_perm_product": "PERM_PRODUCT",
-                      "debruijn_perm_interleaved": "PERM_INTERLEAVED"}
-
-    if identity in wick:
-        return verify_shuffle_wick(wick[identity], _need(ns, "n", "--n"), coeff=ns.coeff)
-    if identity == "xipfashu":
-        return verify_shuffle_wick(
-            "XIPFASHU", _need(ns, "n", "--n"), k=_need(ns, "k", "--k"), coeff=ns.coeff
-        )
-    if identity in ("composition", "sum", "det_decomp"):
-        return verify_hyperpf_structure(
-            identity.upper(), _need(ns, "m", "--m"), _need(ns, "n", "--n"), seed=seed
-        )
-    if identity == "minor":
-        return verify_hyperpf_structure(
-            "MINOR", _need(ns, "m", "--m"), _need(ns, "n", "--n"), t=_need(ns, "t", "--t"),
-            seed=seed,
-        )
-    if identity in rational_n:
-        return verify_rational_identity(
-            rational_n[identity], _need(ns, "n", "--n"), seed=seed, points=_points(ns),
-            coeff=ns.coeff,
-        )
-    if identity in rational_m:
-        return verify_rational_identity(
-            rational_m[identity], _need(ns, "m", "--m"), seed=seed, points=_points(ns),
-            coeff=ns.coeff,
-        )
-    if identity == "vi":
-        parts = _parse_parts(_need(ns, "parts", "--parts"))
-        return verify_VI(parts, N=ns.cap_n or 8, seed=seed, points=_points(ns))
-    if identity == "vandermonde":
-        y = _parse_rationals(ns.y) if ns.y else None
-        return verify_vandermonde_average(
-            _need(ns, "cap_n", "--N"), _need(ns, "n", "--n"), _need(ns, "m", "--m"),
-            y=y, seed=seed,
-        )
-    if identity == "chen":
-        return verify_chen_batch(seed, pairs=ns.pairs)
-    if identity in debruijn_order:
-        return verify_debruijn(
-            debruijn_order[identity], n=_need(ns, "n", "--n"), seed=seed, coeff=ns.coeff
-        )
-    if identity in ("debruijn_general_det", "debruijn_general_perm"):
-        variant = "GENERAL_DET" if identity.endswith("det") else "GENERAL_PERM"
-        return verify_debruijn(
-            variant, n=_need(ns, "n", "--n"), k=_need(ns, "k", "--k"), seed=seed
-        )
-    raise KeyError(identity)
+# The value flags of `spfk verify`.  Which of them an identity reads, and
+# their defaults, is in the identity table; none has an argparse default, so
+# a flag given to an id that does not read it is refused.
+_IDENTITY_FLAGS = {
+    "n": {"type": int},
+    "m": {"type": int},
+    "k": {"type": int},
+    "t": {"type": int},
+    "N": {"type": int},
+    "parts": {"type": _parse_parts, "help": "parts, e.g. 1,2,3"},
+    "y": {"type": _parse_rationals, "help": "sample values, e.g. 1,2,5/2"},
+    "pairs": {"type": int},
+    "coeff": {"choices": ("corrected", "paper")},
+}
 
 
-KNOWN_IDENTITIES = (
-    "pfab", "sdb2", "fhaff2", "fhaff1", "odd_even", "antishuffle", "xipfashu",
-    "composition", "sum", "minor", "det_decomp",
-    "schur", "schur_hyper", "sundquist", "mehta1", "mehta2", "sum1", "hafsym",
-    "wigner_rank1", "arq", "vi", "vandermonde", "chen",
-    "debruijn_even", "debruijn_odd", "debruijn_interleaved", "debruijn_new_pairing",
-    "debruijn_perm_product", "debruijn_perm_interleaved",
-    "debruijn_general_det", "debruijn_general_perm",
-)
+def _flag_usage(name: str, default) -> str:
+    if default is ...:
+        return f"--{name}"
+    return f"[--{name}]" if default is None else f"[--{name} {default}]"
+
+
+def _identity_help() -> str:
+    lines = ["identities and the flags each reads ([--flag default] is optional):"]
+    for identity, (_runner, _variant, flags, _caps) in IDENTITIES.items():
+        usage = " ".join(_flag_usage(name, default) for name, default in flags.items())
+        lines.append(f"  {identity:<26} {usage}")
+    return "\n".join(lines)
 
 
 def _report_text(report: VerificationReport) -> str:
@@ -150,14 +99,14 @@ def _report_text(report: VerificationReport) -> str:
 
 
 def _cmd_verify(ns) -> int:
-    identity = ns.identity
-    seed = ns.seed
-    if identity not in KNOWN_IDENTITIES:
-        print(f"unknown identity: {identity!r}", file=sys.stderr)
-        print("known identities: " + ", ".join(KNOWN_IDENTITIES), file=sys.stderr)
+    if ns.identity not in IDENTITIES:
+        print(f"unknown identity: {ns.identity!r}", file=sys.stderr)
+        print("known identities: " + ", ".join(IDENTITIES), file=sys.stderr)
         return 2
+    given = {name: getattr(ns, name) for name in _IDENTITY_FLAGS if getattr(ns, name) is not None}
     try:
-        report = _run_identity(identity, ns, seed)
+        case = make_case(ns.identity, given)
+        report = run_case(case, SuiteConfig(seed=ns.seed, paranoid=ns.paranoid))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -238,20 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run a single identity verifier")
+    pv = sub.add_parser(
+        "verify",
+        help="run a single identity verifier",
+        epilog=_identity_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     pv.add_argument("identity")
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--m", type=int, default=None)
-    pv.add_argument("--k", type=int, default=None)
-    pv.add_argument("--t", type=int, default=None)
-    pv.add_argument("--N", dest="cap_n", type=int, default=None)
-    pv.add_argument("--parts", type=str, default=None, help="composition, e.g. 1,2,3")
-    pv.add_argument("--y", type=str, default=None, help="sample values, e.g. 1,2,5/2")
-    pv.add_argument("--pairs", type=int, default=100)
+    for name, kwargs in _IDENTITY_FLAGS.items():
+        pv.add_argument(f"--{name}", default=None, **kwargs)
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--format", choices=("text", "json"), default="text")
     pv.add_argument("--paranoid", action="store_true")
-    pv.add_argument("--coeff", choices=("corrected", "paper"), default="corrected")
 
     for kind in ("pf", "hf", "hpf", "hhf"):
         pt = sub.add_parser(kind, help=f"evaluate {kind} of a tensor JSON file")

@@ -1,10 +1,11 @@
 """One verifier per identity.
 
-Every verifier builds both sides independently: the left side is always the
-definition-level brute force (permutation sums, tuple enumeration) and never
-goes through the kernel that computes the right side.  Equality is exact, in
-the free algebra for the symbolic identities and at seeded rational points
-for the rational-function ones.
+Every verifier builds both sides independently: the left side is the
+definition-level sum (permutation sums, tuple enumeration; the sums of R over
+permutations in MEHTA2 and SUM1 go through ``integrals.ordered_sum``) and
+never goes through the kernel that computes the right side.  Equality is
+exact, in the free algebra for the symbolic identities and at seeded
+rational points for the rational-function ones.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .freealg import (
     antishuffle,
     shuffle,
 )
-from .integrals import r_value
+from .integrals import ordered_sum, r_value
 from .report import ReportBuilder, VerificationReport, scalar_list_canonical
 from .tensors import (
     AltTensor,
@@ -43,17 +44,6 @@ from .tensors import (
 
 WICK_VARIANTS = ("PFAB", "SDB2", "FHAFF2", "FHAFF1", "ODD_EVEN", "ANTISHUFFLE", "XIPFASHU")
 STRUCTURE_VARIANTS = ("COMPOSITION", "SUM", "MINOR", "DET_DECOMP")
-RATIONAL_VARIANTS = (
-    "SCHUR",
-    "SCHUR_HYPER",
-    "SUNDQUIST",
-    "MEHTA1",
-    "MEHTA2",
-    "SUM1",
-    "HAFSYM",
-    "WIGNER_RANK1",
-    "ARQ",
-)
 
 _SAMPLE_BOUND = 200
 
@@ -288,6 +278,8 @@ def verify_hyperpf_structure(
     if variant == "MINOR":
         if t is None:
             raise ValueError("MINOR needs t")
+        if t < 1:
+            raise ValueError(f"MINOR needs t >= 1, got t={t}")
         if t > n:
             raise ValueError(f"MINOR needs t <= n, got t={t} > n={n}")
         return _structure_minor(m, t, n, seed, sampler)
@@ -390,7 +382,7 @@ def verify_rational_identity(
     """Closed-form rational identities checked at seeded positive rational
     points; `size` is the natural parameter of each variant (n or m)."""
     variant = variant.upper()
-    if variant not in RATIONAL_VARIANTS:
+    if variant not in _RATIONAL_IMPL:
         raise ValueError(f"unknown variant: {variant}")
     impl, param_name, cap_ok = _RATIONAL_IMPL[variant]
     if not cap_ok(size):
@@ -478,9 +470,7 @@ def _rat_mehta1(n, sampler, _coeff):
 
 def _rat_mehta2(n, sampler, _coeff):
     x = sampler.positive_distinct(n, _SAMPLE_BOUND)
-    lhs = Fraction(0)
-    for perm, sign in signed_permutations(n):
-        lhs += sign * r_value([x[p - 1] for p in perm])
+    lhs = ordered_sum([x] * n, 1, signed=True)
     rhs = Fraction(1)
     for xi in x:
         rhs /= xi
@@ -492,9 +482,7 @@ def _rat_mehta2(n, sampler, _coeff):
 
 def _rat_sum1(m, sampler, _coeff):
     x = sampler.positive_distinct(m, _SAMPLE_BOUND)
-    lhs = Fraction(0)
-    for perm, _sign in signed_permutations(m):
-        lhs += r_value([x[p - 1] for p in perm])
+    lhs = ordered_sum([x] * m, 1, signed=False)
     rhs = Fraction(1)
     for xi in x:
         rhs /= xi
@@ -580,6 +568,7 @@ _RATIONAL_IMPL = {
     "WIGNER_RANK1": (_rat_wigner_rank1, "n", lambda s: 1 <= s <= 3),
     "ARQ": (_rat_arq, "m", lambda s: 1 <= s <= 2),
 }
+RATIONAL_VARIANTS = tuple(_RATIONAL_IMPL)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +592,8 @@ def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> Verificatio
     r = len(parts)
     if r == 0 or r > 4 or any(p < 1 or p > 4 for p in parts):
         raise ValueError("size cap exceeded: composition length <= 4, parts in 1..4")
+    if N < 1:
+        raise ValueError(f"VI needs N >= 1, got N={N}")
     if N > 8:
         raise ValueError("size cap exceeded: N <= 8")
     builder = ReportBuilder("vi", {"parts": list(parts), "N": N}, seeds=[seed])

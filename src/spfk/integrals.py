@@ -41,17 +41,6 @@ from .tensors import (
 MAX_WORD = 8
 MAX_ORDER = 8
 
-DEBRUIJN_VARIANTS = (
-    "EVEN",
-    "ODD",
-    "INTERLEAVED",
-    "NEW_PAIRING",
-    "PERM_PRODUCT",
-    "PERM_INTERLEAVED",
-    "GENERAL_DET",
-    "GENERAL_PERM",
-)
-
 
 @dataclass(frozen=True)
 class MonomialFamily:
@@ -305,15 +294,19 @@ def verify_debruijn(
     (hyper)Pfaffian or hafnian of pairwise (or 2k-wise) integrals.
     """
     variant = variant.upper()
-    if variant not in DEBRUIJN_VARIANTS:
+    if variant not in _DEBRUIJN_IMPL:
         raise ValueError(f"unknown variant: {variant}")
     if variant in ("GENERAL_DET", "GENERAL_PERM"):
         if k is None or n is None:
             raise ValueError("GENERAL variants need k and n")
+        if k < 1 or n < 0:
+            raise ValueError(f"GENERAL variants need k >= 1 and n >= 0, got k={k}, n={n}")
         order = 2 * k * n
     else:
         if n is None:
             raise ValueError("variant needs the matrix order n")
+        if n < 0:
+            raise ValueError(f"{variant} needs n >= 0, got n={n}")
         order = n
     if order > MAX_ORDER:
         raise ValueError(f"size cap exceeded: order <= {MAX_ORDER}")
@@ -439,3 +432,4 @@ _DEBRUIJN_IMPL = {
     "GENERAL_DET": _db_general_det,
     "GENERAL_PERM": _db_general_perm,
 }
+DEBRUIJN_VARIANTS = tuple(_DEBRUIJN_IMPL)

@@ -1,5 +1,9 @@
-"""The default verification suite: every identity over its size matrix, with
+"""The identity table and the default verification suite, with
 deterministic text and JSON reporting.
+
+``IDENTITIES`` is the one place that maps an identity id to its verifier:
+`spfk verify`, the suite matrix and `spfk verify --help` all read it.  A
+case is an id plus its parameters, named like the CLI flags.
 
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
@@ -14,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .identities import (
+    _RATIONAL_IMPL,
     verify_VI,
     verify_hyperpf_structure,
     verify_rational_identity,
@@ -28,7 +33,7 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class SuiteCase:
-    runner: str
+    runner: str  # the identity id
     params: tuple  # sorted (key, value) pairs; values are ints/strings/tuples
     expect_equal: bool = True
     caps: tuple = ()
@@ -50,193 +55,174 @@ class SuiteConfig:
         return 10 if self.paranoid else 3
 
 
-def _case(runner, params, expect_equal=True, seed_offset=0, **caps) -> SuiteCase:
+# One runner per verifier family: (variant, seed, points, **params).  Each
+# calls its verifier through this module's global name, so patching that name
+# sees every call.
+
+
+def _wick(variant, _seed, _points, **p):
+    return verify_shuffle_wick(variant, **p)
+
+
+def _structure(variant, seed, _points, **p):
+    return verify_hyperpf_structure(variant, seed=seed, **p)
+
+
+def _rational(variant, seed, points, coeff="corrected", **p):
+    (size,) = p.values()  # the one size flag of the row, n or m
+    return verify_rational_identity(variant, size, seed=seed, points=points, coeff=coeff)
+
+
+def _vi(_variant, seed, points, **p):
+    return verify_VI(seed=seed, points=points, **p)
+
+
+def _vandermonde(_variant, seed, _points, **p):
+    return verify_vandermonde_average(seed=seed, **p)
+
+
+def _chen(_variant, seed, _points, **p):
+    return verify_chen_batch(seed, **p)
+
+
+def _debruijn(variant, seed, _points, **p):
+    return verify_debruijn(variant, seed=seed, **p)
+
+
+def _rational_row(variant, **coeff):
+    name = _RATIONAL_IMPL[variant][1]
+    return (_rational, variant, {name: ..., **coeff}, lambda p: {"size": p[name]})
+
+
+# Size caps as functions of the params; `spfk suite --max CAP=VALUE` skips the
+# cases above a cap.
+_2N = lambda p: {"size": 2 * p["n"], "2n": 2 * p["n"]}
+_N = lambda p: {"size": p["n"], "n": p["n"]}
+_2KN = lambda p: {"size": 2 * p["k"] * p["n"], "2kn": 2 * p["k"] * p["n"]}
+_2MN = lambda p: {"size": 2 * p["m"] * p["n"], "2mn": 2 * p["m"] * p["n"]}
+_ORDER = lambda p: {"size": p["n"], "order": p["n"]}
+_COEFF = {"coeff": "corrected"}
+
+# id: (runner, variant, flags with their defaults, caps).  A default of
+# ``...`` marks a flag the id cannot run without; only the ids whose flags
+# include `coeff` take one.
+IDENTITIES = {
+    "pfab": (_wick, "PFAB", {"n": ...}, _2N),
+    "sdb2": (_wick, "SDB2", {"n": ...}, _2N),
+    "fhaff2": (_wick, "FHAFF2", {"n": ...}, _2N),
+    "fhaff1": (_wick, "FHAFF1", {"n": ..., **_COEFF}, _2N),
+    "odd_even": (_wick, "ODD_EVEN", {"n": ...}, _N),
+    "antishuffle": (_wick, "ANTISHUFFLE", {"n": ...}, _N),
+    "xipfashu": (_wick, "XIPFASHU", {"k": ..., "n": ...}, _2KN),
+    "composition": (_structure, "COMPOSITION", {"m": ..., "n": ...}, _2MN),
+    "sum": (_structure, "SUM", {"m": ..., "n": ...}, _2MN),
+    "minor": (_structure, "MINOR", {"m": ..., "n": ..., "t": ...}, _2MN),
+    "det_decomp": (_structure, "DET_DECOMP", {"m": ..., "n": ...}, _2MN),
+    "schur": _rational_row("SCHUR"),
+    "schur_hyper": _rational_row("SCHUR_HYPER", **_COEFF),
+    "sundquist": _rational_row("SUNDQUIST"),
+    "mehta1": _rational_row("MEHTA1"),
+    "mehta2": _rational_row("MEHTA2"),
+    "sum1": _rational_row("SUM1"),
+    "hafsym": _rational_row("HAFSYM"),
+    "wigner_rank1": _rational_row("WIGNER_RANK1", **_COEFF),
+    "arq": _rational_row("ARQ"),
+    "vi": (
+        _vi, None, {"parts": ..., "N": 8},
+        lambda p: {"size": len(p["parts"]), "len": len(p["parts"])},
+    ),
+    "vandermonde": (
+        _vandermonde, None, {"N": ..., "n": ..., "m": ..., "y": None},
+        lambda p: {**_2MN(p), "Nn": p["N"] ** p["n"]},
+    ),
+    "chen": (_chen, None, {"pairs": 100}, lambda p: {"size": 8}),
+    "debruijn_even": (_debruijn, "EVEN", {"n": ...}, _ORDER),
+    "debruijn_odd": (_debruijn, "ODD", {"n": ...}, _ORDER),
+    "debruijn_interleaved": (_debruijn, "INTERLEAVED", {"n": ...}, _ORDER),
+    "debruijn_new_pairing": (_debruijn, "NEW_PAIRING", {"n": ...}, _ORDER),
+    "debruijn_perm_product": (_debruijn, "PERM_PRODUCT", {"n": ..., **_COEFF}, _ORDER),
+    "debruijn_perm_interleaved": (_debruijn, "PERM_INTERLEAVED", {"n": ...}, _ORDER),
+    "debruijn_general_det": (_debruijn, "GENERAL_DET", {"k": ..., "n": ...}, _2KN),
+    "debruijn_general_perm": (_debruijn, "GENERAL_PERM", {"k": ..., "n": ...}, _2KN),
+}
+
+
+def make_case(identity, given: dict, expect_equal=True, seed_offset=0, caps=None) -> SuiteCase:
+    """The case of one id: ``given`` plus the row's defaults.  A flag the id
+    does not read, or one it needs and lacks, is a ValueError."""
+    _runner, _variant, flags, caps_of = IDENTITIES[identity]
+    unread = [f"--{name}" for name in given if name not in flags]
+    if unread:
+        raise ValueError(f"{identity} does not read {', '.join(unread)}")
+    params = {**flags, **given}
+    missing = [f"--{name}" for name, value in params.items() if value is ...]
+    if missing:
+        raise ValueError(f"{', '.join(missing)} is required for {identity}")
     return SuiteCase(
-        runner,
+        identity,
         tuple(sorted(params.items())),
         expect_equal,
-        tuple(sorted(caps.items())),
+        tuple(sorted((caps or caps_of(params)).items())),
         seed_offset,
     )
 
 
 def default_cases() -> list[SuiteCase]:
-    cases: list[SuiteCase] = []
-
-    for n in (1, 2, 3):
-        for variant in ("PFAB", "SDB2", "FHAFF2", "FHAFF1"):
-            cases.append(_case("wick", {"variant": variant, "n": n}, size=2 * n, **{"2n": 2 * n}))
+    matrix = [(i, {"n": n}) for n in (1, 2, 3) for i in ("pfab", "sdb2", "fhaff2", "fhaff1")]
     for n in (2, 3, 4, 5):
-        cases.append(_case("wick", {"variant": "ODD_EVEN", "n": n}, size=n, n=n))
-        cases.append(_case("wick", {"variant": "ANTISHUFFLE", "n": n}, size=n, n=n))
+        matrix += [("odd_even", {"n": n}), ("antishuffle", {"n": n})]
     for k, n in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
-        cases.append(
-            _case(
-                "wick",
-                {"variant": "XIPFASHU", "k": k, "n": n},
-                size=2 * k * n,
-                **{"2kn": 2 * k * n},
-            )
-        )
+        matrix.append(("xipfashu", {"k": k, "n": n}))
+    cases = [make_case(i, p) for i, p in matrix]
     # Erratum regressions: the uncorrected double-factorial coefficient fails.
+    cases.append(make_case("fhaff1", {"n": 2, "coeff": "paper"}, expect_equal=False))
     cases.append(
-        _case(
-            "wick",
-            {"variant": "FHAFF1", "n": 2, "coeff": "paper"},
-            expect_equal=False,
-            size=4,
-            **{"2n": 4},
-        )
-    )
-    cases.append(
-        _case(
-            "rational",
-            {"variant": "SCHUR_HYPER", "size": 1, "coeff": "paper"},
-            expect_equal=False,
-            size=4,
-        )
+        make_case("schur_hyper", {"n": 1, "coeff": "paper"}, expect_equal=False, caps={"size": 4})
     )
 
-    for m, n in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
-        cases.append(
-            _case(
-                "structure",
-                {"variant": "COMPOSITION", "m": m, "n": n},
-                size=2 * m * n,
-                **{"2mn": 2 * m * n},
-            )
-        )
-    for m, n in ((1, 1), (1, 2), (1, 3), (2, 2)):
-        cases.append(
-            _case(
-                "structure",
-                {"variant": "SUM", "m": m, "n": n},
-                size=2 * m * n,
-                **{"2mn": 2 * m * n},
-            )
-        )
+    mn = lambda ident, pairs: [(ident, {"m": m, "n": n}) for m, n in pairs]
+    matrix = mn("composition", ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)))
+    matrix += mn("sum", ((1, 1), (1, 2), (1, 3), (2, 2)))
     for m, t, n in ((1, 1, 2), (1, 2, 2), (1, 2, 3), (2, 1, 2)):
-        cases.append(
-            _case(
-                "structure",
-                {"variant": "MINOR", "m": m, "t": t, "n": n},
-                size=2 * m * n,
-                **{"2mn": 2 * m * n},
-            )
-        )
-    for m, n in ((1, 2), (1, 3), (2, 2)):
-        cases.append(
-            _case(
-                "structure",
-                {"variant": "DET_DECOMP", "m": m, "n": n},
-                size=2 * m * n,
-                **{"2mn": 2 * m * n},
-            )
-        )
+        matrix.append(("minor", {"m": m, "t": t, "n": n}))
+    matrix += mn("det_decomp", ((1, 2), (1, 3), (2, 2)))
+    cases += [make_case(i, p) for i, p in matrix]
 
-    rational_matrix = (
-        [("SCHUR", n) for n in (1, 2, 3)]
-        + [("SCHUR_HYPER", n) for n in (1, 2)]
-        + [("SUNDQUIST", m) for m in (1, 2, 3)]
-        + [("MEHTA1", n) for n in (1, 2, 3, 4, 5, 6)]
-        + [("MEHTA2", n) for n in (2, 4)]
-        + [("SUM1", m) for m in (1, 2, 3, 4, 5)]
-        + [("HAFSYM", n) for n in (1, 2, 3)]
-        + [("WIGNER_RANK1", n) for n in (1, 2, 3)]
-        + [("ARQ", m) for m in (1, 2)]
+    rational = (
+        [("schur", {"n": n}) for n in (1, 2, 3)]
+        + [("schur_hyper", {"n": n}) for n in (1, 2)]
+        + [("sundquist", {"m": m}) for m in (1, 2, 3)]
+        + [("mehta1", {"n": n}) for n in (1, 2, 3, 4, 5, 6)]
+        + [("mehta2", {"n": n}) for n in (2, 4)]
+        + [("sum1", {"m": m}) for m in (1, 2, 3, 4, 5)]
+        + [("hafsym", {"n": n}) for n in (1, 2, 3)]
+        + [("wigner_rank1", {"n": n}) for n in (1, 2, 3)]
+        + [("arq", {"m": m}) for m in (1, 2)]
     )
-    for variant, size in rational_matrix:
-        for offset in (0, 1, 2):
-            cases.append(
-                _case(
-                    "rational",
-                    {"variant": variant, "size": size},
-                    seed_offset=offset,
-                    size=size,
-                )
-            )
+    cases += [make_case(i, p, seed_offset=offset) for i, p in rational for offset in (0, 1, 2)]
 
     vi_parts = [(1, 1)]
     for r in (1, 2, 3, 4):
         vi_parts.extend(itertools.permutations((1, 2, 3, 4), r))
-    for parts in vi_parts:
-        cases.append(_case("vi", {"parts": parts, "N": 8}, size=len(parts), **{"len": len(parts)}))
-
-    for N, n, m in ((2, 2, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2)):
-        cases.append(
-            _case(
-                "vandermonde",
-                {"N": N, "n": n, "m": m},
-                size=2 * m * n,
-                **{"2mn": 2 * m * n, "Nn": N ** n},
-            )
-        )
-
-    cases.append(_case("chen", {"pairs": 100}, size=8))
-
-    for order in (2, 4, 6):
-        cases.append(_case("debruijn", {"variant": "EVEN", "n": order}, size=order, order=order))
-        cases.append(
-            _case("debruijn", {"variant": "INTERLEAVED", "n": order}, size=order, order=order)
-        )
-        cases.append(
-            _case("debruijn", {"variant": "NEW_PAIRING", "n": order}, size=order, order=order)
-        )
-        cases.append(
-            _case("debruijn", {"variant": "PERM_PRODUCT", "n": order}, size=order, order=order)
-        )
-        cases.append(
-            _case("debruijn", {"variant": "PERM_INTERLEAVED", "n": order}, size=order, order=order)
-        )
-    for order in (3, 5):
-        cases.append(_case("debruijn", {"variant": "ODD", "n": order}, size=order, order=order))
+    matrix = [("vi", {"parts": parts}) for parts in vi_parts]
+    matrix += [
+        ("vandermonde", {"N": N, "n": n, "m": m})
+        for N, n, m in ((2, 2, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2))
+    ]
+    matrix.append(("chen", {}))
+    for n in (2, 4, 6):
+        for variant in ("even", "interleaved", "new_pairing", "perm_product", "perm_interleaved"):
+            matrix.append((f"debruijn_{variant}", {"n": n}))
+    matrix += [("debruijn_odd", {"n": n}) for n in (3, 5)]
     for k, n in ((1, 2), (1, 3), (2, 1), (2, 2)):
-        for variant in ("GENERAL_DET", "GENERAL_PERM"):
-            cases.append(
-                _case(
-                    "debruijn",
-                    {"variant": variant, "k": k, "n": n},
-                    size=2 * k * n,
-                    **{"2kn": 2 * k * n},
-                )
-            )
+        matrix += [(f"debruijn_general_{v}", {"k": k, "n": n}) for v in ("det", "perm")]
+    cases += [make_case(i, p) for i, p in matrix]
     return cases
 
 
 def run_case(case: SuiteCase, config: SuiteConfig) -> VerificationReport:
-    p = case.param_dict()
-    seed = config.seed + case.seed_offset
-    if case.runner == "wick":
-        return verify_shuffle_wick(
-            p["variant"], p["n"], k=p.get("k"), coeff=p.get("coeff", "corrected")
-        )
-    if case.runner == "structure":
-        return verify_hyperpf_structure(
-            p["variant"], p["m"], p["n"], t=p.get("t"), seed=seed
-        )
-    if case.runner == "rational":
-        return verify_rational_identity(
-            p["variant"],
-            p["size"],
-            seed=seed,
-            points=config.points,
-            coeff=p.get("coeff", "corrected"),
-        )
-    if case.runner == "vi":
-        return verify_VI(p["parts"], N=p["N"], seed=seed, points=config.points)
-    if case.runner == "vandermonde":
-        return verify_vandermonde_average(p["N"], p["n"], p["m"], seed=seed)
-    if case.runner == "chen":
-        return verify_chen_batch(seed, pairs=p["pairs"])
-    if case.runner == "debruijn":
-        return verify_debruijn(
-            p["variant"],
-            n=p.get("n"),
-            k=p.get("k"),
-            seed=seed,
-            coeff=p.get("coeff", "corrected"),
-        )
-    raise ValueError(f"unknown runner: {case.runner}")
+    runner, variant, _flags, _caps = IDENTITIES[case.runner]
+    return runner(variant, config.seed + case.seed_offset, config.points, **case.param_dict())
 
 
 def _within_caps(case: SuiteCase, overrides: dict) -> bool:

@@ -1,5 +1,7 @@
 import itertools
 import json
+import pathlib
+import re
 import signal
 import time
 
@@ -83,6 +85,143 @@ def test_verify_minor_t_above_n_is_a_domain_error(capsys):
     assert code == 2
     assert "MINOR needs t <= n" in err
     assert "size cap" not in err
+
+
+def test_verify_minor_t_below_one_names_minor_and_t(capsys):
+    code, _, err = run(capsys, "verify", "minor", "--m", "1", "--n", "2", "--t", "0")
+    assert code == 2
+    assert err == "error: MINOR needs t >= 1, got t=0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    (
+        (("debruijn_general_det", "--k", "-1", "--n", "-1"), "need k >= 1 and n >= 0"),
+        (("debruijn_odd", "--n", "-1"), "ODD needs n >= 0, got n=-1"),
+    ),
+)
+def test_verify_debruijn_negative_params_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_verify_vi_N_zero_is_not_replaced_by_the_default(capsys):
+    code, out, err = run(capsys, "verify", "vi", "--parts", "1,2", "--N", "0")
+    assert code == 2
+    assert out == ""
+    assert "VI needs N >= 1, got N=0" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    (
+        (("pfab", "--n", "2", "--coeff", "paper"), "--coeff"),
+        (("mehta1", "--n", "2", "--coeff", "paper"), "--coeff"),
+        (("debruijn_even", "--n", "2", "--coeff", "paper"), "--coeff"),
+        (("pfab", "--n", "2", "--m", "7"), "--m"),
+    ),
+)
+def test_verify_refuses_a_flag_the_id_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} does not read {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (("vi", "--parts", "1,a"), ("vandermonde", "--N", "2", "--n", "2", "--m", "1", "--y", "1/0")),
+)
+def test_verify_bad_list_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert "bad " in capsys.readouterr().err
+
+
+# The identity table against the suite, the CLI, --help and the README.
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_seed42.json"
+
+
+def _first_cases():
+    first = {}
+    for case in suite.default_cases():
+        first.setdefault(case.runner, case)
+    return first
+
+
+def _flag_argv(params: dict) -> list:
+    argv = []
+    for name, value in params.items():
+        if value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            argv += [f"--{name}", text]
+    return argv
+
+
+@pytest.mark.parametrize("identity", list(suite.IDENTITIES))
+def test_verify_runs_every_id_with_its_first_suite_case(capsys, monkeypatch, identity):
+    monkeypatch.delenv("SPFK_SEED", raising=False)
+    case = _first_cases()[identity]
+    argv = ["verify", identity, *_flag_argv(case.param_dict()), "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == (0 if case.expect_equal else 1)
+    payload = json.loads(out)
+    assert payload["id"] == identity
+    # The CLI report is the suite's report for the same case at seed 42.
+    assert {**payload, "expect_equal": case.expect_equal} in json.loads(GOLDEN.read_bytes())
+
+
+@pytest.mark.parametrize("identity", list(suite.IDENTITIES))
+def test_verify_coeff_only_where_the_table_takes_it(capsys, identity):
+    flags = suite.IDENTITIES[identity][2]
+    case = _first_cases()[identity]
+    params = {k: v for k, v in case.param_dict().items() if k != "coeff"}
+    code, out, err = run(capsys, "verify", identity, *_flag_argv(params), "--coeff", "paper",
+                         "--format", "json")
+    if "coeff" in flags:
+        assert code in (0, 1)
+        assert json.loads(out)["params"]["coeff"] == "paper"
+    else:
+        assert code == 2
+        assert err == f"error: {identity} does not read --coeff\n"
+
+
+def test_coeff_column():
+    takes = [i for i, (_r, _v, flags, _c) in suite.IDENTITIES.items() if "coeff" in flags]
+    assert takes == ["fhaff1", "schur_hyper", "wigner_rank1", "debruijn_perm_product"]
+
+
+def test_suite_emits_exactly_the_table_ids():
+    assert {c.runner for c in suite.default_cases()} == set(suite.IDENTITIES)
+    assert {e["id"] for e in json.loads(GOLDEN.read_bytes())} == set(suite.IDENTITIES)
+
+
+def test_readme_id_list_is_the_table():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"Identity ids: `([^`]*)`", readme).group(1).split()
+    assert listed == list(suite.IDENTITIES)
+
+
+def test_verify_help_names_every_id(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for identity in suite.IDENTITIES:
+        assert re.search(rf"^  {identity} ", out, re.M), identity
+
+
+def test_suite_cap_selection_counts():
+    cases = suite.default_cases()
+    assert len(cases) == 226
+    counts = [sum(suite._within_caps(c, {"size": s}) for c in cases) for s in (2, 3, 4)]
+    assert counts == [82, 127, 187]
+    erratum = [c for c in cases if c.runner == "schur_hyper" and not c.expect_equal]
+    assert [c.caps for c in erratum] == [(("size", 4),)]
 
 
 def test_pf_command(tmp_path, capsys):

@@ -7,6 +7,8 @@ import pytest
 from spfk.core import QQ, SeededSampler, mix_seed
 from spfk.freealg import FreePoly, antishuffle, shuffle
 from spfk.identities import (
+    _RATIONAL_IMPL,
+    _SAMPLE_BOUND,
     verify_VI,
     verify_hyperpf_structure,
     verify_rational_identity,
@@ -203,6 +205,9 @@ def test_structure_caps():
         verify_hyperpf_structure("MINOR", 1, 2, seed=42)
     with pytest.raises(ValueError, match="MINOR needs t <= n"):
         verify_hyperpf_structure("MINOR", 1, 2, t=3, seed=42)
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="MINOR needs t >= 1"):
+            verify_hyperpf_structure("MINOR", 1, 2, t=t, seed=42)
 
 
 def test_schur_n1_identical():
@@ -240,6 +245,21 @@ def test_sum1_m2_closed_form():
     x1, x2 = Fraction(2), Fraction(5)
     lhs = 1 / (x1 * (x1 + x2)) + 1 / (x2 * (x1 + x2))
     assert lhs == 1 / (x1 * x2)
+
+
+@pytest.mark.parametrize("variant,sizes", [("MEHTA2", (2, 4, 6)), ("SUM1", (1, 2, 3, 4, 5))])
+def test_mehta2_sum1_left_sides_match_permutation_sums(variant, sizes):
+    impl, _name, _cap = _RATIONAL_IMPL[variant]
+    signed = variant == "MEHTA2"
+    for size in sizes:
+        for seed in range(3):
+            lhs, _rhs = impl(size, SeededSampler(seed), "corrected")
+            x = SeededSampler(seed).positive_distinct(size, _SAMPLE_BOUND)
+            expected = sum(
+                (sign if signed else 1) * r_value([x[p - 1] for p in perm])
+                for perm, sign in signed_permutations(size)
+            )
+            assert lhs == expected, (variant, size, seed)
 
 
 def test_mehta1_n2_expansion():

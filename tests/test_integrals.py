@@ -172,6 +172,20 @@ def test_debruijn_errors():
         verify_debruijn("GENERAL_DET", n=2)
 
 
+@pytest.mark.parametrize(
+    "variant,k,n",
+    [("ODD", None, -1), ("EVEN", None, -2), ("GENERAL_DET", -1, -1), ("GENERAL_PERM", 0, 2),
+     ("GENERAL_DET", 1, -1)],
+)
+def test_debruijn_refuses_negative_params_before_any_work(monkeypatch, variant, k, n):
+    def no_work(*_args):
+        raise AssertionError("sampled a family for a refused order")
+
+    monkeypatch.setattr(integrals, "default_family", no_work)
+    with pytest.raises(ValueError, match=r"needs? k >= 1|needs n >= 0"):
+        verify_debruijn(variant, n=n, k=k)
+
+
 def test_even_debruijn_from_pairing_identity():
     # apply the linear form to both sides of the signed pairing expansion
     # with both alphabets identified; must match the EVEN integral identity
