@@ -23,6 +23,7 @@ from .suite import (
     run_suite,
     suite_json_bytes,
     suite_text,
+    takes_points,
 )
 from .tensors import hafnian, hyperhafnian, hyperpfaffian, pfaffian, tensor_from_json
 
@@ -106,6 +107,8 @@ def _cmd_verify(ns) -> int:
     given = {name: getattr(ns, name) for name in _IDENTITY_FLAGS if getattr(ns, name) is not None}
     try:
         case = make_case(ns.identity, given)
+        if ns.paranoid and not takes_points(ns.identity):
+            raise ValueError(f"{ns.identity} does not read --paranoid")
         report = run_case(case, SuiteConfig(seed=ns.seed, paranoid=ns.paranoid))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -126,7 +129,7 @@ def _cmd_tensor(ns) -> int:
     except OSError as exc:
         print(f"error: cannot read {ns.file}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, not UTF-8, or an int past the str-digits limit
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
     try:

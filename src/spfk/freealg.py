@@ -9,7 +9,6 @@ immutable; every operation returns a new instance.
 from __future__ import annotations
 
 import functools
-import threading
 from fractions import Fraction
 
 from .core import Ring
@@ -115,11 +114,22 @@ class FreePoly:
     __hash__ = None
 
     def canonical_string(self) -> str:
+        """``num/den:l1.l2...`` per term in word_key order, joined by ``;``;
+        ``0`` for the zero polynomial.  One pass: int and Fraction
+        coefficients are read as they are, and each word length gets one
+        format string."""
+        if not self._terms:
+            return "0"
         parts = []
+        length = -1
         for w, c in self.terms():
-            frac = Fraction(c)
-            parts.append(f"{frac.numerator}/{frac.denominator}:{'.'.join(map(str, w))}")
-        return ";".join(parts) if parts else "0"
+            if len(w) != length:
+                length = len(w)
+                fmt = "%d/%d:" + ".".join(("%d",) * length)
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            parts.append(fmt % (c.numerator, c.denominator, *w))
+        return ";".join(parts)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -252,28 +262,24 @@ def sort_with_sign(idx) -> tuple[tuple, int]:
 class LetterRegistry:
     """Injective label -> letter id mapping, stable within a session.
 
-    Supports concurrent reads; writes are serialized by a lock.  Index-tuple
-    labels go through alternating_letter(), which canonicalizes an arbitrary
-    tuple to (id of the sorted tuple, permutation sign) and maps tuples with
-    repeated indices to None, so antisymmetrization stays a registry concern.
+    Ids are assigned in first-request order; a registry belongs to one check
+    and is not shared between threads.  Index-tuple labels go through
+    alternating_letter(), which canonicalizes an arbitrary tuple to (id of
+    the sorted tuple, permutation sign) and maps tuples with repeated indices
+    to None, so antisymmetrization stays a registry concern.
     """
 
     def __init__(self):
         self._ids: dict = {}
         self._labels: list = []
-        self._lock = threading.Lock()
 
     def letter(self, label) -> int:
         lid = self._ids.get(label)
-        if lid is not None:
-            return lid
-        with self._lock:
-            lid = self._ids.get(label)
-            if lid is None:
-                lid = len(self._labels)
-                self._ids[label] = lid
-                self._labels.append(label)
-            return lid
+        if lid is None:
+            lid = len(self._labels)
+            self._ids[label] = lid
+            self._labels.append(label)
+        return lid
 
     def label_of(self, lid: int):
         return self._labels[lid]

@@ -2,10 +2,11 @@
 
 Every verifier builds both sides independently: the left side is the
 definition-level sum (permutation sums, tuple enumeration; the sums of R over
-permutations in MEHTA2 and SUM1 go through ``integrals.ordered_sum``) and
-never goes through the kernel that computes the right side.  Equality is
-exact, in the free algebra for the symbolic identities and at seeded
-rational points for the rational-function ones.
+permutations in MEHTA2 and SUM1 go through ``integrals.ordered_sum``, and
+HAFSYM's permutation sum is the same kind of DP over the set of placed
+letters, ``_hafsym_lhs``) and never goes through the kernel that computes the
+right side.  Equality is exact, in the free algebra for the symbolic
+identities and at seeded rational points for the rational-function ones.
 """
 from __future__ import annotations
 
@@ -68,9 +69,11 @@ def verify_shuffle_wick(
     variant = variant.upper()
     if variant not in WICK_VARIANTS:
         raise ValueError(f"unknown variant: {variant}")
+    _need_at_least(variant, n=(n, 0))
     if variant == "XIPFASHU":
         if k is None:
             raise ValueError("XIPFASHU needs k")
+        _need_at_least(variant, k=(k, 1))
         if 2 * k * n > 8:
             raise ValueError("size cap exceeded: 2kn <= 8")
         return _wick_xipfashu(k, n)
@@ -91,6 +94,14 @@ def verify_shuffle_wick(
     if variant == "ODD_EVEN":
         return _wick_odd_even(n)
     return _wick_antishuffle(n)
+
+
+def _need_at_least(variant: str, **flags) -> None:
+    """Refuse, before any work, a flag below its minimum: flags maps each
+    flag name to (value, minimum)."""
+    for name, (value, least) in flags.items():
+        if value < least:
+            raise ValueError(f"{variant} needs {name} >= {least}, got {name}={value}")
 
 
 def _poly_report(builder: ReportBuilder, lhs: FreePoly, rhs: FreePoly) -> VerificationReport:
@@ -219,14 +230,22 @@ def _wick_xipfashu(k: int, n: int) -> VerificationReport:
     width = 2 * k
     d = width * n
     reg = LetterRegistry()
+    # A block's (letter, sign) is fixed by its index tuple, and only
+    # d!/(d - width)! distinct blocks occur among the d! permutations; the
+    # registry sees each block once, on its first appearance, so letter ids
+    # are assigned in the same order as without the memo.
+    block_letters: dict = {}
     acc: dict = {}
     for perm, sign in signed_permutations(d):
         coeff = sign
         letters = []
-        for b in range(n):
-            lid, s = reg.alternating_letter(perm[b * width : (b + 1) * width])
-            coeff *= s
-            letters.append(lid)
+        for b in range(0, d, width):
+            block = perm[b : b + width]
+            hit = block_letters.get(block)
+            if hit is None:
+                hit = block_letters[block] = reg.alternating_letter(block)
+            letters.append(hit[0])
+            coeff *= hit[1]
         word = tuple(letters)
         acc[word] = acc.get(word, 0) + coeff
     lhs = FreePoly(acc)
@@ -268,6 +287,13 @@ def verify_hyperpf_structure(
     variant = variant.upper()
     if variant not in STRUCTURE_VARIANTS:
         raise ValueError(f"unknown variant: {variant}")
+    _need_at_least(variant, m=(m, 1), n=(n, 1))
+    if variant == "MINOR":
+        if t is None:
+            raise ValueError("MINOR needs t")
+        _need_at_least(variant, t=(t, 1))
+        if t > n:
+            raise ValueError(f"MINOR needs t <= n, got t={t} > n={n}")
     if 2 * m * n > 8:
         raise ValueError("size cap exceeded: 2mn <= 8")
     sampler = SeededSampler(mix_seed(seed, ("structure", variant, m, n, t or 0)))
@@ -276,12 +302,6 @@ def verify_hyperpf_structure(
     if variant == "SUM":
         return _structure_sum(m, n, seed, sampler)
     if variant == "MINOR":
-        if t is None:
-            raise ValueError("MINOR needs t")
-        if t < 1:
-            raise ValueError(f"MINOR needs t >= 1, got t={t}")
-        if t > n:
-            raise ValueError(f"MINOR needs t <= n, got t={t} > n={n}")
         return _structure_minor(m, t, n, seed, sampler)
     return _structure_det_decomp(m, n, seed, sampler)
 
@@ -489,22 +509,36 @@ def _rat_sum1(m, sampler, _coeff):
     return lhs, rhs
 
 
+def _hafsym_lhs(x, y) -> Fraction:
+    """Sum over the orderings s of the letters of
+    prod_{even j} y[s_j] / prod_{odd j} (x[s_0] + ... + x[s_j]).
+
+    A prefix's weight depends only on the set of letters it places, so this
+    is a forward DP over that set, as in ``integrals.ordered_sum``: a letter
+    at an even position multiplies by its y, and a set reached at an odd
+    position is divided by its x-sum once, after every way into it has been
+    added.  O(2^d d) instead of d!.
+    """
+    d = len(x)
+    weight = [Fraction(0)] * (1 << d)
+    weight[0] = Fraction(1)
+    for placed_set in range(1 << d):  # every subset comes before its supersets
+        w = weight[placed_set]
+        placed = bin(placed_set).count("1")
+        if placed and placed % 2 == 0:
+            w /= sum(x[i] for i in range(d) if placed_set >> i & 1)
+            weight[placed_set] = w
+        for i in range(d):
+            if not placed_set >> i & 1:
+                weight[placed_set | 1 << i] += w if placed % 2 else w * y[i]
+    return weight[-1]
+
+
 def _rat_hafsym(n, sampler, _coeff):
     d = 2 * n
     batch = sampler.positive_distinct(2 * d, _SAMPLE_BOUND)
     x, y = batch[:d], batch[d:]
-    lhs = Fraction(0)
-    for perm, _sign in signed_permutations(d):
-        num = Fraction(1)
-        for pos in range(0, d, 2):
-            num *= y[perm[pos] - 1]
-        den = Fraction(1)
-        acc = Fraction(0)
-        for s in range(d):
-            acc += x[perm[s] - 1]
-            if s % 2 == 1:
-                den *= acc
-        lhs += num / den
+    lhs = _hafsym_lhs(x, y)
     entry = lambda ij: (y[ij[0] - 1] + y[ij[1] - 1]) / (x[ij[0] - 1] + x[ij[1] - 1])
     rhs = hafnian(SymTensor.from_function(QQ, 2, d, entry))
     return lhs, rhs
@@ -647,10 +681,11 @@ def verify_vandermonde_average(
     global sign (-1)^(C(n,2) C(2m,2)) from regrouping the interleaved columns;
     for m = 1 the determinant form n!/N^n det(p_{i+j-2}) is checked as well.
     """
-    if N ** n > 10_000:
-        raise ValueError("size cap exceeded: N^n <= 10^4")
+    _need_at_least("VANDERMONDE", N=(N, 1), n=(n, 0), m=(m, 1))
     if 2 * m * n > 8:
         raise ValueError("size cap exceeded: 2mn <= 8")
+    if N ** n > 10_000:
+        raise ValueError("size cap exceeded: N^n <= 10^4")
     if y is None:
         sampler = SeededSampler(mix_seed(seed, ("vandermonde", N, n, m)))
         y = sampler.positive_distinct(N, _SAMPLE_BOUND)

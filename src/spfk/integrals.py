@@ -40,6 +40,7 @@ from .tensors import (
 
 MAX_WORD = 8
 MAX_ORDER = 8
+MAX_PAIRS = 1000
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,8 @@ def verify_chen_batch(seed: int, pairs: int = 100, alphabet: int = 5) -> Verific
     """Run verify_chen on seeded random word pairs of total length <= 8."""
     if pairs < 1:
         raise ValueError(f"chen needs pairs >= 1, got {pairs}")
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"size cap exceeded: pairs <= {MAX_PAIRS}")
     builder = ReportBuilder("chen", {"pairs": pairs}, seeds=[seed])
     lhs_vals = []
     rhs_vals = []

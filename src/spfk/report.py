@@ -56,11 +56,6 @@ class VerificationReport:
             out["elapsed_ms"] = self.elapsed_ms
         return out
 
-    def summary_line(self) -> str:
-        ps = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        status = "equal" if self.equal else "NOT EQUAL"
-        return f"{self.identity}({ps}): {status} [{self.lhs_terms}/{self.rhs_terms} terms, {self.elapsed_ms} ms]"
-
 
 class ReportBuilder:
     """Collects the two sides of a check and stamps the elapsed time."""

@@ -38,12 +38,29 @@ def inversion_sign(seq) -> int:
 
 @functools.lru_cache(maxsize=16)
 def signed_permutations(n: int) -> tuple:
-    """All permutations of (1..n) as 1-based tuples with their signs."""
+    """All permutations of (1..n) as 1-based tuples with their signs, in
+    lexicographic (``itertools.permutations``) order.
+
+    The signs come from that order rather than from counting inversions: a
+    first letter i adds i - 1 inversions and the rest runs through the
+    permutations of n - 1 letters in the same order, so the sign list for n
+    is the list for n - 1 repeated n times with alternating sign.
+    """
     if n > MAX_GENERIC_DET:
         raise ValueError(f"size cap exceeded: permutation sums limited to n <= {MAX_GENERIC_DET}")
-    return tuple(
-        (perm, inversion_sign(perm)) for perm in itertools.permutations(range(1, n + 1))
-    )
+    signs = [1]
+    for m in range(2, n):
+        signs = list(_alternating_repeat(signs, m))
+    # The signs for n are consumed as they are made, never held as one list.
+    perms = itertools.permutations(range(1, n + 1))
+    return tuple(zip(perms, _alternating_repeat(signs, max(n, 1))))
+
+
+def _alternating_repeat(signs, times):
+    """``signs`` repeated ``times`` times, every other copy negated."""
+    flipped = [-s for s in signs]
+    for first in range(times):
+        yield from flipped if first % 2 else signs
 
 
 class _Tensor:

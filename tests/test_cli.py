@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import pathlib
@@ -6,6 +8,7 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spfk import suite
 from spfk.cli import main
@@ -330,18 +333,25 @@ def _raise_alarm(_signum, _frame):
     raise _Alarm
 
 
-def _timed_run(capsys, *argv, limit=10.0):
-    """run() that fails, rather than hangs, if the command outlives the limit."""
+@contextlib.contextmanager
+def _time_limit(argv, limit):
+    """Fail, rather than hang, if the block outlives the limit."""
     previous = signal.signal(signal.SIGALRM, _raise_alarm)
     signal.setitimer(signal.ITIMER_REAL, limit)
-    t0 = time.perf_counter()
     try:
-        result = run(capsys, *argv)
+        yield
     except _Alarm:
         pytest.fail(f"spfk {' '.join(argv)} still running after {limit} s")
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _timed_run(capsys, *argv, limit=10.0):
+    """run() under _time_limit, with its elapsed time."""
+    t0 = time.perf_counter()
+    with _time_limit(argv, limit):
+        result = run(capsys, *argv)
     return result, time.perf_counter() - t0
 
 
@@ -431,3 +441,208 @@ def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     assert _SerialPool.created == [3]
     assert code0 == code1 == code2 == 0
     assert serial == pooled == single
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    (
+        (("composition", "--m", "0", "--n", "2"), "COMPOSITION needs m >= 1, got m=0"),
+        (("sum", "--m", "-1", "--n", "-1"), "SUM needs m >= 1, got m=-1"),
+        (("det_decomp", "--m", "1", "--n", "0"), "DET_DECOMP needs n >= 1, got n=0"),
+        (("minor", "--m", "1", "--n", "0", "--t", "1"), "MINOR needs n >= 1, got n=0"),
+        (("vandermonde", "--N", "0", "--n", "1", "--m", "1"), "VANDERMONDE needs N >= 1, got N=0"),
+        (("vandermonde", "--N", "2", "--n", "-1", "--m", "1"), "VANDERMONDE needs n >= 0, got n=-1"),
+        (("vandermonde", "--N", "2", "--n", "1", "--m", "0"), "VANDERMONDE needs m >= 1, got m=0"),
+        (("xipfashu", "--k", "-1", "--n", "-1"), "XIPFASHU needs n >= 0, got n=-1"),
+        (("xipfashu", "--k", "0", "--n", "1"), "XIPFASHU needs k >= 1, got k=0"),
+        (("sdb2", "--n", "-1"), "SDB2 needs n >= 0, got n=-1"),
+        (("odd_even", "--n", "-2"), "ODD_EVEN needs n >= 0, got n=-2"),
+    ),
+)
+def test_verify_size_below_minimum_names_the_identity_and_flag(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("pfab", "--n", "0"),
+        ("fhaff2", "--n", "0"),
+        ("antishuffle", "--n", "0"),
+        ("xipfashu", "--k", "1", "--n", "0"),
+        ("xipfashu", "--k", "2", "--n", "0"),
+        ("vandermonde", "--N", "2", "--n", "0", "--m", "1"),
+    ),
+)
+def test_verify_empty_sizes_stay_equal(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["equal"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        # N**n would have thousands of digits: the case is refused before
+        # the power is taken, in building the case and in the verifier.
+        ("vandermonde", "--N", "2", "--n", str(10**20), "--m", "1"),
+        ("vandermonde", "--N", "2", "--n", str(10**20), "--m", "-1"),
+        ("chen", "--pairs", str(10**9)),
+    ),
+)
+def test_verify_huge_sizes_are_refused_at_once(capsys, argv):
+    (code, out, err), elapsed = _timed_run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert elapsed < 2.0
+
+
+_SAMPLED_IDS = {
+    "schur", "schur_hyper", "sundquist", "mehta1", "mehta2", "sum1", "hafsym",
+    "wigner_rank1", "arq", "vi",
+}
+
+
+@pytest.mark.parametrize("identity", list(suite.IDENTITIES))
+def test_verify_paranoid_only_where_the_check_samples_points(capsys, identity):
+    case = _first_cases()[identity]
+    code, out, err = run(capsys, "verify", identity, *_flag_argv(case.param_dict()),
+                         "--paranoid", "--format", "json")
+    if identity in _SAMPLED_IDS:
+        assert code == (0 if case.expect_equal else 1)
+        assert json.loads(out)["lhs_terms"] == 10  # one value per sample point
+    else:
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {identity} does not read --paranoid\n"
+
+
+def test_paranoid_ids_are_the_table_rows_with_sample_points():
+    assert {i for i in suite.IDENTITIES if suite.takes_points(i)} == _SAMPLED_IDS
+
+
+@pytest.mark.parametrize(
+    "content",
+    (
+        b'{"order": 2, "dim": \xff}',  # not UTF-8
+        b'{"order": 2, "dim": ' + b"9" * 5000 + b', "entries": []}',  # past the int-digit limit
+    ),
+)
+def test_tensor_file_that_does_not_decode_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "t.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "pf", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed JSON")
+
+
+# Fuzz: generated tensor JSON and verify flags through main() in-process.
+# Every input ends with exit 0, 1 or 2, with no exception escaping main and
+# within the time limit.
+
+_odd_values = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.none(),
+    st.sampled_from((10**7, 10**30, -(10**30))),
+)
+
+
+@st.composite
+def _tensor_command(draw):
+    """A kernel and a tensor document for it: two times in three a
+    well-formed tensor of any size class, else one with a single field, entry
+    or the whole document replaced by a value of the wrong kind."""
+    kind = draw(st.sampled_from(("pf", "hf", "hpf", "hhf")))
+    order = 2 if kind in ("pf", "hf") else draw(st.integers(1, 4))
+    dim = draw(st.one_of(st.integers(0, 24 // order).map(lambda b: b * order),
+                         st.integers(0, 24), st.sampled_from((10**7, 10**30))))
+    entries = [
+        {
+            "idx": draw(st.lists(st.integers(1, min(dim, 30)), min_size=order,
+                                 max_size=order, unique=True).map(sorted)),
+            "num": draw(st.one_of(st.integers(-(10**40), 10**40), st.integers(-9, 9).map(str))),
+            "den": draw(st.one_of(st.integers(1, 9), st.integers(1, 9).map(str))),
+        }
+        for _ in range(draw(st.integers(0, 8) if dim >= order else st.just(0)))
+    ]
+    obj = {"order": order, "dim": dim, "entries": entries}
+    spoil = draw(st.integers(0, 8))
+    if spoil == 0:
+        obj = draw(st.one_of(_odd_values, st.lists(st.integers(), max_size=3)))
+    elif spoil == 1:
+        obj[draw(st.sampled_from(("order", "dim", "entries")))] = draw(
+            st.one_of(_odd_values, st.integers(-2, 30)))
+    elif spoil == 2 and entries:
+        entry = draw(st.sampled_from(entries))
+        entry[draw(st.sampled_from(("idx", "num", "den")))] = draw(
+            st.one_of(_odd_values, st.lists(st.integers(-1, 25), max_size=6), st.just(0)))
+    return kind, obj
+
+
+# Sizes around the caps and far past them.  Valid sizes stop at 3, so that
+# the examples that pass every check stay cheap.
+_size_text = st.one_of(
+    st.integers(1, 3), st.integers(-2, 3), st.sampled_from((9, 50, 10**20, -(10**20)))
+).map(str)
+_flag_text = {
+    "parts": st.lists(st.integers(-1, 5), min_size=0, max_size=5).map(
+        lambda ps: ",".join(map(str, ps))
+    ) | st.sampled_from(("", "1,a", "1,,2")),
+    "y": st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=9), max_size=4).map(
+        lambda ys: ",".join(str(y) for y in ys)
+    ) | st.sampled_from(("", "1/0", "x")),
+    "coeff": st.sampled_from(("corrected", "paper", "neither")),
+}
+
+
+@st.composite
+def _verify_argv(draw):
+    identity = draw(st.sampled_from([*suite.IDENTITIES, "nope"]))
+    flags = suite.IDENTITIES[identity][2] if identity in suite.IDENTITIES else {"n": ...}
+    # Mostly the id's own flags, sometimes one missing or one it does not read.
+    names = [name for name in flags if draw(st.integers(0, 7))]
+    if draw(st.integers(0, 4)) == 0:
+        names.append(draw(st.sampled_from(["n", "m", "k", "t", "N", "pairs", "coeff"])))
+    argv = ["verify", identity]
+    for name in names:
+        argv += [f"--{name}", draw(_flag_text.get(name, _size_text))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-(2**70), 2**70)))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append("--paranoid")
+    return argv + ["--format", draw(st.sampled_from(("json", "text")))]
+
+
+def _fuzz_main(argv, limit=10.0):
+    """The exit code of main(argv), its output captured, under _time_limit."""
+    err = io.StringIO()
+    with _time_limit(argv, limit), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=_tensor_command())
+def test_fuzz_tensor_json(tmp_path_factory, command):
+    kind, obj = command
+    path = tmp_path_factory.getbasetemp() / "fuzz_tensor.json"
+    path.write_text(json.dumps(obj))
+    assert _fuzz_main([kind, str(path)]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_verify_argv())
+def test_fuzz_verify_flags(argv):
+    assert _fuzz_main(argv) in (0, 1, 2)

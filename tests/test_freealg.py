@@ -176,6 +176,39 @@ def test_freepoly_canonical():
     assert [term for term, _ in r.terms()] == [(0,), (2,), (1, 0)]
 
 
+def _canonical_string_oracle(p):
+    # The per-term Fraction and join formula canonical_string replaced.
+    parts = []
+    for word, c in p.terms():
+        frac = Fraction(c)
+        parts.append(f"{frac.numerator}/{frac.denominator}:{'.'.join(map(str, word))}")
+    return ";".join(parts) if parts else "0"
+
+
+coeffs_st = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.lists(st.integers(0, 200), max_size=6).map(tuple), coeffs_st, max_size=12))
+def test_canonical_string_matches_fraction_join_formula(terms):
+    p = FreePoly(terms)
+    assert p.canonical_string() == _canonical_string_oracle(p)
+
+
+def test_canonical_string_edge_cases():
+    for p in (
+        FreePoly.zero(),
+        FreePoly.unit(),
+        FreePoly({(): Fraction(-3, 4), (7,): 2, (1, 0): Fraction(5), (12, 3, 40): -1}),
+        w(0, 1).scale(Fraction(1, 3)) + w(2) + w(1, 0).scale(-2),
+    ):
+        assert p.canonical_string() == _canonical_string_oracle(p)
+    assert FreePoly({(): Fraction(-3, 4), (7,): 2}).canonical_string() == "-3/4:;2/1:7"
+
+
 def test_sort_with_sign():
     assert sort_with_sign((2, 1)) == ((1, 2), -1)
     assert sort_with_sign((1, 2, 3)) == ((1, 2, 3), 1)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from spfk import identities
 from spfk.core import QQ, SeededSampler, mix_seed
-from spfk.freealg import FreePoly, antishuffle, shuffle
+from spfk.freealg import FreePoly, LetterRegistry, antishuffle, shuffle
 from spfk.identities import (
     _RATIONAL_IMPL,
     _SAMPLE_BOUND,
@@ -16,6 +17,7 @@ from spfk.identities import (
     verify_vandermonde_average,
 )
 from spfk.integrals import r_value
+from spfk.report import digest
 from spfk.tensors import AltTensor, hyperpfaffian, pfaffian, signed_permutations
 
 
@@ -112,6 +114,29 @@ def test_antishuffle_n4_reduces_to_antishuffle_product():
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
 def test_xipfashu(k, n):
     assert verify_shuffle_wick("XIPFASHU", n, k=k).equal
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+def test_xipfashu_left_side_matches_unmemoised_loop(k, n):
+    # Oracle: one registry lookup per block of every permutation, so letter
+    # ids, and with them the canonical string, follow first-encounter order.
+    width = 2 * k
+    reg = LetterRegistry()
+    acc = {}
+    for perm, sign in signed_permutations(width * n):
+        coeff = sign
+        letters = []
+        for b in range(n):
+            lid, s = reg.alternating_letter(perm[b * width : (b + 1) * width])
+            coeff *= s
+            letters.append(lid)
+        word = tuple(letters)
+        acc[word] = acc.get(word, 0) + coeff
+    expected = FreePoly(acc)
+    report = verify_shuffle_wick("XIPFASHU", n, k=k)
+    assert report.equal
+    assert report.lhs_terms == expected.num_terms()
+    assert report.lhs_digest == digest(expected.canonical_string())
 
 
 def test_xipfashu_term_count_sanity():
@@ -260,6 +285,43 @@ def test_mehta2_sum1_left_sides_match_permutation_sums(variant, sizes):
                 for perm, sign in signed_permutations(size)
             )
             assert lhs == expected, (variant, size, seed)
+
+
+def _hafsym_lhs_by_permutations(x, y):
+    # The literal (2n)!-term sum the DP replaces.
+    d = len(x)
+    lhs = Fraction(0)
+    for perm, _sign in signed_permutations(d):
+        num = Fraction(1)
+        for pos in range(0, d, 2):
+            num *= y[perm[pos] - 1]
+        den = Fraction(1)
+        acc = Fraction(0)
+        for s in range(d):
+            acc += x[perm[s] - 1]
+            if s % 2 == 1:
+                den *= acc
+        lhs += num / den
+    return lhs
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_hafsym_left_side_matches_permutation_sum(n):
+    impl, _name, _cap = _RATIONAL_IMPL["HAFSYM"]
+    for seed in range(20):
+        lhs, _rhs = impl(n, SeededSampler(seed), "corrected")
+        batch = SeededSampler(seed).positive_distinct(4 * n, _SAMPLE_BOUND)
+        assert lhs == _hafsym_lhs_by_permutations(batch[: 2 * n], batch[2 * n :]), (n, seed)
+
+
+def test_hafsym_left_side_never_calls_the_hafnian(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the left side called the hafnian")
+
+    monkeypatch.setattr(identities, "hafnian", refuse)
+    x = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
+    y = [Fraction(5), Fraction(1, 4), Fraction(3), Fraction(2, 7)]
+    assert identities._hafsym_lhs(x, y) == _hafsym_lhs_by_permutations(x, y)
 
 
 def test_mehta1_n2_expansion():

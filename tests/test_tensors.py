@@ -283,6 +283,15 @@ def test_inversion_sign():
     assert inversion_sign(()) == 1
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_signed_permutations_match_inversion_count(n):
+    # Oracle: the signs counted pairwise, in itertools.permutations order.
+    expected = tuple(
+        (perm, inversion_sign(perm)) for perm in itertools.permutations(range(1, n + 1))
+    )
+    assert signed_permutations(n) == expected
+
+
 def test_tensor_json_roundtrip(tmp_path):
     M = _random_alt(59, 4, 8)
     obj = tensor_to_json(M)
