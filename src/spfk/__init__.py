@@ -17,7 +17,6 @@ from .core import (
 from .freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
-    AntishuffleRing,
     FreePoly,
     LetterRegistry,
     ShuffleRing,
@@ -52,7 +51,6 @@ from .multilinear import (
     grassmann_generators,
     ordered_product,
     sz_generators,
-    wedge_mul,
 )
 from .report import VerificationReport
 from .tensors import (
@@ -66,7 +64,6 @@ from .tensors import (
     hafnian,
     hyperhafnian,
     hyperpfaffian,
-    permanent,
     pfaffian,
     signed_permutations,
     sz_hf_oracle,

@@ -114,8 +114,7 @@ def _cmd_verify(ns) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if ns.format == "json":
-        print(json.dumps(report.to_json_dict(include_timing=False), sort_keys=True,
-                         separators=(",", ":")))
+        print(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")))
     else:
         print(_report_text(report))
     return 0 if report.equal else 1

@@ -43,6 +43,17 @@ def even_double_factorial(n: int) -> int:
     return (1 << n) * math.factorial(n)
 
 
+def double_factorial_coeff(half: int, coeff: str) -> tuple[int, str]:
+    """The normalising double factorial of a 2n-point sum and its name:
+    (2n-1)!! for the ``"corrected"`` convention, the source paper's (2n)!!
+    for ``"paper"``."""
+    if coeff == "corrected":
+        return odd_double_factorial(half), "(2n-1)!!"
+    if coeff == "paper":
+        return even_double_factorial(half), "(2n)!!"
+    raise ValueError("coeff must be 'corrected' or 'paper'")
+
+
 class Ring:
     """Commutative-ring interface the kernels are generic over.
 
@@ -52,7 +63,6 @@ class Ring:
     for rings without that capability.
     """
 
-    commutative = True
     zero = None
     one = None
 
@@ -76,15 +86,6 @@ class Ring:
 
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def sum(self, items):
-        out = self.zero
-        for x in items:
-            out = self.add(out, x)
-        return out
 
     def product(self, items):
         out = self.one

@@ -1,5 +1,6 @@
 """Words over an abstract alphabet and the free algebra with concatenation,
-shuffle, and q-shuffle products.
+shuffle, and q-shuffle products; ``ShuffleRing(q)`` makes the q = 1
+(shuffle) or q = -1 (antishuffle) product a coefficient ring for the kernels.
 
 A word is a plain tuple of non-negative letter ids.  Structured labels
 (index pairs, index tuples, barred symbols) live in a LetterRegistry, so the
@@ -295,47 +296,23 @@ class LetterRegistry:
 
 
 class ShuffleRing(Ring):
-    """FreePoly under the shuffle product: a commutative ring with unit the
-    empty word.  This is the ambient ring of the symbolic identity checks."""
+    """FreePoly under the q-shuffle product, q = 1 or -1, with unit the empty
+    word.
 
-    commutative = True
-    zero = FreePoly.zero()
-    one = FreePoly.unit()
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return shuffle(a, b)
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def scale_int(self, a, n: int):
-        return a.scale(n)
-
-    def div_int(self, a, n: int):
-        return a.scale(Fraction(1, n))
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-
-class AntishuffleRing(Ring):
-    """FreePoly under the antishuffle (q = -1) product.
-
-    Only graded-commutative: odd-degree elements anticommute, so this is not
-    a commutative ring.  Kernels multiply entries in a fixed canonical order;
-    callers must ensure the entries they feed in are even-degree (central)
-    wherever commutativity matters.
+    q = 1 is the shuffle product: a commutative ring, the ambient ring of the
+    symbolic identity checks.  q = -1 is the antishuffle product, only
+    graded-commutative: odd-degree elements anticommute, so kernels multiply
+    entries in a fixed canonical order, and callers must ensure the entries
+    they feed in are even-degree (central) wherever commutativity matters.
     """
 
-    commutative = False
     zero = FreePoly.zero()
     one = FreePoly.unit()
+
+    def __init__(self, q: int):
+        if q not in (1, -1):
+            raise ValueError(f"q must be 1 or -1, got {q!r}")
+        self.q = q
 
     def add(self, a, b):
         return a + b
@@ -344,7 +321,9 @@ class AntishuffleRing(Ring):
         return -a
 
     def mul(self, a, b):
-        return antishuffle(a, b)
+        # The products are looked up as module globals on every call, so a
+        # wrapper installed on them sees the ring's products too.
+        return shuffle(a, b) if self.q == 1 else q_shuffle(a, b, self.q)
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -359,5 +338,5 @@ class AntishuffleRing(Ring):
         return a.is_zero()
 
 
-SHUFFLE_RING = ShuffleRing()
-ANTISHUFFLE_RING = AntishuffleRing()
+SHUFFLE_RING = ShuffleRing(1)
+ANTISHUFFLE_RING = ShuffleRing(-1)

@@ -14,13 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import (
-    QQ,
-    SeededSampler,
-    even_double_factorial,
-    mix_seed,
-    odd_double_factorial,
-)
+from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
 from .freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
@@ -36,7 +30,7 @@ from .tensors import (
     DenseMatrix,
     SymTensor,
     determinant,
-    enumerate_block_assignments,
+    enumerate_blocked,
     hafnian,
     hyperpfaffian,
     pfaffian,
@@ -47,14 +41,6 @@ WICK_VARIANTS = ("PFAB", "SDB2", "FHAFF2", "FHAFF1", "ODD_EVEN", "ANTISHUFFLE", 
 STRUCTURE_VARIANTS = ("COMPOSITION", "SUM", "MINOR", "DET_DECOMP")
 
 _SAMPLE_BOUND = 200
-
-
-def _double_factorial_coeff(half: int, coeff: str) -> tuple[int, str]:
-    if coeff == "corrected":
-        return odd_double_factorial(half), "(2n-1)!!"
-    if coeff == "paper":
-        return even_double_factorial(half), "(2n)!!"
-    raise ValueError("coeff must be 'corrected' or 'paper'")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +142,7 @@ def _wick_pair_letters(n: int, signed: bool) -> VerificationReport:
 
 
 def _wick_fhaff1(n: int, coeff: str) -> VerificationReport:
-    cval, cname = _double_factorial_coeff(n, coeff)
+    cval, cname = double_factorial_coeff(n, coeff)
     builder = ReportBuilder(
         "fhaff1", {"n": n, "coeff": coeff}, conventions={"double_factorial": cname}
     )
@@ -379,7 +365,7 @@ def _structure_det_decomp(m, n, seed, sampler) -> VerificationReport:
     lhs = determinant(T)
     width = 2 * m
     rhs = Fraction(0)
-    for blocks, sign in enumerate_block_assignments(n, width):
+    for blocks, sign in enumerate_blocked(n, width, ordered=True):
         prod = Fraction(1)
         for b, block in enumerate(blocks):
             cols = tuple(range(b * width + 1, (b + 1) * width + 1))
@@ -404,13 +390,16 @@ def verify_rational_identity(
     variant = variant.upper()
     if variant not in _RATIONAL_IMPL:
         raise ValueError(f"unknown variant: {variant}")
-    impl, param_name, cap_ok = _RATIONAL_IMPL[variant]
-    if not cap_ok(size):
+    impl, param_name, least, most = _RATIONAL_IMPL[variant]
+    _need_at_least(variant, **{param_name: (size, least)})
+    if variant == "MEHTA2" and size % 2:
+        raise ValueError(f"MEHTA2 needs even n, got n={size}")
+    if size > most:
         raise ValueError(f"size cap exceeded for {variant}: {param_name}={size}")
     params = {param_name: size}
     conventions = {}
     if variant in ("SCHUR_HYPER", "WIGNER_RANK1"):
-        _, cname = _double_factorial_coeff(size, coeff)
+        _, cname = double_factorial_coeff(size, coeff)
         params["coeff"] = coeff
         conventions["double_factorial"] = cname
     builder = ReportBuilder(variant.lower(), params, seeds=[seed], conventions=conventions)
@@ -449,7 +438,7 @@ def _rat_schur_hyper(n, sampler, coeff):
         return out
 
     lhs = hyperpfaffian(AltTensor.from_function(QQ, 4, d, entry))
-    cval, _ = _double_factorial_coeff(n, coeff)
+    cval, _ = double_factorial_coeff(n, coeff)
     rhs = Fraction(cval)
     for i in range(d):
         for j in range(i + 1, d):
@@ -551,7 +540,7 @@ def _rat_wigner_rank1(n, sampler, coeff):
     entry = lambda ij: (
         (b[ij[0] - 1] - a[ij[0] - 1]) * (b[ij[1] - 1] - a[ij[1] - 1])
     ) / (x[ij[0] - 1] * x[ij[1] - 1])
-    cval, _ = _double_factorial_coeff(n, coeff)
+    cval, _ = double_factorial_coeff(n, coeff)
     lhs = hafnian(SymTensor.from_function(QQ, 2, d, entry)) / cval
     rhs = Fraction(1)
     for i in range(d):
@@ -591,16 +580,17 @@ def _rat_arq(m, sampler, _coeff):
     return lhs, rhs
 
 
+# variant: (evaluator, size flag, minimum, size cap); MEHTA2 also needs even n.
 _RATIONAL_IMPL = {
-    "SCHUR": (_rat_schur, "n", lambda s: 1 <= s <= 3),
-    "SCHUR_HYPER": (_rat_schur_hyper, "n", lambda s: 1 <= s <= 2),
-    "SUNDQUIST": (_rat_sundquist, "m", lambda s: 1 <= s <= 3),
-    "MEHTA1": (_rat_mehta1, "n", lambda s: 1 <= s <= 6),
-    "MEHTA2": (_rat_mehta2, "n", lambda s: 1 <= s <= 6 and s % 2 == 0),
-    "SUM1": (_rat_sum1, "m", lambda s: 1 <= s <= 6),
-    "HAFSYM": (_rat_hafsym, "n", lambda s: 1 <= s <= 3),
-    "WIGNER_RANK1": (_rat_wigner_rank1, "n", lambda s: 1 <= s <= 3),
-    "ARQ": (_rat_arq, "m", lambda s: 1 <= s <= 2),
+    "SCHUR": (_rat_schur, "n", 1, 3),
+    "SCHUR_HYPER": (_rat_schur_hyper, "n", 1, 2),
+    "SUNDQUIST": (_rat_sundquist, "m", 1, 3),
+    "MEHTA1": (_rat_mehta1, "n", 1, 6),
+    "MEHTA2": (_rat_mehta2, "n", 1, 6),
+    "SUM1": (_rat_sum1, "m", 1, 6),
+    "HAFSYM": (_rat_hafsym, "n", 1, 3),
+    "WIGNER_RANK1": (_rat_wigner_rank1, "n", 1, 3),
+    "ARQ": (_rat_arq, "m", 1, 2),
 }
 RATIONAL_VARIANTS = tuple(_RATIONAL_IMPL)
 
@@ -624,7 +614,9 @@ def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> Verificatio
     bordered-Pfaffian (odd length) evaluation."""
     parts = tuple(int(p) for p in parts)
     r = len(parts)
-    if r == 0 or r > 4 or any(p < 1 or p > 4 for p in parts):
+    if r == 0 or min(parts) < 1:
+        raise ValueError(f"VI needs parts >= 1, got parts={list(parts)}")
+    if r > 4 or max(parts) > 4:
         raise ValueError("size cap exceeded: composition length <= 4, parts in 1..4")
     if N < 1:
         raise ValueError(f"VI needs N >= 1, got N={N}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, mix_seed, odd_double_factorial, even_double_factorial
+from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
 from .freealg import FreePoly, shuffle
 from .report import ReportBuilder, VerificationReport, scalar_list_canonical
 from .tensors import (
@@ -321,7 +321,7 @@ def verify_debruijn(
         params = {"k": k, "n": n}
     conventions = {}
     if variant == "PERM_PRODUCT":
-        conventions["double_factorial"] = "(2n-1)!!" if coeff == "corrected" else "(2n)!!"
+        _, conventions["double_factorial"] = double_factorial_coeff(order // 2, coeff)
         params["coeff"] = coeff
     builder = ReportBuilder(
         "debruijn_" + variant.lower(), params, seeds=[seed], conventions=conventions
@@ -383,8 +383,7 @@ def _db_perm_product(order, _k, fam, coeff):
     lhs = ordered_sum([z] * order, 1, signed=False)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
     S = SymTensor.from_function(QQ, 2, order, lambda ij: pair(*ij) + pair(ij[1], ij[0]))
-    half = order // 2
-    c = odd_double_factorial(half) if coeff == "corrected" else even_double_factorial(half)
+    c, _ = double_factorial_coeff(order // 2, coeff)
     return lhs, hafnian(S) / c
 
 

@@ -2,8 +2,10 @@
 algebra over a generic coefficient ring.
 
 Elements are finite maps from generator bitmasks to ring coefficients, with
-at most 64 generators so products sign themselves with population counts.
-eta_i^2 = 0 holds structurally: a bitmask never repeats a generator.
+at most 64 generators.  The two algebras share one product, which drops
+overlapping masks (eta_i^2 = 0 holds structurally: a bitmask never repeats a
+generator) and, for the Grassmann algebra, signs each disjoint pair with one
+population count.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ _FULL = (1 << MAX_GENERATORS) - 1
 
 def wedge_sign(a_mask: int, b_mask: int) -> int:
     """Sign of eta_A * eta_B for disjoint masks: parity of pairs (i,j),
-    i in A, j in B, with i > j."""
+    i in A, j in B, with i > j.  Counted pair by pair; the product signs
+    with ``_below_parity`` instead, and this stays as its reference."""
     inversions = 0
     b = b_mask
     while b:
@@ -28,13 +31,25 @@ def wedge_sign(a_mask: int, b_mask: int) -> int:
     return -1 if inversions & 1 else 1
 
 
+def _below_parity(mask: int) -> int:
+    """P(B): bit i is set iff an odd number of the bits of B lie below i, so
+    that popcount(A & P(B)) counts the pairs of wedge_sign mod 2."""
+    parity = 0
+    while mask:
+        low = mask & -mask
+        parity ^= -(low << 1)  # every bit above the lowest bit of mask
+        mask ^= low
+    return parity
+
+
 def _check_mask(mask: int):
     if mask < 0 or mask > _FULL:
         raise ValueError("generator capacity exceeded (64 generators)")
 
 
 class _NilpotentElement:
-    """Shared plumbing for the two bitmask-indexed algebras."""
+    """Shared plumbing for the two bitmask-indexed algebras; each subclass
+    sets ``signed``, which selects the Grassmann sign rule in the product."""
 
     __slots__ = ("ring", "_terms")
 
@@ -68,6 +83,17 @@ class _NilpotentElement:
         if not 0 <= i < MAX_GENERATORS:
             raise ValueError("generator capacity exceeded (64 generators)")
         return cls._make(ring, {1 << i: ring.one})
+
+    @classmethod
+    def quadratic(cls, ring: Ring, n: int, entry):
+        """Sum over i<j of entry(i, j) times generators i and j (1-based)."""
+        terms = {}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                c = entry(i, j)
+                if not ring.is_zero(c):
+                    terms[mask_of((i, j))] = c
+        return cls._make(ring, terms)
 
     def coeff(self, mask: int):
         return self._terms.get(mask, self.ring.zero)
@@ -116,6 +142,31 @@ class _NilpotentElement:
         ring = self.ring
         return type(self)._make(ring, {m: ring.div_int(c, n) for m, c in self._terms.items()})
 
+    def _product(self, other):
+        # Bound as __mul__ in each subclass's own namespace.  P(B) is built
+        # once per right-hand mask, and only for the signed product.
+        self._check_compat(other)
+        ring = self.ring
+        signed = self.signed
+        right = [
+            (mb, cb, _below_parity(mb) if signed else 0) for mb, cb in other._terms.items()
+        ]
+        out: dict = {}
+        for ma, ca in self._terms.items():
+            for mb, cb, below in right:
+                if ma & mb:
+                    continue
+                mask = ma | mb
+                c = ring.mul(ca, cb)
+                if signed and (ma & below).bit_count() & 1:
+                    c = ring.neg(c)
+                s = ring.add(out.get(mask, ring.zero), c)
+                if ring.is_zero(s):
+                    out.pop(mask, None)
+                else:
+                    out[mask] = s
+        return self._make(ring, out)
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -145,52 +196,15 @@ class _NilpotentElement:
 class GrassmannElement(_NilpotentElement):
     """Element of the Grassmann algebra: signed product, eta_i eta_j = -eta_j eta_i."""
 
-    def __mul__(self, other):
-        self._check_compat(other)
-        ring = self.ring
-        out: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                if ma & mb:
-                    continue
-                mask = ma | mb
-                c = ring.mul(ca, cb)
-                if wedge_sign(ma, mb) < 0:
-                    c = ring.neg(c)
-                s = ring.add(out.get(mask, ring.zero), c)
-                if ring.is_zero(s):
-                    out.pop(mask, None)
-                else:
-                    out[mask] = s
-        return GrassmannElement._make(ring, out)
+    signed = True
+    __mul__ = _NilpotentElement._product
 
 
 class SquareZeroElement(_NilpotentElement):
     """Element of the square-zero commutative algebra: xi_i^2 = 0, no signs."""
 
-    def __mul__(self, other):
-        self._check_compat(other)
-        ring = self.ring
-        out: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                if ma & mb:
-                    continue
-                mask = ma | mb
-                s = ring.add(out.get(mask, ring.zero), ring.mul(ca, cb))
-                if ring.is_zero(s):
-                    out.pop(mask, None)
-                else:
-                    out[mask] = s
-        return SquareZeroElement._make(ring, out)
-
-
-def wedge_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a * b
-
-
-def sz_mul(a: SquareZeroElement, b: SquareZeroElement) -> SquareZeroElement:
-    return a * b
+    signed = False
+    __mul__ = _NilpotentElement._product
 
 
 def grassmann_generators(ring: Ring, n: int) -> list[GrassmannElement]:
@@ -255,25 +269,3 @@ def ordered_product(factors) -> _NilpotentElement:
     for f in factors[1:]:
         out = out * f
     return out
-
-
-def quadratic_grassmann(ring: Ring, n: int, entry) -> GrassmannElement:
-    """Sum over i<j of entry(i, j) * eta_i eta_j on 1-based generators."""
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            c = entry(i, j)
-            if not ring.is_zero(c):
-                terms[mask_of((i, j))] = c
-    return GrassmannElement._make(ring, terms)
-
-
-def quadratic_sz(ring: Ring, n: int, entry) -> SquareZeroElement:
-    """Sum over i<j of entry(i, j) * xi_i xi_j on 1-based generators."""
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            c = entry(i, j)
-            if not ring.is_zero(c):
-                terms[mask_of((i, j))] = c
-    return SquareZeroElement._make(ring, terms)

@@ -39,8 +39,8 @@ class VerificationReport:
     counterexample: tuple | None = None
     conventions: dict = field(default_factory=dict)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "id": self.identity,
             "params": dict(self.params),
             "seeds": list(self.seeds),
@@ -52,9 +52,6 @@ class VerificationReport:
             "counterexample": list(self.counterexample) if self.counterexample else None,
             "conventions": dict(self.conventions),
         }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 class ReportBuilder:

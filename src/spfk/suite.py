@@ -271,7 +271,7 @@ def _sort_key(report: VerificationReport):
 def suite_json_bytes(results) -> bytes:
     entries = []
     for case, report in results:
-        entry = report.to_json_dict(include_timing=False)
+        entry = report.to_json_dict()
         entry["expect_equal"] = case.expect_equal
         entries.append(entry)
     return (json.dumps(entries, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")

@@ -1,13 +1,15 @@
 """Alternating and symmetric tensors with exact Pfaffian, hafnian,
-hyperpfaffian and hyperhafnian kernels, plus determinant/permanent plumbing.
+hyperpfaffian and hyperhafnian kernels, plus an exact determinant over the
+rationals.
 
-All kernels are generic over a Ring.  pf, hf, hpf and hhf share one blocked
-partition sum, memoised on the set of remaining indices, which multiplies
-block entries in increasing-minimum order (so the graded-commutative
-antishuffle ring gets the enumeration's value).  The Pfaffian is also
+The tensor kernels are generic over a Ring.  pf, hf, hpf and hhf share one
+blocked partition sum, memoised on the set of remaining indices, which
+multiplies block entries in increasing-minimum order (so the
+graded-commutative antishuffle ring gets the enumeration's value).  The Pfaffian is also
 computed by first-row recursion and the two results are cross-asserted on
 every call; the hyper kernels have independent Grassmann/square-zero power
-oracles, and enumerate_blocked lists the partitions themselves.
+oracles (one helper over the two nilpotent algebras), and enumerate_blocked
+lists the partitions themselves.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import QQ, RationalField, Ring
+from .core import QQ, Ring
 from .freealg import sort_with_sign
 from .multilinear import GrassmannElement, SquareZeroElement, mask_of
 
@@ -101,6 +103,14 @@ class _Tensor:
     def entries(self):
         return sorted(self._entries.items())
 
+    @classmethod
+    def from_function(cls, ring: Ring, order: int, dim: int, fn):
+        """The tensor with entry fn(idx) at each strictly increasing idx."""
+        entries = {}
+        for idx in itertools.combinations(range(1, dim + 1), order):
+            entries[idx] = fn(idx)
+        return cls(ring, order, dim, entries)
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -166,25 +176,6 @@ class AltTensor(_Tensor):
         c = self._entries.get(canon, self.ring.zero)
         return self.ring.neg(c) if sign < 0 else c
 
-    @classmethod
-    def from_function(cls, ring: Ring, order: int, dim: int, fn) -> "AltTensor":
-        entries = {}
-        for idx in itertools.combinations(range(1, dim + 1), order):
-            entries[idx] = fn(idx)
-        return cls(ring, order, dim, entries)
-
-    @classmethod
-    def from_matrix(cls, ring: Ring, rows) -> "AltTensor":
-        """Skew matrix rows -> order-2 tensor (upper triangle is read)."""
-        d = len(rows)
-        entries = {}
-        for i in range(d):
-            if len(rows[i]) != d:
-                raise ValueError("matrix must be square")
-            for j in range(i + 1, d):
-                entries[(i + 1, j + 1)] = rows[i][j]
-        return cls(ring, 2, d, entries)
-
 
 class SymTensor(_Tensor):
     """Order-k square-free symmetric tensor: accessor is permutation-invariant
@@ -195,13 +186,6 @@ class SymTensor(_Tensor):
         if sign == 0:
             return self.ring.zero
         return self._entries.get(canon, self.ring.zero)
-
-    @classmethod
-    def from_function(cls, ring: Ring, order: int, dim: int, fn) -> "SymTensor":
-        entries = {}
-        for idx in itertools.combinations(range(1, dim + 1), order):
-            entries[idx] = fn(idx)
-        return cls(ring, order, dim, entries)
 
 
 @dataclass(frozen=True)
@@ -222,53 +206,22 @@ class DenseMatrix:
             raise ValueError("ragged rows")
         return cls(len(data), ncols, data)
 
-    def at(self, i: int, j: int):
-        """1-based access."""
-        return self.data[i - 1][j - 1]
-
     def submatrix(self, row_idx, col_idx) -> "DenseMatrix":
         """1-based row/column selections, in the order given."""
         rows = tuple(tuple(self.data[i - 1][j - 1] for j in col_idx) for i in row_idx)
         return DenseMatrix(len(row_idx), len(tuple(col_idx)), rows)
 
 
-def enumerate_blocked(n: int, k: int):
+def enumerate_blocked(n: int, k: int, ordered: bool = False):
     """Partitions of {1..kn} into n blocks of size k, blocks internally
-    increasing with increasing minima, each with the sign of the concatenated
-    sequence.  Yields (blocks, sign) deterministically.
-    """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n * k > MAX_BLOCKED:
-        raise ValueError(f"size cap exceeded: kn = {n * k} > {MAX_BLOCKED}")
+    increasing, each with the sign of the concatenated sequence.  Yields
+    (blocks, sign) deterministically.
 
-    def rec(remaining, acc):
-        if not remaining:
-            flat = [i for block in acc for i in block]
-            yield tuple(acc), inversion_sign(flat)
-            return
-        head = remaining[0]
-        rest = remaining[1:]
-        for comb in itertools.combinations(rest, k - 1):
-            block = (head,) + comb
-            comb_set = set(comb)
-            nxt = tuple(x for x in rest if x not in comb_set)
-            yield from rec(nxt, acc + [block])
-
-    yield from rec(tuple(range(1, n * k + 1)), [])
-
-
-def blocked_count(n: int, k: int) -> int:
-    """|E_{kn,k}| = (kn)! / ((k!)^n n!)."""
-    return math.factorial(n * k) // (math.factorial(k) ** n * math.factorial(n))
-
-
-def enumerate_block_assignments(n: int, k: int):
-    """Ordered variant of enumerate_blocked: blocks are internally increasing
-    but carry no increasing-minima constraint, so each of the
-    (kn)!/(k!)^n assignments of disjoint k-sets to the n positions appears
-    once.  This is the index set of iterated Laplace expansions along
-    consecutive k-column groups.
+    By default the blocks come in increasing-minimum order, |E_{kn,k}| of
+    them.  With ``ordered`` every order of the blocks appears: each of the
+    (kn)!/(k!)^n assignments of disjoint k-sets to the n positions once, the
+    index set of iterated Laplace expansions along consecutive k-column
+    groups.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
@@ -281,11 +234,19 @@ def enumerate_block_assignments(n: int, k: int):
             yield tuple(acc), inversion_sign(flat)
             return
         for block in itertools.combinations(remaining, k):
+            # The blocks holding the smallest remaining index come first.
+            if not ordered and block[0] != remaining[0]:
+                return
             block_set = set(block)
             nxt = tuple(x for x in remaining if x not in block_set)
             yield from rec(nxt, acc + [block])
 
     yield from rec(tuple(range(1, n * k + 1)), [])
+
+
+def blocked_count(n: int, k: int) -> int:
+    """|E_{kn,k}| = (kn)! / ((k!)^n n!)."""
+    return math.factorial(n * k) // (math.factorial(k) ** n * math.factorial(n))
 
 
 def _blocked_sum(tensor: _Tensor, signed: bool):
@@ -400,35 +361,29 @@ def hyperhafnian(S: SymTensor):
     return _blocked_sum(S, False)
 
 
-def grassmann_pf_oracle(M: AltTensor):
-    """Independent hyperpfaffian: the top coefficient of Omega^n / n! where
-    Omega = sum_I M_I eta_I in the Grassmann algebra of rank dim."""
-    if M.dim % M.order:
-        raise ValueError(f"order {M.order} must divide dimension {M.dim}")
-    ring = M.ring
-    n = M.dim // M.order
-    omega = GrassmannElement(
-        ring, {mask_of(idx): c for idx, c in M._entries.items()}
-    )
-    power = GrassmannElement.one(ring)
+def _power_oracle(algebra, T: _Tensor):
+    """The top coefficient of G^n / n!, G = sum_I T_I e_I in ``algebra`` of
+    rank dim, n = dim / order: each blocked partition once, signed by the
+    algebra's product."""
+    if T.dim % T.order:
+        raise ValueError(f"order {T.order} must divide dimension {T.dim}")
+    ring = T.ring
+    n = T.dim // T.order
+    g = algebra(ring, {mask_of(idx): c for idx, c in T._entries.items()})
+    power = algebra.one(ring)
     for _ in range(n):
-        power = power * omega
-    top = power.coeff((1 << M.dim) - 1) if M.dim else power.coeff(0)
-    return ring.div_int(top, math.factorial(n))
+        power = power * g
+    return ring.div_int(power.coeff((1 << T.dim) - 1), math.factorial(n))
+
+
+def grassmann_pf_oracle(M: AltTensor):
+    """Independent hyperpfaffian via the Grassmann power Omega^n / n!."""
+    return _power_oracle(GrassmannElement, M)
 
 
 def sz_hf_oracle(S: SymTensor):
     """Independent hyperhafnian via the square-zero power G^n / n!."""
-    if S.dim % S.order:
-        raise ValueError(f"order {S.order} must divide dimension {S.dim}")
-    ring = S.ring
-    n = S.dim // S.order
-    g = SquareZeroElement(ring, {mask_of(idx): c for idx, c in S._entries.items()})
-    power = SquareZeroElement.one(ring)
-    for _ in range(n):
-        power = power * g
-    top = power.coeff((1 << S.dim) - 1) if S.dim else power.coeff(0)
-    return ring.div_int(top, math.factorial(n))
+    return _power_oracle(SquareZeroElement, S)
 
 
 def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
@@ -455,34 +410,11 @@ def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
     return sign * m[n - 1][n - 1]
 
 
-def _perm_expansion(M: DenseMatrix, ring: Ring, signed: bool):
-    n = M.rows
-    if n > MAX_GENERIC_DET:
-        raise ValueError(f"size cap exceeded: permutation expansion limited to n <= {MAX_GENERIC_DET}")
-    out = ring.zero
-    for perm in itertools.permutations(range(n)):
-        term = ring.product(M.data[i][perm[i]] for i in range(n))
-        if signed and inversion_sign(perm) < 0:
-            term = ring.neg(term)
-        out = ring.add(out, term)
-    return out
-
-
-def determinant(M: DenseMatrix, ring: Ring = QQ):
-    """Exact determinant: fraction-free elimination over the rationals,
-    permutation expansion (n <= 8) for generic rings."""
+def determinant(M: DenseMatrix):
+    """Exact determinant over the rationals by fraction-free elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    if isinstance(ring, RationalField):
-        return _det_bareiss([[Fraction(x) for x in row] for row in M.data])
-    return _perm_expansion(M, ring, signed=True)
-
-
-def permanent(M: DenseMatrix, ring: Ring = QQ):
-    """Exact permanent by permutation expansion (n <= 8)."""
-    if M.rows != M.cols:
-        raise ValueError("permanent needs a square matrix")
-    return _perm_expansion(M, ring, signed=False)
+    return _det_bareiss([[Fraction(x) for x in row] for row in M.data])
 
 
 def tensor_to_json(t: _Tensor) -> dict:

@@ -457,6 +457,10 @@ def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
         (("xipfashu", "--k", "0", "--n", "1"), "XIPFASHU needs k >= 1, got k=0"),
         (("sdb2", "--n", "-1"), "SDB2 needs n >= 0, got n=-1"),
         (("odd_even", "--n", "-2"), "ODD_EVEN needs n >= 0, got n=-2"),
+        (("mehta1", "--n", "0"), "MEHTA1 needs n >= 1, got n=0"),
+        (("mehta2", "--n", "3"), "MEHTA2 needs even n, got n=3"),
+        (("schur", "--n", "-1"), "SCHUR needs n >= 1, got n=-1"),
+        (("vi", "--parts", "0,1"), "VI needs parts >= 1, got parts=[0, 1]"),
     ),
 )
 def test_verify_size_below_minimum_names_the_identity_and_flag(capsys, argv, message):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from spfk.core import (
     QQ,
     SeededSampler,
+    double_factorial_coeff,
     even_double_factorial,
     mix_seed,
     normalize,
@@ -62,6 +63,15 @@ def test_even_double_factorial():
         odd_double_factorial(-1)
     with pytest.raises(ValueError):
         even_double_factorial(-1)
+
+
+def test_double_factorial_coeff_conventions():
+    assert [double_factorial_coeff(n, "corrected") for n in (0, 3)] == [
+        (1, "(2n-1)!!"), (15, "(2n-1)!!")
+    ]
+    assert [double_factorial_coeff(n, "paper") for n in (0, 3)] == [(1, "(2n)!!"), (48, "(2n)!!")]
+    with pytest.raises(ValueError, match="coeff must be 'corrected' or 'paper'"):
+        double_factorial_coeff(2, "bogus")
 
 
 def test_sampler_deterministic():

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spfk.freealg import (
+    ANTISHUFFLE_RING,
+    SHUFFLE_RING,
     FreePoly,
     LetterRegistry,
+    ShuffleRing,
     antipode_convolution,
     antishuffle,
     concat,
@@ -123,6 +126,16 @@ def test_antishuffle_associative_exhaustive():
             pq = antishuffle(p, q)
             for r in polys:
                 assert antishuffle(pq, r) == antishuffle(p, antishuffle(q, r))
+
+
+def test_shuffle_ring_q_selects_the_product():
+    u, v = w(A, B), w(C)
+    assert SHUFFLE_RING.mul(u, v) == shuffle(u, v)
+    assert ANTISHUFFLE_RING.mul(u, v) == antishuffle(u, v) != shuffle(u, v)
+    assert ShuffleRing(1).q == SHUFFLE_RING.q == 1 and ANTISHUFFLE_RING.q == -1
+    for q in (0, 2, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="q must be 1 or -1"):
+            ShuffleRing(q)
 
 
 def test_mirror():

@@ -274,7 +274,7 @@ def test_sum1_m2_closed_form():
 
 @pytest.mark.parametrize("variant,sizes", [("MEHTA2", (2, 4, 6)), ("SUM1", (1, 2, 3, 4, 5))])
 def test_mehta2_sum1_left_sides_match_permutation_sums(variant, sizes):
-    impl, _name, _cap = _RATIONAL_IMPL[variant]
+    impl = _RATIONAL_IMPL[variant][0]
     signed = variant == "MEHTA2"
     for size in sizes:
         for seed in range(3):
@@ -307,7 +307,7 @@ def _hafsym_lhs_by_permutations(x, y):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_hafsym_left_side_matches_permutation_sum(n):
-    impl, _name, _cap = _RATIONAL_IMPL["HAFSYM"]
+    impl = _RATIONAL_IMPL["HAFSYM"][0]
     for seed in range(20):
         lhs, _rhs = impl(n, SeededSampler(seed), "corrected")
         batch = SeededSampler(seed).positive_distinct(4 * n, _SAMPLE_BOUND)
@@ -343,7 +343,7 @@ def test_sundquist_m2_matrix_shape():
 def test_rational_caps():
     with pytest.raises(ValueError, match="size cap"):
         verify_rational_identity("SCHUR", 4)
-    with pytest.raises(ValueError, match="size cap"):
+    with pytest.raises(ValueError, match="MEHTA2 needs even n, got n=3"):
         verify_rational_identity("MEHTA2", 3)  # odd order not defined
     with pytest.raises(ValueError, match="size cap"):
         verify_rational_identity("ARQ", 3)

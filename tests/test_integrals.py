@@ -144,6 +144,11 @@ def test_debruijn_perm_product_paper_coefficient_fails():
     assert report.counterexample is not None
 
 
+def test_debruijn_perm_product_refuses_an_unknown_coefficient():
+    with pytest.raises(ValueError, match="coeff must be 'corrected' or 'paper'"):
+        verify_debruijn("PERM_PRODUCT", n=2, coeff="bogus")
+
+
 @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 1), (2, 2)])
 def test_debruijn_general_variants(k, n):
     assert verify_debruijn("GENERAL_DET", n=n, k=k, seed=42).equal

@@ -15,11 +15,7 @@ from spfk.multilinear import (
     grassmann_generators,
     mask_of,
     ordered_product,
-    quadratic_grassmann,
-    quadratic_sz,
     sz_generators,
-    sz_mul,
-    wedge_mul,
     wedge_sign,
 )
 from spfk.tensors import AltTensor, SymTensor, hafnian, pfaffian
@@ -27,16 +23,16 @@ from spfk.tensors import AltTensor, SymTensor, hafnian, pfaffian
 
 def test_wedge_examples():
     e1, e2 = grassmann_generators(QQ, 2)
-    assert wedge_mul(e1, e2).coeff(mask_of((1, 2))) == 1
-    assert wedge_mul(e2, e1).coeff(mask_of((1, 2))) == -1
-    assert wedge_mul(wedge_mul(e1, e2), e1).is_zero()
+    assert (e1 * e2).coeff(mask_of((1, 2))) == 1
+    assert (e2 * e1).coeff(mask_of((1, 2))) == -1
+    assert (e1 * e2 * e1).is_zero()
 
 
 def test_sz_examples():
     x1, x2 = sz_generators(QQ, 2)
-    assert sz_mul(x1, x2).coeff(mask_of((1, 2))) == 1
-    assert sz_mul(x2, x1) == sz_mul(x1, x2)
-    assert sz_mul(x1, x1).is_zero()
+    assert (x1 * x2).coeff(mask_of((1, 2))) == 1
+    assert x2 * x1 == x1 * x2
+    assert (x1 * x1).is_zero()
 
 
 def test_wedge_sign_is_inversion_parity():
@@ -44,6 +40,22 @@ def test_wedge_sign_is_inversion_parity():
     assert wedge_sign(mask_of((1, 3)), mask_of((2, 4))) == -1
     assert wedge_sign(mask_of((1, 2)), mask_of((3, 4))) == 1
     assert wedge_sign(mask_of((1, 4)), mask_of((2, 3))) == 1
+
+
+@pytest.mark.parametrize("cls, signed", ((GrassmannElement, True), (SquareZeroElement, False)))
+def test_single_term_products_on_six_generators(cls, signed):
+    # Every ordered pair of masks: the shared product against the pair-by-pair
+    # wedge_sign (Grassmann) or +1 (square-zero); overlapping masks give zero.
+    c = Fraction(3, 7)
+    for a in range(1 << 6):
+        left = cls(QQ, {a: c})
+        for b in range(1 << 6):
+            prod = left * cls(QQ, {b: Fraction(2)})
+            if a & b:
+                assert prod.is_zero(), (a, b)
+            else:
+                sign = wedge_sign(a, b) if signed else 1
+                assert prod.terms() == [(a | b, sign * 2 * c)], (a, b)
 
 
 def _random_element(cls, sampler, ngen, nterms):
@@ -171,7 +183,7 @@ def test_wick_formula_exp_of_quadratic():
     for i in range(1, ngen + 1):
         for j in range(i + 1, ngen + 1):
             q[(i, j)] = sampler.rational(30)
-    H = quadratic_grassmann(QQ, ngen, lambda i, j: q[(i, j)])
+    H = GrassmannElement.quadratic(QQ, ngen, lambda i, j: q[(i, j)])
     T = exp_even(H)
     M = AltTensor(QQ, 2, ngen, q)
     for size in (0, 2, 4, 6, 8):
@@ -196,6 +208,24 @@ def test_sz_series_coefficients_are_hafnians():
     for size in (2, 4, 6, 8):
         for I in itertools.combinations(range(1, ngen + 1), size):
             assert berezin_extract(T, I) == hafnian(S.restrict(I))
+
+
+def test_sz_exp_of_quadratic_gives_hafnians():
+    # berezin(exp(sum_{i<j} Q_ij xi_i xi_j), I) == Hf(Q_I) for all even I
+    ngen = 6
+    sampler = SeededSampler(23)
+    q = {}
+    for i in range(1, ngen + 1):
+        for j in range(i + 1, ngen + 1):
+            q[(i, j)] = sampler.rational(30)
+    H = SquareZeroElement.quadratic(QQ, ngen, lambda i, j: q[(i, j)])
+    assert H.num_terms() == len(q)
+    T = exp_even(H)
+    S = SymTensor(QQ, 2, ngen, q)
+    for size in (0, 2, 4, 6):
+        for I in itertools.combinations(range(1, ngen + 1), size):
+            assert berezin_extract(T, I) == hafnian(S.restrict(I))
+    assert SquareZeroElement.quadratic(QQ, 3, lambda i, j: Fraction(0)).is_zero()
 
 
 def test_linear_factor_series_coefficients():

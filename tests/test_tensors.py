@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -17,14 +16,12 @@ from spfk.tensors import (
     _blocked_sum,
     blocked_count,
     determinant,
-    enumerate_block_assignments,
     enumerate_blocked,
     grassmann_pf_oracle,
     hafnian,
     hyperhafnian,
     hyperpfaffian,
     inversion_sign,
-    permanent,
     pfaffian,
     signed_permutations,
     sz_hf_oracle,
@@ -89,9 +86,9 @@ def test_enumerate_blocked_cap():
 
 def test_block_assignments_ordered_count():
     # ordered variant: (kn)!/(k!)^n assignments
-    assert sum(1 for _ in enumerate_block_assignments(2, 2)) == 6
-    assert sum(1 for _ in enumerate_block_assignments(2, 4)) == 70
-    signs = dict(enumerate_block_assignments(2, 2))
+    assert sum(1 for _ in enumerate_blocked(2, 2, ordered=True)) == 6
+    assert sum(1 for _ in enumerate_blocked(2, 4, ordered=True)) == 70
+    signs = dict(enumerate_blocked(2, 2, ordered=True))
     assert signs[((1, 2), (3, 4))] == 1
     assert signs[((3, 4), (1, 2))] == 1
     assert signs[((2, 4), (1, 3))] == -1
@@ -208,15 +205,6 @@ def test_hyperpfaffian_divisibility_error():
         hyperpfaffian(M)
 
 
-def test_determinant_and_permanent_symbolic():
-    a, b, c, d = (FreePoly.from_letter(i) for i in range(4))
-    M = DenseMatrix.from_rows([[a, b], [c, d]])
-    from spfk.freealg import shuffle
-
-    assert determinant(M, SHUFFLE_RING) == shuffle(a, d) - shuffle(b, c)
-    assert permanent(M, SHUFFLE_RING) == shuffle(a, d) + shuffle(b, c)
-
-
 def test_determinant_vandermonde():
     xs = [Fraction(v) for v in (1, 2, 3, 4)]
     rows = [[x ** p for p in range(4)] for x in xs]
@@ -240,17 +228,12 @@ def test_determinant_bareiss_matches_permutation_expansion():
             prod *= rows[i][perm[i] - 1]
         by_perms += sign * prod
     assert by_bareiss == by_perms
-    assert permanent(M) == sum(
-        math.prod(rows[i][perm[i] - 1] for i in range(5)) for perm, _ in signed_permutations(5)
-    )
 
 
 def test_determinant_errors():
     M = DenseMatrix.from_rows([[Fraction(1), Fraction(2)]])
     with pytest.raises(ValueError, match="square"):
         determinant(M)
-    with pytest.raises(ValueError, match="square"):
-        permanent(M)
 
 
 def test_restrict():
