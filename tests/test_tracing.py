@@ -10,7 +10,8 @@ from spfk import freealg
 from spfk.core import QQ
 from spfk.multilinear import GrassmannElement, SquareZeroElement
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracing  # noqa: E402
 
