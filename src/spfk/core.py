@@ -87,12 +87,6 @@ class Ring:
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero)
 
-    def product(self, items):
-        out = self.one
-        for x in items:
-            out = self.mul(out, x)
-        return out
-
 
 class RationalField(Ring):
     """The rationals as a Ring; elements are fractions.Fraction."""

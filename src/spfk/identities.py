@@ -7,6 +7,8 @@ HAFSYM's permutation sum is the same kind of DP over the set of placed
 letters, ``_hafsym_lhs``) and never goes through the kernel that computes the
 right side.  Equality is exact, in the free algebra for the symbolic
 identities and at seeded rational points for the rational-function ones.
+VI clears the point's denominators once and runs its quasimonomial DP on
+ints; each side is divided back by its own power of the scale.
 """
 from __future__ import annotations
 
@@ -90,6 +92,15 @@ def _need_at_least(variant: str, **flags) -> None:
             raise ValueError(f"{variant} needs {name} >= {least}, got {name}={value}")
 
 
+def _perm_sum(d: int, word_of, signed: bool) -> FreePoly:
+    """Sum over the permutations p of 1..d of sgn(p)^signed * word_of(p)."""
+    acc: dict = {}
+    for perm, sign in signed_permutations(d):
+        word = word_of(perm)
+        acc[word] = acc.get(word, 0) + (sign if signed else 1)
+    return FreePoly(acc)
+
+
 def _poly_report(builder: ReportBuilder, lhs: FreePoly, rhs: FreePoly) -> VerificationReport:
     return builder.finish(
         lhs == rhs,
@@ -105,11 +116,7 @@ def _wick_pfab(n: int) -> VerificationReport:
     d = 2 * n
     a = lambda i: i - 1
     b = lambda i: d + i - 1
-    acc: dict = {}
-    for perm, sign in signed_permutations(d):
-        word = tuple(a(perm[j]) if j % 2 == 0 else b(perm[j]) for j in range(d))
-        acc[word] = acc.get(word, 0) + sign
-    lhs = FreePoly(acc)
+    lhs = _perm_sum(d, lambda p: tuple(a(p[j]) if j % 2 == 0 else b(p[j]) for j in range(d)), True)
     Q = AltTensor.from_function(
         SHUFFLE_RING,
         2,
@@ -123,11 +130,7 @@ def _wick_pair_letters(n: int, signed: bool) -> VerificationReport:
     d = 2 * n
     builder = ReportBuilder("sdb2" if signed else "fhaff2", {"n": n})
     c = lambda i, j: (i - 1) * d + (j - 1)
-    acc: dict = {}
-    for perm, sign in signed_permutations(d):
-        word = tuple(c(perm[2 * t], perm[2 * t + 1]) for t in range(n))
-        acc[word] = acc.get(word, 0) + (sign if signed else 1)
-    lhs = FreePoly(acc)
+    lhs = _perm_sum(d, lambda p: tuple(c(p[2 * t], p[2 * t + 1]) for t in range(n)), signed)
     if signed:
         Q = AltTensor.from_function(
             SHUFFLE_RING, 2, d, lambda ij: FreePoly({(c(*ij),): 1, (c(ij[1], ij[0]),): -1})
@@ -147,11 +150,7 @@ def _wick_fhaff1(n: int, coeff: str) -> VerificationReport:
         "fhaff1", {"n": n, "coeff": coeff}, conventions={"double_factorial": cname}
     )
     d = 2 * n
-    acc: dict = {}
-    for perm, _sign in signed_permutations(d):
-        word = tuple(p - 1 for p in perm)
-        acc[word] = acc.get(word, 0) + 1
-    lhs = FreePoly(acc)
+    lhs = _perm_sum(d, lambda p: tuple(i - 1 for i in p), False)
     Q = SymTensor.from_function(
         SHUFFLE_RING,
         2,
@@ -164,11 +163,7 @@ def _wick_fhaff1(n: int, coeff: str) -> VerificationReport:
 
 def _wick_odd_even(n: int) -> VerificationReport:
     builder = ReportBuilder("odd_even", {"n": n})
-    acc: dict = {}
-    for perm, _sign in signed_permutations(n):
-        word = tuple(p - 1 for p in perm)
-        acc[word] = acc.get(word, 0) + 1
-    lhs = FreePoly(acc)
+    lhs = _perm_sum(n, lambda p: tuple(i - 1 for i in p), False)
     Q = AltTensor.from_function(
         SHUFFLE_RING,
         2,
@@ -189,11 +184,7 @@ def _wick_odd_even(n: int) -> VerificationReport:
 
 def _wick_antishuffle(n: int) -> VerificationReport:
     builder = ReportBuilder("antishuffle", {"n": n})
-    acc: dict = {}
-    for perm, sign in signed_permutations(n):
-        word = tuple(p - 1 for p in perm)
-        acc[word] = acc.get(word, 0) + sign
-    lhs = FreePoly(acc)
+    lhs = _perm_sum(n, lambda p: tuple(i - 1 for i in p), True)
     Q = SymTensor.from_function(
         ANTISHUFFLE_RING,
         2,
@@ -480,9 +471,7 @@ def _rat_mehta1(n, sampler, _coeff):
 def _rat_mehta2(n, sampler, _coeff):
     x = sampler.positive_distinct(n, _SAMPLE_BOUND)
     lhs = ordered_sum([x] * n, 1, signed=True)
-    rhs = Fraction(1)
-    for xi in x:
-        rhs /= xi
+    rhs = 1 / math.prod(x)
     for i in range(n):
         for j in range(i + 1, n):
             rhs *= (x[j] - x[i]) / (x[j] + x[i])
@@ -492,9 +481,7 @@ def _rat_mehta2(n, sampler, _coeff):
 def _rat_sum1(m, sampler, _coeff):
     x = sampler.positive_distinct(m, _SAMPLE_BOUND)
     lhs = ordered_sum([x] * m, 1, signed=False)
-    rhs = Fraction(1)
-    for xi in x:
-        rhs /= xi
+    rhs = 1 / math.prod(x)
     return lhs, rhs
 
 
@@ -599,19 +586,48 @@ RATIONAL_VARIANTS = tuple(_RATIONAL_IMPL)
 # Alternating quasi-symmetric functions
 
 
-def _quasimonomial(parts, powers, nvars: int) -> Fraction:
-    # M_J(x) = sum over j1 < ... < jr of x_{j1}^{J1} ... x_{jr}^{Jr}
+def _quasimonomial(parts, powers) -> int:
+    # M_J(y) = sum over j1 < ... < jr of y_{j1}^{J1} ... y_{jr}^{Jr}, on ints
     r = len(parts)
-    dp = [Fraction(1)] + [Fraction(0)] * r
-    for i in range(nvars):
+    dp = [1] + [0] * r
+    for i, row in enumerate(powers):
         for depth in range(min(i + 1, r), 0, -1):
-            dp[depth] += dp[depth - 1] * powers[i][parts[depth - 1]]
+            dp[depth] += dp[depth - 1] * row[parts[depth - 1]]
     return dp[r]
+
+
+def _vi_sides(parts, x) -> tuple[Fraction, Fraction]:
+    """Both sides of VI at the rational point x; an odd-length composition's
+    Pfaffian is bordered by a first row of singles M_(a).
+
+    M_J is homogeneous of degree |J|, so with L the lcm of the denominators
+    of x the DP runs on the ints y = L x, and each value is divided back
+    once: the left side's signed sum by L^|J|, each Pfaffian entry q(a, b)
+    by L^(a+b) and each bordered single by L^a.  The two sides are unscaled
+    separately, so a wrong exponent cannot cancel out of the comparison.
+    """
+    scale = math.lcm(*(v.denominator for v in x))
+    y = [v.numerator * (scale // v.denominator) for v in x]
+    powers = [[v ** e for e in range(max(parts) + 1)] for v in y]
+    signed_sum = 0
+    for perm, sign in signed_permutations(len(parts)):
+        signed_sum += sign * _quasimonomial([parts[p - 1] for p in perm], powers)
+
+    def entry(kl):
+        a, b = (rows[i - 1] for i in kl)
+        if a is None:
+            return Fraction(_quasimonomial((b,), powers), scale ** b)
+        q = _quasimonomial((a, b), powers) - _quasimonomial((b, a), powers)
+        return Fraction(q, scale ** (a + b))
+
+    rows = parts if len(parts) % 2 == 0 else (None,) + parts
+    rhs = pfaffian(AltTensor.from_function(QQ, 2, len(rows), entry))
+    return Fraction(signed_sum, scale ** sum(parts)), rhs
 
 
 def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> VerificationReport:
     """Signed quasimonomial sum against its Pfaffian (even length) or
-    bordered-Pfaffian (odd length) evaluation."""
+    bordered-Pfaffian (odd length) evaluation, at seeded rational points."""
     parts = tuple(int(p) for p in parts)
     r = len(parts)
     if r == 0 or min(parts) < 1:
@@ -627,33 +643,7 @@ def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> Verificatio
     rhs_vals = []
     for pt in range(points):
         sampler = SeededSampler(mix_seed(seed, ("vi", parts, N, pt)))
-        x = sampler.positive_distinct(N, _SAMPLE_BOUND)
-        max_power = max(parts)
-        powers = [[x[i] ** e for e in range(max_power + 1)] for i in range(N)]
-
-        lhs = Fraction(0)
-        for perm, sign in signed_permutations(r):
-            lhs += sign * _quasimonomial([parts[p - 1] for p in perm], powers, N)
-
-        def q(pa, pb):
-            return _quasimonomial((pa, pb), powers, N) - _quasimonomial((pb, pa), powers, N)
-
-        def pf_of(position_parts):
-            rr = len(position_parts)
-            M = AltTensor.from_function(
-                QQ, 2, rr, lambda kl: q(position_parts[kl[0] - 1], position_parts[kl[1] - 1])
-            )
-            return pfaffian(M)
-
-        if r % 2 == 0:
-            rhs = pf_of(parts)
-        else:
-            rhs = Fraction(0)
-            for kk in range(r):
-                rest = parts[:kk] + parts[kk + 1 :]
-                single = _quasimonomial((parts[kk],), powers, N)
-                sign = -1 if kk % 2 else 1
-                rhs += sign * single * pf_of(rest)
+        lhs, rhs = _vi_sides(parts, sampler.positive_distinct(N, _SAMPLE_BOUND))
         lhs_vals.append(lhs)
         rhs_vals.append(rhs)
     return _scalar_report(builder, lhs_vals, rhs_vals)

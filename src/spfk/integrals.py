@@ -15,13 +15,15 @@ identity here evaluates in exact rationals.
 The de Bruijn left sides, sums over all permutations sigma of
 sgn(sigma)^signed * R(block exponents), go through one kernel,
 ``ordered_sum``: a forward DP over block boundaries whose state is the set of
-letters used so far and the partial sum, so no n! expansion runs.  The
-literal permutation expansion is kept only in the tests, as the oracle the
-DP is compared against.  The left side calls no Pfaffian or hafnian code, so
-it stays independent of the right side.
+letters used so far and the partial sum, so no n! expansion runs.  It
+clears the denominators once and runs on ints.  The literal permutation
+expansion is kept only in the tests, as the oracle the DP is compared
+against.  The left side calls no Pfaffian or hafnian code, so it stays
+independent of the right side.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,12 +180,6 @@ def verify_chen_batch(seed: int, pairs: int = 100, alphabet: int = 5) -> Verific
 _signed_perms = signed_permutations
 
 
-def _exact(z):
-    """An integer-valued parameter as an int (cheaper sums), else a Fraction."""
-    q = Fraction(z)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _append_letter(tuples, fam, m: int, signed: bool):
     """Each (used mask, sum, sign) extended by every unused letter i at a
     position read through ``fam``; the sign flips with the used letters > i."""
@@ -203,13 +199,16 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
 
     Since R(z_1..z_r) = prod_j 1/(z_1+...+z_j), each factor depends only on
     the blocks placed so far, so the sum is a forward DP over block
-    boundaries.  A state is (bitmask of used letters, partial sum) with an
-    exact weight; inside a block every ordered width-tuple of unused letters
-    is appended, letter i after mask u flipping the sign when
-    popcount(u >> (i+1)) is odd (the inversions it closes).  The +-1 counts
-    reaching each new state are merged as ints, and each state's weight is
-    divided by its partial sum once, when its block closes.  Integer-valued
-    parameters are summed as ints; the result is an exact Fraction.
+    boundaries.  A state is (bitmask of used letters, partial sum); inside a
+    block every ordered width-tuple of unused letters is appended, letter i
+    after mask u flipping the sign when popcount(u >> (i+1)) is odd (the
+    inversions it closes), and the +-1 counts reaching each new state are
+    merged.  The DP runs on ints: the parameters are scaled by L, the lcm of
+    their denominators, and the block shift by L (width - 1), and R(L z) =
+    L^-r R(z) for r blocks.  At each block boundary the weights are int
+    numerators over one denominator D, the lcm of the partial sums reached
+    there, so closing a block multiplies a numerator by D // (its partial
+    sum).  The result is Fraction(total * L^r, product of the D's).
 
     Every block exponent must be positive, or the integral diverges (and a
     zero partial sum the brute-force expansion divides by could cancel out
@@ -218,22 +217,24 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
     m = len(slots)
     if width < 1 or m % width:
         raise ValueError(f"{m} positions do not split into blocks of width {width}")
-    fams = [tuple(_exact(z) for z in fam[:m]) for fam in slots]
+    fams = [tuple(Fraction(z) for z in fam[:m]) for fam in slots]
     if any(len(f) < m for f in fams):
         raise ValueError(f"every slot family needs a parameter for each of the {m} letters")
+    scale = math.lcm(*(z.denominator for f in fams for z in f))
+    fams = [tuple(z.numerator * (scale // z.denominator) for z in f) for f in fams]
+    shift = scale * (width - 1)
     for b in range(0, m, width):
-        if sum(min(f) for f in fams[b : b + width]) - (width - 1) <= 0:
+        if sum(min(f) for f in fams[b : b + width]) - shift <= 0:
             raise ValueError(
                 "a merged block exponent can be <= 0: the ordered integral diverges"
             )
-    states = {(0, 0): Fraction(1)}
+    states = {(0, 0): 1}
+    denominator = 1
     for b in range(0, m, width):
         block = fams[b : b + width]
         nxt: dict = {}
         for (used, acc), weight in states.items():
-            if not weight:
-                continue
-            tuples = [(used, acc - (width - 1), 1)]
+            tuples = [(used, acc - shift, 1)]
             for fam in block:
                 tuples = _append_letter(tuples, fam, m, signed)
             counts: dict = {}
@@ -242,10 +243,11 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
             for key, c in counts.items():
                 if c:
                     nxt[key] = nxt.get(key, 0) + weight * c
-        for key, w in nxt.items():
-            nxt[key] = w / key[1]
-        states = nxt
-    return Fraction(sum(states.values()))
+        nxt = {key: w for key, w in nxt.items() if w}
+        step = math.lcm(*(acc for _used, acc in nxt))
+        denominator *= step
+        states = {key: w * (step // key[1]) for key, w in nxt.items()}
+    return Fraction(sum(states.values()) * scale ** (m // width), denominator)
 
 
 def _sample_params(seed: int, tag, count: int) -> tuple:
@@ -333,6 +335,8 @@ def verify_debruijn(
 
 
 def _db_even(order, _k, fam, _coeff):
+    if order % 2:
+        raise ValueError(f"EVEN needs even n, got n={order}")
     z = fam.phi
     lhs = ordered_sum([z] * order, 1, signed=True)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])

@@ -1,6 +1,6 @@
 """Alternating and symmetric tensors with exact Pfaffian, hafnian,
 hyperpfaffian and hyperhafnian kernels, plus an exact determinant over the
-rationals.
+rationals: Bareiss elimination on ints, each row's denominators cleared once.
 
 The tensor kernels are generic over a Ring.  pf, hf, hpf and hhf share one
 blocked partition sum, memoised on the set of remaining indices, which
@@ -24,7 +24,7 @@ from .freealg import sort_with_sign
 from .multilinear import GrassmannElement, SquareZeroElement, mask_of
 
 MAX_BLOCKED = 20
-MAX_GENERIC_DET = 8
+MAX_PERMUTATIONS = 8
 
 
 def inversion_sign(seq) -> int:
@@ -48,8 +48,8 @@ def signed_permutations(n: int) -> tuple:
     permutations of n - 1 letters in the same order, so the sign list for n
     is the list for n - 1 repeated n times with alternating sign.
     """
-    if n > MAX_GENERIC_DET:
-        raise ValueError(f"size cap exceeded: permutation sums limited to n <= {MAX_GENERIC_DET}")
+    if n > MAX_PERMUTATIONS:
+        raise ValueError(f"size cap exceeded: permutation sums limited to n <= {MAX_PERMUTATIONS}")
     signs = [1]
     for m in range(2, n):
         signs = list(_alternating_repeat(signs, m))
@@ -386,35 +386,47 @@ def sz_hf_oracle(S: SymTensor):
     return _power_oracle(SquareZeroElement, S)
 
 
-def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
+def _det_bareiss(rows) -> Fraction:
+    """Determinant of square rational rows, with the denominators cleared once.
+
+    Each row is scaled to ints by the lcm of its denominators; fraction-free
+    (Bareiss) elimination then divides exactly with ``//``, and the result
+    is divided by the product of the row scales.
+    """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
+    m = []
+    scales = 1
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        s = math.lcm(*(x.denominator for x in row))
+        scales *= s
+        m.append([x.numerator * (s // x.denominator) for x in row])
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for c in range(n - 1):
-        if m[c][c] == 0:
+        if not m[c][c]:
             for r in range(c + 1, n):
-                if m[r][c] != 0:
+                if m[r][c]:
                     m[c], m[r] = m[r], m[c]
                     sign = -sign
                     break
             else:
                 return Fraction(0)
-        for r in range(c + 1, n):
+        pivot, pivot_row = m[c][c], m[c]
+        for row in m[c + 1 :]:
+            lead = row[c]
             for cc in range(c + 1, n):
-                m[r][cc] = (m[r][cc] * m[c][c] - m[r][c] * m[c][cc]) / prev
-            m[r][c] = Fraction(0)
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+                row[cc] = (row[cc] * pivot - lead * pivot_row[cc]) // prev
+            row[c] = 0
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], scales) if n else Fraction(1)
 
 
 def determinant(M: DenseMatrix):
     """Exact determinant over the rationals by fraction-free elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    return _det_bareiss([[Fraction(x) for x in row] for row in M.data])
+    return _det_bareiss(M.data)
 
 
 def tensor_to_json(t: _Tensor) -> dict:

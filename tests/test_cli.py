@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spfk import suite
+from spfk import integrals, suite
 from spfk.cli import main
 from spfk.tensors import MAX_BLOCKED, hyperpfaffian, tensor_to_json
 from test_tensors import _random_alt
@@ -108,6 +108,17 @@ def test_verify_debruijn_negative_params_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_verify_debruijn_even_odd_n_names_the_identity_before_any_work(capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the left side ran before the parity check")
+
+    monkeypatch.setattr(integrals, "ordered_sum", refuse)
+    code, out, err = run(capsys, "verify", "debruijn_even", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: EVEN needs even n, got n=3\n"
 
 
 def test_verify_vi_N_zero_is_not_replaced_by_the_default(capsys):

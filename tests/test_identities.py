@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from spfk import identities
+from spfk import identities, suite
 from spfk.core import QQ, SeededSampler, mix_seed
 from spfk.freealg import FreePoly, LetterRegistry, antishuffle, shuffle
 from spfk.identities import (
@@ -388,6 +388,74 @@ def test_vi_value_matches_direct_quasimonomial_sum():
 
     canonical = f"{direct.numerator}/{direct.denominator}"
     assert report.lhs_digest == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _quasimonomial_fraction(parts, x) -> Fraction:
+    # The Fraction DP over the point itself, no denominators cleared.
+    r = len(parts)
+    dp = [Fraction(1)] + [Fraction(0)] * r
+    for i, xi in enumerate(x):
+        for depth in range(min(i + 1, r), 0, -1):
+            dp[depth] += dp[depth - 1] * xi ** parts[depth - 1]
+    return dp[r]
+
+
+def _vi_sides_by_fractions(parts, x):
+    """Both sides of VI in Fractions: the signed sum, and the Pfaffian of
+    q(a, b) = M_ab - M_ba, expanded along the singles for odd length."""
+    M = lambda J: _quasimonomial_fraction(J, x)
+    perms = signed_permutations(len(parts))
+    lhs = sum(sign * M([parts[p - 1] for p in perm]) for perm, sign in perms)
+
+    def pf_of(ps):
+        entry = lambda kl: M((ps[kl[0] - 1], ps[kl[1] - 1])) - M((ps[kl[1] - 1], ps[kl[0] - 1]))
+        return pfaffian(AltTensor.from_function(QQ, 2, len(ps), entry))
+
+    if len(parts) % 2 == 0:
+        return lhs, pf_of(parts)
+    rhs = sum(
+        (-1) ** kk * M((parts[kk],)) * pf_of(parts[:kk] + parts[kk + 1 :])
+        for kk in range(len(parts))
+    )
+    return lhs, rhs
+
+
+def test_quasimonomial_fraction_oracle_matches_the_dense_sum():
+    x = [Fraction(3, 2), Fraction(5), Fraction(2, 7), Fraction(9, 4), Fraction(1, 3)]
+    for J in ((1,), (2, 1), (1, 3, 2), (4, 1, 2, 3)):
+        dense = sum(
+            math.prod(x[i] ** e for i, e in zip(idx, J))
+            for idx in itertools.combinations(range(len(x)), len(J))
+        )
+        assert _quasimonomial_fraction(J, x) == dense, J
+
+
+def _suite_vi_compositions():
+    return [case.param_dict()["parts"] for case in suite.default_cases() if case.runner == "vi"]
+
+
+def test_vi_integer_sides_match_the_fraction_oracle_on_every_suite_composition():
+    compositions = _suite_vi_compositions()
+    assert len(compositions) == 65
+    for parts in compositions:
+        x = SeededSampler(mix_seed(42, ("vi", parts, 8, 0))).positive_distinct(8, _SAMPLE_BOUND)
+        assert math.lcm(*(v.denominator for v in x)) > 1
+        lhs, rhs = identities._vi_sides(parts, x)
+        want_lhs, want_rhs = _vi_sides_by_fractions(parts, x)
+        assert lhs == want_lhs, parts
+        assert rhs == want_rhs, parts
+
+
+def test_vi_sides_scale_by_their_own_degree():
+    # M_J(x / c) = c^-|J| M_J(x): both sides follow the homogeneity separately.
+    x = [Fraction(v) for v in (2, 3, 5, 7, 11, 13)]
+    for parts in ((1, 2), (2, 1, 4), (3, 1, 4, 2), (4,)):
+        lhs, rhs = identities._vi_sides(parts, x)
+        assert (lhs, rhs) == _vi_sides_by_fractions(parts, x)
+        assert rhs and lhs == rhs
+        c = Fraction(7, 3)
+        scaled = identities._vi_sides(parts, [v / c for v in x])
+        assert scaled == (lhs / c ** sum(parts), rhs / c ** sum(parts)), parts
 
 
 def test_vi_caps():

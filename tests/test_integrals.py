@@ -301,6 +301,45 @@ def test_ordered_sum_non_integer_fractions():
         assert verify_debruijn(variant, n=n, k=k, fam=fam).equal
 
 
+def _brute_force_both(slots, width):
+    """The signed and the unsigned permutation sums of ``_brute_force`` in one pass."""
+    signed = unsigned = Fraction(0)
+    for perm, sign in signed_permutations(len(slots)):
+        params = [slots[p][letter - 1] for p, letter in enumerate(perm)]
+        blocks = range(0, len(params), width)
+        term = r_value([merged_exponent(params[b : b + width]) for b in blocks])
+        signed += sign * term
+        unsigned += term
+    return signed, unsigned
+
+
+_MIXED = (
+    Fraction(3, 2), Fraction(7, 5), Fraction(11, 4), Fraction(2), Fraction(13, 6),
+    Fraction(9, 7), Fraction(5, 3), Fraction(17, 8),
+)
+
+
+@pytest.mark.parametrize(
+    "width,order",
+    ((1, 4), (1, 6), (2, 4), (2, 6), (4, 4), (4, 8)),
+)
+def test_ordered_sum_mixed_denominators_match_permutation_expansion(width, order):
+    families = (_MIXED, _MIXED[::-1], _MIXED[3:] + _MIXED[:3], _MIXED[1::2] + _MIXED[::2])
+    slots = [families[p % width] for p in range(order)]
+    signed, unsigned = _brute_force_both(slots, width)
+    assert ordered_sum(slots, width, signed=True) == signed
+    assert ordered_sum(slots, width, signed=False) == unsigned
+    assert unsigned.denominator > 1
+
+
+def test_ordered_sum_order_8_at_sampled_rational_points():
+    # The MEHTA2/SUM1 left sides: one family, width 1, at a positive_distinct point.
+    x = SeededSampler(mix_seed(42, "order-8")).positive_distinct(8, 200)
+    signed, unsigned = _brute_force_both([x] * 8, 1)
+    assert ordered_sum([x] * 8, 1, signed=True) == signed
+    assert ordered_sum([x] * 8, 1, signed=False) == unsigned
+
+
 def test_left_side_calls_no_right_side_kernel(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the left side called a right-side kernel")

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -230,6 +232,80 @@ def test_determinant_bareiss_matches_permutation_expansion():
     assert by_bareiss == by_perms
 
 
+def _det_by_fractions(rows) -> Fraction:
+    """Bareiss elimination carried out in Fractions, no denominators cleared."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = [[Fraction(x) for x in r] for r in rows]
+    sign = 1
+    prev = Fraction(1)
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            for r in range(c + 1, n):
+                if m[r][c] != 0:
+                    m[c], m[r] = m[r], m[c]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for r in range(c + 1, n):
+            for cc in range(c + 1, n):
+                m[r][cc] = (m[r][cc] * m[c][c] - m[r][c] * m[c][cc]) / prev
+            m[r][c] = Fraction(0)
+        prev = m[c][c]
+    return sign * m[n - 1][n - 1]
+
+
+def _seeded_rational_rows(seed, n, zero_percent=0):
+    rng = SeededSampler(seed)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            zero = rng.next_int(100) <= zero_percent
+            row.append(Fraction(0) if zero else rng.rational(60) * (-1) ** rng.next_int(2))
+        rows.append(row)
+    return rows
+
+
+def test_integer_bareiss_matches_the_fraction_oracle():
+    for n in range(0, 9):
+        for seed in range(4):
+            for zero_percent in (0, 40):
+                rows = _seeded_rational_rows(mix_seed(61, (n, seed, zero_percent)), n, zero_percent)
+                want = _det_by_fractions(rows)
+                assert determinant(DenseMatrix.from_rows(rows)) == want, (n, seed)
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    (
+        ([], 1),  # n = 0
+        ([[Fraction(-3, 7)]], Fraction(-3, 7)),  # n = 1
+        ([[Fraction(0), Fraction(2, 3)], [Fraction(5, 2), Fraction(1)]], Fraction(-5, 3)),
+        # The second pivot becomes zero after the first step and needs a row swap.
+        ([[1, 2, 3], [2, 4, 5], [1, 3, Fraction(1, 2)]], 1),
+        # Singular: the swap search finds no pivot in the second column.
+        ([[1, 2, 3], [2, 4, 6], [Fraction(3, 4), Fraction(3, 2), 10]], 0),
+        # Singular: elimination runs to the end and the last entry is zero.
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], 0),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 4),  # all-integer rows
+    ),
+)
+def test_integer_bareiss_edge_cases(rows, expected):
+    value = determinant(DenseMatrix.from_rows(rows))
+    assert isinstance(value, Fraction)
+    assert value == expected == _det_by_fractions(rows)
+
+
+def test_permutation_cap_keeps_its_value_and_message():
+    assert tensors.MAX_PERMUTATIONS == 8
+    assert len(signed_permutations(8)) == math.factorial(8)
+    with pytest.raises(ValueError, match=r"size cap exceeded: permutation sums limited to n <= 8"):
+        signed_permutations(9)
+
+
 def test_determinant_errors():
     M = DenseMatrix.from_rows([[Fraction(1), Fraction(2)]])
     with pytest.raises(ValueError, match="square"):
@@ -332,7 +408,7 @@ def _enumerated_sum(tensor, signed):
     ring = tensor.ring
     out = ring.zero
     for blocks, sign in enumerate_blocked(tensor.dim // tensor.order, tensor.order):
-        term = ring.product(tensor.entry(b) for b in blocks)
+        term = functools.reduce(ring.mul, (tensor.entry(b) for b in blocks), ring.one)
         out = ring.add(out, ring.neg(term) if signed and sign < 0 else term)
     return out
 
@@ -420,9 +496,11 @@ def test_blocked_sum_keeps_block_order_in_antishuffle_ring():
         expected = _enumerated_sum(M, True)
         assert _blocked_sum(M, True) == expected, (order, dim)
         assert _blocked_sum(M, False) == _enumerated_sum(M, False), (order, dim)
-        swapped = ANTISHUFFLE_RING.zero
+        ring = ANTISHUFFLE_RING
+        swapped = ring.zero
         for blocks, sign in enumerate_blocked(dim // order, order):
-            term = ANTISHUFFLE_RING.product(M.entry(b) for b in (blocks[1], blocks[0], *blocks[2:]))
+            swap = (blocks[1], blocks[0], *blocks[2:])
+            term = functools.reduce(ring.mul, (M.entry(b) for b in swap), ring.one)
             swapped += term if sign > 0 else -term
         assert swapped != expected, (order, dim)
         if order == 2:
