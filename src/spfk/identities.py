@@ -612,6 +612,7 @@ def _vi_sides(parts, x) -> tuple[Fraction, Fraction]:
     signed_sum = 0
     for perm, sign in signed_permutations(len(parts)):
         signed_sum += sign * _quasimonomial([parts[p - 1] for p in perm], powers)
+    rows = parts if len(parts) % 2 == 0 else (None,) + parts  # None: the border
 
     def entry(kl):
         a, b = (rows[i - 1] for i in kl)
@@ -620,7 +621,6 @@ def _vi_sides(parts, x) -> tuple[Fraction, Fraction]:
         q = _quasimonomial((a, b), powers) - _quasimonomial((b, a), powers)
         return Fraction(q, scale ** (a + b))
 
-    rows = parts if len(parts) % 2 == 0 else (None,) + parts
     rhs = pfaffian(AltTensor.from_function(QQ, 2, len(rows), entry))
     return Fraction(signed_sum, scale ** sum(parts)), rhs
 
