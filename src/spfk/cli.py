@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .report import VerificationReport
 from .suite import (
+    CAP_NAMES,
     DEFAULT_SEED,
     IDENTITIES,
     SuiteConfig,
@@ -72,11 +73,19 @@ def _flag_usage(name: str, default) -> str:
     return f"[--{name}]" if default is None else f"[--{name} {default}]"
 
 
+def _range_text(flag: str, bound: tuple) -> str:
+    least, most, *parity = bound
+    text = f"{flag} >= {least}" if most is None else f"{least} <= {flag} <= {most}"
+    return ", ".join([text, *(f"{flag} {p}" for p in parity)])
+
+
 def _identity_help() -> str:
-    lines = ["identities and the flags each reads ([--flag default] is optional):"]
-    for identity, (_runner, _variant, flags, _caps) in IDENTITIES.items():
+    lines = ["identities, their flags ([--flag default] is optional), ranges; size caps:"]
+    for identity, (_runner, _variant, flags, (ranges, caps)) in IDENTITIES.items():
         usage = " ".join(_flag_usage(name, default) for name, default in flags.items())
-        lines.append(f"  {identity:<26} {usage}")
+        bounds = ", ".join(_range_text(flag, bound) for flag, bound in ranges.items())
+        capped = [f"{m} <= {limit}" for m, (_, limit) in caps.items() if limit is not None]
+        lines.append(f"  {identity:<26} {usage:<24} {'; '.join([bounds, *capped])}")
     return "\n".join(lines)
 
 
@@ -155,8 +164,11 @@ def _parse_caps(raw) -> dict:
         if "=" not in item:
             raise ValueError(f"bad --max value (want name=value): {item!r}")
         key, _, val = item.partition("=")
+        key = key.strip()
+        if key not in CAP_NAMES:
+            raise ValueError(f"unknown --max cap {key!r}; known caps: {', '.join(CAP_NAMES)}")
         try:
-            caps[key.strip()] = int(val)
+            caps[key] = int(val)
         except ValueError as exc:
             raise ValueError(f"bad --max value: {item!r}") from exc
     return caps

@@ -54,6 +54,40 @@ def double_factorial_coeff(half: int, coeff: str) -> tuple[int, str]:
     raise ValueError("coeff must be 'corrected' or 'paper'")
 
 
+def check_domain(name: str, params: dict, domain) -> dict:
+    """Refuse params outside an identity's domain, (ranges, caps), and
+    return the measures of its caps in declaration order.
+
+    ``ranges`` maps a flag to (min, max[, "even" | "odd"]); a max of None is
+    no bound, a max naming an earlier flag bounds by its value, and a list
+    flag is bounded element by element.  ``caps`` maps a size measure to
+    (function of params, limit or None), each computed only after the
+    ones before it have passed."""
+    ranges, caps = domain
+    for flag, (least, most, *parity) in ranges.items():
+        value = params.get(flag)
+        items = value if isinstance(value, (list, tuple)) else [value]
+        shown = list(items) if items is value else value
+        if value is None or not items or min(items) < least:
+            raise ValueError(f"{name} needs {flag} >= {least}, got {flag}={shown}")
+        if isinstance(most, str) and value > params[most]:
+            raise ValueError(
+                f"{name} needs {flag} <= {most}, got {flag}={value} > {most}={params[most]}"
+            )
+        if isinstance(most, int) and max(items) > most:
+            raise ValueError(f"size cap exceeded for {name}: {flag} <= {most}, got {flag}={shown}")
+        if parity and value % 2 != (parity[0] == "odd"):
+            raise ValueError(f"{name} needs {parity[0]} {flag}, got {flag}={value}")
+    measures = {}
+    for measure, (size_of, limit) in caps.items():
+        size = measures[measure] = size_of(params)
+        if limit is not None and size > limit:
+            raise ValueError(
+                f"size cap exceeded for {name}: {measure} <= {limit}, got {measure}={size}"
+            )
+    return measures
+
+
 class Ring:
     """Commutative-ring interface the kernels are generic over.
 

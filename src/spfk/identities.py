@@ -9,6 +9,10 @@ right side.  Equality is exact, in the free algebra for the symbolic
 identities and at seeded rational points for the rational-function ones.
 VI clears the point's denominators once and runs its quasimonomial DP on
 ints; each side is divided back by its own power of the scale.
+
+Each verifier's table (``WICK``, ``STRUCTURE``, ``_RATIONAL_IMPL``) has
+(sides, domain) rows, or a constant gives its domain (``VI_DOMAIN``,
+``VANDERMONDE_DOMAIN``); ``core.check_domain`` checks it before any work.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
+from .core import QQ, SeededSampler, check_domain, double_factorial_coeff, mix_seed
 from .freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
@@ -26,7 +30,7 @@ from .freealg import (
     shuffle,
 )
 from .integrals import ordered_sum, r_value
-from .report import ReportBuilder, VerificationReport, scalar_list_canonical
+from .report import ReportBuilder, VerificationReport
 from .tensors import (
     AltTensor,
     DenseMatrix,
@@ -38,9 +42,6 @@ from .tensors import (
     pfaffian,
     signed_permutations,
 )
-
-WICK_VARIANTS = ("PFAB", "SDB2", "FHAFF2", "FHAFF1", "ODD_EVEN", "ANTISHUFFLE", "XIPFASHU")
-STRUCTURE_VARIANTS = ("COMPOSITION", "SUM", "MINOR", "DET_DECOMP")
 
 _SAMPLE_BOUND = 200
 
@@ -55,41 +56,11 @@ def verify_shuffle_wick(
     """Permutation sum of concatenation words against the matching
     (hyper)Pfaffian or hafnian computed in the shuffle/antishuffle ring."""
     variant = variant.upper()
-    if variant not in WICK_VARIANTS:
+    if variant not in WICK:
         raise ValueError(f"unknown variant: {variant}")
-    _need_at_least(variant, n=(n, 0))
-    if variant == "XIPFASHU":
-        if k is None:
-            raise ValueError("XIPFASHU needs k")
-        _need_at_least(variant, k=(k, 1))
-        if 2 * k * n > 8:
-            raise ValueError("size cap exceeded: 2kn <= 8")
-        return _wick_xipfashu(k, n)
-    if variant in ("ODD_EVEN", "ANTISHUFFLE"):
-        if n > 6:
-            raise ValueError("size cap exceeded: n <= 6")
-    else:
-        if 2 * n > 8:
-            raise ValueError("size cap exceeded: 2n <= 8")
-    if variant == "PFAB":
-        return _wick_pfab(n)
-    if variant == "SDB2":
-        return _wick_pair_letters(n, signed=True)
-    if variant == "FHAFF2":
-        return _wick_pair_letters(n, signed=False)
-    if variant == "FHAFF1":
-        return _wick_fhaff1(n, coeff)
-    if variant == "ODD_EVEN":
-        return _wick_odd_even(n)
-    return _wick_antishuffle(n)
-
-
-def _need_at_least(variant: str, **flags) -> None:
-    """Refuse, before any work, a flag below its minimum: flags maps each
-    flag name to (value, minimum)."""
-    for name, (value, least) in flags.items():
-        if value < least:
-            raise ValueError(f"{variant} needs {name} >= {least}, got {name}={value}")
+    impl, domain = WICK[variant]
+    check_domain(variant, {"n": n, "k": k}, domain)
+    return impl(n, k, coeff)
 
 
 def _perm_sum(d: int, word_of, signed: bool) -> FreePoly:
@@ -239,6 +210,24 @@ def _wick_xipfashu(k: int, n: int) -> VerificationReport:
     return _poly_report(builder, lhs, hyperpfaffian(M))
 
 
+# A domain is (ranges, caps), as core.check_domain reads it; the first cap's
+# measure is also the size of the id's suite cases.
+_WICK_2N = ({"n": (0, None)}, {"2n": (lambda p: 2 * p["n"], 8)})
+_WICK_N = ({"n": (0, None)}, {"n": (lambda p: p["n"], 6)})
+_WICK_2KN = ({"n": (0, None), "k": (1, None)}, {"2kn": (lambda p: 2 * p["k"] * p["n"], 8)})
+
+# variant: (sides of (n, k, coeff), domain)
+WICK = {
+    "PFAB": (lambda n, _k, _coeff: _wick_pfab(n), _WICK_2N),
+    "SDB2": (lambda n, _k, _coeff: _wick_pair_letters(n, signed=True), _WICK_2N),
+    "FHAFF2": (lambda n, _k, _coeff: _wick_pair_letters(n, signed=False), _WICK_2N),
+    "FHAFF1": (lambda n, _k, coeff: _wick_fhaff1(n, coeff), _WICK_2N),
+    "ODD_EVEN": (lambda n, _k, _coeff: _wick_odd_even(n), _WICK_N),
+    "ANTISHUFFLE": (lambda n, _k, _coeff: _wick_antishuffle(n), _WICK_N),
+    "XIPFASHU": (lambda n, k, _coeff: _wick_xipfashu(k, n), _WICK_2KN),
+}
+
+
 # ---------------------------------------------------------------------------
 # Hyperpfaffian structure identities (random rational tensors)
 
@@ -262,41 +251,15 @@ def verify_hyperpf_structure(
     """Composition, sum, minor-summation, and block-decomposition laws of the
     hyperpfaffian, checked on seeded random rational tensors."""
     variant = variant.upper()
-    if variant not in STRUCTURE_VARIANTS:
+    if variant not in STRUCTURE:
         raise ValueError(f"unknown variant: {variant}")
-    _need_at_least(variant, m=(m, 1), n=(n, 1))
-    if variant == "MINOR":
-        if t is None:
-            raise ValueError("MINOR needs t")
-        _need_at_least(variant, t=(t, 1))
-        if t > n:
-            raise ValueError(f"MINOR needs t <= n, got t={t} > n={n}")
-    if 2 * m * n > 8:
-        raise ValueError("size cap exceeded: 2mn <= 8")
+    impl, domain = STRUCTURE[variant]
+    check_domain(variant, {"m": m, "n": n, "t": t}, domain)
     sampler = SeededSampler(mix_seed(seed, ("structure", variant, m, n, t or 0)))
-    if variant == "COMPOSITION":
-        return _structure_composition(m, n, seed, sampler)
-    if variant == "SUM":
-        return _structure_sum(m, n, seed, sampler)
-    if variant == "MINOR":
-        return _structure_minor(m, t, n, seed, sampler)
-    return _structure_det_decomp(m, n, seed, sampler)
+    return impl(m, n, t, seed, sampler)
 
 
-def _scalar_report(builder: ReportBuilder, lhs_vals, rhs_vals) -> VerificationReport:
-    equal = len(lhs_vals) == len(rhs_vals) and all(
-        a == b for a, b in zip(lhs_vals, rhs_vals)
-    )
-    return builder.finish(
-        equal,
-        scalar_list_canonical(lhs_vals),
-        scalar_list_canonical(rhs_vals),
-        len(lhs_vals),
-        len(rhs_vals),
-    )
-
-
-def _structure_composition(m, n, seed, sampler) -> VerificationReport:
+def _structure_composition(m, n, _t, seed, sampler) -> VerificationReport:
     builder = ReportBuilder("composition", {"m": m, "n": n}, seeds=[seed])
     dim = 2 * m * n
     A = _random_alt_tensor(sampler, 2, dim)
@@ -304,10 +267,10 @@ def _structure_composition(m, n, seed, sampler) -> VerificationReport:
     lhs = hyperpfaffian(P)
     coeff = math.factorial(m * n) // (math.factorial(m) ** n * math.factorial(n))
     rhs = coeff * pfaffian(A)
-    return _scalar_report(builder, [lhs], [rhs])
+    return builder.finish_scalars([lhs], [rhs])
 
 
-def _structure_sum(m, n, seed, sampler) -> VerificationReport:
+def _structure_sum(m, n, _t, seed, sampler) -> VerificationReport:
     builder = ReportBuilder("sum", {"m": m, "n": n}, seeds=[seed])
     dim = 2 * m * n
     A = _random_alt_tensor(sampler, 2 * m, dim)
@@ -320,10 +283,10 @@ def _structure_sum(m, n, seed, sampler) -> VerificationReport:
             comp = tuple(i for i in full if i not in set(I))
             sgn = -1 if (sum(I) - j * m) % 2 else 1
             rhs += sgn * hyperpfaffian(A.restrict(I)) * hyperpfaffian(B.restrict(comp))
-    return _scalar_report(builder, [lhs], [rhs])
+    return builder.finish_scalars([lhs], [rhs])
 
 
-def _structure_minor(m, t, n, seed, sampler) -> VerificationReport:
+def _structure_minor(m, n, t, seed, sampler) -> VerificationReport:
     builder = ReportBuilder("minor", {"m": m, "t": t, "n": n}, seeds=[seed])
     dim = 2 * m * n
     rows = 2 * m * t
@@ -344,10 +307,10 @@ def _structure_minor(m, t, n, seed, sampler) -> VerificationReport:
 
     Q = AltTensor.from_function(QQ, 2 * m, rows, q_entry)
     rhs = hyperpfaffian(Q)
-    return _scalar_report(builder, [lhs], [rhs])
+    return builder.finish_scalars([lhs], [rhs])
 
 
-def _structure_det_decomp(m, n, seed, sampler) -> VerificationReport:
+def _structure_det_decomp(m, n, _t, seed, sampler) -> VerificationReport:
     # The row blocks are assigned to distinct column groups, so the sum runs
     # over ordered block assignments, not minima-ordered partitions.
     builder = ReportBuilder("det_decomp", {"m": m, "n": n}, seeds=[seed])
@@ -362,7 +325,19 @@ def _structure_det_decomp(m, n, seed, sampler) -> VerificationReport:
             cols = tuple(range(b * width + 1, (b + 1) * width + 1))
             prod *= determinant(T.submatrix(block, cols))
         rhs += sign * prod
-    return _scalar_report(builder, [lhs], [rhs])
+    return builder.finish_scalars([lhs], [rhs])
+
+
+_STRUCTURE_RANGES = {"m": (1, None), "n": (1, None)}
+_STRUCTURE_CAPS = {"2mn": (lambda p: 2 * p["m"] * p["n"], 8)}
+
+# variant: (sides of (m, n, t, seed, sampler), domain)
+STRUCTURE = {
+    "COMPOSITION": (_structure_composition, (_STRUCTURE_RANGES, _STRUCTURE_CAPS)),
+    "SUM": (_structure_sum, (_STRUCTURE_RANGES, _STRUCTURE_CAPS)),
+    "MINOR": (_structure_minor, ({**_STRUCTURE_RANGES, "t": (1, "n")}, _STRUCTURE_CAPS)),
+    "DET_DECOMP": (_structure_det_decomp, (_STRUCTURE_RANGES, _STRUCTURE_CAPS)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +345,17 @@ def _structure_det_decomp(m, n, seed, sampler) -> VerificationReport:
 
 
 def verify_rational_identity(
-    variant: str,
-    size: int,
-    seed: int = 42,
-    points: int = 3,
-    coeff: str = "corrected",
+    variant: str, size: int, seed: int = 42, points: int = 3, coeff: str = "corrected"
 ) -> VerificationReport:
     """Closed-form rational identities checked at seeded positive rational
     points; `size` is the natural parameter of each variant (n or m)."""
     variant = variant.upper()
     if variant not in _RATIONAL_IMPL:
         raise ValueError(f"unknown variant: {variant}")
-    impl, param_name, least, most = _RATIONAL_IMPL[variant]
-    _need_at_least(variant, **{param_name: (size, least)})
-    if variant == "MEHTA2" and size % 2:
-        raise ValueError(f"MEHTA2 needs even n, got n={size}")
-    if size > most:
-        raise ValueError(f"size cap exceeded for {variant}: {param_name}={size}")
+    impl, domain = _RATIONAL_IMPL[variant]
+    (param_name,) = domain[0]
     params = {param_name: size}
+    check_domain(variant, params, domain)
     conventions = {}
     if variant in ("SCHUR_HYPER", "WIGNER_RANK1"):
         _, cname = double_factorial_coeff(size, coeff)
@@ -401,7 +369,7 @@ def verify_rational_identity(
         lhs, rhs = impl(size, sampler, coeff)
         lhs_vals.append(lhs)
         rhs_vals.append(rhs)
-    return _scalar_report(builder, lhs_vals, rhs_vals)
+    return builder.finish_scalars(lhs_vals, rhs_vals)
 
 
 def _rat_schur(n, sampler, _coeff):
@@ -567,19 +535,23 @@ def _rat_arq(m, sampler, _coeff):
     return lhs, rhs
 
 
-# variant: (evaluator, size flag, minimum, size cap); MEHTA2 also needs even n.
+def _rational_domain(flag, most, *parity):
+    # The one size flag, from 1 to its cap; the flag is also the case's size.
+    return {flag: (1, most, *parity)}, {"size": (lambda p: p[flag], None)}
+
+
+# variant: (evaluator, domain)
 _RATIONAL_IMPL = {
-    "SCHUR": (_rat_schur, "n", 1, 3),
-    "SCHUR_HYPER": (_rat_schur_hyper, "n", 1, 2),
-    "SUNDQUIST": (_rat_sundquist, "m", 1, 3),
-    "MEHTA1": (_rat_mehta1, "n", 1, 6),
-    "MEHTA2": (_rat_mehta2, "n", 1, 6),
-    "SUM1": (_rat_sum1, "m", 1, 6),
-    "HAFSYM": (_rat_hafsym, "n", 1, 3),
-    "WIGNER_RANK1": (_rat_wigner_rank1, "n", 1, 3),
-    "ARQ": (_rat_arq, "m", 1, 2),
+    "SCHUR": (_rat_schur, _rational_domain("n", 3)),
+    "SCHUR_HYPER": (_rat_schur_hyper, _rational_domain("n", 2)),
+    "SUNDQUIST": (_rat_sundquist, _rational_domain("m", 3)),
+    "MEHTA1": (_rat_mehta1, _rational_domain("n", 6)),
+    "MEHTA2": (_rat_mehta2, _rational_domain("n", 6, "even")),
+    "SUM1": (_rat_sum1, _rational_domain("m", 6)),
+    "HAFSYM": (_rat_hafsym, _rational_domain("n", 3)),
+    "WIGNER_RANK1": (_rat_wigner_rank1, _rational_domain("n", 3)),
+    "ARQ": (_rat_arq, _rational_domain("m", 2)),
 }
-RATIONAL_VARIANTS = tuple(_RATIONAL_IMPL)
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +597,14 @@ def _vi_sides(parts, x) -> tuple[Fraction, Fraction]:
     return Fraction(signed_sum, scale ** sum(parts)), rhs
 
 
+VI_DOMAIN = ({"parts": (1, 4), "N": (1, 8)}, {"len": (lambda p: len(p["parts"]), 4)})
+
+
 def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> VerificationReport:
     """Signed quasimonomial sum against its Pfaffian (even length) or
     bordered-Pfaffian (odd length) evaluation, at seeded rational points."""
     parts = tuple(int(p) for p in parts)
-    r = len(parts)
-    if r == 0 or min(parts) < 1:
-        raise ValueError(f"VI needs parts >= 1, got parts={list(parts)}")
-    if r > 4 or max(parts) > 4:
-        raise ValueError("size cap exceeded: composition length <= 4, parts in 1..4")
-    if N < 1:
-        raise ValueError(f"VI needs N >= 1, got N={N}")
-    if N > 8:
-        raise ValueError("size cap exceeded: N <= 8")
+    check_domain("VI", {"parts": parts, "N": N}, VI_DOMAIN)
     builder = ReportBuilder("vi", {"parts": list(parts), "N": N}, seeds=[seed])
     lhs_vals = []
     rhs_vals = []
@@ -646,11 +613,18 @@ def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> Verificatio
         lhs, rhs = _vi_sides(parts, sampler.positive_distinct(N, _SAMPLE_BOUND))
         lhs_vals.append(lhs)
         rhs_vals.append(rhs)
-    return _scalar_report(builder, lhs_vals, rhs_vals)
+    return builder.finish_scalars(lhs_vals, rhs_vals)
 
 
 # ---------------------------------------------------------------------------
 # Discrete Vandermonde-power averages
+
+
+# 2mn is capped before N^n is computed, so a huge n costs no big power.
+VANDERMONDE_DOMAIN = (
+    {"N": (1, None), "n": (0, None), "m": (1, None)},
+    {"2mn": (lambda p: 2 * p["m"] * p["n"], 8), "Nn": (lambda p: p["N"] ** p["n"], 10_000)},
+)
 
 
 def verify_vandermonde_average(
@@ -663,22 +637,18 @@ def verify_vandermonde_average(
     global sign (-1)^(C(n,2) C(2m,2)) from regrouping the interleaved columns;
     for m = 1 the determinant form n!/N^n det(p_{i+j-2}) is checked as well.
     """
-    _need_at_least("VANDERMONDE", N=(N, 1), n=(n, 0), m=(m, 1))
-    if 2 * m * n > 8:
-        raise ValueError("size cap exceeded: 2mn <= 8")
-    if N ** n > 10_000:
-        raise ValueError("size cap exceeded: N^n <= 10^4")
+    params = {"N": N, "n": n, "m": m}
+    check_domain("VANDERMONDE", params, VANDERMONDE_DOMAIN)
     if y is None:
         sampler = SeededSampler(mix_seed(seed, ("vandermonde", N, n, m)))
         y = sampler.positive_distinct(N, _SAMPLE_BOUND)
-    y = [Fraction(v) for v in y]
+    else:
+        y = [Fraction(v) for v in y]
+        params["y"] = [f"{v.numerator}/{v.denominator}" for v in y]
     if len(y) != N:
         raise ValueError("y must have N values")
     builder = ReportBuilder(
-        "vandermonde",
-        {"N": N, "n": n, "m": m},
-        seeds=[seed],
-        conventions={"pf_sign": "(-1)^(C(n,2)*C(2m,2))"},
+        "vandermonde", params, seeds=[seed], conventions={"pf_sign": "(-1)^(C(n,2)*C(2m,2))"}
     )
 
     total = Fraction(0)
@@ -706,10 +676,4 @@ def verify_vandermonde_average(
         rows = [[sum(v ** (i + j) for v in y) for j in range(n)] for i in range(n)]
         det_form = Fraction(math.factorial(n), N ** n) * determinant(DenseMatrix.from_rows(rows))
         equal = equal and det_form == lhs
-    return builder.finish(
-        equal,
-        scalar_list_canonical([lhs]),
-        scalar_list_canonical([rhs]),
-        1,
-        1,
-    )
+    return builder.finish_scalars([lhs], [rhs], equal)

@@ -20,6 +20,9 @@ clears the denominators once and runs on ints.  The literal permutation
 expansion is kept only in the tests, as the oracle the DP is compared
 against.  The left side calls no Pfaffian or hafnian code, so it stays
 independent of the right side.
+
+``_DEBRUIJN_IMPL`` rows are (sides, domain); each order's parity and cap
+are in the domain, checked (``core.check_domain``) before any sampling.
 """
 from __future__ import annotations
 
@@ -27,9 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
+from .core import QQ, SeededSampler, check_domain, double_factorial_coeff, mix_seed
 from .freealg import FreePoly, shuffle
-from .report import ReportBuilder, VerificationReport, scalar_list_canonical
+from .report import ReportBuilder, VerificationReport
 from .tensors import (
     AltTensor,
     SymTensor,
@@ -43,6 +46,7 @@ from .tensors import (
 MAX_WORD = 8
 MAX_ORDER = 8
 MAX_PAIRS = 1000
+CHEN_DOMAIN = ({"pairs": (1, MAX_PAIRS)}, {"size": (lambda _p: MAX_WORD, None)})
 
 
 @dataclass(frozen=True)
@@ -138,21 +142,15 @@ def verify_chen(u, v, fam: MonomialFamily, seed: int = 0) -> VerificationReport:
     builder = ReportBuilder("chen", {"lu": len(u), "lv": len(v)}, seeds=[seed])
     lhs = chen_form(u, fam, check=True) * chen_form(v, fam, check=True)
     rhs = chen_form(shuffle(FreePoly.from_word(u), FreePoly.from_word(v)), fam)
-    return builder.finish(
-        lhs == rhs, scalar_list_canonical([lhs]), scalar_list_canonical([rhs]), 1, 1
-    )
+    return builder.finish_scalars([lhs], [rhs])
 
 
 def verify_chen_batch(seed: int, pairs: int = 100, alphabet: int = 5) -> VerificationReport:
     """Run verify_chen on seeded random word pairs of total length <= 8."""
-    if pairs < 1:
-        raise ValueError(f"chen needs pairs >= 1, got {pairs}")
-    if pairs > MAX_PAIRS:
-        raise ValueError(f"size cap exceeded: pairs <= {MAX_PAIRS}")
+    check_domain("CHEN", {"pairs": pairs}, CHEN_DOMAIN)
     builder = ReportBuilder("chen", {"pairs": pairs}, seeds=[seed])
     lhs_vals = []
     rhs_vals = []
-    all_equal = True
     for i in range(pairs):
         sampler = SeededSampler(mix_seed(seed, ("chen", i)))
         total = sampler.next_int(MAX_WORD - 1) + 1
@@ -165,14 +163,7 @@ def verify_chen_batch(seed: int, pairs: int = 100, alphabet: int = 5) -> Verific
         rhs = chen_form(shuffle(FreePoly.from_word(u), FreePoly.from_word(v)), fam)
         lhs_vals.append(lhs)
         rhs_vals.append(rhs)
-        all_equal = all_equal and lhs == rhs
-    return builder.finish(
-        all_equal,
-        scalar_list_canonical(lhs_vals),
-        scalar_list_canonical(rhs_vals),
-        len(lhs_vals),
-        len(rhs_vals),
-    )
+    return builder.finish_scalars(lhs_vals, rhs_vals)
 
 
 # Nothing in the package calls this alias; perfbench/test_perfbench.py still
@@ -301,20 +292,8 @@ def verify_debruijn(
     variant = variant.upper()
     if variant not in _DEBRUIJN_IMPL:
         raise ValueError(f"unknown variant: {variant}")
-    if variant in ("GENERAL_DET", "GENERAL_PERM"):
-        if k is None or n is None:
-            raise ValueError("GENERAL variants need k and n")
-        if k < 1 or n < 0:
-            raise ValueError(f"GENERAL variants need k >= 1 and n >= 0, got k={k}, n={n}")
-        order = 2 * k * n
-    else:
-        if n is None:
-            raise ValueError("variant needs the matrix order n")
-        if n < 0:
-            raise ValueError(f"{variant} needs n >= 0, got n={n}")
-        order = n
-    if order > MAX_ORDER:
-        raise ValueError(f"size cap exceeded: order <= {MAX_ORDER}")
+    sides, domain = _DEBRUIJN_IMPL[variant]
+    (order,) = check_domain(variant, {"n": n, "k": k}, domain).values()
     if fam is None:
         fam = default_family(variant, order, k, seed)
 
@@ -328,15 +307,11 @@ def verify_debruijn(
     builder = ReportBuilder(
         "debruijn_" + variant.lower(), params, seeds=[seed], conventions=conventions
     )
-    lhs, rhs = _DEBRUIJN_IMPL[variant](order, k, fam, coeff)
-    return builder.finish(
-        lhs == rhs, scalar_list_canonical([lhs]), scalar_list_canonical([rhs]), 1, 1
-    )
+    lhs, rhs = sides(order, k, fam, coeff)
+    return builder.finish_scalars([lhs], [rhs])
 
 
 def _db_even(order, _k, fam, _coeff):
-    if order % 2:
-        raise ValueError(f"EVEN needs even n, got n={order}")
     z = fam.phi
     lhs = ordered_sum([z] * order, 1, signed=True)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
@@ -345,8 +320,6 @@ def _db_even(order, _k, fam, _coeff):
 
 
 def _db_odd(order, _k, fam, _coeff):
-    if order % 2 == 0:
-        raise ValueError("ODD variant needs odd order")
     z = fam.phi
     lhs = ordered_sum([z] * order, 1, signed=True)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
@@ -361,8 +334,6 @@ def _db_odd(order, _k, fam, _coeff):
 
 
 def _db_interleaved(order, _k, fam, _coeff):
-    if order % 2:
-        raise ValueError("INTERLEAVED variant needs even order")
     phi, psi = fam.phi, fam.psi
     lhs = ordered_sum([phi, psi] * (order // 2), 2, signed=True)
     single = lambda i, j: 1 / merged_exponent((phi[i - 1], psi[j - 1]))
@@ -371,8 +342,6 @@ def _db_interleaved(order, _k, fam, _coeff):
 
 
 def _db_new_pairing(order, _k, fam, _coeff):
-    if order % 2:
-        raise ValueError("NEW_PAIRING variant needs even order")
     phi, psi = fam.phi, fam.psi
     lhs = ordered_sum([phi, psi] * (order // 2), 1, signed=True)
     pair = lambda i, j: r_value([phi[i - 1], psi[j - 1]])
@@ -381,8 +350,6 @@ def _db_new_pairing(order, _k, fam, _coeff):
 
 
 def _db_perm_product(order, _k, fam, coeff):
-    if order % 2:
-        raise ValueError("PERM_PRODUCT variant needs even order")
     z = fam.phi
     lhs = ordered_sum([z] * order, 1, signed=False)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
@@ -392,8 +359,6 @@ def _db_perm_product(order, _k, fam, coeff):
 
 
 def _db_perm_interleaved(order, _k, fam, _coeff):
-    if order % 2:
-        raise ValueError("PERM_INTERLEAVED variant needs even order")
     phi, psi = fam.phi, fam.psi
     lhs = ordered_sum([phi, psi] * (order // 2), 2, signed=False)
     single = lambda i, j: 1 / merged_exponent((phi[i - 1], psi[j - 1]))
@@ -420,22 +385,20 @@ def _general_sides(order, k, fam, signed: bool):
     return lhs, hyperhafnian(S)
 
 
-def _db_general_det(order, k, fam, _coeff):
-    return _general_sides(order, k, fam, signed=True)
+# The plain variants' matrix order is n; the generalized ones' is 2kn.
+_ORDER_CAP = {"order": (lambda p: p["n"], MAX_ORDER)}
+_EVEN = ({"n": (0, None, "even")}, _ORDER_CAP)
+_GENERAL = ({"k": (1, None), "n": (0, None)}, {"2kn": (lambda p: 2 * p["k"] * p["n"], MAX_ORDER)})
 
-
-def _db_general_perm(order, k, fam, _coeff):
-    return _general_sides(order, k, fam, signed=False)
-
-
+# variant: (sides of (order, k, family, coeff), domain)
 _DEBRUIJN_IMPL = {
-    "EVEN": _db_even,
-    "ODD": _db_odd,
-    "INTERLEAVED": _db_interleaved,
-    "NEW_PAIRING": _db_new_pairing,
-    "PERM_PRODUCT": _db_perm_product,
-    "PERM_INTERLEAVED": _db_perm_interleaved,
-    "GENERAL_DET": _db_general_det,
-    "GENERAL_PERM": _db_general_perm,
+    "EVEN": (_db_even, _EVEN),
+    "ODD": (_db_odd, ({"n": (0, None, "odd")}, _ORDER_CAP)),
+    "INTERLEAVED": (_db_interleaved, _EVEN),
+    "NEW_PAIRING": (_db_new_pairing, _EVEN),
+    "PERM_PRODUCT": (_db_perm_product, _EVEN),
+    "PERM_INTERLEAVED": (_db_perm_interleaved, _EVEN),
+    "GENERAL_DET": (lambda order, k, fam, _coeff: _general_sides(order, k, fam, True), _GENERAL),
+    "GENERAL_PERM": (lambda order, k, fam, _coeff: _general_sides(order, k, fam, False), _GENERAL),
 }
 DEBRUIJN_VARIANTS = tuple(_DEBRUIJN_IMPL)

@@ -81,3 +81,14 @@ class ReportBuilder:
             counterexample=None if equal else (lhs_canonical, rhs_canonical),
             conventions=self.conventions,
         )
+
+    def finish_scalars(self, lhs_vals, rhs_vals, equal=None) -> VerificationReport:
+        """``finish`` for two lists of exact scalars; ``equal`` defaults to
+        the lists being equal."""
+        return self.finish(
+            list(lhs_vals) == list(rhs_vals) if equal is None else equal,
+            scalar_list_canonical(lhs_vals),
+            scalar_list_canonical(rhs_vals),
+            len(lhs_vals),
+            len(rhs_vals),
+        )

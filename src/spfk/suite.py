@@ -3,7 +3,9 @@ deterministic text and JSON reporting.
 
 ``IDENTITIES`` is the one place that maps an identity id to its verifier:
 `spfk verify`, the suite matrix and `spfk verify --help` all read it.  A
-case is an id plus its parameters, named like the CLI flags.
+case is an id plus its parameters, named like the CLI flags.  Each row
+carries its verifier's parameter domain; building a case checks it
+(``core.check_domain``), whose measures are the case's `--max` caps.
 
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
@@ -17,15 +19,20 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from .core import check_domain
 from .identities import (
     _RATIONAL_IMPL,
+    STRUCTURE,
+    VANDERMONDE_DOMAIN,
+    VI_DOMAIN,
+    WICK,
     verify_VI,
     verify_hyperpf_structure,
     verify_rational_identity,
     verify_shuffle_wick,
     verify_vandermonde_average,
 )
-from .integrals import verify_chen_batch, verify_debruijn
+from .integrals import _DEBRUIJN_IMPL, CHEN_DOMAIN, verify_chen_batch, verify_debruijn
 from .report import VerificationReport
 
 DEFAULT_SEED = 42
@@ -89,35 +96,38 @@ def _debruijn(variant, seed, _points, **p):
     return verify_debruijn(variant, seed=seed, **p)
 
 
+# Each family's table, whose rows are (sides, domain).
+_TABLES = {_wick: WICK, _structure: STRUCTURE, _rational: _RATIONAL_IMPL, _debruijn: _DEBRUIJN_IMPL}
+
+
+def _row(runner, variant, flags):
+    return (runner, variant, flags, _TABLES[runner][variant][1])
+
+
 def _rational_row(variant, **coeff):
-    name = _RATIONAL_IMPL[variant][1]
-    return (_rational, variant, {name: ..., **coeff}, lambda p: {"size": p[name]})
+    (name,) = _RATIONAL_IMPL[variant][1][0]  # the one size flag, n or m
+    return _row(_rational, variant, {name: ..., **coeff})
 
 
-# Size caps as functions of the params; `spfk suite --max CAP=VALUE` skips the
-# cases above a cap.
-_2N = lambda p: {"size": 2 * p["n"], "2n": 2 * p["n"]}
-_N = lambda p: {"size": p["n"], "n": p["n"]}
-_2KN = lambda p: {"size": 2 * p["k"] * p["n"], "2kn": 2 * p["k"] * p["n"]}
-_2MN = lambda p: {"size": 2 * p["m"] * p["n"], "2mn": 2 * p["m"] * p["n"]}
-_ORDER = lambda p: {"size": p["n"], "order": p["n"]}
 _COEFF = {"coeff": "corrected"}
 
-# id: (runner, variant, flags with their defaults, caps).  A default of
+# id: (runner, variant, flags with their defaults, domain).  A default of
 # ``...`` marks a flag the id cannot run without; only the ids whose flags
-# include `coeff` take one.
+# include `coeff` take one.  The domain is the verifier's own (see
+# core.check_domain): the case's caps are the measures it returns, and
+# `spfk suite --max CAP=VALUE` skips the cases above a cap.
 IDENTITIES = {
-    "pfab": (_wick, "PFAB", {"n": ...}, _2N),
-    "sdb2": (_wick, "SDB2", {"n": ...}, _2N),
-    "fhaff2": (_wick, "FHAFF2", {"n": ...}, _2N),
-    "fhaff1": (_wick, "FHAFF1", {"n": ..., **_COEFF}, _2N),
-    "odd_even": (_wick, "ODD_EVEN", {"n": ...}, _N),
-    "antishuffle": (_wick, "ANTISHUFFLE", {"n": ...}, _N),
-    "xipfashu": (_wick, "XIPFASHU", {"k": ..., "n": ...}, _2KN),
-    "composition": (_structure, "COMPOSITION", {"m": ..., "n": ...}, _2MN),
-    "sum": (_structure, "SUM", {"m": ..., "n": ...}, _2MN),
-    "minor": (_structure, "MINOR", {"m": ..., "n": ..., "t": ...}, _2MN),
-    "det_decomp": (_structure, "DET_DECOMP", {"m": ..., "n": ...}, _2MN),
+    "pfab": _row(_wick, "PFAB", {"n": ...}),
+    "sdb2": _row(_wick, "SDB2", {"n": ...}),
+    "fhaff2": _row(_wick, "FHAFF2", {"n": ...}),
+    "fhaff1": _row(_wick, "FHAFF1", {"n": ..., **_COEFF}),
+    "odd_even": _row(_wick, "ODD_EVEN", {"n": ...}),
+    "antishuffle": _row(_wick, "ANTISHUFFLE", {"n": ...}),
+    "xipfashu": _row(_wick, "XIPFASHU", {"k": ..., "n": ...}),
+    "composition": _row(_structure, "COMPOSITION", {"m": ..., "n": ...}),
+    "sum": _row(_structure, "SUM", {"m": ..., "n": ...}),
+    "minor": _row(_structure, "MINOR", {"m": ..., "n": ..., "t": ...}),
+    "det_decomp": _row(_structure, "DET_DECOMP", {"m": ..., "n": ...}),
     "schur": _rational_row("SCHUR"),
     "schur_hyper": _rational_row("SCHUR_HYPER", **_COEFF),
     "sundquist": _rational_row("SUNDQUIST"),
@@ -127,26 +137,25 @@ IDENTITIES = {
     "hafsym": _rational_row("HAFSYM"),
     "wigner_rank1": _rational_row("WIGNER_RANK1", **_COEFF),
     "arq": _rational_row("ARQ"),
-    "vi": (
-        _vi, None, {"parts": ..., "N": 8},
-        lambda p: {"size": len(p["parts"]), "len": len(p["parts"])},
-    ),
+    "vi": (_vi, "VI", {"parts": ..., "N": 8}, VI_DOMAIN),
     "vandermonde": (
-        _vandermonde, None, {"N": ..., "n": ..., "m": ..., "y": None},
-        # n is clamped to the range the verifier accepts (2mn <= 8), so that
-        # an out-of-range --n, which it refuses, costs no big power here.
-        lambda p: {**_2MN(p), "Nn": p["N"] ** min(max(p["n"], 0), 8)},
+        _vandermonde, "VANDERMONDE", {"N": ..., "n": ..., "m": ..., "y": None}, VANDERMONDE_DOMAIN
     ),
-    "chen": (_chen, None, {"pairs": 100}, lambda p: {"size": 8}),
-    "debruijn_even": (_debruijn, "EVEN", {"n": ...}, _ORDER),
-    "debruijn_odd": (_debruijn, "ODD", {"n": ...}, _ORDER),
-    "debruijn_interleaved": (_debruijn, "INTERLEAVED", {"n": ...}, _ORDER),
-    "debruijn_new_pairing": (_debruijn, "NEW_PAIRING", {"n": ...}, _ORDER),
-    "debruijn_perm_product": (_debruijn, "PERM_PRODUCT", {"n": ..., **_COEFF}, _ORDER),
-    "debruijn_perm_interleaved": (_debruijn, "PERM_INTERLEAVED", {"n": ...}, _ORDER),
-    "debruijn_general_det": (_debruijn, "GENERAL_DET", {"k": ..., "n": ...}, _2KN),
-    "debruijn_general_perm": (_debruijn, "GENERAL_PERM", {"k": ..., "n": ...}, _2KN),
+    "chen": (_chen, "CHEN", {"pairs": 100}, CHEN_DOMAIN),
+    "debruijn_even": _row(_debruijn, "EVEN", {"n": ...}),
+    "debruijn_odd": _row(_debruijn, "ODD", {"n": ...}),
+    "debruijn_interleaved": _row(_debruijn, "INTERLEAVED", {"n": ...}),
+    "debruijn_new_pairing": _row(_debruijn, "NEW_PAIRING", {"n": ...}),
+    "debruijn_perm_product": _row(_debruijn, "PERM_PRODUCT", {"n": ..., **_COEFF}),
+    "debruijn_perm_interleaved": _row(_debruijn, "PERM_INTERLEAVED", {"n": ...}),
+    "debruijn_general_det": _row(_debruijn, "GENERAL_DET", {"k": ..., "n": ...}),
+    "debruijn_general_perm": _row(_debruijn, "GENERAL_PERM", {"k": ..., "n": ...}),
 }
+
+# The names `spfk suite --max` takes: every measure a domain caps.
+CAP_NAMES = tuple(
+    dict.fromkeys(["size", *(m for *_, (_, caps) in IDENTITIES.values() for m in caps)])
+)
 
 
 def takes_points(identity) -> bool:
@@ -158,7 +167,7 @@ def takes_points(identity) -> bool:
 def make_case(identity, given: dict, expect_equal=True, seed_offset=0, caps=None) -> SuiteCase:
     """The case of one id: ``given`` plus the row's defaults.  A flag the id
     does not read, or one it needs and lacks, is a ValueError."""
-    _runner, _variant, flags, caps_of = IDENTITIES[identity]
+    _runner, variant, flags, domain = IDENTITIES[identity]
     unread = [f"--{name}" for name in given if name not in flags]
     if unread:
         raise ValueError(f"{identity} does not read {', '.join(unread)}")
@@ -166,11 +175,14 @@ def make_case(identity, given: dict, expect_equal=True, seed_offset=0, caps=None
     missing = [f"--{name}" for name, value in params.items() if value is ...]
     if missing:
         raise ValueError(f"{', '.join(missing)} is required for {identity}")
+    measures = check_domain(variant, params, domain)
+    if caps is None:
+        caps = {"size": next(iter(measures.values())), **measures}
     return SuiteCase(
         identity,
         tuple(sorted(params.items())),
         expect_equal,
-        tuple(sorted((caps or caps_of(params)).items())),
+        tuple(sorted(caps.items())),
         seed_offset,
     )
 

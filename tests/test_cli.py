@@ -8,9 +8,9 @@ import signal
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from spfk import integrals, suite
+from spfk import cli, integrals, suite
 from spfk.cli import main
 from spfk.tensors import MAX_BLOCKED, hyperpfaffian, tensor_to_json
 from test_tensors import _random_alt
@@ -80,7 +80,7 @@ def test_verify_chen_needs_a_pair(capsys, pairs):
     code, out, err = run(capsys, "verify", "chen", "--pairs", pairs)
     assert code == 2
     assert out == ""
-    assert err == f"error: chen needs pairs >= 1, got {pairs}\n"
+    assert err == f"error: CHEN needs pairs >= 1, got pairs={pairs}\n"
 
 
 def test_verify_minor_t_above_n_is_a_domain_error(capsys):
@@ -99,7 +99,7 @@ def test_verify_minor_t_below_one_names_minor_and_t(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     (
-        (("debruijn_general_det", "--k", "-1", "--n", "-1"), "need k >= 1 and n >= 0"),
+        (("debruijn_general_det", "--k", "-1", "--n", "-1"), "GENERAL_DET needs k >= 1, got k=-1"),
         (("debruijn_odd", "--n", "-1"), "ODD needs n >= 0, got n=-1"),
     ),
 )
@@ -119,6 +119,43 @@ def test_verify_debruijn_even_odd_n_names_the_identity_before_any_work(capsys, m
     assert code == 2
     assert out == ""
     assert err == "error: EVEN needs even n, got n=3\n"
+
+
+@pytest.mark.parametrize(
+    "identity,n,message",
+    (
+        ("debruijn_even", 3, "EVEN needs even n, got n=3"),
+        ("debruijn_odd", 2, "ODD needs odd n, got n=2"),
+        ("debruijn_interleaved", 3, "INTERLEAVED needs even n, got n=3"),
+        ("debruijn_new_pairing", 3, "NEW_PAIRING needs even n, got n=3"),
+        ("debruijn_perm_product", 5, "PERM_PRODUCT needs even n, got n=5"),
+        ("debruijn_perm_interleaved", 1, "PERM_INTERLEAVED needs even n, got n=1"),
+    ),
+)
+def test_verify_debruijn_parity_names_the_flag_before_sampling(capsys, monkeypatch, identity, n,
+                                                               message):
+    monkeypatch.setattr(integrals, "default_family", _refuse)
+    monkeypatch.setattr(integrals, "ordered_sum", _refuse)
+    code, out, err = run(capsys, "verify", identity, "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_vandermonde_y_is_in_the_report_params(capsys):
+    payloads = []
+    for y in ("1,2", "1,3", "1/2,5/3"):
+        code, out, _ = run(capsys, "verify", "vandermonde", "--N", "2", "--n", "2", "--m", "1",
+                           "--y", y, "--format", "json")
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert [p["params"]["y"] for p in payloads] == [["1/1", "2/1"], ["1/1", "3/1"], ["1/2", "5/3"]]
+    assert payloads[0]["lhs_digest"] != payloads[1]["lhs_digest"]
+    # Sampled points are named by the seed, not listed.
+    code, out, _ = run(capsys, "verify", "vandermonde", "--N", "2", "--n", "2", "--m", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"N": 2, "m": 1, "n": 2}
 
 
 def test_verify_vi_N_zero_is_not_replaced_by_the_default(capsys):
@@ -172,7 +209,7 @@ def _flag_argv(params: dict) -> list:
     for name, value in params.items():
         if value is not None:
             text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-            argv += [f"--{name}", text]
+            argv.append(f"--{name}={text}")  # `=` keeps a value like -1/2 a value
     return argv
 
 
@@ -225,8 +262,14 @@ def test_verify_help_names_every_id(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for identity in suite.IDENTITIES:
-        assert re.search(rf"^  {identity} ", out, re.M), identity
+    for identity, (*_, (ranges, caps)) in suite.IDENTITIES.items():
+        line = re.search(rf"^  {identity} .*$", out, re.M).group(0)
+        for flag, (least, most, *parity) in ranges.items():
+            bound = f"{flag} >= {least}" if most is None else f"{least} <= {flag} <= {most}"
+            assert bound in line, (identity, bound)
+            assert all(f"{flag} {p}" in line for p in parity), identity
+        for measure, (_size_of, limit) in caps.items():
+            assert limit is None or f"{measure} <= {limit}" in line, (identity, measure)
 
 
 def test_suite_cap_selection_counts():
@@ -236,6 +279,126 @@ def test_suite_cap_selection_counts():
     assert counts == [82, 127, 187]
     erratum = [c for c in cases if c.runner == "schur_hyper" and not c.expect_equal]
     assert [c.caps for c in erratum] == [(("size", 4),)]
+    # The cases each --max name keeps at 0, 1, 2, 3, 4, 6, 8 and 100: the
+    # measures the domains return must select these and no others.
+    pinned = {
+        "2kn": [213, 213, 214, 214, 220, 223, 226, 226],
+        "2mn": [205, 205, 207, 207, 215, 220, 226, 226],
+        "2n": [213, 213, 217, 217, 222, 226, 226, 226],
+        "Nn": [221, 221, 221, 221, 223, 223, 223, 226],
+        "len": [161, 165, 178, 202, 226, 226, 226, 226],
+        "n": [218, 218, 220, 222, 224, 226, 226, 226],
+        "order": [209, 209, 214, 215, 220, 226, 226, 226],
+        "size": [0, 28, 82, 127, 187, 216, 226, 226],
+    }
+    assert set(suite.CAP_NAMES) == set(pinned)
+    for name, expected in pinned.items():
+        kept = [sum(suite._within_caps(c, {name: v}) for c in cases)
+                for v in (0, 1, 2, 3, 4, 6, 8, 100)]
+        assert kept == expected, name
+
+
+@pytest.mark.parametrize("name", ("2nm", "N", "pairs", "SIZE"))
+def test_suite_unknown_max_cap_is_refused(capsys, monkeypatch, name):
+    monkeypatch.setattr(suite, "run_case", _refuse)
+    code, out, err = run(capsys, "suite", "--max", f"{name}=4")
+    assert code == 2
+    assert out == ""
+    known = "size, 2n, n, 2kn, 2mn, len, Nn, order"
+    assert err == f"error: unknown --max cap {name!r}; known caps: {known}\n"
+
+
+def test_suite_known_max_caps_are_the_table_measures():
+    measured = {m for *_, (_ranges, caps) in suite.IDENTITIES.values() for m in caps}
+    assert set(suite.CAP_NAMES) == measured | {"size"}
+    assert cli._parse_caps([f"{name}=3" for name in suite.CAP_NAMES]) == dict.fromkeys(
+        suite.CAP_NAMES, 3
+    )
+
+
+# Every bound the table declares, one step outside: the id's first suite case
+# with one value moved past the bound exits 2 with the bound's message before
+# any verifier runs.
+
+_VERIFIERS = (
+    "verify_shuffle_wick", "verify_hyperpf_structure", "verify_rational_identity", "verify_VI",
+    "verify_vandermonde_average", "verify_chen_batch", "verify_debruijn",
+)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("work ran before the domain check")
+
+
+def _shown(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _grown(value, step):
+    # One step up: a list flag gets one more element, an int flag `step` more.
+    return value + value[:1] if isinstance(value, tuple) else value + step
+
+
+def _past_the_cap(base, ranges, caps, measure):
+    """The first params, growing one flag the ranges leave unbounded above,
+    whose `measure` passes its limit while the caps before it hold."""
+    earlier = list(caps)[: list(caps).index(measure)]
+    size_of, limit = caps[measure]
+    for flag, (_least, most, *parity) in ranges.items():
+        if most is not None and not isinstance(base[flag], tuple):
+            continue
+        params = dict(base)
+        for _ in range(200):
+            params[flag] = _grown(params[flag], 2 if parity else 1)
+            if any(caps[e][0](params) > caps[e][1] for e in earlier):
+                break
+            if size_of(params) > limit:
+                return params
+    raise AssertionError(f"no flag reaches the {measure} cap")
+
+
+def _one_step_outside():
+    cases = []
+    for identity, (_runner, name, _flags, (ranges, caps)) in suite.IDENTITIES.items():
+        base = _first_cases()[identity].param_dict()
+        moved = lambda flag, value: {**base, flag: value}
+        for flag, (least, most, *parity) in ranges.items():
+            below = (least - 1,) if isinstance(base[flag], tuple) else least - 1
+            cases.append((identity, moved(flag, below),
+                          f"{name} needs {flag} >= {least}, got {flag}={_shown(below)}"))
+            if isinstance(most, str):
+                above = base[most] + 1
+                cases.append((identity, moved(flag, above), f"{name} needs {flag} <= {most}, "
+                              f"got {flag}={above} > {most}={base[most]}"))
+            elif most is not None:
+                above = (most + 1,) if isinstance(base[flag], tuple) else most + 1
+                cases.append((identity, moved(flag, above), f"size cap exceeded for {name}: "
+                              f"{flag} <= {most}, got {flag}={_shown(above)}"))
+            if parity:
+                wrong = base[flag] + 1
+                cases.append((identity, moved(flag, wrong),
+                              f"{name} needs {parity[0]} {flag}, got {flag}={wrong}"))
+        for measure, (size_of, limit) in caps.items():
+            if limit is not None:
+                params = _past_the_cap(base, ranges, caps, measure)
+                cases.append((identity, params, f"size cap exceeded for {name}: {measure} <= "
+                              f"{limit}, got {measure}={size_of(params)}"))
+    return cases
+
+
+@pytest.mark.parametrize("identity,params,message", _one_step_outside())
+def test_verify_one_step_outside_each_declared_bound(capsys, monkeypatch, identity, params,
+                                                     message):
+    for name in _VERIFIERS:
+        monkeypatch.setattr(suite, name, _refuse)
+    code, out, err = run(capsys, "verify", identity, *_flag_argv(params))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_every_id_has_a_bound_one_step_outside():
+    assert {identity for identity, _p, _m in _one_step_outside()} == set(suite.IDENTITIES)
 
 
 def test_pf_command(tmp_path, capsys):
@@ -657,7 +820,66 @@ def test_fuzz_tensor_json(tmp_path_factory, command):
     assert _fuzz_main([kind, str(path)]) in (0, 2)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(argv=_verify_argv())
-def test_fuzz_verify_flags(argv):
-    assert _fuzz_main(argv) in (0, 1, 2)
+def _in_domain(draw, identity):
+    """Flag values inside the id's table domain.  An int stays within two of
+    its minimum, so that an example costs no more than a suite case."""
+    _runner, _name, flags, (ranges, caps) = suite.IDENTITIES[identity]
+    base = _first_cases()[identity].param_dict()
+    params = {}
+    for flag, (least, most, *parity) in ranges.items():
+        top = params[most] if isinstance(most, str) else least + 2 if most is None else min(
+            most, least + 2)
+        values = st.sampled_from(
+            [v for v in range(least, top + 1) if not parity or v % 2 == (parity[0] == "odd")])
+        if isinstance(base[flag], tuple):
+            values = st.lists(values, min_size=1, max_size=4).map(tuple)
+        params[flag] = draw(values)
+    assume(all(limit is None or size_of(params) <= limit for size_of, limit in caps.values()))
+    if "coeff" in flags:
+        params["coeff"] = draw(st.sampled_from(("corrected", "paper")))
+    if "y" in flags and draw(st.booleans()):
+        ys = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+        params["y"] = tuple(draw(st.lists(ys, min_size=params["N"], max_size=params["N"])))
+    # A flag with a default may be left to it.
+    return {k: v for k, v in params.items() if flags[k] is ... or draw(st.integers(0, 3))}
+
+
+def _out_of_domain(draw, identity):
+    """In-domain values with one ranged flag moved past one of its bounds."""
+    _runner, _name, _flags, (ranges, _caps) = suite.IDENTITIES[identity]
+    params = _in_domain(draw, identity)
+    full = {**_first_cases()[identity].param_dict(), **params}
+    flag = draw(st.sampled_from(list(ranges)))
+    least, most, *parity = ranges[flag]
+    past = [least - draw(st.integers(1, 3))]
+    if isinstance(most, str):
+        past.append(full[most] + 1)
+    elif most is not None:
+        past.append(most + draw(st.integers(1, 3)))
+    if parity:
+        past.append(full[flag] + 1)
+    value = draw(st.sampled_from(past))
+    if isinstance(full[flag], tuple):  # one element out of range
+        value = full[flag][1:] + (value,)
+    return {**params, flag: value}
+
+
+@st.composite
+def _table_argv(draw, inside):
+    identity = draw(st.sampled_from(list(suite.IDENTITIES)))
+    params = (_in_domain if inside else _out_of_domain)(draw, identity)
+    argv = ["verify", identity, *_flag_argv(params)]
+    if suite.takes_points(identity) and draw(st.booleans()):
+        argv.append("--paranoid")
+    return argv + ["--format", draw(st.sampled_from(("json", "text")))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=st.one_of(
+    _verify_argv().map(lambda argv: (argv, (0, 1, 2))),
+    _table_argv(inside=True).map(lambda argv: (argv, (0, 1))),
+    _table_argv(inside=False).map(lambda argv: (argv, (2,))),
+))
+def test_fuzz_verify_flags(case):
+    argv, codes = case
+    assert _fuzz_main(argv) in codes, argv
