@@ -67,6 +67,20 @@ _IDENTITY_FLAGS = {
 }
 
 
+def _glue_negative_values(argv: list) -> list:
+    """Join a value flag and a following value such as ``-1/2`` into
+    ``--flag=-1/2``: argparse reads a token that starts with ``-`` and is not
+    a plain number as an option, and no option here starts with a digit."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag[:2] == "--" and flag[2:] in _IDENTITY_FLAGS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _flag_usage(name: str, default) -> str:
     if default is ...:
         return f"--{name}"
@@ -185,7 +199,11 @@ def _cmd_suite(ns) -> int:
         return 2
     jobs = min(ns.jobs, os.cpu_count() or 1)
     config = SuiteConfig(seed=ns.seed, paranoid=ns.paranoid, jobs=jobs, caps=caps)
-    results, ok = run_suite(config)
+    try:
+        results, ok = run_suite(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if ns.json:
         sys.stdout.buffer.write(suite_json_bytes(results))
         sys.stdout.buffer.flush()
@@ -230,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else list(argv)))
     if ns.command in ("verify", "suite") and ns.seed is None:
         try:
             ns.seed = int(os.environ.get("SPFK_SEED", DEFAULT_SEED))

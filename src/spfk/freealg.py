@@ -6,10 +6,18 @@ A word is a plain tuple of non-negative letter ids.  Structured labels
 (index pairs, index tuples, barred symbols) live in a LetterRegistry, so the
 algebra core never inspects what a letter means.  FreePoly values are
 immutable; every operation returns a new instance.
+
+The shuffle and the q-shuffle share one accumulation loop.  A word pair
+whose letters are all distinct (the common case in the Wick checks) is read
+off a per-length merge table; every other pair goes to the memoised
+recursion (Reutenauer, *Free Lie Algebras*, ch. 1), which merges the words
+that repeated letters make equal.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from fractions import Fraction
 
 from .core import Ring
@@ -74,8 +82,13 @@ class FreePoly:
         return self._terms.get(tuple(w), 0)
 
     def terms(self):
-        """Canonically ordered (word, coefficient) pairs."""
-        return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
+        """Canonically ordered (word, coefficient) pairs, in word_key order.
+
+        The words are sorted as tuples, then stably by length: each length's
+        bucket keeps its sorted order, and no Python key runs per term."""
+        words = sorted(self._terms)
+        words.sort(key=len)
+        return list(zip(words, map(self._terms.__getitem__, words)))
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -159,33 +172,17 @@ def _shuffle_words(u: Word, v: Word) -> dict:
         return {v: 1}
     if not v:
         return {u: 1}
-    out: dict = {}
-    for w, c in _shuffle_words(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
+    head = (u[0],)
+    out = {head + w: c for w, c in _shuffle_words(u[1:], v).items()}
+    head = (v[0],)
+    if v[0] != u[0]:
+        # The two halves' words start with different letters: none meet.
+        out.update({head + w: c for w, c in _shuffle_words(u, v[1:]).items()})
+        return out
     for w, c in _shuffle_words(u, v[1:]).items():
-        key = (v[0],) + w
+        key = head + w
         out[key] = out.get(key, 0) + c
     return out
-
-
-def shuffle(p: FreePoly, q: FreePoly) -> FreePoly:
-    """Bilinear extension of the recursive shuffle product.
-
-    Base case: the empty word is the unit.  Multiplicities are retained,
-    e.g. shuffle(a, a) = 2aa.
-    """
-    out: dict = {}
-    for u, cu in p._terms.items():
-        for v, cv in q._terms.items():
-            c = cu * cv
-            for w, mult in _shuffle_words(u, v).items():
-                s = out.get(w, 0) + c * mult
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-    return FreePoly._make(out)
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -194,13 +191,12 @@ def _q_shuffle_words(u: Word, v: Word, qval) -> dict:
         return {v: 1}
     if not v:
         return {u: 1}
-    out: dict = {}
-    for w, c in _q_shuffle_words(u[1:], v, qval).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
+    head = (u[0],)
+    out = {head + w: c for w, c in _q_shuffle_words(u[1:], v, qval).items()}
+    head = (v[0],)
     factor = qval ** len(u)
     for w, c in _q_shuffle_words(u, v[1:], qval).items():
-        key = (v[0],) + w
+        key = head + w
         s = out.get(key, 0) + c * factor
         if s:
             out[key] = s
@@ -209,19 +205,80 @@ def _q_shuffle_words(u: Word, v: Word, qval) -> dict:
     return out
 
 
-def q_shuffle(p: FreePoly, q: FreePoly, qval) -> FreePoly:
-    """q-deformed shuffle; qval=1 is the shuffle, qval=-1 the antishuffle."""
+@functools.lru_cache(maxsize=256)
+def _merges(a: int, b: int) -> tuple:
+    """The C(a+b, a) interleavings of a word u of length a with a word v of
+    length b, as (getter, odd) pairs: getter(u + v) is the interleaved word,
+    and odd is the parity of its inversions, the (v letter, u letter) pairs
+    in which the v letter comes first.  The q-shuffle coefficient of that
+    word is q ** inversions when the letters of u + v are distinct."""
+    out = []
+    for slots in itertools.combinations(range(a + b), a):
+        u_at = set(slots)
+        u_index, v_index = iter(range(a)), iter(range(a, a + b))
+        perm = [next(u_index) if pos in u_at else next(v_index) for pos in range(a + b)]
+        inversions = sum(pos - i for i, pos in enumerate(slots))
+        out.append((operator.itemgetter(*perm), inversions & 1))
+    return tuple(out)
+
+
+def _shuffle_sum(p: FreePoly, q: FreePoly, qval) -> FreePoly:
+    """Sum over term pairs of cu * cv * (u sh_q v).
+
+    For qval = 1 or -1, a pair whose letters are all distinct has C(a+b, a)
+    distinct result words, each with coefficient q ** inversions, so it is
+    read off ``_merges(a, b)`` with no dict and no cache entry per pair.
+    Every other pair (an empty word, a repeated letter, another qval) goes to
+    the memoised recursion, which merges repeated words.  The first pair
+    into an empty sum is copied in without the lookups an addition needs."""
+    table = qval == 1 or qval == -1
     out: dict = {}
+    get = out.get
     for u, cu in p._terms.items():
+        letters = set(u) if table else ()
+        if len(letters) != len(u):
+            letters = ()
         for v, cv in q._terms.items():
             c = cu * cv
-            for w, mult in _q_shuffle_words(u, v, qval).items():
-                s = out.get(w, 0) + c * mult
+            if letters and v and letters.isdisjoint(v) and len(set(v)) == len(v):
+                uv = u + v
+                signed = (c, c * qval)
+                if not out:
+                    out.update({pick(uv): signed[odd] for pick, odd in _merges(len(u), len(v))})
+                    continue
+                for pick, odd in _merges(len(u), len(v)):
+                    w = pick(uv)
+                    s = get(w, 0) + signed[odd]
+                    if s:
+                        out[w] = s
+                    else:
+                        out.pop(w)
+                continue
+            mults = _shuffle_words(u, v) if qval == 1 else _q_shuffle_words(u, v, qval)
+            if not out:
+                out.update(mults if c == 1 else {w: c * mult for w, mult in mults.items()})
+                continue
+            for w, mult in mults.items():
+                s = get(w, 0) + c * mult
                 if s:
                     out[w] = s
                 else:
                     out.pop(w, None)
     return FreePoly._make(out)
+
+
+def shuffle(p: FreePoly, q: FreePoly) -> FreePoly:
+    """Bilinear extension of the recursive shuffle product.
+
+    Base case: the empty word is the unit.  Multiplicities are retained,
+    e.g. shuffle(a, a) = 2aa.
+    """
+    return _shuffle_sum(p, q, 1)
+
+
+def q_shuffle(p: FreePoly, q: FreePoly, qval) -> FreePoly:
+    """q-deformed shuffle; qval=1 is the shuffle, qval=-1 the antishuffle."""
+    return _shuffle_sum(p, q, qval)
 
 
 def antishuffle(p: FreePoly, q: FreePoly) -> FreePoly:

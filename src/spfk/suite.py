@@ -259,8 +259,13 @@ def _pool_entry(args):
 
 
 def run_suite(config: SuiteConfig) -> tuple[list[tuple[SuiteCase, VerificationReport]], bool]:
-    """Run the (possibly capped) default matrix; results sorted canonically."""
+    """Run the (possibly capped) default matrix; results sorted canonically.
+    Caps that exclude every case raise ValueError: an empty run checks
+    nothing, so it must not pass."""
     cases = [c for c in default_cases() if _within_caps(c, config.caps)]
+    if not cases:
+        caps = " ".join(f"--max {name}={limit}" for name, limit in config.caps.items())
+        raise ValueError(f"no suite case is within the caps {caps}")
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(_pool_entry, [(c, config) for c in cases]))

@@ -142,6 +142,21 @@ def test_verify_debruijn_parity_names_the_flag_before_sampling(capsys, monkeypat
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("big_n, n, y, shown", (
+    ("1", "0", "-1/2", ["-1/2"]),
+    ("2", "2", "-1,-3/2", ["-1/1", "-3/2"]),
+))
+def test_verify_negative_y_reads_the_same_in_both_spellings(capsys, big_n, n, y, shown):
+    argv = ("verify", "vandermonde", "--N", big_n, "--n", n, "--m", "1", "--format", "json")
+    outs = []
+    for spelling in (("--y", y), (f"--y={y}",)):
+        code, out, err = run(capsys, *argv, *spelling)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["params"]["y"] == shown
+
+
 def test_verify_vandermonde_y_is_in_the_report_params(capsys):
     payloads = []
     for y in ("1,2", "1,3", "1/2,5/3"):
@@ -481,6 +496,20 @@ def test_suite_bad_max(capsys):
     code, _, err = run(capsys, "suite", "--max", "nonsense")
     assert code == 2
     assert "--max" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ("--max", "size=0"),
+    ("--max", "size=0", "--json"),
+    ("--max", "size=0", "--max", "2mn=1", "--jobs", "2"),
+))
+def test_suite_refuses_caps_that_exclude_every_case(capsys, monkeypatch, argv):
+    monkeypatch.setattr(suite, "run_case", _refuse)
+    code, out, err = run(capsys, "suite", *argv)
+    assert code == 2
+    assert out == ""
+    caps = " ".join(f"--max {argv[i + 1]}" for i, a in enumerate(argv) if a == "--max")
+    assert err == f"error: no suite case is within the caps {caps}\n"
 
 
 def test_suite_parallel_matches_serial(capsys):

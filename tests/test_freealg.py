@@ -18,6 +18,9 @@ from spfk.freealg import (
     q_shuffle,
     shuffle,
     sort_with_sign,
+    word_key,
+    _q_shuffle_words,
+    _shuffle_words,
 )
 
 A, B, C = 0, 1, 2
@@ -50,8 +53,9 @@ def test_q_shuffle_examples():
     assert q_shuffle(w(A, B), w(C), -1) == w(A, B, C) - w(A, C, B) + w(C, A, B)
 
 
-def _antishuffle_oracle(u, v):
-    """Interleavings with the inversion sign of crossing letter pairs."""
+def _antishuffle_oracle(u, v, qval=-1):
+    """Interleavings with the inversion sign of crossing letter pairs; with
+    qval=1 every interleaving counts +1 (the shuffle)."""
     out = {}
     p, q = len(u), len(v)
     for positions in itertools.combinations(range(p + q), p):
@@ -68,8 +72,65 @@ def _antishuffle_oracle(u, v):
                 if merged[i][0] == "v" and merged[j][0] == "u":
                     crossings += 1
         word = tuple(u[i] if side == "u" else v[i] for side, i in merged)
-        out[word] = out.get(word, 0) + (-1) ** crossings
+        out[word] = out.get(word, 0) + qval ** crossings
     return FreePoly(out)
+
+
+def _pairwise(p, q, product):
+    """Bilinear extension of a word-pair product given as FreePoly values."""
+    out = FreePoly.zero()
+    for u, cu in p.terms():
+        for v, cv in q.terms():
+            out = out + product(u, v).scale(cu * cv)
+    return out
+
+
+def _by_recursion(p, q, qval):
+    if qval == 1:
+        return _pairwise(p, q, lambda u, v: FreePoly(_shuffle_words(u, v)))
+    return _pairwise(p, q, lambda u, v: FreePoly(_q_shuffle_words(u, v, qval)))
+
+
+def _check_against_recursion_and_oracle(p, q, qval):
+    got = shuffle(p, q) if qval == 1 else q_shuffle(p, q, qval)
+    assert got == _by_recursion(p, q, qval)
+    assert got == _pairwise(p, q, lambda u, v: _antishuffle_oracle(u, v, qval))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.permutations(range(9)), st.integers(0, 4), st.integers(0, 4), st.sampled_from((1, -1)))
+def test_merge_table_matches_recursion_and_oracle(letters, a, b, qval):
+    # Distinct letters in any order (the merge table), lengths 0 and 1 included.
+    u, v = tuple(letters[:a]), tuple(letters[a:a + b])
+    _check_against_recursion_and_oracle(FreePoly.from_word(u), FreePoly.from_word(v), qval)
+
+
+poly_st = st.dictionaries(
+    st.lists(st.integers(0, 4), max_size=3).map(tuple),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=4,
+).map(FreePoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_st, poly_st, st.sampled_from((1, -1)))
+def test_mixed_polys_match_recursion_and_oracle(p, q, qval):
+    # Distinct-letter pairs, repeated-letter pairs and the empty word in one
+    # product, with coefficients that can cancel between pairs.
+    _check_against_recursion_and_oracle(p, q, qval)
+
+
+def test_only_pairs_with_a_repeated_letter_or_empty_word_reach_the_word_caches():
+    for product in (shuffle, antishuffle):
+        _shuffle_words.cache_clear()
+        _q_shuffle_words.cache_clear()
+        product(w(0, 1) + w(4), w(2, 3) + w(5, 6, 7))
+        assert _shuffle_words.cache_info().currsize == _q_shuffle_words.cache_info().currsize == 0
+        for u, v in (((0, 1), (2, 2)), ((0, 0), (2, 3)), ((0, 1), (1, 2)), ((), (2, 3))):
+            product(FreePoly.from_word(u), FreePoly.from_word(v))
+            cache = _shuffle_words if product is shuffle else _q_shuffle_words
+            assert cache.cache_info().misses > 0, (u, v)
+            cache.cache_clear()
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,9 +251,10 @@ def test_freepoly_canonical():
 
 
 def _canonical_string_oracle(p):
-    # The per-term Fraction and join formula canonical_string replaced.
+    # The per-term Fraction and join formula canonical_string replaced, over
+    # the word_key sort terms() replaced.
     parts = []
-    for word, c in p.terms():
+    for word, c in sorted(p.terms(), key=lambda kv: word_key(kv[0])):
         frac = Fraction(c)
         parts.append(f"{frac.numerator}/{frac.denominator}:{'.'.join(map(str, word))}")
     return ";".join(parts) if parts else "0"

@@ -166,6 +166,27 @@ def test_xipfashu_term_count_sanity():
     assert all(abs(c) == 576 for c in acc.values())
 
 
+# The wick checks one size above the suite (perfbench's WICK_CHECKS), with
+# the digests and term counts of the memoised-recursion shuffle: a faster word
+# product must leave every one of them unchanged.
+WICK_PINNED = (
+    ("SDB2", 4, None, "afe6b0048c9c5cb6c68050c0df33ac61268a5702c471ae615f1d44a021d94b90", 40320),
+    ("FHAFF2", 4, None, "b5cca470a48bb61c6d4ddab3b95766ebda82c8a0fbc5cd3049083e43925510e6", 40320),
+    ("FHAFF1", 4, None, "3d5a64ef032b55d208d0ea9e5a4717e22633adce1846ff78b66ad9b7d5ea9a9b", 40320),
+    ("ANTISHUFFLE", 6, None, "849cf0b299c01c61833d1f27ad9a412f9680bb85ec6c83a6713471d06591b403", 720),
+    ("ODD_EVEN", 6, None, "b2f836e0aadd53d536825e19508ffb00734fbc2400fe66d0bde467784bf34cc0", 720),
+    ("XIPFASHU", 4, 1, "034c56e9da4f1bff674fef1a8ea2bc4965c11c7d570a723d5c5223d9c09e9b7d", 2520),
+)
+
+
+@pytest.mark.parametrize("variant, n, k, pinned, terms", WICK_PINNED)
+def test_wick_one_size_above_the_suite_keeps_its_digests(variant, n, k, pinned, terms):
+    report = verify_shuffle_wick(variant, n, k=k)
+    assert report.equal
+    assert (report.lhs_digest, report.rhs_digest) == (pinned, pinned)
+    assert (report.lhs_terms, report.rhs_terms) == (terms, terms)
+
+
 def test_wick_caps():
     with pytest.raises(ValueError, match="size cap"):
         verify_shuffle_wick("PFAB", 5)
