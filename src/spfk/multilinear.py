@@ -5,7 +5,8 @@ Elements are finite maps from generator bitmasks to ring coefficients, with
 at most 64 generators.  The two algebras share one product, which drops
 overlapping masks (eta_i^2 = 0 holds structurally: a bitmask never repeats a
 generator) and, for the Grassmann algebra, signs each disjoint pair with one
-population count.
+population count.  ``coeff_of_product`` reads one coefficient of a product
+by the same rule without forming it.
 """
 from __future__ import annotations
 
@@ -144,28 +145,52 @@ class _NilpotentElement:
 
     def _product(self, other):
         # Bound as __mul__ in each subclass's own namespace.  P(B) is built
-        # once per right-hand mask, and only for the signed product.
+        # once per right-hand mask, and only for the signed product; sums
+        # that cancel are dropped once, after every pair is added.
         self._check_compat(other)
         ring = self.ring
+        mul, add, neg = ring.mul, ring.add, ring.neg
         signed = self.signed
         right = [
             (mb, cb, _below_parity(mb) if signed else 0) for mb, cb in other._terms.items()
         ]
         out: dict = {}
+        get = out.get
         for ma, ca in self._terms.items():
             for mb, cb, below in right:
                 if ma & mb:
                     continue
-                mask = ma | mb
-                c = ring.mul(ca, cb)
+                c = mul(ca, cb)
                 if signed and (ma & below).bit_count() & 1:
-                    c = ring.neg(c)
-                s = ring.add(out.get(mask, ring.zero), c)
-                if ring.is_zero(s):
-                    out.pop(mask, None)
-                else:
-                    out[mask] = s
-        return self._make(ring, out)
+                    c = neg(c)
+                mask = ma | mb
+                prev = get(mask)
+                out[mask] = c if prev is None else add(prev, c)
+        is_zero = ring.is_zero
+        return self._make(ring, {m: c for m, c in out.items() if not is_zero(c)})
+
+    def coeff_of_product(self, other, mask: int):
+        """Coefficient of ``mask`` in ``self * other`` without forming the
+        product: a term e_A of self meets only the term of other at the
+        complement of A in ``mask``, signed as in the product."""
+        self._check_compat(other)
+        ring = self.ring
+        mul, add, neg = ring.mul, ring.add, ring.neg
+        signed = self.signed
+        right = other._terms
+        out = ring.zero
+        for ma, ca in self._terms.items():
+            if ma & ~mask:
+                continue
+            mb = mask ^ ma
+            cb = right.get(mb)
+            if cb is None:
+                continue
+            c = mul(ca, cb)
+            if signed and (ma & _below_parity(mb)).bit_count() & 1:
+                c = neg(c)
+            out = add(out, c)
+        return out
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -9,7 +9,9 @@ graded-commutative antishuffle ring gets the enumeration's value).  The Pfaffian
 computed by first-row recursion and the two results are cross-asserted on
 every call; the hyper kernels have independent Grassmann/square-zero power
 oracles (one helper over the two nilpotent algebras), and enumerate_blocked
-lists the partitions themselves.
+lists the partitions themselves.  The oracles read the top coefficient of
+G^h * G^(n-h), h = n // 2, in one pass, and the Grassmann one needs an even
+order.
 """
 from __future__ import annotations
 
@@ -364,20 +366,29 @@ def hyperhafnian(S: SymTensor):
 def _power_oracle(algebra, T: _Tensor):
     """The top coefficient of G^n / n!, G = sum_I T_I e_I in ``algebra`` of
     rank dim, n = dim / order: each blocked partition once, signed by the
-    algebra's product."""
+    algebra's product.
+
+    G^n = G^h * G^(n-h) with h = n // 2, and the top coefficient of that
+    product is read in one pass (``coeff_of_product``), so the two largest
+    powers are never built.
+    """
     if T.dim % T.order:
         raise ValueError(f"order {T.order} must divide dimension {T.dim}")
     ring = T.ring
     n = T.dim // T.order
     g = algebra(ring, {mask_of(idx): c for idx, c in T._entries.items()})
-    power = algebra.one(ring)
-    for _ in range(n):
-        power = power * g
-    return ring.div_int(power.coeff((1 << T.dim) - 1), math.factorial(n))
+    half = algebra.one(ring)
+    for _ in range(n // 2):
+        half = half * g
+    rest = half * g if n % 2 else half
+    return ring.div_int(half.coeff_of_product(rest, (1 << T.dim) - 1), math.factorial(n))
 
 
 def grassmann_pf_oracle(M: AltTensor):
-    """Independent hyperpfaffian via the Grassmann power Omega^n / n!."""
+    """Independent hyperpfaffian via the Grassmann power Omega^n / n!, for
+    an even order only: an odd-order Omega squares to zero."""
+    if M.order % 2:
+        raise ValueError(f"grassmann_pf_oracle needs an even order, got order {M.order}")
     return _power_oracle(GrassmannElement, M)
 
 
@@ -476,6 +487,8 @@ def tensor_from_json(obj: dict, kind: str) -> _Tensor:
             raise ValueError(f"malformed tensor entry: {exc}") from exc
         if den == 0:
             raise ValueError("malformed tensor entry: zero denominator")
+        if idx in entries:
+            raise ValueError(f"malformed tensor entry: duplicate idx {list(idx)}")
         entries[idx] = Fraction(num, den)
     cls = AltTensor if kind == "alt" else SymTensor
     return cls(QQ, order, dim, entries)

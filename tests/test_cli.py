@@ -452,6 +452,18 @@ def test_pf_malformed_json(tmp_path, capsys):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("kind", ("pf", "hf", "hpf", "hhf"))
+def test_tensor_json_duplicate_idx_exits_2(tmp_path, capsys, kind):
+    # Two values at one idx are ambiguous: refused, not read last-wins.
+    entry = {"idx": [1, 2], "num": "1", "den": "1"}
+    obj = {"order": 2, "dim": 2, "entries": [entry, dict(entry, num="5")]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, kind, str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: malformed tensor entry: duplicate idx [1, 2]"
+
+
 def test_pf_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"order": 2, "dim": 3,

@@ -77,6 +77,32 @@ def test_associativity_sampled(cls):
         assert a * (b + c) == a * b + a * c
 
 
+@pytest.mark.parametrize("cls", [GrassmannElement, SquareZeroElement])
+def test_coeff_of_product_matches_the_product(cls):
+    # Random non-homogeneous elements and the zero element, at every mask on
+    # six generators and at masks that reach past both supports.
+    sampler = SeededSampler(17)
+    masks = list(range(1 << 6)) + [1 << 6, (1 << 7) | 3, (1 << 63) | 5]
+    zero = cls.zero(QQ)
+    for _ in range(40):
+        a = _random_element(cls, sampler, 6, 1 + sampler.next_int(8))
+        b = _random_element(cls, sampler, 6, 1 + sampler.next_int(8))
+        for left, right in ((a, b), (b, a), (a, zero), (zero, b)):
+            prod = left * right
+            for mask in masks:
+                assert left.coeff_of_product(right, mask) == prod.coeff(mask), mask
+
+
+def test_cancelling_product_stores_no_zero_term():
+    e1, e2 = grassmann_generators(QQ, 2)
+    assert ((e1 + e2) * (e1 + e2)).num_terms() == 0
+    x1, x2 = sz_generators(QQ, 2)
+    assert ((x1 + x2) * (x1 - x2)).num_terms() == 0
+    # x1 x2 and x2 x3 cancel; x1 x3 stays.
+    x3 = SquareZeroElement.generator(QQ, 2)
+    assert ((x1 + x2 + x3) * (x1 - x2 + x3)).terms() == [(0b101, 2)]
+
+
 def test_graded_commutativity():
     sampler = SeededSampler(5)
     for _ in range(60):

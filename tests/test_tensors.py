@@ -201,6 +201,23 @@ def test_grassmann_oracle_examples():
     assert sz_hf_oracle(ones4) == 3
 
 
+def test_grassmann_oracle_refuses_odd_order_before_work(monkeypatch):
+    # An odd-order Omega squares to zero, so Omega^n / n! is not the
+    # hyperpfaffian: for entries 1..20 at order 3, dim 6 the power gives 0,
+    # not 162.
+    combos = itertools.combinations(range(1, 7), 3)
+    M = AltTensor(QQ, 3, 6, {idx: Fraction(v) for v, idx in enumerate(combos, 1)})
+    assert hyperpfaffian(M) == 162
+
+    def no_work(*_):
+        raise AssertionError("the power oracle ran")
+
+    monkeypatch.setattr(tensors, "_power_oracle", no_work)
+    for T in (M, AltTensor(QQ, 1, 3, {}), AltTensor(QQ, 5, 10, {})):
+        with pytest.raises(ValueError, match=f"needs an even order, got order {T.order}$"):
+            grassmann_pf_oracle(T)
+
+
 def test_hyperpfaffian_divisibility_error():
     M = AltTensor(QQ, 4, 6, {})
     with pytest.raises(ValueError, match="divide"):
