@@ -1,6 +1,13 @@
-"""One verifier per identity.
+"""The identity checks of the source paper, one table row each.
 
-Every verifier builds both sides independently: the left side is the
+Each check is a ``report.Check`` row, (sides, name, flags, domain), in one of
+the tables ``WICK``, ``STRUCTURE``, ``RATIONAL``, ``VI`` and ``VANDERMONDE``
+(the de Bruijn and Chen rows are in ``integrals``).  ``report.run_check``
+runs every row the same way: the domain check (``core.check_domain``)
+before any work, then the left side, then the right side.  Each
+``verify_*`` function here is that driver on its table.
+
+The two sides are built independently: the left side is the
 definition-level sum (permutation sums, tuple enumeration; the sums of R over
 permutations in MEHTA2 and SUM1 go through ``integrals.ordered_sum``, and
 HAFSYM's permutation sum is the same kind of DP over the set of placed
@@ -9,10 +16,6 @@ right side.  Equality is exact, in the free algebra for the symbolic
 identities and at seeded rational points for the rational-function ones.
 VI clears the point's denominators once and runs its quasimonomial DP on
 ints; each side is divided back by its own power of the scale.
-
-Each verifier's table (``WICK``, ``STRUCTURE``, ``_RATIONAL_IMPL``) has
-(sides, domain) rows, or a constant gives its domain (``VI_DOMAIN``,
-``VANDERMONDE_DOMAIN``); ``core.check_domain`` checks it before any work.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, check_domain, double_factorial_coeff, mix_seed
+from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
 from .freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
@@ -30,7 +33,7 @@ from .freealg import (
     shuffle,
 )
 from .integrals import ordered_sum, r_value
-from .report import ReportBuilder, VerificationReport
+from .report import Check, VerificationReport, at_points, run_check
 from .tensors import (
     AltTensor,
     DenseMatrix,
@@ -55,12 +58,7 @@ def verify_shuffle_wick(
 ) -> VerificationReport:
     """Permutation sum of concatenation words against the matching
     (hyper)Pfaffian or hafnian computed in the shuffle/antishuffle ring."""
-    variant = variant.upper()
-    if variant not in WICK:
-        raise ValueError(f"unknown variant: {variant}")
-    impl, domain = WICK[variant]
-    check_domain(variant, {"n": n, "k": k}, domain)
-    return impl(n, k, coeff)
+    return run_check(WICK, variant, {"n": n, "k": k, "coeff": coeff})
 
 
 def _perm_sum(d: int, word_of, signed: bool) -> FreePoly:
@@ -72,131 +70,102 @@ def _perm_sum(d: int, word_of, signed: bool) -> FreePoly:
     return FreePoly(acc)
 
 
-def _poly_report(builder: ReportBuilder, lhs: FreePoly, rhs: FreePoly) -> VerificationReport:
-    return builder.finish(
-        lhs == rhs,
-        lhs.canonical_string(),
-        rhs.canonical_string(),
-        lhs.num_terms(),
-        rhs.num_terms(),
-    )
+def _pair_poly(i, j, sign):
+    # The two-letter words i j + sign * j i of a pair tensor entry.
+    return FreePoly({(i, j): 1, (j, i): sign})
 
 
-def _wick_pfab(n: int) -> VerificationReport:
-    builder = ReportBuilder("pfab", {"n": n})
+def _wick_pfab(n: int):
     d = 2 * n
     a = lambda i: i - 1
     b = lambda i: d + i - 1
-    lhs = _perm_sum(d, lambda p: tuple(a(p[j]) if j % 2 == 0 else b(p[j]) for j in range(d)), True)
-    Q = AltTensor.from_function(
-        SHUFFLE_RING,
-        2,
-        d,
-        lambda ij: FreePoly({(a(ij[0]), b(ij[1])): 1, (a(ij[1]), b(ij[0])): -1}),
+    lhs = lambda: _perm_sum(
+        d, lambda p: tuple(a(p[j]) if j % 2 == 0 else b(p[j]) for j in range(d)), True
     )
-    return _poly_report(builder, lhs, pfaffian(Q))
+    entry = lambda ij: FreePoly({(a(ij[0]), b(ij[1])): 1, (a(ij[1]), b(ij[0])): -1})
+    return lhs, lambda: pfaffian(AltTensor.from_function(SHUFFLE_RING, 2, d, entry))
 
 
-def _wick_pair_letters(n: int, signed: bool) -> VerificationReport:
+def _wick_pair_letters(n: int, signed: bool):
     d = 2 * n
-    builder = ReportBuilder("sdb2" if signed else "fhaff2", {"n": n})
     c = lambda i, j: (i - 1) * d + (j - 1)
-    lhs = _perm_sum(d, lambda p: tuple(c(p[2 * t], p[2 * t + 1]) for t in range(n)), signed)
+    word_of = lambda p: tuple(c(p[2 * t], p[2 * t + 1]) for t in range(n))
+    lhs = lambda: _perm_sum(d, word_of, signed)
+    entry = lambda ij: FreePoly({(c(*ij),): 1, (c(ij[1], ij[0]),): -1 if signed else 1})
     if signed:
-        Q = AltTensor.from_function(
-            SHUFFLE_RING, 2, d, lambda ij: FreePoly({(c(*ij),): 1, (c(ij[1], ij[0]),): -1})
-        )
-        rhs = pfaffian(Q)
-    else:
-        Q = SymTensor.from_function(
-            SHUFFLE_RING, 2, d, lambda ij: FreePoly({(c(*ij),): 1, (c(ij[1], ij[0]),): 1})
-        )
-        rhs = hafnian(Q)
-    return _poly_report(builder, lhs, rhs)
+        return lhs, lambda: pfaffian(AltTensor.from_function(SHUFFLE_RING, 2, d, entry))
+    return lhs, lambda: hafnian(SymTensor.from_function(SHUFFLE_RING, 2, d, entry))
 
 
-def _wick_fhaff1(n: int, coeff: str) -> VerificationReport:
-    cval, cname = double_factorial_coeff(n, coeff)
-    builder = ReportBuilder(
-        "fhaff1", {"n": n, "coeff": coeff}, conventions={"double_factorial": cname}
-    )
+def _wick_fhaff1(n: int, coeff: str):
     d = 2 * n
-    lhs = _perm_sum(d, lambda p: tuple(i - 1 for i in p), False)
-    Q = SymTensor.from_function(
-        SHUFFLE_RING,
-        2,
-        d,
-        lambda ij: FreePoly({(ij[0] - 1, ij[1] - 1): 1, (ij[1] - 1, ij[0] - 1): 1}),
-    )
-    rhs = hafnian(Q).scale(Fraction(1, cval))
-    return _poly_report(builder, lhs, rhs)
+    entry = lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, 1)
+
+    def rhs():
+        cval, _ = double_factorial_coeff(n, coeff)
+        return hafnian(SymTensor.from_function(SHUFFLE_RING, 2, d, entry)).scale(Fraction(1, cval))
+
+    return lambda: _perm_sum(d, lambda p: tuple(i - 1 for i in p), False), rhs
 
 
-def _wick_odd_even(n: int) -> VerificationReport:
-    builder = ReportBuilder("odd_even", {"n": n})
-    lhs = _perm_sum(n, lambda p: tuple(i - 1 for i in p), False)
-    Q = AltTensor.from_function(
-        SHUFFLE_RING,
-        2,
-        n,
-        lambda ij: FreePoly({(ij[0] - 1, ij[1] - 1): 1, (ij[1] - 1, ij[0] - 1): 1}),
-    )
-    if n % 2 == 0:
-        rhs = pfaffian(Q)
-    else:
-        rhs = FreePoly.zero()
+def _wick_odd_even(n: int):
+    def rhs():
+        Q = AltTensor.from_function(
+            SHUFFLE_RING, 2, n, lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, 1)
+        )
+        if n % 2 == 0:
+            return pfaffian(Q)
+        out = FreePoly.zero()
         for p in range(1, n + 1):
             keep = tuple(i for i in range(1, n + 1) if i != p)
-            minor = pfaffian(Q.restrict(keep))
-            term = shuffle(FreePoly.from_letter(p - 1), minor)
-            rhs = rhs + (term if p % 2 == 1 else -term)
-    return _poly_report(builder, lhs, rhs)
+            term = shuffle(FreePoly.from_letter(p - 1), pfaffian(Q.restrict(keep)))
+            out = out + (term if p % 2 == 1 else -term)
+        return out
+
+    return lambda: _perm_sum(n, lambda p: tuple(i - 1 for i in p), False), rhs
 
 
-def _wick_antishuffle(n: int) -> VerificationReport:
-    builder = ReportBuilder("antishuffle", {"n": n})
-    lhs = _perm_sum(n, lambda p: tuple(i - 1 for i in p), True)
-    Q = SymTensor.from_function(
-        ANTISHUFFLE_RING,
-        2,
-        n,
-        lambda ij: FreePoly({(ij[0] - 1, ij[1] - 1): 1, (ij[1] - 1, ij[0] - 1): -1}),
-    )
-    if n % 2 == 0:
-        rhs = hafnian(Q)
-    else:
-        rhs = FreePoly.zero()
+def _wick_antishuffle(n: int):
+    def rhs():
+        Q = SymTensor.from_function(
+            ANTISHUFFLE_RING, 2, n, lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, -1)
+        )
+        if n % 2 == 0:
+            return hafnian(Q)
+        out = FreePoly.zero()
         for p in range(1, n + 1):
             keep = tuple(i for i in range(1, n + 1) if i != p)
-            minor = hafnian(Q.restrict(keep))
-            rhs = rhs + antishuffle(FreePoly.from_letter(p - 1), minor)
-    return _poly_report(builder, lhs, rhs)
+            out = out + antishuffle(FreePoly.from_letter(p - 1), hafnian(Q.restrict(keep)))
+        return out
+
+    return lambda: _perm_sum(n, lambda p: tuple(i - 1 for i in p), True), rhs
 
 
-def _wick_xipfashu(k: int, n: int) -> VerificationReport:
-    builder = ReportBuilder("xipfashu", {"k": k, "n": n})
+def _wick_xipfashu(k: int, n: int):
     width = 2 * k
     d = width * n
     reg = LetterRegistry()
-    # A block's (letter, sign) is fixed by its index tuple, and only
-    # d!/(d - width)! distinct blocks occur among the d! permutations; the
-    # registry sees each block once, on its first appearance, so letter ids
-    # are assigned in the same order as without the memo.
-    block_letters: dict = {}
-    acc: dict = {}
-    for perm, sign in signed_permutations(d):
-        coeff = sign
-        letters = []
-        for b in range(0, d, width):
-            block = perm[b : b + width]
-            hit = block_letters.get(block)
-            if hit is None:
-                hit = block_letters[block] = reg.alternating_letter(block)
-            letters.append(hit[0])
-            coeff *= hit[1]
-        word = tuple(letters)
-        acc[word] = acc.get(word, 0) + coeff
-    lhs = FreePoly(acc)
+
+    def lhs():
+        # A block's (letter, sign) is fixed by its index tuple, and only
+        # d!/(d - width)! distinct blocks occur among the d! permutations; the
+        # registry sees each block once, on its first appearance, so letter
+        # ids are assigned in the same order as without the memo.
+        block_letters: dict = {}
+        acc: dict = {}
+        for perm, sign in signed_permutations(d):
+            coeff = sign
+            letters = []
+            for b in range(0, d, width):
+                block = perm[b : b + width]
+                hit = block_letters.get(block)
+                if hit is None:
+                    hit = block_letters[block] = reg.alternating_letter(block)
+                letters.append(hit[0])
+                coeff *= hit[1]
+            word = tuple(letters)
+            acc[word] = acc.get(word, 0) + coeff
+        return FreePoly(acc)
 
     def entry(idx):
         terms: dict = {}
@@ -206,8 +175,13 @@ def _wick_xipfashu(k: int, n: int) -> VerificationReport:
             terms[key] = terms.get(key, 0) + tsign * s
         return FreePoly(terms)
 
-    M = AltTensor.from_function(SHUFFLE_RING, width, d, entry)
-    return _poly_report(builder, lhs, hyperpfaffian(M))
+    return lhs, lambda: hyperpfaffian(AltTensor.from_function(SHUFFLE_RING, width, d, entry))
+
+
+def _wick(name, sides_of, domain, flags=None):
+    # A Wick row: symbolic, so no seed; ``sides_of(params)`` gives the sides.
+    sides = lambda p, _seed, _points: ({"seeds": []}, *sides_of(p))
+    return Check(sides, name, flags or {"n": ...}, domain)
 
 
 # A domain is (ranges, caps), as core.check_domain reads it; the first cap's
@@ -216,15 +190,27 @@ _WICK_2N = ({"n": (0, None)}, {"2n": (lambda p: 2 * p["n"], 8)})
 _WICK_N = ({"n": (0, None)}, {"n": (lambda p: p["n"], 6)})
 _WICK_2KN = ({"n": (0, None), "k": (1, None)}, {"2kn": (lambda p: 2 * p["k"] * p["n"], 8)})
 
-# variant: (sides of (n, k, coeff), domain)
 WICK = {
-    "PFAB": (lambda n, _k, _coeff: _wick_pfab(n), _WICK_2N),
-    "SDB2": (lambda n, _k, _coeff: _wick_pair_letters(n, signed=True), _WICK_2N),
-    "FHAFF2": (lambda n, _k, _coeff: _wick_pair_letters(n, signed=False), _WICK_2N),
-    "FHAFF1": (lambda n, _k, coeff: _wick_fhaff1(n, coeff), _WICK_2N),
-    "ODD_EVEN": (lambda n, _k, _coeff: _wick_odd_even(n), _WICK_N),
-    "ANTISHUFFLE": (lambda n, _k, _coeff: _wick_antishuffle(n), _WICK_N),
-    "XIPFASHU": (lambda n, k, _coeff: _wick_xipfashu(k, n), _WICK_2KN),
+    check.name.lower(): check
+    for check in (
+        _wick("PFAB", lambda p: _wick_pfab(p["n"]), _WICK_2N),
+        _wick("SDB2", lambda p: _wick_pair_letters(p["n"], signed=True), _WICK_2N),
+        _wick("FHAFF2", lambda p: _wick_pair_letters(p["n"], signed=False), _WICK_2N),
+        _wick(
+            "FHAFF1",
+            lambda p: _wick_fhaff1(p["n"], p["coeff"]),
+            _WICK_2N,
+            {"n": ..., "coeff": "corrected"},
+        ),
+        _wick("ODD_EVEN", lambda p: _wick_odd_even(p["n"]), _WICK_N),
+        _wick("ANTISHUFFLE", lambda p: _wick_antishuffle(p["n"]), _WICK_N),
+        _wick(
+            "XIPFASHU",
+            lambda p: _wick_xipfashu(p["k"], p["n"]),
+            _WICK_2KN,
+            {"k": ..., "n": ...},
+        ),
+    )
 }
 
 
@@ -250,52 +236,51 @@ def verify_hyperpf_structure(
 ) -> VerificationReport:
     """Composition, sum, minor-summation, and block-decomposition laws of the
     hyperpfaffian, checked on seeded random rational tensors."""
-    variant = variant.upper()
-    if variant not in STRUCTURE:
-        raise ValueError(f"unknown variant: {variant}")
-    impl, domain = STRUCTURE[variant]
-    check_domain(variant, {"m": m, "n": n, "t": t}, domain)
-    sampler = SeededSampler(mix_seed(seed, ("structure", variant, m, n, t or 0)))
-    return impl(m, n, t, seed, sampler)
+    return run_check(STRUCTURE, variant, {"m": m, "n": n, "t": t}, seed)
 
 
-def _structure_composition(m, n, _t, seed, sampler) -> VerificationReport:
-    builder = ReportBuilder("composition", {"m": m, "n": n}, seeds=[seed])
+def _structure_composition(m, n, _t, sampler):
     dim = 2 * m * n
     A = _random_alt_tensor(sampler, 2, dim)
-    P = AltTensor.from_function(QQ, 2 * m, dim, lambda K: pfaffian(A.restrict(K)))
-    lhs = hyperpfaffian(P)
     coeff = math.factorial(m * n) // (math.factorial(m) ** n * math.factorial(n))
-    rhs = coeff * pfaffian(A)
-    return builder.finish_scalars([lhs], [rhs])
+
+    def lhs():
+        P = AltTensor.from_function(QQ, 2 * m, dim, lambda K: pfaffian(A.restrict(K)))
+        return [hyperpfaffian(P)]
+
+    return lhs, lambda: [coeff * pfaffian(A)]
 
 
-def _structure_sum(m, n, _t, seed, sampler) -> VerificationReport:
-    builder = ReportBuilder("sum", {"m": m, "n": n}, seeds=[seed])
+def _structure_sum(m, n, _t, sampler):
     dim = 2 * m * n
     A = _random_alt_tensor(sampler, 2 * m, dim)
     B = _random_alt_tensor(sampler, 2 * m, dim)
-    lhs = hyperpfaffian(A + B)
-    rhs = Fraction(0)
-    full = range(1, dim + 1)
-    for j in range(n + 1):
-        for I in itertools.combinations(full, 2 * j * m):
-            comp = tuple(i for i in full if i not in set(I))
-            sgn = -1 if (sum(I) - j * m) % 2 else 1
-            rhs += sgn * hyperpfaffian(A.restrict(I)) * hyperpfaffian(B.restrict(comp))
-    return builder.finish_scalars([lhs], [rhs])
+
+    def rhs():
+        total = Fraction(0)
+        full = range(1, dim + 1)
+        for j in range(n + 1):
+            for I in itertools.combinations(full, 2 * j * m):
+                comp = tuple(i for i in full if i not in set(I))
+                sgn = -1 if (sum(I) - j * m) % 2 else 1
+                total += sgn * hyperpfaffian(A.restrict(I)) * hyperpfaffian(B.restrict(comp))
+        return [total]
+
+    return lambda: [hyperpfaffian(A + B)], rhs
 
 
-def _structure_minor(m, n, t, seed, sampler) -> VerificationReport:
-    builder = ReportBuilder("minor", {"m": m, "t": t, "n": n}, seeds=[seed])
+def _structure_minor(m, n, t, sampler):
     dim = 2 * m * n
     rows = 2 * m * t
     A = _random_alt_tensor(sampler, 2 * m, dim)
     T = _random_dense(sampler, rows, dim)
-    all_rows = tuple(range(1, rows + 1))
-    lhs = Fraction(0)
-    for K in itertools.combinations(range(1, dim + 1), rows):
-        lhs += hyperpfaffian(A.restrict(K)) * determinant(T.submatrix(all_rows, K))
+
+    def lhs():
+        all_rows = tuple(range(1, rows + 1))
+        total = Fraction(0)
+        for K in itertools.combinations(range(1, dim + 1), rows):
+            total += hyperpfaffian(A.restrict(K)) * determinant(T.submatrix(all_rows, K))
+        return [total]
 
     def q_entry(I):
         total = Fraction(0)
@@ -305,38 +290,50 @@ def _structure_minor(m, n, t, seed, sampler) -> VerificationReport:
                 total += a * determinant(T.submatrix(I, K))
         return total
 
-    Q = AltTensor.from_function(QQ, 2 * m, rows, q_entry)
-    rhs = hyperpfaffian(Q)
-    return builder.finish_scalars([lhs], [rhs])
+    return lhs, lambda: [hyperpfaffian(AltTensor.from_function(QQ, 2 * m, rows, q_entry))]
 
 
-def _structure_det_decomp(m, n, _t, seed, sampler) -> VerificationReport:
+def _structure_det_decomp(m, n, _t, sampler):
     # The row blocks are assigned to distinct column groups, so the sum runs
     # over ordered block assignments, not minima-ordered partitions.
-    builder = ReportBuilder("det_decomp", {"m": m, "n": n}, seeds=[seed])
     dim = 2 * m * n
     T = _random_dense(sampler, dim, dim)
-    lhs = determinant(T)
     width = 2 * m
-    rhs = Fraction(0)
-    for blocks, sign in enumerate_blocked(n, width, ordered=True):
-        prod = Fraction(1)
-        for b, block in enumerate(blocks):
-            cols = tuple(range(b * width + 1, (b + 1) * width + 1))
-            prod *= determinant(T.submatrix(block, cols))
-        rhs += sign * prod
-    return builder.finish_scalars([lhs], [rhs])
+
+    def rhs():
+        total = Fraction(0)
+        for blocks, sign in enumerate_blocked(n, width, ordered=True):
+            prod = Fraction(1)
+            for b, block in enumerate(blocks):
+                cols = tuple(range(b * width + 1, (b + 1) * width + 1))
+                prod *= determinant(T.submatrix(block, cols))
+            total += sign * prod
+        return [total]
+
+    return lambda: [determinant(T)], rhs
 
 
-_STRUCTURE_RANGES = {"m": (1, None), "n": (1, None)}
-_STRUCTURE_CAPS = {"2mn": (lambda p: 2 * p["m"] * p["n"], 8)}
+def _structure(name, sides_of, t=False):
+    # A structure row: ``sides_of(m, n, t, sampler)`` draws its tensors from
+    # the sampler of (seed, name, m, n, t) and gives the sides.
+    def sides(p, seed, _points):
+        m, n, t = p["m"], p["n"], p.get("t")
+        sampler = SeededSampler(mix_seed(seed, ("structure", name, m, n, t or 0)))
+        return {}, *sides_of(m, n, t, sampler)
 
-# variant: (sides of (m, n, t, seed, sampler), domain)
+    flags = {"m": ..., "n": ..., "t": ...} if t else {"m": ..., "n": ...}
+    ranges = {"m": (1, None), "n": (1, None), **({"t": (1, "n")} if t else {})}
+    return Check(sides, name, flags, (ranges, {"2mn": (lambda p: 2 * p["m"] * p["n"], 8)}))
+
+
 STRUCTURE = {
-    "COMPOSITION": (_structure_composition, (_STRUCTURE_RANGES, _STRUCTURE_CAPS)),
-    "SUM": (_structure_sum, (_STRUCTURE_RANGES, _STRUCTURE_CAPS)),
-    "MINOR": (_structure_minor, ({**_STRUCTURE_RANGES, "t": (1, "n")}, _STRUCTURE_CAPS)),
-    "DET_DECOMP": (_structure_det_decomp, (_STRUCTURE_RANGES, _STRUCTURE_CAPS)),
+    check.name.lower(): check
+    for check in (
+        _structure("COMPOSITION", _structure_composition),
+        _structure("SUM", _structure_sum),
+        _structure("MINOR", _structure_minor, t=True),
+        _structure("DET_DECOMP", _structure_det_decomp),
+    )
 }
 
 
@@ -349,108 +346,94 @@ def verify_rational_identity(
 ) -> VerificationReport:
     """Closed-form rational identities checked at seeded positive rational
     points; `size` is the natural parameter of each variant (n or m)."""
-    variant = variant.upper()
-    if variant not in _RATIONAL_IMPL:
-        raise ValueError(f"unknown variant: {variant}")
-    impl, domain = _RATIONAL_IMPL[variant]
-    (param_name,) = domain[0]
-    params = {param_name: size}
-    check_domain(variant, params, domain)
-    conventions = {}
-    if variant in ("SCHUR_HYPER", "WIGNER_RANK1"):
-        _, cname = double_factorial_coeff(size, coeff)
-        params["coeff"] = coeff
-        conventions["double_factorial"] = cname
-    builder = ReportBuilder(variant.lower(), params, seeds=[seed], conventions=conventions)
-    lhs_vals = []
-    rhs_vals = []
-    for p in range(points):
-        sampler = SeededSampler(mix_seed(seed, (variant, size, p)))
-        lhs, rhs = impl(size, sampler, coeff)
-        lhs_vals.append(lhs)
-        rhs_vals.append(rhs)
-    return builder.finish_scalars(lhs_vals, rhs_vals)
+    # The row reads its one size flag, n or m, and ignores the other.
+    return run_check(RATIONAL, variant, {"n": size, "m": size, "coeff": coeff}, seed, points)
+
+
+def _schur_product(x, scale=1) -> Fraction:
+    # scale * prod_{i<j} (x_i - x_j) / (x_i + x_j)
+    out = Fraction(scale)
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            out *= (x[i] - x[j]) / (x[i] + x[j])
+    return out
+
+
+# Each evaluator draws one sample point and gives the two sides at it.
 
 
 def _rat_schur(n, sampler, _coeff):
     d = 2 * n
     x = sampler.positive_distinct(d, _SAMPLE_BOUND)
     entry = lambda ij: (x[ij[0] - 1] - x[ij[1] - 1]) / (x[ij[0] - 1] + x[ij[1] - 1])
-    lhs = pfaffian(AltTensor.from_function(QQ, 2, d, entry))
-    rhs = Fraction(1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            rhs *= (x[i] - x[j]) / (x[i] + x[j])
-    return lhs, rhs
+    return lambda: pfaffian(AltTensor.from_function(QQ, 2, d, entry)), lambda: _schur_product(x)
 
 
 def _rat_schur_hyper(n, sampler, coeff):
     d = 4 * n
     x = sampler.positive_distinct(d, _SAMPLE_BOUND)
-
-    def entry(idx):
-        out = Fraction(1)
-        for s in range(4):
-            for t in range(s + 1, 4):
-                xs, xt = x[idx[s] - 1], x[idx[t] - 1]
-                out *= (xs - xt) / (xs + xt)
-        return out
-
-    lhs = hyperpfaffian(AltTensor.from_function(QQ, 4, d, entry))
-    cval, _ = double_factorial_coeff(n, coeff)
-    rhs = Fraction(cval)
-    for i in range(d):
-        for j in range(i + 1, d):
-            rhs *= (x[i] - x[j]) / (x[i] + x[j])
-    return lhs, rhs
+    entry = lambda idx: _schur_product([x[i - 1] for i in idx])
+    lhs = lambda: hyperpfaffian(AltTensor.from_function(QQ, 4, d, entry))
+    return lhs, lambda: _schur_product(x, double_factorial_coeff(n, coeff)[0])
 
 
 def _rat_sundquist(m, sampler, _coeff):
     d = 2 * m
     batch = sampler.positive_distinct(3 * d, _SAMPLE_BOUND)
     x, u, v = batch[:d], batch[d : 2 * d], batch[2 * d :]
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(m):
-            pw = x[i] ** (2 * j)
-            row.extend([pw * u[i], pw * v[i]])
-        rows.append(row)
-    lhs = determinant(DenseMatrix.from_rows(rows))
-    entry = lambda ij: (
-        u[ij[0] - 1] * v[ij[1] - 1] - u[ij[1] - 1] * v[ij[0] - 1]
-    ) / (x[ij[0] - 1] + x[ij[1] - 1])
-    rhs = pfaffian(AltTensor.from_function(QQ, 2, d, entry))
-    for i in range(d):
-        for j in range(i + 1, d):
-            rhs *= x[i] + x[j]
+
+    def lhs():
+        rows = []
+        for i in range(d):
+            row = []
+            for j in range(m):
+                pw = x[i] ** (2 * j)
+                row.extend([pw * u[i], pw * v[i]])
+            rows.append(row)
+        return determinant(DenseMatrix.from_rows(rows))
+
+    def rhs():
+        entry = lambda ij: (
+            u[ij[0] - 1] * v[ij[1] - 1] - u[ij[1] - 1] * v[ij[0] - 1]
+        ) / (x[ij[0] - 1] + x[ij[1] - 1])
+        out = pfaffian(AltTensor.from_function(QQ, 2, d, entry))
+        for i in range(d):
+            for j in range(i + 1, d):
+                out *= x[i] + x[j]
+        return out
+
     return lhs, rhs
 
 
 def _rat_mehta1(n, sampler, _coeff):
     x = sampler.positive_distinct(n, _SAMPLE_BOUND)
-    total = Fraction(0)
-    for cut in range(n + 1):
-        sign = -1 if cut % 2 else 1
-        total += sign * r_value(reversed(x[:cut])) * r_value(x[cut:])
-    return total, Fraction(0)
+
+    def lhs():
+        total = Fraction(0)
+        for cut in range(n + 1):
+            sign = -1 if cut % 2 else 1
+            total += sign * r_value(reversed(x[:cut])) * r_value(x[cut:])
+        return total
+
+    return lhs, lambda: Fraction(0)
 
 
 def _rat_mehta2(n, sampler, _coeff):
     x = sampler.positive_distinct(n, _SAMPLE_BOUND)
-    lhs = ordered_sum([x] * n, 1, signed=True)
-    rhs = 1 / math.prod(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs *= (x[j] - x[i]) / (x[j] + x[i])
-    return lhs, rhs
+
+    def rhs():
+        out = 1 / math.prod(x)
+        for i in range(n):
+            for j in range(i + 1, n):
+                out *= (x[j] - x[i]) / (x[j] + x[i])
+        return out
+
+    return lambda: ordered_sum([x] * n, 1, signed=True), rhs
 
 
 def _rat_sum1(m, sampler, _coeff):
     x = sampler.positive_distinct(m, _SAMPLE_BOUND)
-    lhs = ordered_sum([x] * m, 1, signed=False)
-    rhs = 1 / math.prod(x)
-    return lhs, rhs
+    return lambda: ordered_sum([x] * m, 1, signed=False), lambda: 1 / math.prod(x)
 
 
 def _hafsym_lhs(x, y) -> Fraction:
@@ -482,10 +465,8 @@ def _rat_hafsym(n, sampler, _coeff):
     d = 2 * n
     batch = sampler.positive_distinct(2 * d, _SAMPLE_BOUND)
     x, y = batch[:d], batch[d:]
-    lhs = _hafsym_lhs(x, y)
     entry = lambda ij: (y[ij[0] - 1] + y[ij[1] - 1]) / (x[ij[0] - 1] + x[ij[1] - 1])
-    rhs = hafnian(SymTensor.from_function(QQ, 2, d, entry))
-    return lhs, rhs
+    return lambda: _hafsym_lhs(x, y), lambda: hafnian(SymTensor.from_function(QQ, 2, d, entry))
 
 
 def _rat_wigner_rank1(n, sampler, coeff):
@@ -495,12 +476,12 @@ def _rat_wigner_rank1(n, sampler, coeff):
     entry = lambda ij: (
         (b[ij[0] - 1] - a[ij[0] - 1]) * (b[ij[1] - 1] - a[ij[1] - 1])
     ) / (x[ij[0] - 1] * x[ij[1] - 1])
-    cval, _ = double_factorial_coeff(n, coeff)
-    lhs = hafnian(SymTensor.from_function(QQ, 2, d, entry)) / cval
-    rhs = Fraction(1)
-    for i in range(d):
-        rhs *= (b[i] - a[i]) / x[i]
-    return lhs, rhs
+
+    def lhs():
+        cval, _ = double_factorial_coeff(n, coeff)
+        return hafnian(SymTensor.from_function(QQ, 2, d, entry)) / cval
+
+    return lhs, lambda: math.prod((b[i] - a[i]) / x[i] for i in range(d))
 
 
 def _rat_arq(m, sampler, _coeff):
@@ -530,27 +511,37 @@ def _rat_arq(m, sampler, _coeff):
             total += sign * fn(perm)
         return total
 
-    lhs = antisym(lambda p: r_part(p) * q_part(p)) * antisym(xr_part)
-    rhs = antisym(r_part) * antisym(lambda p: q_part(p) * xr_part(p))
-    return lhs, rhs
+    lhs = lambda: antisym(lambda p: r_part(p) * q_part(p)) * antisym(xr_part)
+    return lhs, lambda: antisym(r_part) * antisym(lambda p: q_part(p) * xr_part(p))
 
 
-def _rational_domain(flag, most, *parity):
-    # The one size flag, from 1 to its cap; the flag is also the case's size.
-    return {flag: (1, most, *parity)}, {"size": (lambda p: p[flag], None)}
+def _rational(name, sides_at, flag, most, *parity, coeff=False):
+    # A rational row, checked at seeded sample points: ``sides_at(size,
+    # sampler, coeff)`` draws one point.  The one size flag runs from 1 to
+    # ``most`` and is also the case's size.
+    def sides(p, seed, points):
+        size = p[flag]
+        at = lambda sampler: sides_at(size, sampler, p.get("coeff"))
+        return {}, *at_points(seed, (name, size), points, at)
+
+    flags = {flag: ..., "coeff": "corrected"} if coeff else {flag: ...}
+    domain = ({flag: (1, most, *parity)}, {"size": (lambda q: q[flag], None)})
+    return Check(sides, name, flags, domain)
 
 
-# variant: (evaluator, domain)
-_RATIONAL_IMPL = {
-    "SCHUR": (_rat_schur, _rational_domain("n", 3)),
-    "SCHUR_HYPER": (_rat_schur_hyper, _rational_domain("n", 2)),
-    "SUNDQUIST": (_rat_sundquist, _rational_domain("m", 3)),
-    "MEHTA1": (_rat_mehta1, _rational_domain("n", 6)),
-    "MEHTA2": (_rat_mehta2, _rational_domain("n", 6, "even")),
-    "SUM1": (_rat_sum1, _rational_domain("m", 6)),
-    "HAFSYM": (_rat_hafsym, _rational_domain("n", 3)),
-    "WIGNER_RANK1": (_rat_wigner_rank1, _rational_domain("n", 3)),
-    "ARQ": (_rat_arq, _rational_domain("m", 2)),
+RATIONAL = {
+    check.name.lower(): check
+    for check in (
+        _rational("SCHUR", _rat_schur, "n", 3),
+        _rational("SCHUR_HYPER", _rat_schur_hyper, "n", 2, coeff=True),
+        _rational("SUNDQUIST", _rat_sundquist, "m", 3),
+        _rational("MEHTA1", _rat_mehta1, "n", 6),
+        _rational("MEHTA2", _rat_mehta2, "n", 6, "even"),
+        _rational("SUM1", _rat_sum1, "m", 6),
+        _rational("HAFSYM", _rat_hafsym, "n", 3),
+        _rational("WIGNER_RANK1", _rat_wigner_rank1, "n", 3, coeff=True),
+        _rational("ARQ", _rat_arq, "m", 2),
+    )
 }
 
 
@@ -568,9 +559,10 @@ def _quasimonomial(parts, powers) -> int:
     return dp[r]
 
 
-def _vi_sides(parts, x) -> tuple[Fraction, Fraction]:
-    """Both sides of VI at the rational point x; an odd-length composition's
-    Pfaffian is bordered by a first row of singles M_(a).
+def _vi_sides(parts, x):
+    """The two sides of VI at the rational point x, as callables; an
+    odd-length composition's Pfaffian is bordered by a first row of singles
+    M_(a).
 
     M_J is homogeneous of degree |J|, so with L the lcm of the denominators
     of x the DP runs on the ints y = L x, and each value is divided back
@@ -581,9 +573,13 @@ def _vi_sides(parts, x) -> tuple[Fraction, Fraction]:
     scale = math.lcm(*(v.denominator for v in x))
     y = [v.numerator * (scale // v.denominator) for v in x]
     powers = [[v ** e for e in range(max(parts) + 1)] for v in y]
-    signed_sum = 0
-    for perm, sign in signed_permutations(len(parts)):
-        signed_sum += sign * _quasimonomial([parts[p - 1] for p in perm], powers)
+
+    def lhs():
+        signed_sum = 0
+        for perm, sign in signed_permutations(len(parts)):
+            signed_sum += sign * _quasimonomial([parts[p - 1] for p in perm], powers)
+        return Fraction(signed_sum, scale ** sum(parts))
+
     rows = parts if len(parts) % 2 == 0 else (None,) + parts  # None: the border
 
     def entry(kl):
@@ -593,38 +589,34 @@ def _vi_sides(parts, x) -> tuple[Fraction, Fraction]:
         q = _quasimonomial((a, b), powers) - _quasimonomial((b, a), powers)
         return Fraction(q, scale ** (a + b))
 
-    rhs = pfaffian(AltTensor.from_function(QQ, 2, len(rows), entry))
-    return Fraction(signed_sum, scale ** sum(parts)), rhs
-
-
-VI_DOMAIN = ({"parts": (1, 4), "N": (1, 8)}, {"len": (lambda p: len(p["parts"]), 4)})
+    return lhs, lambda: pfaffian(AltTensor.from_function(QQ, 2, len(rows), entry))
 
 
 def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> VerificationReport:
     """Signed quasimonomial sum against its Pfaffian (even length) or
     bordered-Pfaffian (odd length) evaluation, at seeded rational points."""
-    parts = tuple(int(p) for p in parts)
-    check_domain("VI", {"parts": parts, "N": N}, VI_DOMAIN)
-    builder = ReportBuilder("vi", {"parts": list(parts), "N": N}, seeds=[seed])
-    lhs_vals = []
-    rhs_vals = []
-    for pt in range(points):
-        sampler = SeededSampler(mix_seed(seed, ("vi", parts, N, pt)))
-        lhs, rhs = _vi_sides(parts, sampler.positive_distinct(N, _SAMPLE_BOUND))
-        lhs_vals.append(lhs)
-        rhs_vals.append(rhs)
-    return builder.finish_scalars(lhs_vals, rhs_vals)
+    return run_check(VI, "VI", {"parts": tuple(int(p) for p in parts), "N": N}, seed, points)
+
+
+def _vi_check(p, seed, points):
+    parts, N = p["parts"], p["N"]
+    sides_at = lambda s: _vi_sides(parts, s.positive_distinct(N, _SAMPLE_BOUND))
+    shown = {"parts": list(parts), "N": N}
+    return {"params": shown}, *at_points(seed, ("vi", parts, N), points, sides_at)
+
+
+VI = {
+    "vi": Check(
+        _vi_check,
+        "VI",
+        {"parts": ..., "N": 8},
+        ({"parts": (1, 4), "N": (1, 8)}, {"len": (lambda p: len(p["parts"]), 4)}),
+    )
+}
 
 
 # ---------------------------------------------------------------------------
 # Discrete Vandermonde-power averages
-
-
-# 2mn is capped before N^n is computed, so a huge n costs no big power.
-VANDERMONDE_DOMAIN = (
-    {"N": (1, None), "n": (0, None), "m": (1, None)},
-    {"2mn": (lambda p: 2 * p["m"] * p["n"], 8), "Nn": (lambda p: p["N"] ** p["n"], 10_000)},
-)
 
 
 def verify_vandermonde_average(
@@ -635,45 +627,66 @@ def verify_vandermonde_average(
 
     The block structure forces entry exponent sum(i_k) - m(n(2m-1)+2) and a
     global sign (-1)^(C(n,2) C(2m,2)) from regrouping the interleaved columns;
-    for m = 1 the determinant form n!/N^n det(p_{i+j-2}) is checked as well.
+    for m = 1 the determinant form n!/N^n det(p_{i+j-2}) is checked as well,
+    as a second right-side value wherever it differs from the first.
     """
-    params = {"N": N, "n": n, "m": m}
-    check_domain("VANDERMONDE", params, VANDERMONDE_DOMAIN)
+    return run_check(VANDERMONDE, "VANDERMONDE", {"N": N, "n": n, "m": m, "y": y}, seed)
+
+
+def _vandermonde_check(p, seed, _points):
+    N, n, m, y = p["N"], p["n"], p["m"], p["y"]
+    shown = {"N": N, "n": n, "m": m}
     if y is None:
         sampler = SeededSampler(mix_seed(seed, ("vandermonde", N, n, m)))
         y = sampler.positive_distinct(N, _SAMPLE_BOUND)
     else:
         y = [Fraction(v) for v in y]
-        params["y"] = [f"{v.numerator}/{v.denominator}" for v in y]
+        shown["y"] = [f"{v.numerator}/{v.denominator}" for v in y]
     if len(y) != N:
         raise ValueError("y must have N values")
-    builder = ReportBuilder(
-        "vandermonde", params, seeds=[seed], conventions={"pf_sign": "(-1)^(C(n,2)*C(2m,2))"}
-    )
 
-    total = Fraction(0)
-    for tup in itertools.product(range(N), repeat=n):
-        prod = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                prod *= (y[tup[j]] - y[tup[i]]) ** (2 * m)
-        total += prod
-    lhs = total / N ** n
+    def lhs():
+        total = Fraction(0)
+        for tup in itertools.product(range(N), repeat=n):
+            prod = Fraction(1)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    prod *= (y[tup[j]] - y[tup[i]]) ** (2 * m)
+            total += prod
+        return [total / N ** n]
 
-    width = 2 * m
-    dim = width * n
-    shift = m * (n * (2 * m - 1) + 2)
-    entries = {}
-    for combo in itertools.product(*[range((s - 1) * n + 1, s * n + 1) for s in range(1, width + 1)]):
-        e = sum(combo) - shift
-        entries[combo] = sum(v ** e for v in y)
-    M = AltTensor(QQ, width, dim, entries)
-    sign = -1 if (math.comb(n, 2) * math.comb(width, 2)) % 2 else 1
-    rhs = sign * Fraction(math.factorial(n), N ** n) * hyperpfaffian(M)
-
-    equal = lhs == rhs
-    if m == 1:
+    def rhs():
+        width = 2 * m
+        shift = m * (n * (2 * m - 1) + 2)
+        entries = {}
+        blocks = [range((s - 1) * n + 1, s * n + 1) for s in range(1, width + 1)]
+        for combo in itertools.product(*blocks):
+            e = sum(combo) - shift
+            entries[combo] = sum(v ** e for v in y)
+        M = AltTensor(QQ, width, width * n, entries)
+        sign = -1 if (math.comb(n, 2) * math.comb(width, 2)) % 2 else 1
+        value = sign * Fraction(math.factorial(n), N ** n) * hyperpfaffian(M)
+        if m > 1:
+            return [value]
         rows = [[sum(v ** (i + j) for v in y) for j in range(n)] for i in range(n)]
         det_form = Fraction(math.factorial(n), N ** n) * determinant(DenseMatrix.from_rows(rows))
-        equal = equal and det_form == lhs
-    return builder.finish_scalars([lhs], [rhs], equal)
+        return [value] if det_form == value else [value, det_form]
+
+    return {"params": shown, "conventions": {"pf_sign": "(-1)^(C(n,2)*C(2m,2))"}}, lhs, rhs
+
+
+# 2mn is capped before N^n is computed, so a huge n costs no big power.
+VANDERMONDE = {
+    "vandermonde": Check(
+        _vandermonde_check,
+        "VANDERMONDE",
+        {"N": ..., "n": ..., "m": ..., "y": None},
+        (
+            {"N": (1, None), "n": (0, None), "m": (1, None)},
+            {
+                "2mn": (lambda p: 2 * p["m"] * p["n"], 8),
+                "Nn": (lambda p: p["N"] ** p["n"], 10_000),
+            },
+        ),
+    )
+}

@@ -21,8 +21,10 @@ expansion is kept only in the tests, as the oracle the DP is compared
 against.  The left side calls no Pfaffian or hafnian code, so it stays
 independent of the right side.
 
-``_DEBRUIJN_IMPL`` rows are (sides, domain); each order's parity and cap
-are in the domain, checked (``core.check_domain``) before any sampling.
+The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity on
+seeded word pairs is the ``CHEN`` row, both ``report.Check`` rows run by
+``report.run_check``; each order's parity and cap are in its row's domain,
+checked (``core.check_domain``) before any sampling.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, check_domain, double_factorial_coeff, mix_seed
+from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
 from .freealg import FreePoly, shuffle
-from .report import ReportBuilder, VerificationReport
+from .report import Check, VerificationReport, at_points, run_check
 from .tensors import (
     AltTensor,
     SymTensor,
@@ -46,7 +48,6 @@ from .tensors import (
 MAX_WORD = 8
 MAX_ORDER = 8
 MAX_PAIRS = 1000
-CHEN_DOMAIN = ({"pairs": (1, MAX_PAIRS)}, {"size": (lambda _p: MAX_WORD, None)})
 
 
 @dataclass(frozen=True)
@@ -134,36 +135,52 @@ def iterated_integral_oracle(params) -> Fraction:
     return poly.get(Fraction(0), Fraction(0))
 
 
+def _chen_pair(u, v, fam: MonomialFamily):
+    """The two sides of Chen's identity for one word pair, as callables:
+    <u><v>, each factor cross-checked by the integration oracle, and
+    <u shuffle v>."""
+    lhs = lambda: chen_form(u, fam, check=True) * chen_form(v, fam, check=True)
+    return lhs, lambda: chen_form(shuffle(FreePoly.from_word(u), FreePoly.from_word(v)), fam)
+
+
 def verify_chen(u, v, fam: MonomialFamily, seed: int = 0) -> VerificationReport:
     """<u><v> == <u shuffle v> with all three values exact."""
     u, v = tuple(u), tuple(v)
     if len(u) + len(v) > MAX_WORD:
         raise ValueError(f"size cap exceeded: |u|+|v| <= {MAX_WORD}")
-    builder = ReportBuilder("chen", {"lu": len(u), "lv": len(v)}, seeds=[seed])
-    lhs = chen_form(u, fam, check=True) * chen_form(v, fam, check=True)
-    rhs = chen_form(shuffle(FreePoly.from_word(u), FreePoly.from_word(v)), fam)
-    return builder.finish_scalars([lhs], [rhs])
+    lhs, rhs = _chen_pair(u, v, fam)
+    sides = lambda *_: ({"params": {"lu": len(u), "lv": len(v)}}, lambda: [lhs()], lambda: [rhs()])
+    # One given pair: no flags, and the word-length cap above is its domain.
+    return run_check({"chen": Check(sides, "CHEN", {}, ({}, {}))}, "CHEN", {}, seed)
+
+
+def _random_chen_pair(sampler: SeededSampler, alphabet: int):
+    # A word pair of total length <= MAX_WORD and a family for its letters.
+    total = sampler.next_int(MAX_WORD - 1) + 1
+    lu = sampler.next_int(total - 1)
+    u = tuple(sampler.next_int(alphabet) - 1 for _ in range(lu))
+    v = tuple(sampler.next_int(alphabet) - 1 for _ in range(total - lu))
+    return _chen_pair(u, v, MonomialFamily(phi=tuple(sampler.positive_distinct(alphabet, 100))))
 
 
 def verify_chen_batch(seed: int, pairs: int = 100, alphabet: int = 5) -> VerificationReport:
     """Run verify_chen on seeded random word pairs of total length <= 8."""
-    check_domain("CHEN", {"pairs": pairs}, CHEN_DOMAIN)
-    builder = ReportBuilder("chen", {"pairs": pairs}, seeds=[seed])
-    lhs_vals = []
-    rhs_vals = []
-    for i in range(pairs):
-        sampler = SeededSampler(mix_seed(seed, ("chen", i)))
-        total = sampler.next_int(MAX_WORD - 1) + 1
-        lu = sampler.next_int(total - 1)
-        lv = total - lu
-        u = tuple(sampler.next_int(alphabet) - 1 for _ in range(lu))
-        v = tuple(sampler.next_int(alphabet) - 1 for _ in range(lv))
-        fam = MonomialFamily(phi=tuple(sampler.positive_distinct(alphabet, 100)))
-        lhs = chen_form(u, fam, check=True) * chen_form(v, fam, check=True)
-        rhs = chen_form(shuffle(FreePoly.from_word(u), FreePoly.from_word(v)), fam)
-        lhs_vals.append(lhs)
-        rhs_vals.append(rhs)
-    return builder.finish_scalars(lhs_vals, rhs_vals)
+    return run_check(CHEN, "CHEN", {"pairs": pairs, "alphabet": alphabet}, seed)
+
+
+def _chen_check(p, seed, _points):
+    sides_at = lambda s: _random_chen_pair(s, p.get("alphabet", 5))
+    return {}, *at_points(seed, ("chen",), p["pairs"], sides_at)
+
+
+CHEN = {
+    "chen": Check(
+        _chen_check,
+        "CHEN",
+        {"pairs": 100},
+        ({"pairs": (1, MAX_PAIRS)}, {"size": (lambda _p: MAX_WORD, None)}),
+    )
+}
 
 
 # Nothing in the package calls this alias; perfbench/test_perfbench.py still
@@ -289,116 +306,123 @@ def verify_debruijn(
     determinant/permanent, summed by ``ordered_sum``; the right side is the
     (hyper)Pfaffian or hafnian of pairwise (or 2k-wise) integrals.
     """
-    variant = variant.upper()
-    if variant not in _DEBRUIJN_IMPL:
-        raise ValueError(f"unknown variant: {variant}")
-    sides, domain = _DEBRUIJN_IMPL[variant]
-    (order,) = check_domain(variant, {"n": n, "k": k}, domain).values()
-    if fam is None:
-        fam = default_family(variant, order, k, seed)
-
-    params: dict = {"order": order}
-    if variant in ("GENERAL_DET", "GENERAL_PERM"):
-        params = {"k": k, "n": n}
-    conventions = {}
-    if variant == "PERM_PRODUCT":
-        _, conventions["double_factorial"] = double_factorial_coeff(order // 2, coeff)
-        params["coeff"] = coeff
-    builder = ReportBuilder(
-        "debruijn_" + variant.lower(), params, seeds=[seed], conventions=conventions
-    )
-    lhs, rhs = sides(order, k, fam, coeff)
-    return builder.finish_scalars([lhs], [rhs])
+    return run_check(DEBRUIJN, variant, {"n": n, "k": k, "coeff": coeff, "fam": fam}, seed)
 
 
-def _db_even(order, _k, fam, _coeff):
+def _pair_pf(order, f):
+    # Pf of the antisymmetrised pair integrals f(i, j) - f(j, i).
+    return pfaffian(AltTensor.from_function(QQ, 2, order, lambda ij: f(*ij) - f(ij[1], ij[0])))
+
+
+def _pair_hf(order, f):
+    # Hf of the symmetrised pair integrals f(i, j) + f(j, i).
+    return hafnian(SymTensor.from_function(QQ, 2, order, lambda ij: f(*ij) + f(ij[1], ij[0])))
+
+
+# Each plain variant gives its two sides from (order, family, coeff).
+
+
+def _db_even(order, fam, _coeff):
     z = fam.phi
-    lhs = ordered_sum([z] * order, 1, signed=True)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
-    M = AltTensor.from_function(QQ, 2, order, lambda ij: pair(*ij) - pair(ij[1], ij[0]))
-    return lhs, pfaffian(M)
+    return lambda: ordered_sum([z] * order, 1, signed=True), lambda: _pair_pf(order, pair)
 
 
-def _db_odd(order, _k, fam, _coeff):
+def _db_odd(order, fam, _coeff):
     z = fam.phi
-    lhs = ordered_sum([z] * order, 1, signed=True)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
-    rhs = Fraction(0)
-    for p in range(1, order + 1):
-        keep = tuple(i for i in range(1, order + 1) if i != p)
-        M = AltTensor.from_function(
-            QQ, 2, order - 1, lambda ij: pair(keep[ij[0] - 1], keep[ij[1] - 1]) - pair(keep[ij[1] - 1], keep[ij[0] - 1])
-        )
-        rhs += (-1) ** (p + 1) * Fraction(1, 1) / z[p - 1] * pfaffian(M)
-    return lhs, rhs
+
+    def rhs():
+        total = Fraction(0)
+        for p in range(1, order + 1):
+            keep = tuple(i for i in range(1, order + 1) if i != p)
+            minor = _pair_pf(order - 1, lambda i, j: pair(keep[i - 1], keep[j - 1]))
+            total += (-1) ** (p + 1) * Fraction(1, 1) / z[p - 1] * minor
+        return total
+
+    return lambda: ordered_sum([z] * order, 1, signed=True), rhs
 
 
-def _db_interleaved(order, _k, fam, _coeff):
+def _db_interleaved(order, fam, _coeff):
     phi, psi = fam.phi, fam.psi
-    lhs = ordered_sum([phi, psi] * (order // 2), 2, signed=True)
     single = lambda i, j: 1 / merged_exponent((phi[i - 1], psi[j - 1]))
-    M = AltTensor.from_function(QQ, 2, order, lambda ij: single(*ij) - single(ij[1], ij[0]))
-    return lhs, pfaffian(M)
+    lhs = lambda: ordered_sum([phi, psi] * (order // 2), 2, signed=True)
+    return lhs, lambda: _pair_pf(order, single)
 
 
-def _db_new_pairing(order, _k, fam, _coeff):
+def _db_new_pairing(order, fam, _coeff):
     phi, psi = fam.phi, fam.psi
-    lhs = ordered_sum([phi, psi] * (order // 2), 1, signed=True)
     pair = lambda i, j: r_value([phi[i - 1], psi[j - 1]])
-    M = AltTensor.from_function(QQ, 2, order, lambda ij: pair(*ij) - pair(ij[1], ij[0]))
-    return lhs, pfaffian(M)
+    lhs = lambda: ordered_sum([phi, psi] * (order // 2), 1, signed=True)
+    return lhs, lambda: _pair_pf(order, pair)
 
 
-def _db_perm_product(order, _k, fam, coeff):
+def _db_perm_product(order, fam, coeff):
     z = fam.phi
-    lhs = ordered_sum([z] * order, 1, signed=False)
     pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
-    S = SymTensor.from_function(QQ, 2, order, lambda ij: pair(*ij) + pair(ij[1], ij[0]))
-    c, _ = double_factorial_coeff(order // 2, coeff)
-    return lhs, hafnian(S) / c
+    rhs = lambda: _pair_hf(order, pair) / double_factorial_coeff(order // 2, coeff)[0]
+    return lambda: ordered_sum([z] * order, 1, signed=False), rhs
 
 
-def _db_perm_interleaved(order, _k, fam, _coeff):
+def _db_perm_interleaved(order, fam, _coeff):
     phi, psi = fam.phi, fam.psi
-    lhs = ordered_sum([phi, psi] * (order // 2), 2, signed=False)
     single = lambda i, j: 1 / merged_exponent((phi[i - 1], psi[j - 1]))
-    S = SymTensor.from_function(QQ, 2, order, lambda ij: single(*ij) + single(ij[1], ij[0]))
-    return lhs, hafnian(S)
+    lhs = lambda: ordered_sum([phi, psi] * (order // 2), 2, signed=False)
+    return lhs, lambda: _pair_hf(order, single)
 
 
-def _general_sides(order, k, fam, signed: bool):
-    grid = fam.grid
-    width = 2 * k
-    lhs = ordered_sum([grid[s % width] for s in range(order)], width, signed)
+def _debruijn(name, sides_of, parity="even", coeff=False):
+    # A plain row: matrix order n, with the given parity and at most
+    # MAX_ORDER; its report names the order.
+    def sides(p, seed, _points):
+        order = p["n"]
+        fam = p.get("fam") or default_family(name, order, None, seed)
+        shown = {"order": order, **({"coeff": p["coeff"]} if coeff else {})}
+        lhs, rhs = sides_of(order, fam, p.get("coeff"))
+        return {"params": shown}, lambda: [lhs()], lambda: [rhs()]
 
-    def entry(idx):
-        out = Fraction(0)
-        for tau, tsign in signed_permutations(width):
-            z = merged_exponent(tuple(grid[s][idx[tau[s] - 1] - 1] for s in range(width)))
-            out += (tsign if signed else 1) / z
-        return out
-
-    if signed:
-        M = AltTensor.from_function(QQ, width, order, entry)
-        return lhs, hyperpfaffian(M)
-    S = SymTensor.from_function(QQ, width, order, entry)
-    return lhs, hyperhafnian(S)
+    flags = {"n": ..., "coeff": "corrected"} if coeff else {"n": ...}
+    domain = ({"n": (0, None, parity)}, {"order": (lambda q: q["n"], MAX_ORDER)})
+    return Check(sides, name, flags, domain)
 
 
-# The plain variants' matrix order is n; the generalized ones' is 2kn.
-_ORDER_CAP = {"order": (lambda p: p["n"], MAX_ORDER)}
-_EVEN = ({"n": (0, None, "even")}, _ORDER_CAP)
-_GENERAL = ({"k": (1, None), "n": (0, None)}, {"2kn": (lambda p: 2 * p["k"] * p["n"], MAX_ORDER)})
+def _general(name, signed: bool):
+    # A generalized block row: 2k-wise blocks of a matrix of order 2kn.
+    def sides(p, seed, _points):
+        k = p["k"]
+        width, order = 2 * k, 2 * k * p["n"]
+        grid = (p.get("fam") or default_family(name, order, k, seed)).grid
 
-# variant: (sides of (order, k, family, coeff), domain)
-_DEBRUIJN_IMPL = {
-    "EVEN": (_db_even, _EVEN),
-    "ODD": (_db_odd, ({"n": (0, None, "odd")}, _ORDER_CAP)),
-    "INTERLEAVED": (_db_interleaved, _EVEN),
-    "NEW_PAIRING": (_db_new_pairing, _EVEN),
-    "PERM_PRODUCT": (_db_perm_product, _EVEN),
-    "PERM_INTERLEAVED": (_db_perm_interleaved, _EVEN),
-    "GENERAL_DET": (lambda order, k, fam, _coeff: _general_sides(order, k, fam, True), _GENERAL),
-    "GENERAL_PERM": (lambda order, k, fam, _coeff: _general_sides(order, k, fam, False), _GENERAL),
+        def entry(idx):
+            out = Fraction(0)
+            for tau, tsign in signed_permutations(width):
+                z = merged_exponent(tuple(grid[s][idx[tau[s] - 1] - 1] for s in range(width)))
+                out += (tsign if signed else 1) / z
+            return out
+
+        def rhs():
+            if signed:
+                return [hyperpfaffian(AltTensor.from_function(QQ, width, order, entry))]
+            return [hyperhafnian(SymTensor.from_function(QQ, width, order, entry))]
+
+        lhs = lambda: [ordered_sum([grid[s % width] for s in range(order)], width, signed)]
+        return {}, lhs, rhs
+
+    caps = {"2kn": (lambda q: 2 * q["k"] * q["n"], MAX_ORDER)}
+    return Check(sides, name, {"k": ..., "n": ...}, ({"k": (1, None), "n": (0, None)}, caps))
+
+
+DEBRUIJN = {
+    "debruijn_" + check.name.lower(): check
+    for check in (
+        _debruijn("EVEN", _db_even),
+        _debruijn("ODD", _db_odd, "odd"),
+        _debruijn("INTERLEAVED", _db_interleaved),
+        _debruijn("NEW_PAIRING", _db_new_pairing),
+        _debruijn("PERM_PRODUCT", _db_perm_product, coeff=True),
+        _debruijn("PERM_INTERLEAVED", _db_perm_interleaved),
+        _general("GENERAL_DET", signed=True),
+        _general("GENERAL_PERM", signed=False),
+    )
 }
-DEBRUIJN_VARIANTS = tuple(_DEBRUIJN_IMPL)
+DEBRUIJN_VARIANTS = tuple(check.name for check in DEBRUIJN.values())

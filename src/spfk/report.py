@@ -1,4 +1,5 @@
-"""Canonical record of one identity check.
+"""Canonical record of one identity check, and the one driver that runs a
+check from its table row to its report.
 
 Digests are deterministic functions of the canonical form of each side, so
 the same (identity, params, seed) always reproduces the same report.  The
@@ -11,6 +12,9 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
+
+from .core import SeededSampler, check_domain, double_factorial_coeff, mix_seed
 
 
 def digest(canonical: str) -> str:
@@ -54,41 +58,76 @@ class VerificationReport:
         }
 
 
-class ReportBuilder:
-    """Collects the two sides of a check and stamps the elapsed time."""
+class Check(NamedTuple):
+    """One identity's table row.
 
-    def __init__(self, identity: str, params: dict, seeds=(), conventions=None):
-        self.identity = identity
-        self.params = dict(params)
-        self.seeds = list(seeds)
-        self.conventions = dict(conventions or {})
-        self._t0 = time.perf_counter()
+    ``sides(params, seed, points)`` returns the report header's departures
+    from the default (params: the flag values; seeds: [seed]) and the two
+    sides as zero-argument callables, each giving a FreePoly or a list of
+    exact scalars.  ``name`` is the check's name in refusals and its variant
+    name; ``flags`` maps each CLI flag the check reads to its default,
+    ``...`` marking a required one; ``domain`` is (ranges, caps) as
+    ``core.check_domain`` reads it."""
 
-    def finish(
-        self, equal: bool, lhs_canonical: str, rhs_canonical: str, lhs_terms: int, rhs_terms: int
-    ) -> VerificationReport:
-        elapsed = int((time.perf_counter() - self._t0) * 1000)
-        return VerificationReport(
-            identity=self.identity,
-            params=self.params,
-            seeds=self.seeds,
-            equal=equal,
-            lhs_digest=digest(lhs_canonical),
-            rhs_digest=digest(rhs_canonical),
-            lhs_terms=lhs_terms,
-            rhs_terms=rhs_terms,
-            elapsed_ms=elapsed,
-            counterexample=None if equal else (lhs_canonical, rhs_canonical),
-            conventions=self.conventions,
-        )
+    sides: Callable
+    name: str
+    flags: dict
+    domain: tuple
 
-    def finish_scalars(self, lhs_vals, rhs_vals, equal=None) -> VerificationReport:
-        """``finish`` for two lists of exact scalars; ``equal`` defaults to
-        the lists being equal."""
-        return self.finish(
-            list(lhs_vals) == list(rhs_vals) if equal is None else equal,
-            scalar_list_canonical(lhs_vals),
-            scalar_list_canonical(rhs_vals),
-            len(lhs_vals),
-            len(rhs_vals),
-        )
+
+def run_check(
+    table: dict, variant: str, given: dict, seed: int = 42, points: int = 3
+) -> VerificationReport:
+    """Check the row of ``table`` (id: Check) named ``variant``, in any case.
+
+    ``given`` holds flag values, a missing flag taking its default, and may
+    carry inputs that are not flags (a de Bruijn family, the Chen alphabet).
+    The domain is checked before any work; then the left side runs, then
+    the right side, always in that order (XIPFASHU's letter registry numbers
+    letters as the left side meets them), and one report is built.  A check
+    with a ``coeff`` flag names its double-factorial convention."""
+    name = variant.upper()
+    identity = next((i for i, check in table.items() if check.name == name), None)
+    if identity is None:
+        raise ValueError(f"unknown variant: {name}")
+    sides, _name, flags, domain = table[identity]
+    params = {**flags, **given}
+    check_domain(name, params, domain)
+    header = {"params": {flag: params[flag] for flag in flags}, "seeds": [seed], "conventions": {}}
+    if "coeff" in flags:  # the convention's name does not depend on n
+        _, named = double_factorial_coeff(0, params["coeff"])
+        header["conventions"] = {"double_factorial": named}
+    t0 = time.perf_counter()
+    shown, lhs, rhs = sides(params, seed, points)
+    header.update(shown)
+    left = lhs()
+    right = rhs()
+    equal = left == right
+    if isinstance(left, list):
+        canonical, lhs_terms, rhs_terms = scalar_list_canonical, len(left), len(right)
+    else:
+        canonical = type(left).canonical_string
+        lhs_terms, rhs_terms = left.num_terms(), right.num_terms()
+    # Equal sides have one canonical string, so it is formatted and hashed once.
+    lhs_canonical = canonical(left)
+    rhs_canonical = lhs_canonical if equal else canonical(right)
+    lhs_digest = digest(lhs_canonical)
+    return VerificationReport(
+        identity=identity,
+        lhs_digest=lhs_digest,
+        rhs_digest=lhs_digest if equal else digest(rhs_canonical),
+        equal=equal,
+        lhs_terms=lhs_terms,
+        rhs_terms=rhs_terms,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+        counterexample=None if equal else (lhs_canonical, rhs_canonical),
+        **header,
+    )
+
+
+def at_points(seed: int, tag: tuple, points: int, sides_at) -> tuple:
+    """The two sides of a check at its seeded sample points, as lists:
+    ``sides_at(sampler)`` gives one point's (lhs, rhs) callables, and point p
+    draws from a sampler seeded with (seed, (*tag, p))."""
+    pairs = [sides_at(SeededSampler(mix_seed(seed, (*tag, p)))) for p in range(points)]
+    return (lambda: [lhs() for lhs, _ in pairs]), (lambda: [rhs() for _, rhs in pairs])

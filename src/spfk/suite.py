@@ -1,11 +1,13 @@
 """The identity table and the default verification suite, with
 deterministic text and JSON reporting.
 
-``IDENTITIES`` is the one place that maps an identity id to its verifier:
-`spfk verify`, the suite matrix and `spfk verify --help` all read it.  A
-case is an id plus its parameters, named like the CLI flags.  Each row
-carries its verifier's parameter domain; building a case checks it
-(``core.check_domain``), whose measures are the case's `--max` caps.
+``IDENTITIES`` maps each identity id to its ``report.Check`` row, gathered
+from the tables of ``identities`` and ``integrals`` that declare it:
+`spfk verify`, the suite matrix and `spfk verify --help` all read it, and
+``run_case`` hands a case straight to ``report.run_check``.  A case is an id
+plus its parameters, named like the CLI flags.  Building a case checks the
+row's parameter domain (``core.check_domain``), whose measures are the
+case's `--max` caps.
 
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
@@ -20,20 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import check_domain
-from .identities import (
-    _RATIONAL_IMPL,
-    STRUCTURE,
-    VANDERMONDE_DOMAIN,
-    VI_DOMAIN,
-    WICK,
-    verify_VI,
-    verify_hyperpf_structure,
-    verify_rational_identity,
-    verify_shuffle_wick,
-    verify_vandermonde_average,
-)
-from .integrals import _DEBRUIJN_IMPL, CHEN_DOMAIN, verify_chen_batch, verify_debruijn
-from .report import VerificationReport
+from .identities import RATIONAL, STRUCTURE, VANDERMONDE, VI, WICK
+from .integrals import CHEN, DEBRUIJN
+from .report import VerificationReport, run_check
 
 DEFAULT_SEED = 42
 
@@ -62,95 +53,12 @@ class SuiteConfig:
         return 10 if self.paranoid else 3
 
 
-# One runner per verifier family: (variant, seed, points, **params).  Each
-# calls its verifier through this module's global name, so patching that name
-# sees every call.
-
-
-def _wick(variant, _seed, _points, **p):
-    return verify_shuffle_wick(variant, **p)
-
-
-def _structure(variant, seed, _points, **p):
-    return verify_hyperpf_structure(variant, seed=seed, **p)
-
-
-def _rational(variant, seed, points, coeff="corrected", **p):
-    (size,) = p.values()  # the one size flag of the row, n or m
-    return verify_rational_identity(variant, size, seed=seed, points=points, coeff=coeff)
-
-
-def _vi(_variant, seed, points, **p):
-    return verify_VI(seed=seed, points=points, **p)
-
-
-def _vandermonde(_variant, seed, _points, **p):
-    return verify_vandermonde_average(seed=seed, **p)
-
-
-def _chen(_variant, seed, _points, **p):
-    return verify_chen_batch(seed, **p)
-
-
-def _debruijn(variant, seed, _points, **p):
-    return verify_debruijn(variant, seed=seed, **p)
-
-
-# Each family's table, whose rows are (sides, domain).
-_TABLES = {_wick: WICK, _structure: STRUCTURE, _rational: _RATIONAL_IMPL, _debruijn: _DEBRUIJN_IMPL}
-
-
-def _row(runner, variant, flags):
-    return (runner, variant, flags, _TABLES[runner][variant][1])
-
-
-def _rational_row(variant, **coeff):
-    (name,) = _RATIONAL_IMPL[variant][1][0]  # the one size flag, n or m
-    return _row(_rational, variant, {name: ..., **coeff})
-
-
-_COEFF = {"coeff": "corrected"}
-
-# id: (runner, variant, flags with their defaults, domain).  A default of
-# ``...`` marks a flag the id cannot run without; only the ids whose flags
-# include `coeff` take one.  The domain is the verifier's own (see
-# core.check_domain): the case's caps are the measures it returns, and
-# `spfk suite --max CAP=VALUE` skips the cases above a cap.
-IDENTITIES = {
-    "pfab": _row(_wick, "PFAB", {"n": ...}),
-    "sdb2": _row(_wick, "SDB2", {"n": ...}),
-    "fhaff2": _row(_wick, "FHAFF2", {"n": ...}),
-    "fhaff1": _row(_wick, "FHAFF1", {"n": ..., **_COEFF}),
-    "odd_even": _row(_wick, "ODD_EVEN", {"n": ...}),
-    "antishuffle": _row(_wick, "ANTISHUFFLE", {"n": ...}),
-    "xipfashu": _row(_wick, "XIPFASHU", {"k": ..., "n": ...}),
-    "composition": _row(_structure, "COMPOSITION", {"m": ..., "n": ...}),
-    "sum": _row(_structure, "SUM", {"m": ..., "n": ...}),
-    "minor": _row(_structure, "MINOR", {"m": ..., "n": ..., "t": ...}),
-    "det_decomp": _row(_structure, "DET_DECOMP", {"m": ..., "n": ...}),
-    "schur": _rational_row("SCHUR"),
-    "schur_hyper": _rational_row("SCHUR_HYPER", **_COEFF),
-    "sundquist": _rational_row("SUNDQUIST"),
-    "mehta1": _rational_row("MEHTA1"),
-    "mehta2": _rational_row("MEHTA2"),
-    "sum1": _rational_row("SUM1"),
-    "hafsym": _rational_row("HAFSYM"),
-    "wigner_rank1": _rational_row("WIGNER_RANK1", **_COEFF),
-    "arq": _rational_row("ARQ"),
-    "vi": (_vi, "VI", {"parts": ..., "N": 8}, VI_DOMAIN),
-    "vandermonde": (
-        _vandermonde, "VANDERMONDE", {"N": ..., "n": ..., "m": ..., "y": None}, VANDERMONDE_DOMAIN
-    ),
-    "chen": (_chen, "CHEN", {"pairs": 100}, CHEN_DOMAIN),
-    "debruijn_even": _row(_debruijn, "EVEN", {"n": ...}),
-    "debruijn_odd": _row(_debruijn, "ODD", {"n": ...}),
-    "debruijn_interleaved": _row(_debruijn, "INTERLEAVED", {"n": ...}),
-    "debruijn_new_pairing": _row(_debruijn, "NEW_PAIRING", {"n": ...}),
-    "debruijn_perm_product": _row(_debruijn, "PERM_PRODUCT", {"n": ..., **_COEFF}),
-    "debruijn_perm_interleaved": _row(_debruijn, "PERM_INTERLEAVED", {"n": ...}),
-    "debruijn_general_det": _row(_debruijn, "GENERAL_DET", {"k": ..., "n": ...}),
-    "debruijn_general_perm": _row(_debruijn, "GENERAL_PERM", {"k": ..., "n": ...}),
-}
+# id: Check(sides, name, flags with their defaults, domain), from the tables
+# that declare each row once.  A default of ``...`` marks a flag the id
+# cannot run without; only the ids whose flags include `coeff` take one.  The
+# domain is checked by core.check_domain: the case's caps are the measures it
+# returns, and `spfk suite --max CAP=VALUE` skips the cases above a cap.
+IDENTITIES = {**WICK, **STRUCTURE, **RATIONAL, **VI, **VANDERMONDE, **CHEN, **DEBRUIJN}
 
 # The names `spfk suite --max` takes: every measure a domain caps.
 CAP_NAMES = tuple(
@@ -159,15 +67,15 @@ CAP_NAMES = tuple(
 
 
 def takes_points(identity) -> bool:
-    """Whether the id's runner checks at sample points, so that ``paranoid``
+    """Whether the id is checked at sample points, so that ``paranoid``
     (10 points instead of 3) changes its check."""
-    return IDENTITIES[identity][0] in (_rational, _vi)
+    return identity in RATIONAL or identity in VI
 
 
 def make_case(identity, given: dict, expect_equal=True, seed_offset=0, caps=None) -> SuiteCase:
     """The case of one id: ``given`` plus the row's defaults.  A flag the id
     does not read, or one it needs and lacks, is a ValueError."""
-    _runner, variant, flags, domain = IDENTITIES[identity]
+    _sides, variant, flags, domain = IDENTITIES[identity]
     unread = [f"--{name}" for name in given if name not in flags]
     if unread:
         raise ValueError(f"{identity} does not read {', '.join(unread)}")
@@ -241,8 +149,9 @@ def default_cases() -> list[SuiteCase]:
 
 
 def run_case(case: SuiteCase, config: SuiteConfig) -> VerificationReport:
-    runner, variant, _flags, _caps = IDENTITIES[case.runner]
-    return runner(variant, config.seed + case.seed_offset, config.points, **case.param_dict())
+    name = IDENTITIES[case.runner].name
+    seed = config.seed + case.seed_offset
+    return run_check(IDENTITIES, name, case.param_dict(), seed, config.points)
 
 
 def _within_caps(case: SuiteCase, overrides: dict) -> bool:

@@ -2,15 +2,18 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import re
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spfk import cli, integrals, suite
+from spfk import cli, identities, integrals, suite
 from spfk.cli import main
 from spfk.tensors import MAX_BLOCKED, hyperpfaffian, tensor_to_json
 from test_tensors import _random_alt
@@ -241,6 +244,48 @@ def test_verify_runs_every_id_with_its_first_suite_case(capsys, monkeypatch, ide
     assert {**payload, "expect_equal": case.expect_equal} in json.loads(GOLDEN.read_bytes())
 
 
+def _library_report(identity, p, seed, points):
+    """The id's case through the library verifier its table is named for."""
+    name = suite.IDENTITIES[identity].name
+    if identity in identities.WICK:
+        return identities.verify_shuffle_wick(name, p["n"], k=p.get("k"), coeff=p.get("coeff", "corrected"))
+    if identity in identities.STRUCTURE:
+        return identities.verify_hyperpf_structure(name, p["m"], p["n"], t=p.get("t"), seed=seed)
+    if identity in identities.RATIONAL:
+        size = p.get("n", p.get("m"))
+        return identities.verify_rational_identity(
+            name, size, seed=seed, points=points, coeff=p.get("coeff", "corrected"))
+    if identity == "vi":
+        return identities.verify_VI(p["parts"], N=p["N"], seed=seed, points=points)
+    if identity == "vandermonde":
+        return identities.verify_vandermonde_average(p["N"], p["n"], p["m"], y=p["y"], seed=seed)
+    if identity == "chen":
+        return integrals.verify_chen_batch(seed, pairs=p["pairs"])
+    return integrals.verify_debruijn(name, n=p["n"], k=p.get("k"), seed=seed,
+                                     coeff=p.get("coeff", "corrected"))
+
+
+@pytest.mark.parametrize("identity", list(suite.IDENTITIES))
+def test_suite_case_and_library_verifier_give_one_report(identity):
+    case = _first_cases()[identity]
+    config = suite.SuiteConfig(seed=7, paranoid=True)
+    via_suite = suite.run_case(case, config).to_json_dict()
+    via_library = _library_report(identity, case.param_dict(), 7 + case.seed_offset, config.points)
+    assert via_library.to_json_dict() == via_suite
+
+
+def test_erratum_demo_script_runs():
+    root = pathlib.Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "erratum_demo.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "coefficient 1/(2n-1)!!: equal=True" in lines
+    assert "coefficient 1/(2n)!!: equal=False" in lines
+
+
 @pytest.mark.parametrize("identity", list(suite.IDENTITIES))
 def test_verify_coeff_only_where_the_table_takes_it(capsys, identity):
     flags = suite.IDENTITIES[identity][2]
@@ -333,12 +378,7 @@ def test_suite_known_max_caps_are_the_table_measures():
 
 # Every bound the table declares, one step outside: the id's first suite case
 # with one value moved past the bound exits 2 with the bound's message before
-# any verifier runs.
-
-_VERIFIERS = (
-    "verify_shuffle_wick", "verify_hyperpf_structure", "verify_rational_identity", "verify_VI",
-    "verify_vandermonde_average", "verify_chen_batch", "verify_debruijn",
-)
+# any row's sides are built.
 
 
 def _refuse(*_args, **_kwargs):
@@ -404,8 +444,8 @@ def _one_step_outside():
 @pytest.mark.parametrize("identity,params,message", _one_step_outside())
 def test_verify_one_step_outside_each_declared_bound(capsys, monkeypatch, identity, params,
                                                      message):
-    for name in _VERIFIERS:
-        monkeypatch.setattr(suite, name, _refuse)
+    for key, row in suite.IDENTITIES.items():
+        monkeypatch.setitem(suite.IDENTITIES, key, row._replace(sides=_refuse))
     code, out, err = run(capsys, "verify", identity, *_flag_argv(params))
     assert code == 2
     assert out == ""

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from spfk import identities, suite
+from spfk import identities, integrals, suite
 from spfk.core import QQ, SeededSampler, mix_seed
 from spfk.freealg import FreePoly, LetterRegistry, antishuffle, shuffle
 from spfk.identities import (
-    _RATIONAL_IMPL,
     _SAMPLE_BOUND,
     verify_VI,
     verify_hyperpf_structure,
@@ -187,6 +186,20 @@ def test_wick_one_size_above_the_suite_keeps_its_digests(variant, n, k, pinned, 
     assert (report.lhs_terms, report.rhs_terms) == (terms, terms)
 
 
+@pytest.mark.parametrize(
+    "verify",
+    (
+        lambda v: verify_shuffle_wick(v, 2),
+        lambda v: verify_hyperpf_structure(v, 1, 1),
+        lambda v: verify_rational_identity(v, 1),
+        lambda v: integrals.verify_debruijn(v, n=2),
+    ),
+)
+def test_every_variant_wrapper_refuses_an_unknown_variant(verify):
+    with pytest.raises(ValueError, match="^unknown variant: NOPE$"):
+        verify("nope")
+
+
 def test_wick_caps():
     with pytest.raises(ValueError, match="size cap"):
         verify_shuffle_wick("PFAB", 5)
@@ -295,11 +308,11 @@ def test_sum1_m2_closed_form():
 
 @pytest.mark.parametrize("variant,sizes", [("MEHTA2", (2, 4, 6)), ("SUM1", (1, 2, 3, 4, 5))])
 def test_mehta2_sum1_left_sides_match_permutation_sums(variant, sizes):
-    impl = _RATIONAL_IMPL[variant][0]
+    impl = getattr(identities, f"_rat_{variant.lower()}")
     signed = variant == "MEHTA2"
     for size in sizes:
         for seed in range(3):
-            lhs, _rhs = impl(size, SeededSampler(seed), "corrected")
+            lhs = impl(size, SeededSampler(seed), "corrected")[0]()
             x = SeededSampler(seed).positive_distinct(size, _SAMPLE_BOUND)
             expected = sum(
                 (sign if signed else 1) * r_value([x[p - 1] for p in perm])
@@ -328,9 +341,8 @@ def _hafsym_lhs_by_permutations(x, y):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_hafsym_left_side_matches_permutation_sum(n):
-    impl = _RATIONAL_IMPL["HAFSYM"][0]
     for seed in range(20):
-        lhs, _rhs = impl(n, SeededSampler(seed), "corrected")
+        lhs = identities._rat_hafsym(n, SeededSampler(seed), "corrected")[0]()
         batch = SeededSampler(seed).positive_distinct(4 * n, _SAMPLE_BOUND)
         assert lhs == _hafsym_lhs_by_permutations(batch[: 2 * n], batch[2 * n :]), (n, seed)
 
@@ -451,6 +463,10 @@ def test_quasimonomial_fraction_oracle_matches_the_dense_sum():
         assert _quasimonomial_fraction(J, x) == dense, J
 
 
+def _vi_values(parts, x):
+    return tuple(side() for side in identities._vi_sides(parts, x))
+
+
 def _suite_vi_compositions():
     return [case.param_dict()["parts"] for case in suite.default_cases() if case.runner == "vi"]
 
@@ -461,7 +477,7 @@ def test_vi_integer_sides_match_the_fraction_oracle_on_every_suite_composition()
     for parts in compositions:
         x = SeededSampler(mix_seed(42, ("vi", parts, 8, 0))).positive_distinct(8, _SAMPLE_BOUND)
         assert math.lcm(*(v.denominator for v in x)) > 1
-        lhs, rhs = identities._vi_sides(parts, x)
+        lhs, rhs = _vi_values(parts, x)
         want_lhs, want_rhs = _vi_sides_by_fractions(parts, x)
         assert lhs == want_lhs, parts
         assert rhs == want_rhs, parts
@@ -471,11 +487,11 @@ def test_vi_sides_scale_by_their_own_degree():
     # M_J(x / c) = c^-|J| M_J(x): both sides follow the homogeneity separately.
     x = [Fraction(v) for v in (2, 3, 5, 7, 11, 13)]
     for parts in ((1, 2), (2, 1, 4), (3, 1, 4, 2), (4,)):
-        lhs, rhs = identities._vi_sides(parts, x)
+        lhs, rhs = _vi_values(parts, x)
         assert (lhs, rhs) == _vi_sides_by_fractions(parts, x)
         assert rhs and lhs == rhs
         c = Fraction(7, 3)
-        scaled = identities._vi_sides(parts, [v / c for v in x])
+        scaled = _vi_values(parts, [v / c for v in x])
         assert scaled == (lhs / c ** sum(parts), rhs / c ** sum(parts)), parts
 
 
@@ -491,6 +507,17 @@ def test_vi_caps():
 def test_vandermonde_n1_trivial():
     report = verify_vandermonde_average(3, 1, 2, seed=42)
     assert report.equal
+
+
+def test_vandermonde_m1_determinant_form_is_part_of_the_right_side(monkeypatch):
+    # A wrong determinant form alone makes the check fail, as a second
+    # right-side value next to the hyperpfaffian one.
+    real = identities.determinant
+    monkeypatch.setattr(identities, "determinant", lambda M: real(M) + 1)
+    report = verify_vandermonde_average(2, 2, 1, seed=42)
+    assert not report.equal
+    assert (report.lhs_terms, report.rhs_terms) == (1, 2)
+    assert verify_vandermonde_average(2, 2, 2, seed=42).equal  # m = 2 has no such form
 
 
 def test_vandermonde_closed_form_2_2_1():
