@@ -13,6 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import tensors
 from .report import VerificationReport
 from .suite import (
     CAP_NAMES,
@@ -26,7 +27,15 @@ from .suite import (
     suite_text,
     takes_points,
 )
-from .tensors import hafnian, hyperhafnian, hyperpfaffian, pfaffian, tensor_from_json
+
+# Each tensor command: the tensor kind it reads and its kernel's name in
+# ``tensors``, looked up when the command runs.
+_TENSOR_COMMANDS = {
+    "pf": ("alt", "pfaffian"),
+    "hf": ("sym", "hafnian"),
+    "hpf": ("alt", "hyperpfaffian"),
+    "hhf": ("sym", "hyperhafnian"),
+}
 
 
 def _parse_parts(text: str) -> tuple:
@@ -144,7 +153,7 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_tensor(ns) -> int:
-    kind = ns.command
+    kind, kernel = _TENSOR_COMMANDS[ns.command]
     try:
         with open(ns.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -155,15 +164,7 @@ def _cmd_tensor(ns) -> int:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        tensor = tensor_from_json(obj, "alt" if kind in ("pf", "hpf") else "sym")
-        if kind == "pf":
-            value = pfaffian(tensor)
-        elif kind == "hf":
-            value = hafnian(tensor)
-        elif kind == "hpf":
-            value = hyperpfaffian(tensor)
-        else:
-            value = hyperhafnian(tensor)
+        value = getattr(tensors, kernel)(tensors.tensor_from_json(obj, kind))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -232,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--format", choices=("text", "json"), default="text")
     pv.add_argument("--paranoid", action="store_true")
 
-    for kind in ("pf", "hf", "hpf", "hhf"):
-        pt = sub.add_parser(kind, help=f"evaluate {kind} of a tensor JSON file")
+    for command in _TENSOR_COMMANDS:
+        pt = sub.add_parser(command, help=f"evaluate {command} of a tensor JSON file")
         pt.add_argument("file")
 
     ps = sub.add_parser("suite", help="run the full verification matrix")
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
             return 2
     if ns.command == "verify":
         return _cmd_verify(ns)
-    if ns.command in ("pf", "hf", "hpf", "hhf"):
+    if ns.command in _TENSOR_COMMANDS:
         return _cmd_tensor(ns)
     return _cmd_suite(ns)
 

@@ -14,6 +14,8 @@ HAFSYM's permutation sum is the same kind of DP over the set of placed
 letters, ``_hafsym_lhs``) and never goes through the kernel that computes the
 right side.  Equality is exact, in the free algebra for the symbolic
 identities and at seeded rational points for the rational-function ones.
+At an odd order, ODD_EVEN, ANTISHUFFLE and VI border their pair tensor by a
+first row of singles (``tensors.bordered``), as the odd de Bruijn row does.
 VI clears the point's denominators once and runs its quasimonomial DP on
 ints; each side is divided back by its own power of the scale.
 """
@@ -24,20 +26,14 @@ import math
 from fractions import Fraction
 
 from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
-from .freealg import (
-    ANTISHUFFLE_RING,
-    SHUFFLE_RING,
-    FreePoly,
-    LetterRegistry,
-    antishuffle,
-    shuffle,
-)
+from .freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, LetterRegistry
 from .integrals import ordered_sum, r_value
 from .report import Check, VerificationReport, at_points, run_check
 from .tensors import (
     AltTensor,
     DenseMatrix,
     SymTensor,
+    bordered,
     determinant,
     enumerate_blocked,
     hafnian,
@@ -108,37 +104,20 @@ def _wick_fhaff1(n: int, coeff: str):
     return lambda: _perm_sum(d, lambda p: tuple(i - 1 for i in p), False), rhs
 
 
-def _wick_odd_even(n: int):
+def _wick_odd(n: int, signed: bool):
+    # ODD_EVEN (unsigned sum, shuffle Pfaffian) and ANTISHUFFLE (signed sum,
+    # antishuffle hafnian); an odd n borders the pair words by single letters.
+    word_of = lambda p: tuple(i - 1 for i in p)
+    single = lambda i: FreePoly.from_letter(i - 1)
+    pair = lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, -1 if signed else 1)
+
     def rhs():
-        Q = AltTensor.from_function(
-            SHUFFLE_RING, 2, n, lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, 1)
-        )
-        if n % 2 == 0:
-            return pfaffian(Q)
-        out = FreePoly.zero()
-        for p in range(1, n + 1):
-            keep = tuple(i for i in range(1, n + 1) if i != p)
-            term = shuffle(FreePoly.from_letter(p - 1), pfaffian(Q.restrict(keep)))
-            out = out + (term if p % 2 == 1 else -term)
-        return out
+        dim, entry = bordered(n, single, pair)
+        if signed:
+            return hafnian(SymTensor.from_function(ANTISHUFFLE_RING, 2, dim, entry))
+        return pfaffian(AltTensor.from_function(SHUFFLE_RING, 2, dim, entry))
 
-    return lambda: _perm_sum(n, lambda p: tuple(i - 1 for i in p), False), rhs
-
-
-def _wick_antishuffle(n: int):
-    def rhs():
-        Q = SymTensor.from_function(
-            ANTISHUFFLE_RING, 2, n, lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, -1)
-        )
-        if n % 2 == 0:
-            return hafnian(Q)
-        out = FreePoly.zero()
-        for p in range(1, n + 1):
-            keep = tuple(i for i in range(1, n + 1) if i != p)
-            out = out + antishuffle(FreePoly.from_letter(p - 1), hafnian(Q.restrict(keep)))
-        return out
-
-    return lambda: _perm_sum(n, lambda p: tuple(i - 1 for i in p), True), rhs
+    return lambda: _perm_sum(n, word_of, signed), rhs
 
 
 def _wick_xipfashu(k: int, n: int):
@@ -202,8 +181,8 @@ WICK = {
             _WICK_2N,
             {"n": ..., "coeff": "corrected"},
         ),
-        _wick("ODD_EVEN", lambda p: _wick_odd_even(p["n"]), _WICK_N),
-        _wick("ANTISHUFFLE", lambda p: _wick_antishuffle(p["n"]), _WICK_N),
+        _wick("ODD_EVEN", lambda p: _wick_odd(p["n"], signed=False), _WICK_N),
+        _wick("ANTISHUFFLE", lambda p: _wick_odd(p["n"], signed=True), _WICK_N),
         _wick(
             "XIPFASHU",
             lambda p: _wick_xipfashu(p["k"], p["n"]),
@@ -562,7 +541,7 @@ def _quasimonomial(parts, powers) -> int:
 def _vi_sides(parts, x):
     """The two sides of VI at the rational point x, as callables; an
     odd-length composition's Pfaffian is bordered by a first row of singles
-    M_(a).
+    M_(a) (``tensors.bordered``).
 
     M_J is homogeneous of degree |J|, so with L the lcm of the denominators
     of x the DP runs on the ints y = L x, and each value is divided back
@@ -580,16 +559,14 @@ def _vi_sides(parts, x):
             signed_sum += sign * _quasimonomial([parts[p - 1] for p in perm], powers)
         return Fraction(signed_sum, scale ** sum(parts))
 
-    rows = parts if len(parts) % 2 == 0 else (None,) + parts  # None: the border
+    single = lambda i: Fraction(_quasimonomial((parts[i - 1],), powers), scale ** parts[i - 1])
 
-    def entry(kl):
-        a, b = (rows[i - 1] for i in kl)
-        if a is None:
-            return Fraction(_quasimonomial((b,), powers), scale ** b)
+    def pair(kl):
+        a, b = (parts[i - 1] for i in kl)
         q = _quasimonomial((a, b), powers) - _quasimonomial((b, a), powers)
         return Fraction(q, scale ** (a + b))
 
-    return lhs, lambda: pfaffian(AltTensor.from_function(QQ, 2, len(rows), entry))
+    return lhs, lambda: pfaffian(AltTensor.from_function(QQ, 2, *bordered(len(parts), single, pair)))
 
 
 def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> VerificationReport:

@@ -12,19 +12,20 @@ is fixed and used throughout.  Products of monomial integrands are again
 monomials (the z-parameters add, minus one per extra factor), so every
 identity here evaluates in exact rationals.
 
-The de Bruijn left sides, sums over all permutations sigma of
-sgn(sigma)^signed * R(block exponents), go through one kernel,
-``ordered_sum``: a forward DP over block boundaries whose state is the set of
-letters used so far and the partial sum, so no n! expansion runs.  It
-clears the denominators once and runs on ints.  The literal permutation
-expansion is kept only in the tests, as the oracle the DP is compared
-against.  The left side calls no Pfaffian or hafnian code, so it stays
-independent of the right side.
+All eight de Bruijn rows are built by one function, ``_debruijn_sides``,
+position p of the matrix reading the family slots[p % g].  Its left side,
+the ordered integral of the expanded determinant or permanent, is
+``ordered_sum``: a forward DP on ints over block boundaries whose state is
+the set of letters used so far and the partial sum, so no n! expansion runs
+(the literal expansion is the tests' oracle).  Its right side is the
+(hyper)Pfaffian or hafnian of the ordered integral of one group of g
+letters, bordered at an odd order by the single-letter integrals
+(``tensors.bordered``); the left side calls none of that code.
 
-The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity on
-seeded word pairs is the ``CHEN`` row, both ``report.Check`` rows run by
-``report.run_check``; each order's parity and cap are in its row's domain,
-checked (``core.check_domain``) before any sampling.
+The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity is a
+``CHEN`` row, run by ``report.run_check``; each order's parity and every
+cap, a given Chen pair's length too, is in its row's domain, checked
+(``core.check_domain``) before any sampling.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .report import Check, VerificationReport, at_points, run_check
 from .tensors import (
     AltTensor,
     SymTensor,
+    bordered,
     hafnian,
     hyperhafnian,
     hyperpfaffian,
@@ -54,7 +56,7 @@ MAX_PAIRS = 1000
 class MonomialFamily:
     """Monomial integrand family: letter i integrates t^(phi[i] - 1).
 
-    ``psi`` is the second family of interleaved variants; ``grid`` holds the
+    ``psi`` is the second family of the two-family rows; ``grid`` holds the
     row-families of the generalized block variants.  All parameters must be
     strictly positive so every integral converges at 0.
     """
@@ -145,13 +147,17 @@ def _chen_pair(u, v, fam: MonomialFamily):
 
 def verify_chen(u, v, fam: MonomialFamily, seed: int = 0) -> VerificationReport:
     """<u><v> == <u shuffle v> with all three values exact."""
-    u, v = tuple(u), tuple(v)
-    if len(u) + len(v) > MAX_WORD:
-        raise ValueError(f"size cap exceeded: |u|+|v| <= {MAX_WORD}")
-    lhs, rhs = _chen_pair(u, v, fam)
-    sides = lambda *_: ({"params": {"lu": len(u), "lv": len(v)}}, lambda: [lhs()], lambda: [rhs()])
-    # One given pair: no flags, and the word-length cap above is its domain.
-    return run_check({"chen": Check(sides, "CHEN", {}, ({}, {}))}, "CHEN", {}, seed)
+    return run_check(_CHEN_PAIR, "CHEN", {"u": tuple(u), "v": tuple(v), "fam": fam}, seed)
+
+
+def _chen_pair_check(p, _seed, _points):
+    lhs, rhs = _chen_pair(p["u"], p["v"], p["fam"])
+    return {"params": {"lu": len(p["u"]), "lv": len(p["v"])}}, lambda: [lhs()], lambda: [rhs()]
+
+
+# One given pair: no flags, and its total length is capped like a seeded pair's.
+_PAIR_CAP = {"|u|+|v|": (lambda p: len(p["u"]) + len(p["v"]), MAX_WORD)}
+_CHEN_PAIR = {"chen": Check(_chen_pair_check, "CHEN", {}, ({}, _PAIR_CAP))}
 
 
 def _random_chen_pair(sampler: SeededSampler, alphabet: int):
@@ -173,14 +179,8 @@ def _chen_check(p, seed, _points):
     return {}, *at_points(seed, ("chen",), p["pairs"], sides_at)
 
 
-CHEN = {
-    "chen": Check(
-        _chen_check,
-        "CHEN",
-        {"pairs": 100},
-        ({"pairs": (1, MAX_PAIRS)}, {"size": (lambda _p: MAX_WORD, None)}),
-    )
-}
+_CHEN_DOMAIN = ({"pairs": (1, MAX_PAIRS)}, {"size": (lambda _p: MAX_WORD, None)})
+CHEN = {"chen": Check(_chen_check, "CHEN", {"pairs": 100}, _CHEN_DOMAIN)}
 
 
 # Nothing in the package calls this alias; perfbench/test_perfbench.py still
@@ -275,19 +275,15 @@ def _sample_params(seed: int, tag, count: int) -> tuple:
 
 
 def default_family(variant: str, order: int, k: int | None, seed: int) -> MonomialFamily:
-    if variant in ("EVEN", "ODD", "PERM_PRODUCT"):
-        return MonomialFamily(phi=_sample_params(seed, ("phi", variant, order), order))
-    if variant in ("INTERLEAVED", "NEW_PAIRING", "PERM_INTERLEAVED"):
+    """The seeded family of a de Bruijn row: phi and psi for a plain row,
+    2k grid rows for a generalized one (``k`` given)."""
+    if k is None:
         return MonomialFamily(
             phi=_sample_params(seed, ("phi", variant, order), order),
             psi=_sample_params(seed, ("psi", variant, order), order),
         )
-    if variant in ("GENERAL_DET", "GENERAL_PERM"):
-        rows = tuple(
-            _sample_params(seed, ("grid", variant, order, s), order) for s in range(2 * k)
-        )
-        return MonomialFamily(grid=rows)
-    raise ValueError(f"unknown variant: {variant}")
+    rows = tuple(_sample_params(seed, ("grid", variant, order, s), order) for s in range(2 * k))
+    return MonomialFamily(grid=rows)
 
 
 def verify_debruijn(
@@ -298,87 +294,65 @@ def verify_debruijn(
     seed: int = 42,
     coeff: str = "corrected",
 ) -> VerificationReport:
-    """Ordered integral of a determinant/permanent against its closed form.
-
-    ``n`` is the matrix order for the plain variants; the generalized block
-    variants take (k, n) and have matrix order 2kn.  Both sides evaluate to
-    exact rationals: the left side is the ordered integral of the expanded
-    determinant/permanent, summed by ``ordered_sum``; the right side is the
-    (hyper)Pfaffian or hafnian of pairwise (or 2k-wise) integrals.
-    """
+    """Ordered integral of a determinant/permanent against its (hyper)Pfaffian
+    or hafnian form, exactly.  ``n`` is the matrix order of the plain
+    variants; the generalized block variants take (k, n), matrix order 2kn."""
     return run_check(DEBRUIJN, variant, {"n": n, "k": k, "coeff": coeff, "fam": fam}, seed)
 
 
-def _pair_pf(order, f):
-    # Pf of the antisymmetrised pair integrals f(i, j) - f(j, i).
-    return pfaffian(AltTensor.from_function(QQ, 2, order, lambda ij: f(*ij) - f(ij[1], ij[0])))
-
-
-def _pair_hf(order, f):
-    # Hf of the symmetrised pair integrals f(i, j) + f(j, i).
-    return hafnian(SymTensor.from_function(QQ, 2, order, lambda ij: f(*ij) + f(ij[1], ij[0])))
-
-
-# Each plain variant gives its two sides from (order, family, coeff).
-
-
-def _db_even(order, fam, _coeff):
-    z = fam.phi
-    pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
-    return lambda: ordered_sum([z] * order, 1, signed=True), lambda: _pair_pf(order, pair)
-
-
-def _db_odd(order, fam, _coeff):
-    z = fam.phi
-    pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
+def _debruijn_sides(slots, width: int, signed: bool, order: int):
+    """The two sides of a de Bruijn identity of matrix order ``order``, as
+    callables.  The right side's order-g tensor has at i_1 < ... < i_g the
+    ordered integral R of letters i_tau(s) read from slots[s], merged in
+    blocks of ``width``, (anti)symmetrised over tau; an odd order (pair rows
+    only) is bordered by the single-letter integrals 1 / slots[0][i]."""
+    slots = [tuple(Fraction(z) for z in fam) for fam in slots]  # exact for int families too
+    g = len(slots)
+    if g % width:
+        raise ValueError(f"a group of {g} letters does not split into blocks of width {width}")
+    lhs = lambda: ordered_sum([slots[p % g] for p in range(order)], width, signed)
 
     def rhs():
-        total = Fraction(0)
-        for p in range(1, order + 1):
-            keep = tuple(i for i in range(1, order + 1) if i != p)
-            minor = _pair_pf(order - 1, lambda i, j: pair(keep[i - 1], keep[j - 1]))
-            total += (-1) ** (p + 1) * Fraction(1, 1) / z[p - 1] * minor
-        return total
+        perms = signed_permutations(g)
 
-    return lambda: ordered_sum([z] * order, 1, signed=True), rhs
+        def entry(idx):
+            total = None  # the first tau is the identity
+            for tau, sign in perms:
+                zs = [slots[s][idx[t - 1] - 1] for s, t in enumerate(tau)]
+                if width > 1:
+                    zs = [merged_exponent(zs[b : b + width]) for b in range(0, g, width)]
+                value = 1 / zs[0] if len(zs) == 1 else r_value(zs)
+                if total is None:
+                    total = value
+                elif signed and sign < 0:
+                    total -= value
+                else:
+                    total += value
+            return total
 
+        dim, fn = bordered(order, lambda i: 1 / slots[0][i - 1], entry)
+        if signed:
+            kernel = pfaffian if g == 2 else hyperpfaffian
+            return kernel(AltTensor.from_function(QQ, g, dim, fn))
+        kernel = hafnian if g == 2 else hyperhafnian
+        return kernel(SymTensor.from_function(QQ, g, dim, fn))
 
-def _db_interleaved(order, fam, _coeff):
-    phi, psi = fam.phi, fam.psi
-    single = lambda i, j: 1 / merged_exponent((phi[i - 1], psi[j - 1]))
-    lhs = lambda: ordered_sum([phi, psi] * (order // 2), 2, signed=True)
-    return lhs, lambda: _pair_pf(order, single)
-
-
-def _db_new_pairing(order, fam, _coeff):
-    phi, psi = fam.phi, fam.psi
-    pair = lambda i, j: r_value([phi[i - 1], psi[j - 1]])
-    lhs = lambda: ordered_sum([phi, psi] * (order // 2), 1, signed=True)
-    return lhs, lambda: _pair_pf(order, pair)
-
-
-def _db_perm_product(order, fam, coeff):
-    z = fam.phi
-    pair = lambda i, j: r_value([z[i - 1], z[j - 1]])
-    rhs = lambda: _pair_hf(order, pair) / double_factorial_coeff(order // 2, coeff)[0]
-    return lambda: ordered_sum([z] * order, 1, signed=False), rhs
+    return lhs, rhs
 
 
-def _db_perm_interleaved(order, fam, _coeff):
-    phi, psi = fam.phi, fam.psi
-    single = lambda i, j: 1 / merged_exponent((phi[i - 1], psi[j - 1]))
-    lhs = lambda: ordered_sum([phi, psi] * (order // 2), 2, signed=False)
-    return lhs, lambda: _pair_hf(order, single)
-
-
-def _debruijn(name, sides_of, parity="even", coeff=False):
+def _debruijn(name, families, width, signed=True, parity="even", coeff=False):
     # A plain row: matrix order n, with the given parity and at most
-    # MAX_ORDER; its report names the order.
+    # MAX_ORDER, reading the named families (phi, psi) in turn; its report
+    # names the order.
     def sides(p, seed, _points):
         order = p["n"]
         fam = p.get("fam") or default_family(name, order, None, seed)
-        shown = {"order": order, **({"coeff": p["coeff"]} if coeff else {})}
-        lhs, rhs = sides_of(order, fam, p.get("coeff"))
+        lhs, rhs = _debruijn_sides([getattr(fam, f) for f in families], width, signed, order)
+        shown = {"order": order}
+        if coeff:  # the hafnian over the double factorial of the convention
+            shown["coeff"] = p["coeff"]
+            cval = double_factorial_coeff(order // 2, p["coeff"])[0]
+            rhs = lambda hf=rhs: hf() / cval
         return {"params": shown}, lambda: [lhs()], lambda: [rhs()]
 
     flags = {"n": ..., "coeff": "corrected"} if coeff else {"n": ...}
@@ -389,24 +363,10 @@ def _debruijn(name, sides_of, parity="even", coeff=False):
 def _general(name, signed: bool):
     # A generalized block row: 2k-wise blocks of a matrix of order 2kn.
     def sides(p, seed, _points):
-        k = p["k"]
-        width, order = 2 * k, 2 * k * p["n"]
-        grid = (p.get("fam") or default_family(name, order, k, seed)).grid
-
-        def entry(idx):
-            out = Fraction(0)
-            for tau, tsign in signed_permutations(width):
-                z = merged_exponent(tuple(grid[s][idx[tau[s] - 1] - 1] for s in range(width)))
-                out += (tsign if signed else 1) / z
-            return out
-
-        def rhs():
-            if signed:
-                return [hyperpfaffian(AltTensor.from_function(QQ, width, order, entry))]
-            return [hyperhafnian(SymTensor.from_function(QQ, width, order, entry))]
-
-        lhs = lambda: [ordered_sum([grid[s % width] for s in range(order)], width, signed)]
-        return {}, lhs, rhs
+        width, order = 2 * p["k"], 2 * p["k"] * p["n"]
+        grid = (p.get("fam") or default_family(name, order, p["k"], seed)).grid
+        lhs, rhs = _debruijn_sides(grid[:width], width, signed, order)
+        return {}, lambda: [lhs()], lambda: [rhs()]
 
     caps = {"2kn": (lambda q: 2 * q["k"] * q["n"], MAX_ORDER)}
     return Check(sides, name, {"k": ..., "n": ...}, ({"k": (1, None), "n": (0, None)}, caps))
@@ -415,12 +375,12 @@ def _general(name, signed: bool):
 DEBRUIJN = {
     "debruijn_" + check.name.lower(): check
     for check in (
-        _debruijn("EVEN", _db_even),
-        _debruijn("ODD", _db_odd, "odd"),
-        _debruijn("INTERLEAVED", _db_interleaved),
-        _debruijn("NEW_PAIRING", _db_new_pairing),
-        _debruijn("PERM_PRODUCT", _db_perm_product, coeff=True),
-        _debruijn("PERM_INTERLEAVED", _db_perm_interleaved),
+        _debruijn("EVEN", ("phi", "phi"), 1),
+        _debruijn("ODD", ("phi", "phi"), 1, parity="odd"),
+        _debruijn("INTERLEAVED", ("phi", "psi"), 2),
+        _debruijn("NEW_PAIRING", ("phi", "psi"), 1),
+        _debruijn("PERM_PRODUCT", ("phi", "phi"), 1, signed=False, coeff=True),
+        _debruijn("PERM_INTERLEAVED", ("phi", "psi"), 2, signed=False),
         _general("GENERAL_DET", signed=True),
         _general("GENERAL_PERM", signed=False),
     )

@@ -4,14 +4,14 @@ rationals: Bareiss elimination on ints, each row's denominators cleared once.
 
 The tensor kernels are generic over a Ring.  pf, hf, hpf and hhf share one
 blocked partition sum, memoised on the set of remaining indices, which
-multiplies block entries in increasing-minimum order (so the
-graded-commutative antishuffle ring gets the enumeration's value).  The Pfaffian is also
-computed by first-row recursion and the two results are cross-asserted on
-every call; the hyper kernels have independent Grassmann/square-zero power
-oracles (one helper over the two nilpotent algebras), and enumerate_blocked
-lists the partitions themselves.  The oracles read the top coefficient of
-G^h * G^(n-h), h = n // 2, in one pass, and the Grassmann one needs an even
-order.
+multiplies block entries in increasing-minimum order (so the graded-commutative
+antishuffle ring gets the enumeration's value); ``bordered`` gives an odd
+pair tensor its first row of singles.  The Pfaffian is also computed by
+first-row recursion and the two results are cross-asserted on every call; the
+hyper kernels have independent Grassmann/square-zero power oracles (one
+helper over the two nilpotent algebras), and enumerate_blocked lists the
+partitions themselves.  The oracles read the top coefficient of G^h * G^(n-h),
+h = n // 2, in one pass, and the Grassmann one needs an even order.
 """
 from __future__ import annotations
 
@@ -342,6 +342,17 @@ def pfaffian(M: AltTensor):
     if not M.ring.eq(via_recursion, via_blocks):
         raise AssertionError("pfaffian internal cross-check failed")
     return via_recursion
+
+
+def bordered(n: int, single, pair) -> tuple:
+    """(dim, entry function) of the pair tensor ``pair((i, j))`` on 1..n,
+    bordered for odd n by a first row of singles: new index 1 meets old index
+    j through ``single(j)``, the old indices moving up by one.  Its Pfaffian
+    is sum_j (-1)^(j+1) single(j) Pf(pair without j), the odd-order form of
+    de Bruijn's and Wick's identities (the hafnian has no sign)."""
+    if n % 2 == 0:
+        return n, pair
+    return n + 1, lambda ij: single(ij[1] - 1) if ij[0] == 1 else pair((ij[0] - 1, ij[1] - 1))
 
 
 def hafnian(S: SymTensor):

@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spfk import cli, identities, integrals, suite
+from spfk import cli, identities, integrals, suite, tensors
 from spfk.cli import main
 from spfk.tensors import MAX_BLOCKED, hyperpfaffian, tensor_to_json
 from test_tensors import _random_alt
@@ -482,6 +482,24 @@ def test_hpf_roundtrip(tmp_path, capsys):
     assert code == 0
     value = hyperpfaffian(tensor)
     assert out.strip() == f"{value.numerator}/{value.denominator}"
+
+
+@pytest.mark.parametrize(
+    "command,kind,kernel",
+    (("pf", "alt", "pfaffian"), ("hf", "sym", "hafnian"), ("hpf", "alt", "hyperpfaffian"),
+     ("hhf", "sym", "hyperhafnian")),
+)
+def test_tensor_command_looks_its_kernel_up_when_it_runs(tmp_path, capsys, monkeypatch, command,
+                                                         kind, kernel):
+    # A kernel replaced after import (as the benchmark tracer does) is the one called.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"order": 2, "dim": 2,
+                                "entries": [{"idx": [1, 2], "num": "3", "den": "2"}]}))
+    seen = []
+    monkeypatch.setattr(tensors, kernel, lambda t: seen.append(type(t).__name__) or 7)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (0, "7/1\n", "")
+    assert seen == [{"alt": "AltTensor", "sym": "SymTensor"}[kind]]
 
 
 def test_pf_malformed_json(tmp_path, capsys):

@@ -6,7 +6,14 @@ import pytest
 
 from spfk import identities, integrals, suite
 from spfk.core import QQ, SeededSampler, mix_seed
-from spfk.freealg import FreePoly, LetterRegistry, antishuffle, shuffle
+from spfk.freealg import (
+    ANTISHUFFLE_RING,
+    SHUFFLE_RING,
+    FreePoly,
+    LetterRegistry,
+    antishuffle,
+    shuffle,
+)
 from spfk.identities import (
     _SAMPLE_BOUND,
     verify_VI,
@@ -17,7 +24,16 @@ from spfk.identities import (
 )
 from spfk.integrals import r_value
 from spfk.report import digest
-from spfk.tensors import AltTensor, hyperpfaffian, pfaffian, signed_permutations
+from spfk.tensors import (
+    AltTensor,
+    SymTensor,
+    hafnian,
+    hyperpfaffian,
+    pfaffian,
+    signed_permutations,
+)
+
+from oracles import first_row_expansion
 
 
 def test_pfab_n1_both_sides():
@@ -96,6 +112,25 @@ def test_odd_even_n3_hand_case():
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_antishuffle_variant(n):
     assert verify_shuffle_wick("ANTISHUFFLE", n).equal
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_odd_even_and_antishuffle_right_sides_match_the_first_row_expansion(n):
+    for name, ring, cls, kernel, mul, sign in (
+        ("odd_even", SHUFFLE_RING, AltTensor, pfaffian, shuffle, 1),
+        ("antishuffle", ANTISHUFFLE_RING, SymTensor, hafnian, antishuffle, -1),
+    ):
+        Q = cls.from_function(
+            ring, 2, n, lambda ij: FreePoly({(ij[0] - 1, ij[1] - 1): 1, (ij[1] - 1, ij[0] - 1): sign})
+        )
+        if n % 2 == 0:
+            expected = kernel(Q)
+        else:
+            single = lambda p: FreePoly.from_letter(p - 1)
+            minor = lambda keep: kernel(Q.restrict(keep))
+            expected = first_row_expansion(n, single, minor, mul, signed=kernel is pfaffian)
+        _header, _lhs, rhs = identities.WICK[name].sides({"n": n}, 0, 1)
+        assert rhs() == expected, (name, n)
 
 
 def test_antishuffle_n4_reduces_to_antishuffle_product():

@@ -21,6 +21,8 @@ from spfk.integrals import (
 )
 from spfk.tensors import signed_permutations
 
+from oracles import debruijn_rhs
+
 
 def test_r_value_examples():
     x = Fraction(5, 2)
@@ -90,6 +92,16 @@ def test_verify_chen_cases():
     assert verify_chen((0, 1), (2, 3), fam).equal
     with pytest.raises(ValueError, match="size cap"):
         verify_chen((0,) * 5, (1,) * 4, fam)
+
+
+def test_verify_chen_refuses_a_long_pair_by_its_domain_before_any_work(monkeypatch):
+    def no_work(*_args):
+        raise AssertionError("built the sides of a refused pair")
+
+    monkeypatch.setattr(integrals, "_chen_pair", no_work)
+    with pytest.raises(ValueError, match=r"^size cap exceeded for CHEN: \|u\|\+\|v\| <= 8, got "
+                                         r"\|u\|\+\|v\|=9$"):
+        verify_chen((0,) * 5, (1,) * 4, MonomialFamily(phi=(Fraction(2), Fraction(3))))
 
 
 def test_verify_chen_batch_100():
@@ -177,6 +189,13 @@ def test_debruijn_errors():
         verify_debruijn("GENERAL_DET", n=2)
 
 
+def test_general_row_refuses_a_grid_with_too_few_rows():
+    # Two grid rows cannot fill the four slots of a k = 2 group.
+    fam = MonomialFamily(grid=((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7))))
+    with pytest.raises(ValueError, match="group of 2 letters does not split into blocks of width 4"):
+        verify_debruijn("GENERAL_DET", n=1, k=2, fam=fam)
+
+
 @pytest.mark.parametrize(
     "variant,k,n",
     [("ODD", None, -1), ("EVEN", None, -2), ("GENERAL_DET", -1, -1), ("GENERAL_PERM", 0, 2),
@@ -245,6 +264,15 @@ def _left_side(variant, order, k, fam):
     row = integrals.DEBRUIJN[f"debruijn_{variant.lower()}"]
     _header, lhs, _rhs = row.sides({**params, "fam": fam}, 0, 1)
     (value,) = lhs()
+    return value
+
+
+def _right_side(variant, order, k, fam, coeff="corrected"):
+    """The right side alone of a de Bruijn row, at the family ``fam``."""
+    params = {"n": order, "coeff": coeff} if k is None else {"k": k, "n": order // (2 * k)}
+    row = integrals.DEBRUIJN[f"debruijn_{variant.lower()}"]
+    _header, _lhs, rhs = row.sides({**params, "fam": fam}, 0, 1)
+    (value,) = rhs()
     return value
 
 
@@ -386,3 +414,43 @@ def test_divergent_block_exponent_refused(phi):
     for variant in ("INTERLEAVED", "PERM_INTERLEAVED"):
         with pytest.raises(ValueError, match="diverges"):
             verify_debruijn(variant, n=4, fam=fam)
+
+
+def _suite_orders():
+    # Every suite order of each de Bruijn row, and ODD at every odd order.
+    for variant in DEBRUIJN_VARIANTS:
+        if variant.startswith("GENERAL"):
+            for k, n in ((1, 2), (1, 3), (2, 1), (2, 2)):
+                yield variant, 2 * k * n, k
+        else:
+            for order in ((1, 3, 5, 7) if variant == "ODD" else (2, 4, 6)):
+                yield variant, order, None
+
+
+_FRACTIONAL = MonomialFamily(
+    phi=_MIXED,
+    psi=_MIXED[::-1],
+    grid=(_MIXED, _MIXED[::-1], _MIXED[3:] + _MIXED[:3], _MIXED[1::2] + _MIXED[::2]),
+)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, None))
+def test_right_sides_match_the_hand_written_formulas(seed):
+    # seed None: one family of non-integer exponents for every row.
+    for variant, order, k in _suite_orders():
+        fam = _FRACTIONAL if seed is None else default_family(variant, order, k, seed)
+        for coeff in ("corrected", "paper") if variant == "PERM_PRODUCT" else ("corrected",):
+            expected = debruijn_rhs(variant, order, fam, k, coeff)
+            assert _right_side(variant, order, k, fam, coeff) == expected, (variant, order, coeff)
+
+
+def test_integer_families_give_exact_right_sides():
+    # Plain int parameters: every entry, and the odd border, stays a Fraction.
+    rows = ((2, 3, 5, 7), (4, 5, 7, 9), (3, 4, 6, 8), (5, 6, 8, 11))
+    fractions = tuple(tuple(map(Fraction, row)) for row in rows)
+    fam = MonomialFamily(phi=rows[0], psi=rows[1], grid=rows)
+    exact = MonomialFamily(phi=fractions[0], psi=fractions[1], grid=fractions)
+    for variant, order, k in _suite_orders():
+        if order <= 4:
+            value = _right_side(variant, order, k, fam)
+            assert isinstance(value, Fraction) and value == _right_side(variant, order, k, exact)

@@ -17,6 +17,7 @@ from spfk.tensors import (
     SymTensor,
     _blocked_sum,
     blocked_count,
+    bordered,
     determinant,
     enumerate_blocked,
     grassmann_pf_oracle,
@@ -30,6 +31,7 @@ from spfk.tensors import (
     tensor_from_json,
     tensor_to_json,
 )
+from oracles import first_row_expansion
 from test_symbolic_ring import SYMPY_RING
 
 
@@ -142,6 +144,27 @@ def test_pfaffian_squared_is_determinant():
         M = _random_alt(mix_seed(3, d), 2, d)
         rows = [[M.get((i, j)) for j in range(1, d + 1)] for i in range(1, d + 1)]
         assert pfaffian(M) ** 2 == determinant(DenseMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_bordered_pf_and_hf_expand_along_the_border(n):
+    sampler = SeededSampler(mix_seed(5, ("bordered", n)))
+    value = lambda _idx: Fraction(sampler.next_int(41) - 21, sampler.next_int(7))
+    alt, sym = AltTensor.from_function(QQ, 2, n, value), SymTensor.from_function(QQ, 2, n, value)
+    singles = [value(i) for i in range(n)]
+    single = lambda i: singles[i - 1]
+    dim, pf_entry = bordered(n, single, alt.entry)
+    _, hf_entry = bordered(n, single, sym.entry)
+    pf = pfaffian(AltTensor.from_function(QQ, 2, dim, pf_entry))
+    hf = hafnian(SymTensor.from_function(QQ, 2, dim, hf_entry))
+    if n % 2 == 0:
+        assert (dim, pf_entry, hf_entry) == (n, alt.entry, sym.entry)
+        assert (pf, hf) == (pfaffian(alt), hafnian(sym))
+        return
+    assert dim == n + 1
+    mul = lambda a, b: a * b
+    assert pf == first_row_expansion(n, single, lambda keep: pfaffian(alt.restrict(keep)), mul, True)
+    assert hf == first_row_expansion(n, single, lambda keep: hafnian(sym.restrict(keep)), mul, False)
 
 
 def test_hafnian_examples():
