@@ -32,7 +32,6 @@ from .integrals import (
     chen_form,
     iterated_integral_oracle,
     r_value,
-    verify_chen,
     verify_chen_batch,
     verify_debruijn,
 )

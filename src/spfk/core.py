@@ -112,9 +112,6 @@ class Ring:
     def eq(self, a, b) -> bool:
         raise NotImplementedError
 
-    def scale_int(self, a, n: int):
-        raise NotImplementedError
-
     def div_int(self, a, n: int):
         raise NotImplementedError(f"{type(self).__name__} does not support integer division")
 
@@ -139,9 +136,6 @@ class RationalField(Ring):
 
     def eq(self, a, b) -> bool:
         return a == b
-
-    def scale_int(self, a, n: int):
-        return a * n
 
     def div_int(self, a, n: int):
         return Fraction(a, n) if isinstance(a, int) else a / n

@@ -385,9 +385,6 @@ class ShuffleRing(Ring):
     def eq(self, a, b) -> bool:
         return a == b
 
-    def scale_int(self, a, n: int):
-        return a.scale(n)
-
     def div_int(self, a, n: int):
         return a.scale(Fraction(1, n))
 

@@ -14,10 +14,13 @@ HAFSYM's permutation sum is the same kind of DP over the set of placed
 letters, ``_hafsym_lhs``) and never goes through the kernel that computes the
 right side.  Equality is exact, in the free algebra for the symbolic
 identities and at seeded rational points for the rational-function ones.
-At an odd order, ODD_EVEN, ANTISHUFFLE and VI border their pair tensor by a
-first row of singles (``tensors.bordered``), as the odd de Bruijn row does.
-VI clears the point's denominators once and runs its quasimonomial DP on
-ints; each side is divided back by its own power of the scale.
+The right side of every Wick row and of VI is one ``tensors.group_form``
+call, whose entries (anti)symmetrise the value of one group of letters, as
+for the de Bruijn rows; at an odd order ODD_EVEN, ANTISHUFFLE and VI are
+bordered by its first row of singles.  The seven Wick rows differ only in
+their ``word_of`` rule, which both sides read (``_wick_sides``).  VI clears
+the point's denominators once and runs its quasimonomial DP on ints; each
+side is divided back by its own power of the scale.
 """
 from __future__ import annotations
 
@@ -33,9 +36,9 @@ from .tensors import (
     AltTensor,
     DenseMatrix,
     SymTensor,
-    bordered,
     determinant,
     enumerate_blocked,
+    group_form,
     hafnian,
     hyperpfaffian,
     pfaffian,
@@ -57,104 +60,76 @@ def verify_shuffle_wick(
     return run_check(WICK, variant, {"n": n, "k": k, "coeff": coeff})
 
 
-def _perm_sum(d: int, word_of, signed: bool) -> FreePoly:
-    """Sum over the permutations p of 1..d of sgn(p)^signed * word_of(p)."""
-    acc: dict = {}
-    for perm, sign in signed_permutations(d):
-        word = word_of(perm)
-        acc[word] = acc.get(word, 0) + (sign if signed else 1)
-    return FreePoly(acc)
+def _wick_sides(order: int, g: int, word_of, signed: bool, alternating: bool, ring=SHUFFLE_RING):
+    """The two sides of a Wick row, as callables.  ``word_of(seq)`` gives the
+    (word, coefficient) of a sequence of indices, a concatenation of the words
+    of its groups of g.  The left side sums sgn(p)^signed word_of(p) over the
+    permutations p of 1..order; the right side is ``tensors.group_form`` of
+    the one-word FreePoly of each group, so both sides read one rule."""
 
+    def lhs():
+        acc: dict = {}
+        for perm, sign in signed_permutations(order):
+            word, coeff = word_of(perm)
+            acc[word] = acc.get(word, 0) + (sign * coeff if signed else coeff)
+        return FreePoly(acc)
 
-def _pair_poly(i, j, sign):
-    # The two-letter words i j + sign * j i of a pair tensor entry.
-    return FreePoly({(i, j): 1, (j, i): sign})
+    value_of = lambda seq: FreePoly.from_word(*word_of(seq))
+
+    return lhs, lambda: group_form(ring, order, g, value_of, signed, alternating)
 
 
 def _wick_pfab(n: int):
-    d = 2 * n
-    a = lambda i: i - 1
-    b = lambda i: d + i - 1
-    lhs = lambda: _perm_sum(
-        d, lambda p: tuple(a(p[j]) if j % 2 == 0 else b(p[j]) for j in range(d)), True
-    )
-    entry = lambda ij: FreePoly({(a(ij[0]), b(ij[1])): 1, (a(ij[1]), b(ij[0])): -1})
-    return lhs, lambda: pfaffian(AltTensor.from_function(SHUFFLE_RING, 2, d, entry))
+    d = 2 * n  # a letters 0..d-1 at even positions, b letters d..2d-1 at odd ones
+    word_of = lambda p: (tuple(p[j] - 1 + (d if j % 2 else 0) for j in range(len(p))), 1)
+    return _wick_sides(d, 2, word_of, True, True)
 
 
 def _wick_pair_letters(n: int, signed: bool):
+    # One letter per ordered pair: SDB2 (signed, Pfaffian), FHAFF2 (hafnian).
     d = 2 * n
     c = lambda i, j: (i - 1) * d + (j - 1)
-    word_of = lambda p: tuple(c(p[2 * t], p[2 * t + 1]) for t in range(n))
-    lhs = lambda: _perm_sum(d, word_of, signed)
-    entry = lambda ij: FreePoly({(c(*ij),): 1, (c(ij[1], ij[0]),): -1 if signed else 1})
-    if signed:
-        return lhs, lambda: pfaffian(AltTensor.from_function(SHUFFLE_RING, 2, d, entry))
-    return lhs, lambda: hafnian(SymTensor.from_function(SHUFFLE_RING, 2, d, entry))
+    word_of = lambda p: (tuple(c(p[t], p[t + 1]) for t in range(0, len(p), 2)), 1)
+    return _wick_sides(d, 2, word_of, signed, signed)
+
+
+def _word_of_letters(p):
+    return tuple(i - 1 for i in p), 1
 
 
 def _wick_fhaff1(n: int, coeff: str):
-    d = 2 * n
-    entry = lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, 1)
-
-    def rhs():
-        cval, _ = double_factorial_coeff(n, coeff)
-        return hafnian(SymTensor.from_function(SHUFFLE_RING, 2, d, entry)).scale(Fraction(1, cval))
-
-    return lambda: _perm_sum(d, lambda p: tuple(i - 1 for i in p), False), rhs
+    lhs, hf = _wick_sides(2 * n, 2, _word_of_letters, False, False)
+    return lhs, lambda: hf().scale(Fraction(1, double_factorial_coeff(n, coeff)[0]))
 
 
 def _wick_odd(n: int, signed: bool):
     # ODD_EVEN (unsigned sum, shuffle Pfaffian) and ANTISHUFFLE (signed sum,
     # antishuffle hafnian); an odd n borders the pair words by single letters.
-    word_of = lambda p: tuple(i - 1 for i in p)
-    single = lambda i: FreePoly.from_letter(i - 1)
-    pair = lambda ij: _pair_poly(ij[0] - 1, ij[1] - 1, -1 if signed else 1)
-
-    def rhs():
-        dim, entry = bordered(n, single, pair)
-        if signed:
-            return hafnian(SymTensor.from_function(ANTISHUFFLE_RING, 2, dim, entry))
-        return pfaffian(AltTensor.from_function(SHUFFLE_RING, 2, dim, entry))
-
-    return lambda: _perm_sum(n, word_of, signed), rhs
+    ring = ANTISHUFFLE_RING if signed else SHUFFLE_RING
+    return _wick_sides(n, 2, _word_of_letters, signed, not signed, ring)
 
 
 def _wick_xipfashu(k: int, n: int):
+    # A block's (letter, sign) is fixed by its index tuple and looked up once:
+    # the registry sees each block on its first appearance in the left side,
+    # which runs first, so letter ids keep their first-encounter order.
     width = 2 * k
-    d = width * n
     reg = LetterRegistry()
+    block_letters: dict = {}
 
-    def lhs():
-        # A block's (letter, sign) is fixed by its index tuple, and only
-        # d!/(d - width)! distinct blocks occur among the d! permutations; the
-        # registry sees each block once, on its first appearance, so letter
-        # ids are assigned in the same order as without the memo.
-        block_letters: dict = {}
-        acc: dict = {}
-        for perm, sign in signed_permutations(d):
-            coeff = sign
-            letters = []
-            for b in range(0, d, width):
-                block = perm[b : b + width]
-                hit = block_letters.get(block)
-                if hit is None:
-                    hit = block_letters[block] = reg.alternating_letter(block)
-                letters.append(hit[0])
-                coeff *= hit[1]
-            word = tuple(letters)
-            acc[word] = acc.get(word, 0) + coeff
-        return FreePoly(acc)
+    def word_of(seq):
+        coeff = 1
+        letters = []
+        for b in range(0, len(seq), width):
+            block = seq[b : b + width]
+            hit = block_letters.get(block)
+            if hit is None:
+                hit = block_letters[block] = reg.alternating_letter(block)
+            letters.append(hit[0])
+            coeff *= hit[1]
+        return tuple(letters), coeff
 
-    def entry(idx):
-        terms: dict = {}
-        for tau, tsign in signed_permutations(width):
-            lid, s = reg.alternating_letter(tuple(idx[t - 1] for t in tau))
-            key = (lid,)
-            terms[key] = terms.get(key, 0) + tsign * s
-        return FreePoly(terms)
-
-    return lhs, lambda: hyperpfaffian(AltTensor.from_function(SHUFFLE_RING, width, d, entry))
+    return _wick_sides(width * n, width, word_of, True, True)
 
 
 def _wick(name, sides_of, domain, flags=None):
@@ -539,15 +514,16 @@ def _quasimonomial(parts, powers) -> int:
 
 
 def _vi_sides(parts, x):
-    """The two sides of VI at the rational point x, as callables; an
-    odd-length composition's Pfaffian is bordered by a first row of singles
-    M_(a) (``tensors.bordered``).
+    """The two sides of VI at the rational point x, as callables.  The right
+    side is ``tensors.group_form`` of value_of(seq) = M_(parts of seq) /
+    L^|parts of seq|, an odd-length composition bordered by the singles
+    M_(a) / L^a.
 
     M_J is homogeneous of degree |J|, so with L the lcm of the denominators
     of x the DP runs on the ints y = L x, and each value is divided back
-    once: the left side's signed sum by L^|J|, each Pfaffian entry q(a, b)
-    by L^(a+b) and each bordered single by L^a.  The two sides are unscaled
-    separately, so a wrong exponent cannot cancel out of the comparison.
+    once: the left side's signed sum by L^|J| and each right-side value by
+    its own power of L.  The two sides are unscaled separately, so a wrong
+    exponent cannot cancel out of the comparison.
     """
     scale = math.lcm(*(v.denominator for v in x))
     y = [v.numerator * (scale // v.denominator) for v in x]
@@ -559,14 +535,11 @@ def _vi_sides(parts, x):
             signed_sum += sign * _quasimonomial([parts[p - 1] for p in perm], powers)
         return Fraction(signed_sum, scale ** sum(parts))
 
-    single = lambda i: Fraction(_quasimonomial((parts[i - 1],), powers), scale ** parts[i - 1])
+    def value_of(seq):
+        group = [parts[i - 1] for i in seq]
+        return Fraction(_quasimonomial(group, powers), scale ** sum(group))
 
-    def pair(kl):
-        a, b = (parts[i - 1] for i in kl)
-        q = _quasimonomial((a, b), powers) - _quasimonomial((b, a), powers)
-        return Fraction(q, scale ** (a + b))
-
-    return lhs, lambda: pfaffian(AltTensor.from_function(QQ, 2, *bordered(len(parts), single, pair)))
+    return lhs, lambda: group_form(QQ, len(parts), 2, value_of, True, True)
 
 
 def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> VerificationReport:

@@ -17,14 +17,14 @@ position p of the matrix reading the family slots[p % g].  Its left side,
 the ordered integral of the expanded determinant or permanent, is
 ``ordered_sum``: a forward DP on ints over block boundaries whose state is
 the set of letters used so far and the partial sum, so no n! expansion runs
-(the literal expansion is the tests' oracle).  Its right side is the
-(hyper)Pfaffian or hafnian of the ordered integral of one group of g
-letters, bordered at an odd order by the single-letter integrals
-(``tensors.bordered``); the left side calls none of that code.
+(the literal expansion is the tests' oracle).  Its right side is
+``tensors.group_form`` of the ordered integral of one group of g letters,
+bordered at an odd order by the single-letter integrals; the left side
+calls none of that code.
 
-The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity is a
-``CHEN`` row, run by ``report.run_check``; each order's parity and every
-cap, a given Chen pair's length too, is in its row's domain, checked
+The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity, on
+seeded word pairs, is the ``CHEN`` row, run by ``report.run_check``; each
+order's parity and every cap is in its row's domain, checked
 (``core.check_domain``) before any sampling.
 """
 from __future__ import annotations
@@ -36,16 +36,7 @@ from fractions import Fraction
 from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
 from .freealg import FreePoly, shuffle
 from .report import Check, VerificationReport, at_points, run_check
-from .tensors import (
-    AltTensor,
-    SymTensor,
-    bordered,
-    hafnian,
-    hyperhafnian,
-    hyperpfaffian,
-    pfaffian,
-    signed_permutations,
-)
+from .tensors import group_form, signed_permutations
 
 MAX_WORD = 8
 MAX_ORDER = 8
@@ -145,21 +136,6 @@ def _chen_pair(u, v, fam: MonomialFamily):
     return lhs, lambda: chen_form(shuffle(FreePoly.from_word(u), FreePoly.from_word(v)), fam)
 
 
-def verify_chen(u, v, fam: MonomialFamily, seed: int = 0) -> VerificationReport:
-    """<u><v> == <u shuffle v> with all three values exact."""
-    return run_check(_CHEN_PAIR, "CHEN", {"u": tuple(u), "v": tuple(v), "fam": fam}, seed)
-
-
-def _chen_pair_check(p, _seed, _points):
-    lhs, rhs = _chen_pair(p["u"], p["v"], p["fam"])
-    return {"params": {"lu": len(p["u"]), "lv": len(p["v"])}}, lambda: [lhs()], lambda: [rhs()]
-
-
-# One given pair: no flags, and its total length is capped like a seeded pair's.
-_PAIR_CAP = {"|u|+|v|": (lambda p: len(p["u"]) + len(p["v"]), MAX_WORD)}
-_CHEN_PAIR = {"chen": Check(_chen_pair_check, "CHEN", {}, ({}, _PAIR_CAP))}
-
-
 def _random_chen_pair(sampler: SeededSampler, alphabet: int):
     # A word pair of total length <= MAX_WORD and a family for its letters.
     total = sampler.next_int(MAX_WORD - 1) + 1
@@ -170,7 +146,7 @@ def _random_chen_pair(sampler: SeededSampler, alphabet: int):
 
 
 def verify_chen_batch(seed: int, pairs: int = 100, alphabet: int = 5) -> VerificationReport:
-    """Run verify_chen on seeded random word pairs of total length <= 8."""
+    """Chen's identity on seeded random word pairs of total length <= 8."""
     return run_check(CHEN, "CHEN", {"pairs": pairs, "alphabet": alphabet}, seed)
 
 
@@ -302,42 +278,23 @@ def verify_debruijn(
 
 def _debruijn_sides(slots, width: int, signed: bool, order: int):
     """The two sides of a de Bruijn identity of matrix order ``order``, as
-    callables.  The right side's order-g tensor has at i_1 < ... < i_g the
-    ordered integral R of letters i_tau(s) read from slots[s], merged in
-    blocks of ``width``, (anti)symmetrised over tau; an odd order (pair rows
-    only) is bordered by the single-letter integrals 1 / slots[0][i]."""
+    callables.  The right side is ``tensors.group_form`` of value_of(seq), the
+    ordered integral R of the letters of seq read from slots[0], slots[1],
+    ..., merged in blocks of ``width``; an odd order (pair rows only) is
+    bordered by the single-letter integrals 1 / slots[0][i]."""
     slots = [tuple(Fraction(z) for z in fam) for fam in slots]  # exact for int families too
     g = len(slots)
     if g % width:
         raise ValueError(f"a group of {g} letters does not split into blocks of width {width}")
     lhs = lambda: ordered_sum([slots[p % g] for p in range(order)], width, signed)
 
-    def rhs():
-        perms = signed_permutations(g)
+    def value_of(seq):
+        zs = [slots[s][i - 1] for s, i in enumerate(seq)]
+        if width > 1:
+            zs = [merged_exponent(zs[b : b + width]) for b in range(0, len(zs), width)]
+        return 1 / zs[0] if len(zs) == 1 else r_value(zs)
 
-        def entry(idx):
-            total = None  # the first tau is the identity
-            for tau, sign in perms:
-                zs = [slots[s][idx[t - 1] - 1] for s, t in enumerate(tau)]
-                if width > 1:
-                    zs = [merged_exponent(zs[b : b + width]) for b in range(0, g, width)]
-                value = 1 / zs[0] if len(zs) == 1 else r_value(zs)
-                if total is None:
-                    total = value
-                elif signed and sign < 0:
-                    total -= value
-                else:
-                    total += value
-            return total
-
-        dim, fn = bordered(order, lambda i: 1 / slots[0][i - 1], entry)
-        if signed:
-            kernel = pfaffian if g == 2 else hyperpfaffian
-            return kernel(AltTensor.from_function(QQ, g, dim, fn))
-        kernel = hafnian if g == 2 else hyperhafnian
-        return kernel(SymTensor.from_function(QQ, g, dim, fn))
-
-    return lhs, rhs
+    return lhs, lambda: group_form(QQ, order, g, value_of, signed, signed)
 
 
 def _debruijn(name, families, width, signed=True, parity="even", coeff=False):

@@ -133,12 +133,6 @@ class _NilpotentElement:
             return type(self).zero(ring)
         return type(self)._make(ring, {m: ring.mul(c, coeff) for m, c in self._terms.items()})
 
-    def scale_int(self, n: int):
-        ring = self.ring
-        if n == 0:
-            return type(self).zero(ring)
-        return type(self)._make(ring, {m: ring.scale_int(c, n) for m, c in self._terms.items()})
-
     def div_int(self, n: int):
         ring = self.ring
         return type(self)._make(ring, {m: ring.div_int(c, n) for m, c in self._terms.items()})

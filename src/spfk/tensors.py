@@ -5,13 +5,14 @@ rationals: Bareiss elimination on ints, each row's denominators cleared once.
 The tensor kernels are generic over a Ring.  pf, hf, hpf and hhf share one
 blocked partition sum, memoised on the set of remaining indices, which
 multiplies block entries in increasing-minimum order (so the graded-commutative
-antishuffle ring gets the enumeration's value); ``bordered`` gives an odd
-pair tensor its first row of singles.  The Pfaffian is also computed by
-first-row recursion and the two results are cross-asserted on every call; the
-hyper kernels have independent Grassmann/square-zero power oracles (one
-helper over the two nilpotent algebras), and enumerate_blocked lists the
-partitions themselves.  The oracles read the top coefficient of G^h * G^(n-h),
-h = n // 2, in one pass, and the Grassmann one needs an even order.
+antishuffle ring gets the enumeration's value).  ``group_form`` builds the one
+right side of the Wick, de Bruijn and VI identities: the kernel of a tensor
+whose entries (anti)symmetrise the value of a group of letters, an odd pair
+order bordered by a first row of singles.  The hyper kernels have
+independent Grassmann/square-zero power oracles (one helper over the two
+nilpotent algebras), and enumerate_blocked lists the partitions themselves.
+The oracles read the top coefficient of G^h * G^(n-h), h = n // 2, in one
+pass, and the Grassmann one needs an even order.
 """
 from __future__ import annotations
 
@@ -302,57 +303,14 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
     return rec((1 << d) - 1)
 
 
-def _pf_recursive(M: AltTensor):
-    """Pfaffian by first-row expansion over entries read through ``M.get``,
-    memoised per call on the tuple of remaining indices."""
-    ring = M.ring
-    memo = {(): ring.one}
-
-    def rec(idx: tuple):
-        hit = memo.get(idx)
-        if hit is not None:
-            return hit
-        i0 = idx[0]
-        out = ring.zero
-        for t in range(1, len(idx)):
-            entry = M.get((i0, idx[t]))
-            if ring.is_zero(entry):
-                continue
-            term = ring.mul(entry, rec(idx[1:t] + idx[t + 1 :]))
-            out = ring.add(out, term if t % 2 == 1 else ring.neg(term))
-        memo[idx] = out
-        return out
-
-    return rec(tuple(range(1, M.dim + 1)))
-
-
 def pfaffian(M: AltTensor):
-    """Pfaffian of an order-2 alternating tensor of even dimension.
-
-    Computed both by the memoised blocked-partition sum and by first-row
-    recursive expansion; the two results are cross-asserted before returning.
-    The blocked sum runs first, so its size cap fires before any work.
-    """
+    """Pfaffian of an order-2 alternating tensor of even dimension: the
+    signed blocked-partition sum, whose size cap fires before any work."""
     if M.order != 2:
         raise ValueError("pfaffian needs an order-2 tensor")
     if M.dim % 2:
         raise ValueError("pfaffian needs even dimension")
-    via_blocks = _blocked_sum(M, True)
-    via_recursion = _pf_recursive(M)
-    if not M.ring.eq(via_recursion, via_blocks):
-        raise AssertionError("pfaffian internal cross-check failed")
-    return via_recursion
-
-
-def bordered(n: int, single, pair) -> tuple:
-    """(dim, entry function) of the pair tensor ``pair((i, j))`` on 1..n,
-    bordered for odd n by a first row of singles: new index 1 meets old index
-    j through ``single(j)``, the old indices moving up by one.  Its Pfaffian
-    is sum_j (-1)^(j+1) single(j) Pf(pair without j), the odd-order form of
-    de Bruijn's and Wick's identities (the hafnian has no sign)."""
-    if n % 2 == 0:
-        return n, pair
-    return n + 1, lambda ij: single(ij[1] - 1) if ij[0] == 1 else pair((ij[0] - 1, ij[1] - 1))
+    return _blocked_sum(M, True)
 
 
 def hafnian(S: SymTensor):
@@ -372,6 +330,39 @@ def hyperpfaffian(M: AltTensor):
 def hyperhafnian(S: SymTensor):
     """Unsigned analog of the hyperpfaffian for symmetric tensors."""
     return _blocked_sum(S, False)
+
+
+def group_form(ring: Ring, order: int, g: int, value_of, signed: bool, alternating: bool):
+    """The hyperpfaffian (``alternating``) or hyperhafnian of the order-g
+    tensor on 1..order whose entry at i_1 < ... < i_g is
+    sum_tau sgn(tau)^signed value_of((i_tau(1), ..., i_tau(g))).
+
+    This is the right side shared by the Wick, de Bruijn and VI identities:
+    each entry (anti)symmetrises the value of one group of letters.  An odd
+    order of a pair tensor (g = 2) is bordered by a first row of singles: a
+    new index 1 meets old index j through value_of((j,)), the old indices
+    moving up by one, so the Pfaffian is sum_j (-1)^(j+1) value_of((j,))
+    Pf(the pairs without j), the odd-order form of de Bruijn's and Wick's
+    identities (the hafnian has no sign).
+    """
+    perms = signed_permutations(g)
+
+    def entry(idx):
+        total = None
+        for tau, sign in perms:
+            value = value_of(tuple(idx[t - 1] for t in tau))
+            if signed and sign < 0:
+                value = ring.neg(value)
+            total = value if total is None else ring.add(total, value)
+        return total
+
+    dim, fn = order, entry
+    if g == 2 and order % 2:
+        dim = order + 1
+        fn = lambda ij: value_of((ij[1] - 1,)) if ij[0] == 1 else entry((ij[0] - 1, ij[1] - 1))
+    if alternating:
+        return (pfaffian if g == 2 else hyperpfaffian)(AltTensor.from_function(ring, g, dim, fn))
+    return (hafnian if g == 2 else hyperhafnian)(SymTensor.from_function(ring, g, dim, fn))
 
 
 def _power_oracle(algebra, T: _Tensor):

@@ -3,8 +3,10 @@ one shared rule, kept here so the tests can compare the two.
 
 ``first_row_expansion`` is the odd-order Pfaffian (hafnian) written as its
 expansion along an absent first row of singles, term by term, with no
-bordered tensor.  ``debruijn_rhs`` writes out each de Bruijn row's right side
-as its own pair (or 2k-wise) formula over one family, the odd row through
+bordered tensor, and ``first_row_pfaffian`` the Pfaffian by first-row
+recursion, a second algorithm beside the package's blocked-partition sum.
+``debruijn_rhs`` writes out each de Bruijn row's right side as its own pair
+(or 2k-wise) formula over one family, the odd row through
 ``first_row_expansion``.
 """
 from fractions import Fraction
@@ -32,6 +34,31 @@ def first_row_expansion(n, single, minor, mul, signed):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def first_row_pfaffian(M):
+    """Pfaffian by first-row expansion over entries read through ``M.get``,
+    memoised per call on the tuple of remaining indices; the entry of the
+    first index multiplies on the left, as in the blocked sum."""
+    ring = M.ring
+    memo = {(): ring.one}
+
+    def rec(idx: tuple):
+        hit = memo.get(idx)
+        if hit is not None:
+            return hit
+        i0 = idx[0]
+        out = ring.zero
+        for t in range(1, len(idx)):
+            entry = M.get((i0, idx[t]))
+            if ring.is_zero(entry):
+                continue
+            term = ring.mul(entry, rec(idx[1:t] + idx[t + 1 :]))
+            out = ring.add(out, term if t % 2 == 1 else ring.neg(term))
+        memo[idx] = out
+        return out
+
+    return rec(tuple(range(1, M.dim + 1)))
 
 
 def _pair_pf(order, f):

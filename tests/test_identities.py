@@ -1,10 +1,11 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from spfk import identities, integrals, suite
+from spfk import identities, integrals, suite, tensors
 from spfk.core import QQ, SeededSampler, mix_seed
 from spfk.freealg import (
     ANTISHUFFLE_RING,
@@ -390,6 +391,36 @@ def test_hafsym_left_side_never_calls_the_hafnian(monkeypatch):
     x = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
     y = [Fraction(5), Fraction(1, 4), Fraction(3), Fraction(2, 7)]
     assert identities._hafsym_lhs(x, y) == _hafsym_lhs_by_permutations(x, y)
+
+
+def test_wick_debruijn_and_vi_left_sides_never_enter_group_form(monkeypatch):
+    # Every Wick, de Bruijn and VI right side is one group_form call, and no
+    # left side of a default suite case enters it, under any name it has.
+    class Entered(Exception):
+        pass
+
+    def refuse(*_args):
+        raise Entered
+
+    names = [
+        (module, attr)
+        for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "spfk"
+        for attr, value in vars(module).items()
+        if value is tensors.group_form
+    ]
+    assert {m.__name__ for m, _ in names} >= {"spfk.tensors", "spfk.identities", "spfk.integrals"}
+    for module, attr in names:
+        monkeypatch.setattr(module, attr, refuse)
+    rows = {**identities.WICK, **integrals.DEBRUIJN, **identities.VI}
+    cases = [case for case in suite.default_cases() if case.runner in rows]
+    assert {case.runner for case in cases} == set(rows)
+    for case in cases:
+        seed = suite.DEFAULT_SEED + case.seed_offset
+        _shown, lhs, rhs = rows[case.runner].sides(case.param_dict(), seed, 3)
+        lhs()
+        with pytest.raises(Entered):
+            rhs()
 
 
 def test_mehta1_n2_expansion():

@@ -15,7 +15,6 @@ from spfk.integrals import (
     merged_exponent,
     ordered_sum,
     r_value,
-    verify_chen,
     verify_chen_batch,
     verify_debruijn,
 )
@@ -87,21 +86,9 @@ def test_chen_form_check_flag():
 
 def test_verify_chen_cases():
     fam = MonomialFamily(phi=tuple(Fraction(z) for z in (2, 3, 5, 7)))
-    assert verify_chen((), (0, 1), fam).equal
-    assert verify_chen((0,), (1,), fam).equal
-    assert verify_chen((0, 1), (2, 3), fam).equal
-    with pytest.raises(ValueError, match="size cap"):
-        verify_chen((0,) * 5, (1,) * 4, fam)
-
-
-def test_verify_chen_refuses_a_long_pair_by_its_domain_before_any_work(monkeypatch):
-    def no_work(*_args):
-        raise AssertionError("built the sides of a refused pair")
-
-    monkeypatch.setattr(integrals, "_chen_pair", no_work)
-    with pytest.raises(ValueError, match=r"^size cap exceeded for CHEN: \|u\|\+\|v\| <= 8, got "
-                                         r"\|u\|\+\|v\|=9$"):
-        verify_chen((0,) * 5, (1,) * 4, MonomialFamily(phi=(Fraction(2), Fraction(3))))
+    for u, v in (((), (0, 1)), ((0,), (1,)), ((0, 1), (2, 3))):
+        lhs, rhs = integrals._chen_pair(u, v, fam)
+        assert lhs() == rhs(), (u, v)
 
 
 def test_verify_chen_batch_100():
@@ -381,9 +368,9 @@ def test_left_side_calls_no_right_side_kernel(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the left side called a right-side kernel")
 
-    for name in ("pfaffian", "hafnian", "hyperpfaffian", "hyperhafnian"):
+    for name in ("pfaffian", "hafnian", "hyperpfaffian", "hyperhafnian", "group_form"):
         monkeypatch.setattr(tensors, name, refuse)
-        monkeypatch.setattr(integrals, name, refuse)
+    monkeypatch.setattr(integrals, "group_form", refuse)
     for variant, order, k in _small_cases():
         fam = default_family(variant, order, k, seed=3)
         ordered_sum(*_left_side_args(variant, order, k, fam))

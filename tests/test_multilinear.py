@@ -119,7 +119,7 @@ def test_graded_commutativity():
         a = GrassmannElement(QQ, terms_a)
         b = GrassmannElement(QQ, terms_b)
         sign = (-1) ** (da * db)
-        assert a * b == (b * a).scale_int(sign)
+        assert a * b == (b * a if sign > 0 else -(b * a))
 
 
 def test_berezin_examples():

@@ -25,9 +25,6 @@ class SymPyRing(Ring):
     def eq(self, a, b):
         return sp.expand(a - b) == 0
 
-    def scale_int(self, a, n):
-        return sp.expand(a * n)
-
     def div_int(self, a, n):
         return sp.expand(a / n)
 

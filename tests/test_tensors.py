@@ -9,7 +9,7 @@ import sympy as sp
 
 from spfk import tensors
 from spfk.core import QQ, SeededSampler, mix_seed
-from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly
+from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, shuffle
 from spfk.tensors import (
     MAX_BLOCKED,
     AltTensor,
@@ -17,10 +17,10 @@ from spfk.tensors import (
     SymTensor,
     _blocked_sum,
     blocked_count,
-    bordered,
     determinant,
     enumerate_blocked,
     grassmann_pf_oracle,
+    group_form,
     hafnian,
     hyperhafnian,
     hyperpfaffian,
@@ -31,7 +31,7 @@ from spfk.tensors import (
     tensor_from_json,
     tensor_to_json,
 )
-from oracles import first_row_expansion
+from oracles import first_row_expansion, first_row_pfaffian
 from test_symbolic_ring import SYMPY_RING
 
 
@@ -148,23 +148,32 @@ def test_pfaffian_squared_is_determinant():
 
 @pytest.mark.parametrize("n", range(8))
 def test_bordered_pf_and_hf_expand_along_the_border(n):
-    sampler = SeededSampler(mix_seed(5, ("bordered", n)))
-    value = lambda _idx: Fraction(sampler.next_int(41) - 21, sampler.next_int(7))
-    alt, sym = AltTensor.from_function(QQ, 2, n, value), SymTensor.from_function(QQ, 2, n, value)
-    singles = [value(i) for i in range(n)]
-    single = lambda i: singles[i - 1]
-    dim, pf_entry = bordered(n, single, alt.entry)
-    _, hf_entry = bordered(n, single, sym.entry)
-    pf = pfaffian(AltTensor.from_function(QQ, 2, dim, pf_entry))
-    hf = hafnian(SymTensor.from_function(QQ, 2, dim, hf_entry))
-    if n % 2 == 0:
-        assert (dim, pf_entry, hf_entry) == (n, alt.entry, sym.entry)
-        assert (pf, hf) == (pfaffian(alt), hafnian(sym))
-        return
-    assert dim == n + 1
-    mul = lambda a, b: a * b
-    assert pf == first_row_expansion(n, single, lambda keep: pfaffian(alt.restrict(keep)), mul, True)
-    assert hf == first_row_expansion(n, single, lambda keep: hafnian(sym.restrict(keep)), mul, False)
+    # group_form's pair tensor, its entries (anti)symmetrised or not, is the
+    # Pf/Hf of those entries at an even n and its expansion along a first row
+    # of the singles value_of((p,)) at an odd n.
+    for ring, mul in ((QQ, lambda a, b: a * b), (SHUFFLE_RING, shuffle)):
+        sampler = SeededSampler(mix_seed(5, ("bordered", n, ring is QQ)))
+        seqs = [(i,) for i in range(1, n + 1)] + list(itertools.permutations(range(1, n + 1), 2))
+        coeffs = {seq: Fraction(sampler.next_int(41) - 21, sampler.next_int(7)) for seq in seqs}
+        if ring is QQ:
+            value_of = coeffs.__getitem__
+        else:
+            value_of = lambda seq: FreePoly.from_word(tuple(i - 1 for i in seq), coeffs[seq])
+        for signed, alternating in itertools.product((True, False), repeat=2):
+            got = group_form(ring, n, 2, value_of, signed, alternating)
+            if signed:
+                pair = lambda ij: value_of(ij) - value_of(ij[::-1])
+            else:
+                pair = lambda ij: value_of(ij) + value_of(ij[::-1])
+            cls, kernel = (AltTensor, pfaffian) if alternating else (SymTensor, hafnian)
+            pairs = cls.from_function(ring, 2, n, pair)
+            if n % 2 == 0:
+                expected = kernel(pairs)
+            else:
+                minor = lambda keep: kernel(pairs.restrict(keep))
+                single = lambda p: value_of((p,))
+                expected = first_row_expansion(n, single, minor, mul, alternating)
+            assert got == expected, (ring, signed, alternating)
 
 
 def test_hafnian_examples():
@@ -547,12 +556,16 @@ def test_blocked_sum_keeps_block_order_in_antishuffle_ring():
             assert pfaffian(M) == expected
 
 
-def test_pfaffian_cross_check_trips_on_a_wrong_recursion(monkeypatch):
-    M = _random_alt(83, 2, 6)
-    good = tensors._pf_recursive
-    monkeypatch.setattr(tensors, "_pf_recursive", lambda T: good(T) + 1)
-    with pytest.raises(AssertionError, match="cross-check"):
-        pfaffian(M)
+@pytest.mark.parametrize("dim", range(0, 9, 2))
+@pytest.mark.parametrize(
+    "ring, value",
+    ((QQ, _qq_value), (SHUFFLE_RING, _letter_value), (ANTISHUFFLE_RING, _letter_value)),
+    ids=("qq", "shuffle", "antishuffle"),
+)
+def test_pfaffian_matches_the_first_row_recursion(ring, value, dim):
+    for density in (1.0, 0.25):
+        M = _seeded_tensor(AltTensor, ring, 2, dim, mix_seed(83, (dim, int(100 * density))), density, value)
+        assert pfaffian(M) == first_row_pfaffian(M), density
 
 
 def test_blocked_kernels_check_size_before_work():
