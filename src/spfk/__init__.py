@@ -18,7 +18,6 @@ from .freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
     FreePoly,
-    LetterRegistry,
     ShuffleRing,
     antipode_convolution,
     antishuffle,

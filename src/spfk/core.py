@@ -194,14 +194,12 @@ class SeededSampler:
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._state = self.seed
-        self.position = 0
 
     def next_int(self, bound: int) -> int:
         """Uniform-ish integer in [1, bound]; the golden file is the contract."""
         if bound < 1:
             raise ValueError("bound must be >= 1")
         self._state, word = _splitmix64(self._state)
-        self.position += 1
         return 1 + word % bound
 
     def rational(self, bound: int) -> Fraction:

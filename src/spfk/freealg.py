@@ -2,10 +2,9 @@
 shuffle, and q-shuffle products; ``ShuffleRing(q)`` makes the q = 1
 (shuffle) or q = -1 (antishuffle) product a coefficient ring for the kernels.
 
-A word is a plain tuple of non-negative letter ids.  Structured labels
-(index pairs, index tuples, barred symbols) live in a LetterRegistry, so the
-algebra core never inspects what a letter means.  FreePoly values are
-immutable; every operation returns a new instance.
+A word is a plain tuple of non-negative letter ids; the algebra core never
+inspects what a letter means.  FreePoly values are immutable; every
+operation returns a new instance.
 
 The shuffle and the q-shuffle share one accumulation loop.  A word pair
 whose letters are all distinct (the common case in the Wick checks) is read
@@ -315,41 +314,6 @@ def sort_with_sign(idx) -> tuple[tuple, int]:
         if seq[i - 1] == seq[i]:
             return tuple(seq), 0
     return tuple(seq), sign
-
-
-class LetterRegistry:
-    """Injective label -> letter id mapping, stable within a session.
-
-    Ids are assigned in first-request order; a registry belongs to one check
-    and is not shared between threads.  Index-tuple labels go through
-    alternating_letter(), which canonicalizes an arbitrary tuple to (id of
-    the sorted tuple, permutation sign) and maps tuples with repeated indices
-    to None, so antisymmetrization stays a registry concern.
-    """
-
-    def __init__(self):
-        self._ids: dict = {}
-        self._labels: list = []
-
-    def letter(self, label) -> int:
-        lid = self._ids.get(label)
-        if lid is None:
-            lid = len(self._labels)
-            self._ids[label] = lid
-            self._labels.append(label)
-        return lid
-
-    def label_of(self, lid: int):
-        return self._labels[lid]
-
-    def alternating_letter(self, idx) -> tuple[int, int] | None:
-        canon, sign = sort_with_sign(idx)
-        if sign == 0:
-            return None
-        return self.letter(("alt", canon)), sign
-
-    def __len__(self) -> int:
-        return len(self._labels)
 
 
 class ShuffleRing(Ring):

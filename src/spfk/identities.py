@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
-from .freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, LetterRegistry
+from .freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, sort_with_sign
 from .integrals import ordered_sum, r_value
 from .report import Check, VerificationReport, at_points, run_check
 from .tensors import (
@@ -111,10 +111,10 @@ def _wick_odd(n: int, signed: bool):
 
 def _wick_xipfashu(k: int, n: int):
     # A block's (letter, sign) is fixed by its index tuple and looked up once:
-    # the registry sees each block on its first appearance in the left side,
-    # which runs first, so letter ids keep their first-encounter order.
+    # its sorted tuple gets the next id on its first appearance in the left
+    # side, which runs first, so letter ids keep their first-encounter order.
     width = 2 * k
-    reg = LetterRegistry()
+    ids: dict = {}
     block_letters: dict = {}
 
     def word_of(seq):
@@ -124,7 +124,8 @@ def _wick_xipfashu(k: int, n: int):
             block = seq[b : b + width]
             hit = block_letters.get(block)
             if hit is None:
-                hit = block_letters[block] = reg.alternating_letter(block)
+                canon, sign = sort_with_sign(block)
+                hit = block_letters[block] = ids.setdefault(canon, len(ids)), sign
             letters.append(hit[0])
             coeff *= hit[1]
         return tuple(letters), coeff

@@ -15,9 +15,10 @@ identity here evaluates in exact rationals.
 All eight de Bruijn rows are built by one function, ``_debruijn_sides``,
 position p of the matrix reading the family slots[p % g].  Its left side,
 the ordered integral of the expanded determinant or permanent, is
-``ordered_sum``: a forward DP on ints over block boundaries whose state is
-the set of letters used so far and the partial sum, so no n! expansion runs
-(the literal expansion is the tests' oracle).  Its right side is
+``ordered_sum``: a forward DP on ints that places one letter per position,
+its state the set of letters used so far and the partial sum, with each
+block closed at its last position, so no n! expansion runs (the literal
+expansion is the tests' oracle).  Its right side is
 ``tensors.group_form`` of the ordered integral of one group of g letters,
 bordered at an odd order by the single-letter integrals; the left side
 calls none of that code.
@@ -164,16 +165,6 @@ CHEN = {"chen": Check(_chen_check, "CHEN", {"pairs": 100}, _CHEN_DOMAIN)}
 _signed_perms = signed_permutations
 
 
-def _append_letter(tuples, fam, m: int, signed: bool):
-    """Each (used mask, sum, sign) extended by every unused letter i at a
-    position read through ``fam``; the sign flips with the used letters > i."""
-    for u, z, sg in tuples:
-        for i in range(m):
-            if not u >> i & 1:
-                flip = signed and (u >> (i + 1)).bit_count() & 1
-                yield u | 1 << i, z + fam[i], -sg if flip else sg
-
-
 def ordered_sum(slots, width: int, signed: bool) -> Fraction:
     """Sum over sigma of sgn(sigma)^signed * R(z_1, ..., z_r) for letters 0..m-1.
 
@@ -182,17 +173,18 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
     a block whose exponent is its merged exponent, sum - (width - 1).
 
     Since R(z_1..z_r) = prod_j 1/(z_1+...+z_j), each factor depends only on
-    the blocks placed so far, so the sum is a forward DP over block
-    boundaries.  A state is (bitmask of used letters, partial sum); inside a
-    block every ordered width-tuple of unused letters is appended, letter i
-    after mask u flipping the sign when popcount(u >> (i+1)) is odd (the
-    inversions it closes), and the +-1 counts reaching each new state are
-    merged.  The DP runs on ints: the parameters are scaled by L, the lcm of
-    their denominators, and the block shift by L (width - 1), and R(L z) =
-    L^-r R(z) for r blocks.  At each block boundary the weights are int
-    numerators over one denominator D, the lcm of the partial sums reached
-    there, so closing a block multiplies a numerator by D // (its partial
-    sum).  The result is Fraction(total * L^r, product of the D's).
+    the blocks placed so far, so the sum is a forward DP over positions.  A
+    state is (bitmask of used letters, partial sum) with an int weight; each
+    position extends every state by every unused letter i, adding its
+    parameter and flipping the sign when popcount(used >> (i+1)) is odd (the
+    inversions it closes), and states that meet are merged at once.  The DP
+    runs on ints: the parameters are scaled by L, the lcm of their
+    denominators, the block shift L (width - 1) is subtracted at a block's
+    first position, and R(L z) = L^-r R(z) for r blocks.  At a block's last
+    position the weights become int numerators over one denominator D, the
+    lcm of the partial sums reached there, so closing a block multiplies a
+    numerator by D // (its partial sum).  The result is
+    Fraction(total * L^r, product of the D's).
 
     Every block exponent must be positive, or the integral diverges (and a
     zero partial sum the brute-force expansion divides by could cancel out
@@ -214,23 +206,22 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
             )
     states = {(0, 0): 1}
     denominator = 1
-    for b in range(0, m, width):
-        block = fams[b : b + width]
+    for p, fam in enumerate(fams):
+        lead = shift if p % width == 0 else 0
         nxt: dict = {}
         for (used, acc), weight in states.items():
-            tuples = [(used, acc - shift, 1)]
-            for fam in block:
-                tuples = _append_letter(tuples, fam, m, signed)
-            counts: dict = {}
-            for u, z, sg in tuples:
-                counts[u, z] = counts.get((u, z), 0) + sg
-            for key, c in counts.items():
-                if c:
-                    nxt[key] = nxt.get(key, 0) + weight * c
-        nxt = {key: w for key, w in nxt.items() if w}
-        step = math.lcm(*(acc for _used, acc in nxt))
-        denominator *= step
-        states = {key: w * (step // key[1]) for key, w in nxt.items()}
+            acc -= lead
+            for i in range(m):
+                if not used >> i & 1:
+                    key = used | 1 << i, acc + fam[i]
+                    flip = signed and (used >> (i + 1)).bit_count() & 1
+                    nxt[key] = nxt.get(key, 0) + (-weight if flip else weight)
+        states = nxt
+        if p % width == width - 1:
+            states = {key: w for key, w in states.items() if w}
+            step = math.lcm(*(acc for _used, acc in states))
+            denominator *= step
+            states = {key: w * (step // key[1]) for key, w in states.items()}
     return Fraction(sum(states.values()) * scale ** (m // width), denominator)
 
 

@@ -30,17 +30,6 @@ MAX_BLOCKED = 20
 MAX_PERMUTATIONS = 8
 
 
-def inversion_sign(seq) -> int:
-    """Sign of the permutation written in one-line notation."""
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 @functools.lru_cache(maxsize=16)
 def signed_permutations(n: int) -> tuple:
     """All permutations of (1..n) as 1-based tuples with their signs, in
@@ -234,7 +223,7 @@ def enumerate_blocked(n: int, k: int, ordered: bool = False):
     def rec(remaining, acc):
         if not remaining:
             flat = [i for block in acc for i in block]
-            yield tuple(acc), inversion_sign(flat)
+            yield tuple(acc), sort_with_sign(flat)[1]
             return
         for block in itertools.combinations(remaining, k):
             # The blocks holding the smallest remaining index come first.

@@ -286,6 +286,17 @@ def test_erratum_demo_script_runs():
     assert "coefficient 1/(2n)!!: equal=False" in lines
 
 
+def test_run_suite_script_prints_the_golden_report():
+    root = pathlib.Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_suite.py"),
+                           "--seed", "42", "--json"],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN.read_bytes()
+
+
 @pytest.mark.parametrize("identity", list(suite.IDENTITIES))
 def test_verify_coeff_only_where_the_table_takes_it(capsys, identity):
     flags = suite.IDENTITIES[identity][2]

@@ -9,7 +9,6 @@ from spfk.freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
     FreePoly,
-    LetterRegistry,
     ShuffleRing,
     antipode_convolution,
     antishuffle,
@@ -288,22 +287,6 @@ def test_sort_with_sign():
     assert sort_with_sign((2, 1)) == ((1, 2), -1)
     assert sort_with_sign((1, 2, 3)) == ((1, 2, 3), 1)
     assert sort_with_sign((3, 1, 2)) == ((1, 2, 3), 1)
+    assert sort_with_sign((2, 1, 3)) == ((1, 2, 3), -1)
+    assert sort_with_sign(()) == ((), 1)
     assert sort_with_sign((1, 1)) == ((1, 1), 0)
-
-
-def test_registry_injective_and_stable():
-    reg = LetterRegistry()
-    a = reg.letter("a1")
-    b = reg.letter("b1")
-    assert a != b
-    assert reg.letter("a1") == a
-    assert reg.label_of(a) == "a1"
-    assert len(reg) == 2
-
-
-def test_registry_alternating():
-    reg = LetterRegistry()
-    lid, sign = reg.alternating_letter((1, 2, 3, 4))
-    lid2, sign2 = reg.alternating_letter((2, 1, 3, 4))
-    assert lid == lid2 and sign == 1 and sign2 == -1
-    assert reg.alternating_letter((1, 1, 2, 3)) is None

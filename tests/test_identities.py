@@ -11,9 +11,9 @@ from spfk.freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
     FreePoly,
-    LetterRegistry,
     antishuffle,
     shuffle,
+    sort_with_sign,
 )
 from spfk.identities import (
     _SAMPLE_BOUND,
@@ -153,18 +153,18 @@ def test_xipfashu(k, n):
 
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
 def test_xipfashu_left_side_matches_unmemoised_loop(k, n):
-    # Oracle: one registry lookup per block of every permutation, so letter
-    # ids, and with them the canonical string, follow first-encounter order.
+    # Oracle: one id lookup per block of every permutation, so letter ids,
+    # and with them the canonical string, follow first-encounter order.
     width = 2 * k
-    reg = LetterRegistry()
+    ids = {}
     acc = {}
     for perm, sign in signed_permutations(width * n):
         coeff = sign
         letters = []
         for b in range(n):
-            lid, s = reg.alternating_letter(perm[b * width : (b + 1) * width])
+            canon, s = sort_with_sign(perm[b * width : (b + 1) * width])
             coeff *= s
-            letters.append(lid)
+            letters.append(ids.setdefault(canon, len(ids)))
         word = tuple(letters)
         acc[word] = acc.get(word, 0) + coeff
     expected = FreePoly(acc)
@@ -184,17 +184,14 @@ def test_xipfashu_term_count_sanity():
     assert report.lhs_terms == report.rhs_terms == 70  # ordered pairs of disjoint 4-sets
     # independent recount: collecting the 8! summands leaves 70 canonical
     # words, each with coefficient +-(4!)^2
-    from spfk.freealg import LetterRegistry
-
-    reg = LetterRegistry()
     acc = {}
     for perm, sign in signed_permutations(8):
         coeff = sign
         letters = []
         for block in (perm[:4], perm[4:]):
-            lid, s = reg.alternating_letter(block)
+            canon, s = sort_with_sign(block)
             coeff *= s
-            letters.append(lid)
+            letters.append(canon)
         word = tuple(letters)
         acc[word] = acc.get(word, 0) + coeff
     assert len(acc) == 70

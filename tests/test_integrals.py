@@ -345,10 +345,12 @@ _MIXED = (
 
 @pytest.mark.parametrize(
     "width,order",
-    ((1, 4), (1, 6), (2, 4), (2, 6), (4, 4), (4, 8)),
+    ((1, 4), (1, 6), (2, 4), (2, 6), (3, 6), (4, 4), (4, 8), (6, 6)),
 )
 def test_ordered_sum_mixed_denominators_match_permutation_expansion(width, order):
-    families = (_MIXED, _MIXED[::-1], _MIXED[3:] + _MIXED[:3], _MIXED[1::2] + _MIXED[::2])
+    # Each position in a block reads its own rotation of _MIXED; an odd width
+    # and one full-width block pin where the shift and the in-block sign apply.
+    families = tuple(_MIXED[j:] + _MIXED[:j] for j in range(6))
     slots = [families[p % width] for p in range(order)]
     signed, unsigned = _brute_force_both(slots, width)
     assert ordered_sum(slots, width, signed=True) == signed

@@ -9,7 +9,7 @@ import sympy as sp
 
 from spfk import tensors
 from spfk.core import QQ, SeededSampler, mix_seed
-from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, shuffle
+from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, shuffle, sort_with_sign
 from spfk.tensors import (
     MAX_BLOCKED,
     AltTensor,
@@ -24,7 +24,6 @@ from spfk.tensors import (
     hafnian,
     hyperhafnian,
     hyperpfaffian,
-    inversion_sign,
     pfaffian,
     signed_permutations,
     sz_hf_oracle,
@@ -385,17 +384,12 @@ def test_alt_get_signs():
     assert S.get((2, 2)) == 0
 
 
-def test_inversion_sign():
-    assert inversion_sign((1, 2, 3)) == 1
-    assert inversion_sign((2, 1, 3)) == -1
-    assert inversion_sign(()) == 1
-
-
 @pytest.mark.parametrize("n", range(9))
 def test_signed_permutations_match_inversion_count(n):
-    # Oracle: the signs counted pairwise, in itertools.permutations order.
+    # Oracle: the sign of sorting by adjacent swaps, one per inverted pair,
+    # in itertools.permutations order.
     expected = tuple(
-        (perm, inversion_sign(perm)) for perm in itertools.permutations(range(1, n + 1))
+        (perm, sort_with_sign(perm)[1]) for perm in itertools.permutations(range(1, n + 1))
     )
     assert signed_permutations(n) == expected
 
