@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, the commutative-ring contract, and seeded sampling.
+"""Exact rational arithmetic, the ring contract, and seeded sampling.
 
 Everything in this package computes over exact coefficient rings: the base
 field is arbitrary-precision rationals (``fractions.Fraction``), and the
@@ -11,6 +11,7 @@ samples of seed 42, so the mixing algorithm must never change silently.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -89,9 +90,11 @@ def check_domain(name: str, params: dict, domain) -> dict:
 
 
 class Ring:
-    """Commutative-ring interface the kernels are generic over.
+    """Ring interface the kernels are generic over.
 
     Implementations supply ``zero``/``one`` plus the arithmetic hooks below.
+    A ring need not be commutative (the antishuffle ring is only
+    graded-commutative): ``mul(a, b)`` and ``dot`` keep a on the left.
     ``div_int`` is required only where a kernel divides by an integer
     (nilpotent exponentials, double-factorial normalizations) and may raise
     for rings without that capability.
@@ -111,6 +114,10 @@ class Ring:
 
     def eq(self, a, b) -> bool:
         raise NotImplementedError
+
+    def dot(self, pairs):
+        """Sum of mul(a, b) over the (a, b) pairs; zero for no pairs."""
+        return functools.reduce(self.add, (self.mul(a, b) for a, b in pairs), self.zero)
 
     def div_int(self, a, n: int):
         raise NotImplementedError(f"{type(self).__name__} does not support integer division")

@@ -6,11 +6,11 @@ A word is a plain tuple of non-negative letter ids; the algebra core never
 inspects what a letter means.  FreePoly values are immutable; every
 operation returns a new instance.
 
-The shuffle and the q-shuffle share one accumulation loop.  A word pair
-whose letters are all distinct (the common case in the Wick checks) is read
-off a per-length merge table; every other pair goes to the memoised
-recursion (Reutenauer, *Free Lie Algebras*, ch. 1), which merges the words
-that repeated letters make equal.
+The shuffle, the q-shuffle and ``ShuffleRing.dot`` share one accumulation
+loop into one dict.  A word pair whose letters are all distinct (the common
+case in the Wick checks) is read off a per-length merge table; every other
+pair goes to the memoised recursion (Reutenauer, *Free Lie Algebras*, ch. 1),
+which merges the words that repeated letters make equal.
 """
 from __future__ import annotations
 
@@ -221,48 +221,50 @@ def _merges(a: int, b: int) -> tuple:
     return tuple(out)
 
 
-def _shuffle_sum(p: FreePoly, q: FreePoly, qval) -> FreePoly:
-    """Sum over term pairs of cu * cv * (u sh_q v).
+def _shuffle_sum(pairs, qval) -> FreePoly:
+    """Sum over the (p, q) factor pairs, and over their term pairs, of
+    cu * cv * (u sh_q v), formed in one dict.
 
-    For qval = 1 or -1, a pair whose letters are all distinct has C(a+b, a)
-    distinct result words, each with coefficient q ** inversions, so it is
-    read off ``_merges(a, b)`` with no dict and no cache entry per pair.
-    Every other pair (an empty word, a repeated letter, another qval) goes to
-    the memoised recursion, which merges repeated words.  The first pair
+    For qval = 1 or -1, a term pair whose letters are all distinct has
+    C(a+b, a) distinct result words, each with coefficient q ** inversions,
+    so it is read off ``_merges(a, b)`` with no dict and no cache entry per
+    pair.  Every other pair (an empty word, a repeated letter, another qval)
+    goes to the memoised recursion, which merges repeated words.  A term pair
     into an empty sum is copied in without the lookups an addition needs."""
     table = qval == 1 or qval == -1
     out: dict = {}
     get = out.get
-    for u, cu in p._terms.items():
-        letters = set(u) if table else ()
-        if len(letters) != len(u):
-            letters = ()
-        for v, cv in q._terms.items():
-            c = cu * cv
-            if letters and v and letters.isdisjoint(v) and len(set(v)) == len(v):
-                uv = u + v
-                signed = (c, c * qval)
-                if not out:
-                    out.update({pick(uv): signed[odd] for pick, odd in _merges(len(u), len(v))})
+    for p, q in pairs:
+        for u, cu in p._terms.items():
+            letters = set(u) if table else ()
+            if len(letters) != len(u):
+                letters = ()
+            for v, cv in q._terms.items():
+                c = cu * cv
+                if letters and v and letters.isdisjoint(v) and len(set(v)) == len(v):
+                    uv = u + v
+                    signed = (c, c * qval)
+                    if not out:
+                        out.update({pick(uv): signed[odd] for pick, odd in _merges(len(u), len(v))})
+                        continue
+                    for pick, odd in _merges(len(u), len(v)):
+                        w = pick(uv)
+                        s = get(w, 0) + signed[odd]
+                        if s:
+                            out[w] = s
+                        else:
+                            out.pop(w)
                     continue
-                for pick, odd in _merges(len(u), len(v)):
-                    w = pick(uv)
-                    s = get(w, 0) + signed[odd]
+                mults = _shuffle_words(u, v) if qval == 1 else _q_shuffle_words(u, v, qval)
+                if not out:
+                    out.update(mults if c == 1 else {w: c * mult for w, mult in mults.items()})
+                    continue
+                for w, mult in mults.items():
+                    s = get(w, 0) + c * mult
                     if s:
                         out[w] = s
                     else:
-                        out.pop(w)
-                continue
-            mults = _shuffle_words(u, v) if qval == 1 else _q_shuffle_words(u, v, qval)
-            if not out:
-                out.update(mults if c == 1 else {w: c * mult for w, mult in mults.items()})
-                continue
-            for w, mult in mults.items():
-                s = get(w, 0) + c * mult
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                        out.pop(w, None)
     return FreePoly._make(out)
 
 
@@ -272,12 +274,12 @@ def shuffle(p: FreePoly, q: FreePoly) -> FreePoly:
     Base case: the empty word is the unit.  Multiplicities are retained,
     e.g. shuffle(a, a) = 2aa.
     """
-    return _shuffle_sum(p, q, 1)
+    return _shuffle_sum(((p, q),), 1)
 
 
 def q_shuffle(p: FreePoly, q: FreePoly, qval) -> FreePoly:
     """q-deformed shuffle; qval=1 is the shuffle, qval=-1 the antishuffle."""
-    return _shuffle_sum(p, q, qval)
+    return _shuffle_sum(((p, q),), qval)
 
 
 def antishuffle(p: FreePoly, q: FreePoly) -> FreePoly:
@@ -349,8 +351,16 @@ class ShuffleRing(Ring):
     def eq(self, a, b) -> bool:
         return a == b
 
+    def dot(self, pairs):
+        # All products go into one dict, so the sum is never copied.
+        return _shuffle_sum(pairs, self.q)
+
     def div_int(self, a, n: int):
-        return a.scale(Fraction(1, n))
+        # A coefficient n divides stays an int; any other becomes c/n.
+        terms = a._terms.items()
+        return FreePoly._make(
+            {w: c // n if type(c) is int and not c % n else Fraction(c, n) for w, c in terms}
+        )
 
     def is_zero(self, a) -> bool:
         return a.is_zero()

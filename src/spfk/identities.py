@@ -72,7 +72,7 @@ def _wick_sides(order: int, g: int, word_of, signed: bool, alternating: bool, ri
         for perm, sign in signed_permutations(order):
             word, coeff = word_of(perm)
             acc[word] = acc.get(word, 0) + (sign * coeff if signed else coeff)
-        return FreePoly(acc)
+        return FreePoly._make({word: c for word, c in acc.items() if c})
 
     value_of = lambda seq: FreePoly.from_word(*word_of(seq))
 
@@ -99,7 +99,7 @@ def _word_of_letters(p):
 
 def _wick_fhaff1(n: int, coeff: str):
     lhs, hf = _wick_sides(2 * n, 2, _word_of_letters, False, False)
-    return lhs, lambda: hf().scale(Fraction(1, double_factorial_coeff(n, coeff)[0]))
+    return lhs, lambda: SHUFFLE_RING.div_int(hf(), double_factorial_coeff(n, coeff)[0])
 
 
 def _wick_odd(n: int, signed: bool):

@@ -5,7 +5,8 @@ rationals: Bareiss elimination on ints, each row's denominators cleared once.
 The tensor kernels are generic over a Ring.  pf, hf, hpf and hhf share one
 blocked partition sum, memoised on the set of remaining indices, which
 multiplies block entries in increasing-minimum order (so the graded-commutative
-antishuffle ring gets the enumeration's value).  ``group_form`` builds the one
+antishuffle ring gets the enumeration's value) and sums each subset with one
+``Ring.dot``, one dict over the shuffle rings.  ``group_form`` builds the one
 right side of the Wick, de Bruijn and VI identities: the kernel of a tensor
 whose entries (anti)symmetrise the value of a group of letters, an odd pair
 order bordered by a first row of singles.  The hyper kernels have
@@ -247,8 +248,9 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
     carries the sign of its concatenated block sequence.
 
     Expands along the smallest remaining index and memoises on the bitmask
-    of remaining indices, so each subset is summed once per call.  A block's
-    entry multiplies the sub-result on the left: blocks multiply in
+    of remaining indices, so each subset is summed once per call, as one
+    ``ring.dot`` of its (entry, sub-result) pairs.  A block's entry
+    multiplies the sub-result on the left: blocks multiply in
     increasing-minimum order, as in enumerate_blocked, which keeps the value
     over non-commutative rings such as the antishuffle ring.
     """
@@ -259,37 +261,37 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
         raise ValueError(f"size cap exceeded: kn = {d} > {MAX_BLOCKED}")
     ring = tensor.ring
     # Nonzero entries by the bit of their smallest index, in lexicographic
-    # order: (block mask, masks of the indices below each other member, entry).
+    # order: (block mask, masks below each other member, (entry, -entry)).
     by_head = [[] for _ in range(d)]
     for idx, c in tensor.entries():
         mask = 0
         for i in idx:
             mask |= 1 << (i - 1)
         below = tuple((1 << (i - 1)) - 1 for i in idx[1:])
-        by_head[idx[0] - 1].append((mask, below, c))
+        by_head[idx[0] - 1].append((mask, below, (c, ring.neg(c))))
     memo = {0: ring.one}
 
     def rec(rest: int):
         hit = memo.get(rest)
         if hit is not None:
             return hit
-        out = ring.zero
-        for mask, below, c in by_head[(rest & -rest).bit_length() - 1]:
+        pairs = []
+        for mask, below, entry in by_head[(rest & -rest).bit_length() - 1]:
             if rest & mask != mask:
                 continue
             left = rest ^ mask
             sub = rec(left)
             if ring.is_zero(sub):
                 continue
-            term = ring.mul(c, sub)
-            # Inversions between the block and the indices still left.
-            if signed and sum((left & m).bit_count() for m in below) & 1:
-                term = ring.neg(term)
-            out = ring.add(out, term)
-        memo[rest] = out
+            # Odd inversions between the block and the indices left: -entry.
+            odd = signed and sum((left & m).bit_count() for m in below) & 1
+            pairs.append((entry[odd], sub))
+        out = memo[rest] = ring.dot(pairs)
         return out
 
-    return rec((1 << d) - 1)
+    value = rec((1 << d) - 1)
+    del rec  # rec refers to itself: unbinding it frees the memo now, not at a gc pass
+    return value
 
 
 def pfaffian(M: AltTensor):

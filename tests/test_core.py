@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 import pathlib
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, strategies as st
 
 from spfk.core import (
@@ -16,7 +18,9 @@ from spfk.core import (
     odd_double_factorial,
     sample_positive_distinct,
 )
-from spfk.freealg import SHUFFLE_RING, FreePoly
+from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly
+
+from test_symbolic_ring import SYMPY_RING
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -142,3 +146,85 @@ def test_ring_axioms_on_sampled_triples(ring):
         assert ring.eq(ring.add(a, ring.neg(a)), ring.zero)
         fifth = ring.div_int(a, 5)
         assert ring.eq(ring.add(fifth, ring.add(fifth, ring.add(fifth, ring.add(fifth, fifth)))), a)
+
+
+def _word(*letters, coeff=1):
+    return FreePoly.from_word(letters, coeff)
+
+
+_X, _Y, _Z = sp.symbols("x y z")
+_UNIT = FreePoly.unit()
+# (ring, case, pairs, whether the sum cancels to zero).  In the free rings
+# "repeated" shuffles words that share a letter (the recursion), "distinct"
+# words with no letter in common (the merge table), and "mixed" both into
+# one sum.  A single letter has odd degree, so in the antishuffle ring
+# mul(a, b) = -mul(b, a) for the letters of "distinct": a sum that swapped
+# its factors would differ from the fold there, and "cancels" cancels only
+# because both orders meet.
+_DOT_CASES = [
+    (SHUFFLE_RING, "repeated", [(_word(0, 1) + _word(1, coeff=2), _word(0) - _word(1, 1))], False),
+    (SHUFFLE_RING, "distinct", [(_word(0, 1), _word(2)), (_word(3, coeff=3), _word(4, 5))], False),
+    (
+        SHUFFLE_RING,
+        "mixed",
+        [(_word(0, 1), _word(2)), (_word(0), _word(0, 2)), (_word(2, 0), _word(1, coeff=-1))],
+        False,
+    ),
+    (SHUFFLE_RING, "empty word", [(_UNIT, _word(0)), (_word(1), _UNIT), (_UNIT, _UNIT)], False),
+    (
+        SHUFFLE_RING,
+        "cancels",
+        [
+            (_word(0, 1), _word(2)),
+            (_word(0), _word(0)),
+            (_word(2), _word(0, 1, coeff=-1)),
+            (_word(0, 0, coeff=-2), _UNIT),
+        ],
+        True,
+    ),
+    (SHUFFLE_RING, "no pairs", [], True),
+    (ANTISHUFFLE_RING, "repeated", [(_word(0), _word(0, 1)), (_word(1, 0), _word(0))], False),
+    (ANTISHUFFLE_RING, "distinct", [(_word(0), _word(1)), (_word(2, 3, 5), _word(4))], False),
+    (
+        ANTISHUFFLE_RING,
+        "mixed",
+        [(_word(0), _word(1)), (_word(0), _word(0, 2)), (_word(1, 2), _word(0, coeff=5))],
+        False,
+    ),
+    (ANTISHUFFLE_RING, "empty word", [(_UNIT, _word(0)), (_word(1), _UNIT)], False),
+    (
+        ANTISHUFFLE_RING,
+        "cancels",
+        [
+            (_word(0), _word(1)),
+            (_word(1), _word(0)),
+            (_word(0, 2, 1), _word(3)),
+            (_word(3), _word(0, 2, 1)),
+        ],
+        True,
+    ),
+    (ANTISHUFFLE_RING, "no pairs", [], True),
+    (QQ, "values", [(Fraction(1, 2), Fraction(3)), (Fraction(-2, 3), Fraction(5, 7))], False),
+    (QQ, "cancels", [(Fraction(1, 2), Fraction(4)), (Fraction(-1), Fraction(2))], True),
+    (QQ, "no pairs", [], True),
+    (SYMPY_RING, "values", [(_X + 1, _Y), (_Z, _X - _Y)], False),
+    (SYMPY_RING, "cancels", [(_X, _Y + _Z), (-_Y - _Z, _X)], True),
+    (SYMPY_RING, "no pairs", [], True),
+]
+_RING_NAMES = {
+    SHUFFLE_RING: "shuffle", ANTISHUFFLE_RING: "antishuffle", QQ: "qq", SYMPY_RING: "sympy"
+}
+
+
+@pytest.mark.parametrize(
+    "ring, pairs, cancels",
+    [(ring, pairs, cancels) for ring, _name, pairs, cancels in _DOT_CASES],
+    ids=[f"{_RING_NAMES[ring]}-{name}" for ring, name, *_ in _DOT_CASES],
+)
+def test_dot_equals_the_fold_of_mul_and_add(ring, pairs, cancels):
+    got = ring.dot(pairs)
+    fold = functools.reduce(ring.add, [ring.mul(a, b) for a, b in pairs], ring.zero)
+    assert ring.eq(got, fold)
+    assert ring.is_zero(got) == cancels
+    if isinstance(got, FreePoly):
+        assert all(got._terms.values())

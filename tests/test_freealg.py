@@ -198,6 +198,23 @@ def test_shuffle_ring_q_selects_the_product():
             ShuffleRing(q)
 
 
+@pytest.mark.parametrize("ring", (SHUFFLE_RING, ANTISHUFFLE_RING), ids=("shuffle", "antishuffle"))
+@pytest.mark.parametrize("n", (1, 2, 3, 105, -3))
+def test_div_int_keeps_exact_quotients_as_ints(ring, n):
+    # Int coefficients that some n divide and some not, and Fraction ones.
+    ints = {(A,): 6, (A, B): -210, (B,): 7, (C,): 1}
+    p = FreePoly({**ints, (A, A): Fraction(3, 2), (): Fraction(4), (B, C): Fraction(-9)})
+    got = ring.div_int(p, n)
+    for word, c in p.terms():
+        q = got.coeff(word)
+        if type(c) is int and c % n == 0:
+            assert type(q) is int and q == c // n, (word, c)
+        else:
+            assert type(q) is Fraction and q == Fraction(c) / n, (word, c)
+    assert got.canonical_string() == p.scale(Fraction(1, n)).canonical_string()
+    assert ring.div_int(FreePoly.zero(), n).is_zero()
+
+
 def test_mirror():
     assert mirror((A, B, C)) == (C, B, A)
     assert mirror(()) == ()

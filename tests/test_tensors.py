@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import math
@@ -560,6 +561,36 @@ def test_pfaffian_matches_the_first_row_recursion(ring, value, dim):
     for density in (1.0, 0.25):
         M = _seeded_tensor(AltTensor, ring, 2, dim, mix_seed(83, (dim, int(100 * density))), density, value)
         assert pfaffian(M) == first_row_pfaffian(M), density
+
+
+def test_shuffle_ring_kernels_add_no_polynomials(monkeypatch):
+    # Each subset's products are summed in one dict by ShuffleRing.dot, so
+    # the blocked sum never copies a growing sum through FreePoly.__add__.
+    add = FreePoly.__add__
+    calls = []
+    monkeypatch.setattr(FreePoly, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    seed = mix_seed(89, 8)
+    M = _seeded_tensor(AltTensor, SHUFFLE_RING, 2, 8, seed, 1.0, _letter_value)
+    S = _seeded_tensor(SymTensor, SHUFFLE_RING, 2, 8, seed + 1, 1.0, _letter_value)
+    pf, hf = pfaffian(M), hafnian(S)
+    assert calls == []
+    monkeypatch.undo()
+    assert pf == first_row_pfaffian(M) == _enumerated_sum(M, True)
+    assert hf == _enumerated_sum(S, False)
+    assert not pf.is_zero() and not hf.is_zero()
+
+
+def test_blocked_sum_frees_its_memo_on_return():
+    # The memo holds a value per subset; a reference cycle through the
+    # recursion would keep it alive until the next collection.
+    M = _seeded_tensor(AltTensor, SHUFFLE_RING, 2, 8, mix_seed(97, 8), 1.0, _letter_value)
+    gc.collect()
+    gc.disable()
+    try:
+        pfaffian(M)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_blocked_kernels_check_size_before_work():
