@@ -1,6 +1,7 @@
-"""Exact computer-algebra kernel: shuffle algebras, Grassmann calculus,
-(hyper)Pfaffian and (hyper)hafnian expansions, and a verification suite that
-machine-checks a catalogue of classical identities with exact arithmetic."""
+"""Exact computer-algebra kernel: shuffle algebras, (hyper)Pfaffian and
+(hyper)hafnian expansions, and a verification suite that machine-checks a
+catalogue of classical identities with exact arithmetic.  The Grassmann and
+square-zero algebras serve the independent power oracles of the kernels."""
 
 from .core import (
     QQ,
@@ -10,19 +11,13 @@ from .core import (
     SeededSampler,
     even_double_factorial,
     mix_seed,
-    normalize,
     odd_double_factorial,
-    sample_positive_distinct,
 )
 from .freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
     FreePoly,
     ShuffleRing,
-    antipode_convolution,
-    antishuffle,
-    concat,
-    mirror,
     q_shuffle,
     shuffle,
 )
@@ -41,15 +36,7 @@ from .identities import (
     verify_shuffle_wick,
     verify_vandermonde_average,
 )
-from .multilinear import (
-    GrassmannElement,
-    SquareZeroElement,
-    berezin_extract,
-    exp_even,
-    grassmann_generators,
-    ordered_product,
-    sz_generators,
-)
+from .multilinear import GrassmannElement, SquareZeroElement
 from .report import VerificationReport
 from .tensors import (
     AltTensor,
@@ -66,7 +53,6 @@ from .tensors import (
     signed_permutations,
     sz_hf_oracle,
     tensor_from_json,
-    tensor_to_json,
 )
 
 __version__ = "0.1.0"

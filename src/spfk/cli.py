@@ -1,7 +1,8 @@
 """Command-line front end: run single verifiers or the full suite, and
 evaluate (hyper)Pfaffians/hafnians of tensors stored as JSON files.
 
-Exit codes: 0 pass, 1 identity failure, 2 usage or input error.  The default
+Exit codes: 0 pass, 1 identity failure or a closed stdout (the reader of a
+pipe went away, as after ``| head -1``), 2 usage or input error.  The default
 seed is 42, overridable by the SPFK_SEED environment variable and then by
 --seed.
 """
@@ -256,11 +257,16 @@ def main(argv=None) -> int:
         except ValueError:
             print("error: SPFK_SEED must be an integer", file=sys.stderr)
             return 2
-    if ns.command == "verify":
-        return _cmd_verify(ns)
-    if ns.command in _TENSOR_COMMANDS:
-        return _cmd_tensor(ns)
-    return _cmd_suite(ns)
+    command = {"verify": _cmd_verify, "suite": _cmd_suite}.get(ns.command, _cmd_tensor)
+    try:
+        code = command(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the
+        # interpreter's last flush of the unwritten rest is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -20,13 +20,6 @@ Rational = Fraction
 _MASK64 = (1 << 64) - 1
 
 
-def normalize(num: int, den: int) -> Fraction:
-    """Reduced rational with positive denominator; (0, d) canonicalizes to 0/1."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(num, den)
-
-
 def odd_double_factorial(n: int) -> int:
     """(2n-1)!! = 1*3*5*...*(2n-1), the number of perfect matchings of 2n points.
 
@@ -194,8 +187,8 @@ class SeededSampler:
     """Deterministic, platform-independent stream of positive rationals.
 
     Identical seeds yield identical sequences on every platform.  Values are
-    immutable once drawn; child samplers for concurrent checks derive their
-    seeds by mixing (parent seed, check tag).
+    immutable once drawn; each check draws from its own sampler, seeded with
+    ``mix_seed(seed, tag)`` for its own tag.
     """
 
     def __init__(self, seed: int):
@@ -232,11 +225,3 @@ class SeededSampler:
                 seen.add(r)
                 out.append(r)
         return out
-
-    def child(self, tag) -> "SeededSampler":
-        return SeededSampler(mix_seed(self.seed, tag))
-
-
-def sample_positive_distinct(seed: int, count: int, bound: int) -> list[Fraction]:
-    """Deterministic batch of `count` distinct positive rationals for `seed`."""
-    return SeededSampler(seed).positive_distinct(count, bound)

@@ -1,6 +1,6 @@
-"""Words over an abstract alphabet and the free algebra with concatenation,
-shuffle, and q-shuffle products; ``ShuffleRing(q)`` makes the q = 1
-(shuffle) or q = -1 (antishuffle) product a coefficient ring for the kernels.
+"""Words over an abstract alphabet and the free algebra with the shuffle
+and q-shuffle products; ``ShuffleRing(q)`` makes the q = 1 (shuffle) or
+q = -1 (antishuffle) product a coefficient ring for the kernels.
 
 A word is a plain tuple of non-negative letter ids; the algebra core never
 inspects what a letter means.  FreePoly values are immutable; every
@@ -24,22 +24,12 @@ from .core import Ring
 Word = tuple
 
 
-def word_key(w: Word):
-    """Total order on words: length first, then lexicographic on ids."""
-    return (len(w), w)
-
-
-def mirror(w: Word) -> Word:
-    """Letters reversed: mirror((a,b,c)) == (c,b,a)."""
-    return tuple(reversed(w))
-
-
 class FreePoly:
     """Finite formal sum of words with rational coefficients.
 
     Canonical: zero coefficients are never stored, and equality is term-map
     equality.  The word product is deliberately not an operator; use
-    concat(), shuffle(), or q_shuffle() explicitly.
+    shuffle() or q_shuffle() explicitly.
     """
 
     __slots__ = ("_terms",)
@@ -73,15 +63,12 @@ class FreePoly:
             return cls.zero()
         return cls._make({tuple(w): coeff})
 
-    @classmethod
-    def from_letter(cls, lid: int, coeff=1) -> "FreePoly":
-        return cls.from_word((lid,), coeff)
-
     def coeff(self, w: Word) -> Fraction:
         return self._terms.get(tuple(w), 0)
 
     def terms(self):
-        """Canonically ordered (word, coefficient) pairs, in word_key order.
+        """Canonically ordered (word, coefficient) pairs: length first, then
+        lexicographic on ids.
 
         The words are sorted as tuples, then stably by length: each length's
         bucket keeps its sorted order, and no Python key runs per term."""
@@ -114,11 +101,6 @@ class FreePoly:
     def __sub__(self, other: "FreePoly") -> "FreePoly":
         return self + (-other)
 
-    def scale(self, c) -> "FreePoly":
-        if not c:
-            return FreePoly.zero()
-        return FreePoly._make({w: cc * c for w, cc in self._terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreePoly):
             return NotImplemented
@@ -127,7 +109,7 @@ class FreePoly:
     __hash__ = None
 
     def canonical_string(self) -> str:
-        """``num/den:l1.l2...`` per term in word_key order, joined by ``;``;
+        """``num/den:l1.l2...`` per term in ``terms()`` order, joined by ``;``;
         ``0`` for the zero polynomial.  One pass: int and Fraction
         coefficients are read as they are, and each word length gets one
         format string."""
@@ -149,20 +131,6 @@ class FreePoly:
             return "FreePoly(0)"
         bits = [f"{c}*{''.join(map(str, w)) or 'e'}" for w, c in self.terms()]
         return "FreePoly(" + " + ".join(bits) + ")"
-
-
-def concat(p: FreePoly, q: FreePoly) -> FreePoly:
-    """Bilinear extension of word concatenation (the non-commutative product)."""
-    out: dict = {}
-    for u, cu in p._terms.items():
-        for v, cv in q._terms.items():
-            w = u + v
-            s = out.get(w, 0) + cu * cv
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return FreePoly._make(out)
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -280,26 +248,6 @@ def shuffle(p: FreePoly, q: FreePoly) -> FreePoly:
 def q_shuffle(p: FreePoly, q: FreePoly, qval) -> FreePoly:
     """q-deformed shuffle; qval=1 is the shuffle, qval=-1 the antishuffle."""
     return _shuffle_sum(((p, q),), qval)
-
-
-def antishuffle(p: FreePoly, q: FreePoly) -> FreePoly:
-    return q_shuffle(p, q, -1)
-
-
-def antipode_convolution(w: Word) -> FreePoly:
-    """Sum over factorizations w = uv of (-1)^|u| * shuffle(mirror(u), v).
-
-    Zero for every non-empty word, the unit for the empty word: the map
-    S(w) = (-1)^|w| mirror(w) convolved with the identity annihilates
-    positive degrees.
-    """
-    w = tuple(w)
-    out = FreePoly.zero()
-    for cut in range(len(w) + 1):
-        u, v = w[:cut], w[cut:]
-        term = shuffle(FreePoly.from_word(mirror(u)), FreePoly.from_word(v))
-        out = out + (term if cut % 2 == 0 else -term)
-    return out
 
 
 def sort_with_sign(idx) -> tuple[tuple, int]:

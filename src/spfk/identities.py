@@ -626,14 +626,15 @@ def _vandermonde_check(p, seed, _points):
     return {"params": shown, "conventions": {"pf_sign": "(-1)^(C(n,2)*C(2m,2))"}}, lhs, rhs
 
 
-# 2mn is capped before N^n is computed, so a huge n costs no big power.
+# 2mn is capped before N^n is computed, so a huge n costs no big power; N
+# has the Nn limit itself, which n = 0 would otherwise leave unbounded.
 VANDERMONDE = {
     "vandermonde": Check(
         _vandermonde_check,
         "VANDERMONDE",
         {"N": ..., "n": ..., "m": ..., "y": None},
         (
-            {"N": (1, None), "n": (0, None), "m": (1, None)},
+            {"N": (1, 10_000), "n": (0, None), "m": (1, None)},
             {
                 "2mn": (lambda p: 2 * p["m"] * p["n"], 8),
                 "Nn": (lambda p: p["N"] ** p["n"], 10_000),

@@ -6,11 +6,11 @@ at most 64 generators.  The two algebras share one product, which drops
 overlapping masks (eta_i^2 = 0 holds structurally: a bitmask never repeats a
 generator) and, for the Grassmann algebra, signs each disjoint pair with one
 population count.  ``coeff_of_product`` reads one coefficient of a product
-by the same rule without forming it.
+by the same rule without forming it.  The tensor power oracles multiply
+here; the exponentials, Berezin extraction and ordered products that test
+these algebras are in ``tests/oracles.py``.
 """
 from __future__ import annotations
-
-import math
 
 from .core import Ring
 
@@ -18,23 +18,10 @@ MAX_GENERATORS = 64
 _FULL = (1 << MAX_GENERATORS) - 1
 
 
-def wedge_sign(a_mask: int, b_mask: int) -> int:
-    """Sign of eta_A * eta_B for disjoint masks: parity of pairs (i,j),
-    i in A, j in B, with i > j.  Counted pair by pair; the product signs
-    with ``_below_parity`` instead, and this stays as its reference."""
-    inversions = 0
-    b = b_mask
-    while b:
-        low = b & -b
-        idx = low.bit_length() - 1
-        inversions += (a_mask >> (idx + 1)).bit_count()
-        b ^= low
-    return -1 if inversions & 1 else 1
-
-
 def _below_parity(mask: int) -> int:
     """P(B): bit i is set iff an odd number of the bits of B lie below i, so
-    that popcount(A & P(B)) counts the pairs of wedge_sign mod 2."""
+    that popcount(A & P(B)) is odd iff eta_A * eta_B, A and B disjoint, has
+    an odd number of pairs (i, j), i in A, j in B, with i > j."""
     parity = 0
     while mask:
         low = mask & -mask
@@ -226,14 +213,6 @@ class SquareZeroElement(_NilpotentElement):
     __mul__ = _NilpotentElement._product
 
 
-def grassmann_generators(ring: Ring, n: int) -> list[GrassmannElement]:
-    return [GrassmannElement.generator(ring, i) for i in range(n)]
-
-
-def sz_generators(ring: Ring, n: int) -> list[SquareZeroElement]:
-    return [SquareZeroElement.generator(ring, i) for i in range(n)]
-
-
 def mask_of(indices) -> int:
     """Bitmask of a strictly increasing 1-based index list."""
     mask = 0
@@ -246,45 +225,3 @@ def mask_of(indices) -> int:
         mask |= 1 << (i - 1)
         prev = i
     return mask
-
-
-def berezin_extract(T: _NilpotentElement, indices):
-    """Coefficient of eta_{i1}...eta_{ir} in T for strictly increasing indices.
-
-    Equals the iterated left derivative taken in reversed index order; an
-    absent mask extracts zero.
-    """
-    return T.coeff(mask_of(indices))
-
-
-def exp_even(H: _NilpotentElement):
-    """exp(H) = sum H^n / n! for a nilpotent H whose terms all have even
-    degree >= 2 (such an H is central, so the series is unambiguous).
-
-    Raises on odd-degree or constant terms; the coefficient ring must support
-    division by n!.
-    """
-    for mask in H._terms:
-        deg = mask.bit_count()
-        if deg == 0 or deg % 2:
-            raise ValueError("non-central exponent: terms must have even degree >= 2")
-    out = type(H).one(H.ring) + H
-    power = H
-    k = 1
-    while True:
-        k += 1
-        power = power * H
-        if power.is_zero():
-            return out
-        out = out + power.div_int(math.factorial(k))
-
-
-def ordered_product(factors) -> _NilpotentElement:
-    """Left-to-right product of the given factors (at least one required)."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("ordered_product needs at least one factor")
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out

@@ -104,17 +104,6 @@ class _Tensor:
             entries[idx] = fn(idx)
         return cls(ring, order, dim, entries)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        if (self.ring, self.order, self.dim) != (other.ring, other.order, other.dim):
-            return False
-        if set(self._entries) != set(other._entries):
-            return False
-        return all(self.ring.eq(c, other._entries[k]) for k, c in self._entries.items())
-
-    __hash__ = None
-
     def __add__(self, other):
         if type(other) is not type(self) or (self.ring, self.order, self.dim) != (
             other.ring,
@@ -156,29 +145,14 @@ class _Tensor:
 
 
 class AltTensor(_Tensor):
-    """Order-k alternating tensor on dimension d, stored on sorted tuples.
-
-    The accessor returns sign(sigma) times the stored value for the sorting
-    permutation sigma; repeated indices give zero.
-    """
-
-    def get(self, idx):
-        canon, sign = sort_with_sign(idx)
-        if sign == 0:
-            return self.ring.zero
-        c = self._entries.get(canon, self.ring.zero)
-        return self.ring.neg(c) if sign < 0 else c
+    """Order-k alternating tensor on dimension d, stored on sorted tuples:
+    the entry at an unsorted index is sign(sigma) times the stored value for
+    the sorting permutation sigma, and repeated indices give zero."""
 
 
 class SymTensor(_Tensor):
-    """Order-k square-free symmetric tensor: accessor is permutation-invariant
+    """Order-k square-free symmetric tensor: entries are permutation-invariant
     and repeated indices give zero (hafnians never read the diagonal)."""
-
-    def get(self, idx):
-        canon, sign = sort_with_sign(idx)
-        if sign == 0:
-            return self.ring.zero
-        return self._entries.get(canon, self.ring.zero)
 
 
 @dataclass(frozen=True)
@@ -433,21 +407,6 @@ def determinant(M: DenseMatrix):
     return _det_bareiss(M.data)
 
 
-def tensor_to_json(t: _Tensor) -> dict:
-    """Tensor JSON: {"order":k,"dim":d,"entries":[{"idx":[...],"num":"..","den":".."}]}.
-
-    Only rational-coefficient tensors serialize; indices are 1-based strictly
-    increasing and unspecified entries are zero.
-    """
-    entries = []
-    for idx, c in t.entries():
-        frac = Fraction(c)
-        entries.append(
-            {"idx": list(idx), "num": str(frac.numerator), "den": str(frac.denominator)}
-        )
-    return {"order": t.order, "dim": t.dim, "entries": entries}
-
-
 def _json_int(value) -> int:
     # An integer or a decimal string.  int() would read JSON true/false as
     # 1/0, truncate 1.5 and overflow on 1e400, so bools and floats are refused.
@@ -457,7 +416,10 @@ def _json_int(value) -> int:
 
 
 def tensor_from_json(obj: dict, kind: str) -> _Tensor:
-    """Parse the tensor JSON format; kind is "alt" or "sym"."""
+    """Parse the tensor JSON format,
+    {"order":k,"dim":d,"entries":[{"idx":[...],"num":"..","den":".."}]}, with
+    1-based strictly increasing indices and unspecified entries zero; kind is
+    "alt" or "sym"."""
     if not isinstance(obj, dict):
         raise ValueError("tensor JSON must be an object")
     try:

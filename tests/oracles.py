@@ -1,18 +1,31 @@
-"""Hand-written reference forms of right sides that the package builds from
-one shared rule, kept here so the tests can compare the two.
+"""Reference forms that the tests compare the package against, kept out of
+the package because the checker never calls them.
 
-``first_row_expansion`` is the odd-order Pfaffian (hafnian) written as its
-expansion along an absent first row of singles, term by term, with no
-bordered tensor, and ``first_row_pfaffian`` the Pfaffian by first-row
-recursion, a second algorithm beside the package's blocked-partition sum.
-``debruijn_rhs`` writes out each de Bruijn row's right side as its own pair
-(or 2k-wise) formula over one family, the odd row through
-``first_row_expansion``.
+- ``first_row_expansion`` is the odd-order Pfaffian (hafnian) written as its
+  expansion along an absent first row of singles, term by term, with no
+  bordered tensor, and ``first_row_pfaffian`` the Pfaffian by first-row
+  recursion, a second algorithm beside the package's blocked-partition sum.
+  ``debruijn_rhs`` writes out each de Bruijn row's right side as its own
+  pair (or 2k-wise) formula over one family, the odd row through
+  ``first_row_expansion``.
+- ``entry_at`` reads a tensor at any index tuple, ``tensor_to_json`` writes
+  the tensor JSON format the CLI reads.
+- ``word_key`` is the word order of ``FreePoly.terms()``, ``scale`` the
+  term-by-term product that ``ShuffleRing.div_int`` is checked against, and
+  ``mirror`` and ``antipode_convolution`` the antipode of the shuffle
+  algebra.
+- ``wedge_sign`` counts the sign of a Grassmann product pair by pair, the
+  reference for the product's one population count.  The generators,
+  ``berezin_extract``, ``exp_even`` and ``ordered_product`` build the
+  Gaussian and Wick forms whose coefficients are Pfaffians and hafnians.
 """
+import math
 from fractions import Fraction
 
 from spfk.core import QQ, double_factorial_coeff
+from spfk.freealg import FreePoly, shuffle, sort_with_sign
 from spfk.integrals import merged_exponent, r_value
+from spfk.multilinear import GrassmannElement, SquareZeroElement, mask_of
 from spfk.tensors import (
     AltTensor,
     SymTensor,
@@ -37,7 +50,7 @@ def first_row_expansion(n, single, minor, mul, signed):
 
 
 def first_row_pfaffian(M):
-    """Pfaffian by first-row expansion over entries read through ``M.get``,
+    """Pfaffian by first-row expansion over entries read through ``entry_at``,
     memoised per call on the tuple of remaining indices; the entry of the
     first index multiplies on the left, as in the blocked sum."""
     ring = M.ring
@@ -50,7 +63,7 @@ def first_row_pfaffian(M):
         i0 = idx[0]
         out = ring.zero
         for t in range(1, len(idx)):
-            entry = M.get((i0, idx[t]))
+            entry = entry_at(M, (i0, idx[t]))
             if ring.is_zero(entry):
                 continue
             term = ring.mul(entry, rec(idx[1:t] + idx[t + 1 :]))
@@ -104,3 +117,118 @@ def debruijn_rhs(variant, order, fam, k=None, coeff="corrected"):
     if signed:
         return hyperpfaffian(AltTensor.from_function(QQ, width, order, entry))
     return hyperhafnian(SymTensor.from_function(QQ, width, order, entry))
+
+
+def entry_at(t, idx):
+    """The entry of ``t`` at any index tuple: the stored entry at its sorted
+    form, negated for an odd sort of an AltTensor; zero on a repeat."""
+    canon, sign = sort_with_sign(idx)
+    if sign == 0:
+        return t.ring.zero
+    c = t.entry(canon)
+    return t.ring.neg(c) if sign < 0 and isinstance(t, AltTensor) else c
+
+
+def tensor_to_json(t) -> dict:
+    """A rational tensor in the tensor JSON format ``tensor_from_json`` reads."""
+    entries = []
+    for idx, c in t.entries():
+        frac = Fraction(c)
+        entries.append(
+            {"idx": list(idx), "num": str(frac.numerator), "den": str(frac.denominator)}
+        )
+    return {"order": t.order, "dim": t.dim, "entries": entries}
+
+
+def word_key(w):
+    """Total order on words: length first, then lexicographic on ids."""
+    return (len(w), w)
+
+
+def scale(p, c):
+    """Every coefficient of the FreePoly ``p`` times ``c``."""
+    return FreePoly({w: cw * c for w, cw in p.terms()})
+
+
+def mirror(w):
+    """Letters reversed: mirror((a,b,c)) == (c,b,a)."""
+    return tuple(reversed(w))
+
+
+def antipode_convolution(w):
+    """Sum over factorizations w = uv of (-1)^|u| * shuffle(mirror(u), v).
+
+    Zero for every non-empty word, the unit for the empty word: the map
+    S(w) = (-1)^|w| mirror(w) convolved with the identity annihilates
+    positive degrees.
+    """
+    w = tuple(w)
+    out = FreePoly.zero()
+    for cut in range(len(w) + 1):
+        u, v = w[:cut], w[cut:]
+        term = shuffle(FreePoly.from_word(mirror(u)), FreePoly.from_word(v))
+        out = out + (term if cut % 2 == 0 else -term)
+    return out
+
+
+def wedge_sign(a_mask, b_mask):
+    """Sign of eta_A * eta_B for disjoint masks: parity of pairs (i,j),
+    i in A, j in B, with i > j, counted pair by pair."""
+    inversions = 0
+    b = b_mask
+    while b:
+        low = b & -b
+        idx = low.bit_length() - 1
+        inversions += (a_mask >> (idx + 1)).bit_count()
+        b ^= low
+    return -1 if inversions & 1 else 1
+
+
+def grassmann_generators(ring, n):
+    return [GrassmannElement.generator(ring, i) for i in range(n)]
+
+
+def sz_generators(ring, n):
+    return [SquareZeroElement.generator(ring, i) for i in range(n)]
+
+
+def berezin_extract(T, indices):
+    """Coefficient of eta_{i1}...eta_{ir} in T for strictly increasing indices.
+
+    Equals the iterated left derivative taken in reversed index order; an
+    absent mask extracts zero.
+    """
+    return T.coeff(mask_of(indices))
+
+
+def exp_even(H):
+    """exp(H) = sum H^n / n! for a nilpotent H whose terms all have even
+    degree >= 2 (such an H is central, so the series is unambiguous).
+
+    Raises on odd-degree or constant terms; the coefficient ring must support
+    division by n!.
+    """
+    for mask in H._terms:
+        deg = mask.bit_count()
+        if deg == 0 or deg % 2:
+            raise ValueError("non-central exponent: terms must have even degree >= 2")
+    out = type(H).one(H.ring) + H
+    power = H
+    k = 1
+    while True:
+        k += 1
+        power = power * H
+        if power.is_zero():
+            return out
+        out = out + power.div_int(math.factorial(k))
+
+
+def ordered_product(factors):
+    """Left-to-right product of the given factors (at least one required)."""
+    factors = list(factors)
+    if not factors:
+        raise ValueError("ordered_product needs at least one factor")
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out

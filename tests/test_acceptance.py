@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from spfk.core import QQ, SeededSampler, mix_seed
-from spfk.freealg import antipode_convolution
 from spfk.suite import SuiteConfig, run_suite, suite_json_bytes
 from spfk.tensors import (
     AltTensor,
@@ -29,6 +28,8 @@ from spfk.tensors import (
     pfaffian,
     sz_hf_oracle,
 )
+
+from oracles import antipode_convolution, entry_at
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_seed42.json"
 
@@ -97,7 +98,7 @@ def test_criterion_03_kernel_cross_oracles():
         sampler = SeededSampler(mix_seed(42, ("acc3pf", d)))
         combos = list(itertools.combinations(range(1, d + 1), 2))
         M = AltTensor(QQ, 2, d, dict(zip(combos, sampler.positive_distinct(len(combos), 1000))))
-        rows = [[M.get((i, j)) for j in range(1, d + 1)] for i in range(1, d + 1)]
+        rows = [[entry_at(M, (i, j)) for j in range(1, d + 1)] for i in range(1, d + 1)]
         ok &= pfaffian(M) ** 2 == determinant(DenseMatrix.from_rows(rows))
     for k in range(1, 13):
         for n in range(1, 13):

@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spfk import cli, identities, integrals, suite, tensors
 from spfk.cli import main
-from spfk.tensors import MAX_BLOCKED, hyperpfaffian, tensor_to_json
+from spfk.tensors import MAX_BLOCKED, hyperpfaffian
+from oracles import tensor_to_json
 from test_tensors import _random_alt
 
 
@@ -297,6 +298,32 @@ def test_run_suite_script_prints_the_golden_report():
     assert proc.stdout == GOLDEN.read_bytes()
 
 
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize(
+    "argv",
+    (("suite", "--seed", "42"), ("verify", "fhaff1", "--n", "2", "--coeff", "paper")),
+    ids=("suite", "verify"),
+)
+def test_closed_stdout_pipe_exits_1_with_empty_stderr(argv, unbuffered):
+    # `| head -1` closes the pipe after one line, and the next write fails
+    # with EPIPE.  Whether a write comes after the close depends on how much
+    # of the output the pipe buffer took first, so the read end is closed
+    # before the command starts: every write then meets a closed pipe.
+    root = pathlib.Path(__file__).parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spfk", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 @pytest.mark.parametrize("identity", list(suite.IDENTITIES))
 def test_verify_coeff_only_where_the_table_takes_it(capsys, identity):
     flags = suite.IDENTITIES[identity][2]
@@ -406,16 +433,21 @@ def _grown(value, step):
 
 
 def _past_the_cap(base, ranges, caps, measure):
-    """The first params, growing one flag the ranges leave unbounded above,
-    whose `measure` passes its limit while the caps before it hold."""
+    """The first params, growing one flag, whose `measure` passes its limit
+    while the caps before it hold.  The flags the ranges leave unbounded
+    above are tried first, then those with a fixed bound, within it."""
     earlier = list(caps)[: list(caps).index(measure)]
     size_of, limit = caps[measure]
-    for flag, (_least, most, *parity) in ranges.items():
-        if most is not None and not isinstance(base[flag], tuple):
+    bounded = lambda flag: ranges[flag][1] is not None and not isinstance(base[flag], tuple)
+    for flag in sorted(ranges, key=bounded):
+        _least, most, *parity = ranges[flag]
+        if isinstance(most, str):
             continue
         params = dict(base)
         for _ in range(200):
             params[flag] = _grown(params[flag], 2 if parity else 1)
+            if bounded(flag) and params[flag] > most:
+                break
             if any(caps[e][0](params) > caps[e][1] for e in earlier):
                 break
             if size_of(params) > limit:
@@ -423,8 +455,14 @@ def _past_the_cap(base, ranges, caps, measure):
     raise AssertionError(f"no flag reaches the {measure} cap")
 
 
+# Fixed upper bounds whose one-step-outside case is listed after all the
+# others: the cases are numbered by position (params<k>), so a bound added
+# later goes last and leaves the numbers of the cases before it as they were.
+_LISTED_LAST = {("vandermonde", "N")}
+
+
 def _one_step_outside():
-    cases = []
+    cases, last = [], []
     for identity, (_runner, name, _flags, (ranges, caps)) in suite.IDENTITIES.items():
         base = _first_cases()[identity].param_dict()
         moved = lambda flag, value: {**base, flag: value}
@@ -438,8 +476,9 @@ def _one_step_outside():
                               f"got {flag}={above} > {most}={base[most]}"))
             elif most is not None:
                 above = (most + 1,) if isinstance(base[flag], tuple) else most + 1
-                cases.append((identity, moved(flag, above), f"size cap exceeded for {name}: "
-                              f"{flag} <= {most}, got {flag}={_shown(above)}"))
+                listed = last if (identity, flag) in _LISTED_LAST else cases
+                listed.append((identity, moved(flag, above), f"size cap exceeded for {name}: "
+                               f"{flag} <= {most}, got {flag}={_shown(above)}"))
             if parity:
                 wrong = base[flag] + 1
                 cases.append((identity, moved(flag, wrong),
@@ -449,7 +488,7 @@ def _one_step_outside():
                 params = _past_the_cap(base, ranges, caps, measure)
                 cases.append((identity, params, f"size cap exceeded for {name}: {measure} <= "
                               f"{limit}, got {measure}={size_of(params)}"))
-    return cases
+    return cases + last
 
 
 @pytest.mark.parametrize("identity,params,message", _one_step_outside())
@@ -745,6 +784,9 @@ def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
         (("mehta2", "--n", "3"), "MEHTA2 needs even n, got n=3"),
         (("schur", "--n", "-1"), "SCHUR needs n >= 1, got n=-1"),
         (("vi", "--parts", "0,1"), "VI needs parts >= 1, got parts=[0, 1]"),
+        # With n = 0 the Nn cap reads 1 whatever N is: N has its own bound.
+        (("vandermonde", "--N", str(10**41), "--n", "0", "--m", "1"),
+         f"size cap exceeded for VANDERMONDE: N <= 10000, got N={10**41}"),
     ),
 )
 def test_verify_size_below_minimum_names_the_identity_and_flag(capsys, argv, message):

@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps package functions and
-methods by name from outside the package.  These tests keep a rename or a
-deletion of one of those names from failing only `pytest perfbench`: every
-name must be found, wrapped, reached by the package's own calls, and put
-back afterwards."""
+methods by name from outside the package, and its workloads
+(perfbench/workloads.py) call package functions by name.  These tests keep a
+rename or a deletion of one of those names from failing only
+`pytest perfbench`: every traced name must be found, wrapped, reached by the
+package's own calls, and put back afterwards, and every name a workload
+calls must still run and pass the workload's own checks."""
 import os
 import sys
 
@@ -14,6 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _bindings() -> dict:
@@ -38,7 +41,7 @@ def test_tracer_wraps_every_name_and_restores_it():
             assert cls.__dict__[attr] is not before[cls, attr], (cls, attr)
         # The package's own calls reach the wrappers: the ring products look
         # shuffle/q_shuffle up at call time, each algebra has its own __mul__.
-        a, b = freealg.FreePoly.from_letter(0), freealg.FreePoly.from_letter(1)
+        a, b = freealg.FreePoly.from_word((0,)), freealg.FreePoly.from_word((1,))
         freealg.SHUFFLE_RING.mul(a, b)
         freealg.ANTISHUFFLE_RING.mul(a, b)
         for cls in (GrassmannElement, SquareZeroElement):
@@ -54,3 +57,20 @@ def test_tracer_wraps_every_name_and_restores_it():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_workloads_find_every_name_they_call():
+    # One small tensor_qq operation per kernel, each with its oracle, and one
+    # determinant; one small wick check through verify_shuffle_wick.
+    tensor_cases = [
+        ("pf", 2, 4, 1.0, 0),
+        ("hf", 2, 4, 1.0, 0),
+        ("hpf", 4, 8, 1.0, 0),
+        ("hhf", 3, 6, 1.0, 0),
+        ("det", 2, 4, 1.0, 0),
+    ]
+    for workload, cases in (("tensor_qq", tensor_cases), ("wick", [("SDB2", 2, None)])):
+        p = workloads.run_pass(workload, workloads.make_inputs(workload, cases, 1), 1)
+        workloads.check_pass(workload, p, 1, len(cases))
+        assert p.failures == [], workload
+        assert p.checks == len(cases), workload
