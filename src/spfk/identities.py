@@ -72,7 +72,9 @@ def _wick_sides(order: int, g: int, word_of, signed: bool, alternating: bool, ri
         for perm, sign in signed_permutations(order):
             word, coeff = word_of(perm)
             acc[word] = acc.get(word, 0) + (sign * coeff if signed else coeff)
-        return FreePoly._make({word: c for word, c in acc.items() if c})
+        for word in [word for word, c in acc.items() if not c]:
+            del acc[word]
+        return FreePoly._make(acc)
 
     value_of = lambda seq: FreePoly.from_word(*word_of(seq))
 

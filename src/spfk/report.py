@@ -85,8 +85,9 @@ def run_check(
     The domain is checked before any work; then the left side runs, then
     the right side, always in that order (``_wick_xipfashu`` numbers blocks
     in the order the left side first meets them, so the left side runs
-    first), and one report is built.  A check with a ``coeff`` flag names
-    its double-factorial convention."""
+    first), and one report is built.  Equal sides are formatted once, after
+    the right side is dropped, so both sides and the string are never held
+    at once.  A check with a ``coeff`` flag names its double-factorial convention."""
     name = variant.upper()
     identity = next((i for i, check in table.items() if check.name == name), None)
     if identity is None:
@@ -109,7 +110,8 @@ def run_check(
     else:
         canonical = type(left).canonical_string
         lhs_terms, rhs_terms = left.num_terms(), right.num_terms()
-    # Equal sides have one canonical string, so it is formatted and hashed once.
+    if equal:  # one canonical string, formatted and hashed once, after the right side is freed
+        right = None
     lhs_canonical = canonical(left)
     rhs_canonical = lhs_canonical if equal else canonical(right)
     lhs_digest = digest(lhs_canonical)

@@ -31,31 +31,33 @@ MAX_BLOCKED = 20
 MAX_PERMUTATIONS = 8
 
 
-@functools.lru_cache(maxsize=16)
-def signed_permutations(n: int) -> tuple:
+def signed_permutations(n: int):
     """All permutations of (1..n) as 1-based tuples with their signs, in
-    lexicographic (``itertools.permutations``) order.
+    lexicographic (``itertools.permutations``) order, as a one-pass iterator.
 
-    The signs come from that order rather than from counting inversions: a
-    first letter i adds i - 1 inversions and the rest runs through the
-    permutations of n - 1 letters in the same order, so the sign list for n
-    is the list for n - 1 repeated n times with alternating sign.
+    The cap is checked when it is called, before any work.  Only the signs
+    are cached (about 46 000 small ints for all n <= 8); the permutations are
+    made as they are read, never held, so a caller that reads them twice keeps
+    its own ``tuple``.
     """
     if n > MAX_PERMUTATIONS:
         raise ValueError(f"size cap exceeded: permutation sums limited to n <= {MAX_PERMUTATIONS}")
-    signs = [1]
-    for m in range(2, n):
-        signs = list(_alternating_repeat(signs, m))
-    # The signs for n are consumed as they are made, never held as one list.
-    perms = itertools.permutations(range(1, n + 1))
-    return tuple(zip(perms, _alternating_repeat(signs, max(n, 1))))
+    return zip(itertools.permutations(range(1, n + 1)), _signs(n))
 
 
-def _alternating_repeat(signs, times):
-    """``signs`` repeated ``times`` times, every other copy negated."""
-    flipped = [-s for s in signs]
-    for first in range(times):
-        yield from flipped if first % 2 else signs
+@functools.cache
+def _signs(n: int) -> tuple:
+    """The signs of the permutations of (1..n) in lexicographic order.
+
+    A first letter i adds i - 1 inversions and the rest runs through the
+    permutations of n - 1 letters in the same order, so the signs for n are
+    those for n - 1 repeated n times with alternating sign.
+    """
+    if n < 2:
+        return (1,)
+    signs = _signs(n - 1)
+    flipped = tuple(-s for s in signs)
+    return tuple(itertools.chain.from_iterable(flipped if i % 2 else signs for i in range(n)))
 
 
 class _Tensor:
@@ -310,7 +312,7 @@ def group_form(ring: Ring, order: int, g: int, value_of, signed: bool, alternati
     Pf(the pairs without j), the odd-order form of de Bruijn's and Wick's
     identities (the hafnian has no sign).
     """
-    perms = signed_permutations(g)
+    perms = tuple(signed_permutations(g))  # read once per entry
 
     def entry(idx):
         total = None

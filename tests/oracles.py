@@ -10,6 +10,8 @@ the package because the checker never calls them.
   ``first_row_expansion``.
 - ``entry_at`` reads a tensor at any index tuple, ``tensor_to_json`` writes
   the tensor JSON format the CLI reads.
+- ``canonical_string_per_term`` is ``FreePoly.canonical_string`` formatted
+  one term at a time, the reference for the run-at-a-time formatter.
 - ``word_key`` is the word order of ``FreePoly.terms()``, ``scale`` the
   term-by-term product that ``ShuffleRing.div_int`` is checked against, and
   ``mirror`` and ``antipode_convolution`` the antipode of the shuffle
@@ -138,6 +140,22 @@ def tensor_to_json(t) -> dict:
             {"idx": list(idx), "num": str(frac.numerator), "den": str(frac.denominator)}
         )
     return {"order": t.order, "dim": t.dim, "entries": entries}
+
+
+def canonical_string_per_term(p) -> str:
+    """``num/den:l1.l2...`` per term in ``terms()`` order, joined by ``;``,
+    ``0`` for the zero polynomial: one format per word length, applied to
+    each term's numerator, denominator and letters in turn."""
+    parts = []
+    length = -1
+    for w, c in p.terms():
+        if len(w) != length:
+            length = len(w)
+            fmt = "%d/%d:" + ".".join(("%d",) * length)
+        if type(c) is not int and type(c) is not Fraction:
+            c = Fraction(c)
+        parts.append(fmt % (c.numerator, c.denominator, *w))
+    return ";".join(parts) if parts else "0"
 
 
 def word_key(w):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from spfk.freealg import (
     _shuffle_words,
 )
 
-from oracles import antipode_convolution, mirror, scale, word_key
+from oracles import antipode_convolution, canonical_string_per_term, mirror, scale, word_key
 
 A, B, C = 0, 1, 2
 
@@ -289,6 +290,36 @@ def test_canonical_string_edge_cases():
     ):
         assert p.canonical_string() == _canonical_string_oracle(p)
     assert FreePoly({(): Fraction(-3, 4), (7,): 2}).canonical_string() == "-3/4:;2/1:7"
+
+
+def _random_poly(rng):
+    # Word lengths 0..8, letters up to 1200, int and Fraction coefficients
+    # of both signs drawn from a small pool, so coefficients repeat.
+    pool = [rng.randint(-9, 9) or 1 for _ in range(4)]
+    pool += [Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 40)) for _ in range(4)]
+    terms = {}
+    for _ in range(rng.randint(0, 30)):
+        word = tuple(rng.randint(0, 1200) for _ in range(rng.randint(0, 8)))
+        terms[word] = rng.choice(pool)
+    return FreePoly(terms)
+
+
+def test_canonical_string_matches_the_per_term_formatter():
+    rng = random.Random(2024)
+    cases = [
+        FreePoly.zero(),
+        FreePoly.unit(),
+        FreePoly({(): Fraction(-7, 3)}),
+        FreePoly({(0,): 2, (1,): Fraction(2), (2, 1): 2, (1, 2): Fraction(2)}),
+        FreePoly({(5,): Fraction(-1, 2), (4, 3): Fraction(-3, 7), (): Fraction(-1, 2)}),
+        FreePoly({tuple(range(n)): Fraction(n - 4, n + 1) or 1 for n in range(9)}),
+        FreePoly({(1000, 1001): 3, (999,): Fraction(5, 1000), (123456, 7, 1000): -1}),
+    ]
+    cases += [_random_poly(rng) for _ in range(200)]
+    for p in cases:
+        assert p.canonical_string() == canonical_string_per_term(p)
+    two = FreePoly({(0,): 2, (1,): Fraction(2)})
+    assert two.canonical_string() == "2/1:0;2/1:1"
 
 
 def test_sort_with_sign():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from spfk.identities import (
     verify_vandermonde_average,
 )
 from spfk.integrals import r_value
-from spfk.report import digest
+from spfk.report import Check, digest, run_check
 from spfk.tensors import (
     AltTensor,
     SymTensor,
@@ -177,7 +178,7 @@ def test_xipfashu_left_side_matches_unmemoised_loop(k, n):
 def test_xipfashu_term_count_sanity():
     # the permutation sum enumerates (2kn)! summands; both sides collapse to
     # the same canonical multiset (digest equality)
-    assert len(signed_permutations(8)) == math.factorial(8) == 40320
+    assert len(tuple(signed_permutations(8))) == math.factorial(8) == 40320
     report = verify_shuffle_wick("XIPFASHU", 2, k=2)
     assert report.equal
     assert report.lhs_digest == report.rhs_digest
@@ -622,3 +623,49 @@ def test_counterexample_only_on_failure():
     assert bad.counterexample is not None
     lhs_str, rhs_str = bad.counterexample
     assert lhs_str != rhs_str
+
+
+class _Watched(FreePoly):
+    # FreePoly has __slots__, so a weak reference needs a slot of its own.
+    __slots__ = ("__weakref__",)
+
+
+def _watched_row(rhs_terms):
+    """A one-row table whose left side is 1*(0,1) + 2*(1,0) and whose right
+    side is a _Watched poly on ``rhs_terms``, with a weakref to it kept."""
+    refs = []
+
+    def rhs():
+        poly = _Watched(rhs_terms)
+        refs.append(weakref.ref(poly))
+        return poly
+
+    def sides(_params, _seed, _points):
+        return {}, lambda: FreePoly({(0, 1): 1, (1, 0): 2}), rhs
+
+    return {"watched": Check(sides, "WATCHED", {}, ({}, {}))}, refs
+
+
+def test_an_equal_check_frees_its_right_side_before_formatting(monkeypatch):
+    table, refs = _watched_row({(1, 0): 2, (0, 1): 1})
+    alive = []
+    formatter = FreePoly.canonical_string
+
+    def watched_format(poly):
+        alive.append(refs[0]() is not None)
+        return formatter(poly)
+
+    monkeypatch.setattr(FreePoly, "canonical_string", watched_format)
+    report = run_check(table, "watched", {})
+    assert report.equal and report.lhs_terms == report.rhs_terms == 2
+    assert alive == [False]
+    assert report.lhs_digest == report.rhs_digest == digest("1/1:0.1;2/1:1.0")
+
+
+def test_an_unequal_check_reports_both_canonical_strings():
+    table, _refs = _watched_row({(0, 1): 1})
+    report = run_check(table, "watched", {})
+    assert not report.equal and (report.lhs_terms, report.rhs_terms) == (2, 1)
+    assert report.counterexample == ("1/1:0.1;2/1:1.0", "1/1:0.1")
+    assert report.lhs_digest == digest("1/1:0.1;2/1:1.0")
+    assert report.rhs_digest == digest("1/1:0.1")

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -349,7 +350,7 @@ def test_integer_bareiss_edge_cases(rows, expected):
 
 def test_permutation_cap_keeps_its_value_and_message():
     assert tensors.MAX_PERMUTATIONS == 8
-    assert len(signed_permutations(8)) == math.factorial(8)
+    assert len(tuple(signed_permutations(8))) == math.factorial(8)
     with pytest.raises(ValueError, match=r"size cap exceeded: permutation sums limited to n <= 8"):
         signed_permutations(9)
 
@@ -391,7 +392,30 @@ def test_signed_permutations_match_inversion_count(n):
     expected = tuple(
         (perm, sort_with_sign(perm)[1]) for perm in itertools.permutations(range(1, n + 1))
     )
-    assert signed_permutations(n) == expected
+    assert tuple(signed_permutations(n)) == expected
+
+
+def test_signed_permutations_refuse_past_the_cap_when_called():
+    # A generator would raise only at its first next(): the cap must fire at
+    # the call, before any permutation or sign is made.
+    tensors._signs.cache_clear()
+    with pytest.raises(ValueError, match=r"size cap exceeded: permutation sums limited to n <= 8"):
+        signed_permutations(9)
+    assert tensors._signs.cache_info().currsize == 0
+
+
+def test_a_pass_over_signed_permutations_keeps_only_the_signs():
+    # Held, the 8! (perm, sign) pairs take 6.4 MiB; only the sign tuples
+    # (under 0.4 MiB) may outlive a pass.
+    tensors._signs.cache_clear()
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in signed_permutations(8))
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == math.factorial(8)
+    assert held < 1 << 20
 
 
 def test_tensor_json_roundtrip(tmp_path):
