@@ -5,7 +5,6 @@ square-zero algebras serve the independent power oracles of the kernels."""
 
 from .core import (
     QQ,
-    Rational,
     RationalField,
     Ring,
     SeededSampler,

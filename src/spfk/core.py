@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-
-Rational = Fraction
 
 _MASK64 = (1 << 64) - 1
 
@@ -142,6 +141,25 @@ class RationalField(Ring):
 
 
 QQ = RationalField()
+
+
+class IntegerRing(Ring):
+    """The integers as a Ring whose every operation is one C call."""
+
+    zero, one = 0, 1
+    add, neg, mul, eq = operator.add, operator.neg, operator.mul, operator.eq
+    is_zero = operator.not_
+
+
+ZZ = IntegerRing()
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(L, [L * v for v in values]) for L the lcm of the denominators of the
+    rationals ``values`` (1 for none): int numerators over one denominator."""
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _splitmix64(state: int) -> tuple[int, int]:

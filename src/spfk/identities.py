@@ -112,11 +112,16 @@ def _wick_odd(n: int, signed: bool):
 
 
 def _wick_xipfashu(k: int, n: int):
-    # A block's (letter, sign) is fixed by its index tuple and looked up once:
-    # its sorted tuple gets the next id on its first appearance in the left
-    # side, which runs first, so letter ids keep their first-encounter order.
-    width = 2 * k
+    # A block's letter numbers its sorted tuple in the order the left side
+    # first meets it (lexicographic permutations, blocks left to right), set
+    # before either side runs; each block's (letter, sign) is looked up once.
+    width, order = 2 * k, 2 * k * n
     ids: dict = {}
+    for perm in itertools.permutations(range(1, order + 1)):
+        for b in range(0, order, width):
+            ids.setdefault(tuple(sorted(perm[b : b + width])), len(ids))
+        if len(ids) == math.comb(order, width):
+            break
     block_letters: dict = {}
 
     def word_of(seq):
@@ -127,12 +132,12 @@ def _wick_xipfashu(k: int, n: int):
             hit = block_letters.get(block)
             if hit is None:
                 canon, sign = sort_with_sign(block)
-                hit = block_letters[block] = ids.setdefault(canon, len(ids)), sign
+                hit = block_letters[block] = ids[canon], sign
             letters.append(hit[0])
             coeff *= hit[1]
         return tuple(letters), coeff
 
-    return _wick_sides(width * n, width, word_of, True, True)
+    return _wick_sides(order, width, word_of, True, True)
 
 
 def _wick(name, sides_of, domain, flags=None):

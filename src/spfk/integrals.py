@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
+from .core import QQ, SeededSampler, clear_denominators, double_factorial_coeff, mix_seed
 from .freealg import FreePoly, shuffle
 from .report import Check, VerificationReport, at_points, run_check
 from .tensors import group_form, signed_permutations
@@ -193,11 +193,10 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
     m = len(slots)
     if width < 1 or m % width:
         raise ValueError(f"{m} positions do not split into blocks of width {width}")
-    fams = [tuple(Fraction(z) for z in fam[:m]) for fam in slots]
-    if any(len(f) < m for f in fams):
+    if any(len(fam) < m for fam in slots):
         raise ValueError(f"every slot family needs a parameter for each of the {m} letters")
-    scale = math.lcm(*(z.denominator for f in fams for z in f))
-    fams = [tuple(z.numerator * (scale // z.denominator) for z in f) for f in fams]
+    scale, flat = clear_denominators(z for fam in slots for z in fam[:m])
+    fams = [flat[p * m : (p + 1) * m] for p in range(m)]
     shift = scale * (width - 1)
     for b in range(0, m, width):
         if sum(min(f) for f in fams[b : b + width]) - shift <= 0:

@@ -82,12 +82,10 @@ def run_check(
 
     ``given`` holds flag values, a missing flag taking its default, and may
     carry inputs that are not flags (a de Bruijn family, the Chen alphabet).
-    The domain is checked before any work; then the left side runs, then
-    the right side, always in that order (``_wick_xipfashu`` numbers blocks
-    in the order the left side first meets them, so the left side runs
-    first), and one report is built.  Equal sides are formatted once, after
-    the right side is dropped, so both sides and the string are never held
-    at once.  A check with a ``coeff`` flag names its double-factorial convention."""
+    The domain is checked before any work; then the left side runs, then the
+    right side, and one report is built.  Equal sides are formatted once, after
+    the right side is dropped, so both sides and the string are never held at
+    once.  A check with a ``coeff`` flag names its double-factorial convention."""
     name = variant.upper()
     identity = next((i for i, check in table.items() if check.name == name), None)
     if identity is None:

@@ -10,10 +10,11 @@ antishuffle ring gets the enumeration's value) and sums each subset with one
 right side of the Wick, de Bruijn and VI identities: the kernel of a tensor
 whose entries (anti)symmetrise the value of a group of letters, an odd pair
 order bordered by a first row of singles.  The hyper kernels have
-independent Grassmann/square-zero power oracles (one helper over the two
-nilpotent algebras), and enumerate_blocked lists the partitions themselves.
-The oracles read the top coefficient of G^h * G^(n-h), h = n // 2, in one
-pass, and the Grassmann one needs an even order.
+independent Grassmann/square-zero power oracles, one helper over the two
+nilpotent algebras that reads the top coefficient of G^h * G^(n-h),
+h = n // 2, in one pass, over ZZ for a QQ tensor (int numerators over one
+denominator); the Grassmann one needs an even order.  enumerate_blocked
+lists the partitions themselves.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import QQ, Ring
+from .core import QQ, ZZ, Ring, clear_denominators
 from .freealg import sort_with_sign
 from .multilinear import GrassmannElement, SquareZeroElement, mask_of
 
@@ -339,18 +340,22 @@ def _power_oracle(algebra, T: _Tensor):
 
     G^n = G^h * G^(n-h) with h = n // 2, and the top coefficient of that
     product is read in one pass (``coeff_of_product``), so the two largest
-    powers are never built.
+    powers are never built.  Over QQ, G runs over ZZ on the entries' int
+    numerators over their common denominator L, divided once by L^n n!.
     """
     if T.dim % T.order:
         raise ValueError(f"order {T.order} must divide dimension {T.dim}")
-    ring = T.ring
     n = T.dim // T.order
-    g = algebra(ring, {mask_of(idx): c for idx, c in T._entries.items()})
+    ring, scale, values = T.ring, 1, T._entries.values()
+    if ring is QQ:
+        (scale, values), ring = clear_denominators(values), ZZ
+    g = algebra(ring, {mask_of(idx): c for idx, c in zip(T._entries, values)})
     half = algebra.one(ring)
     for _ in range(n // 2):
         half = half * g
     rest = half * g if n % 2 else half
-    return ring.div_int(half.coeff_of_product(rest, (1 << T.dim) - 1), math.factorial(n))
+    top = half.coeff_of_product(rest, (1 << T.dim) - 1)
+    return T.ring.div_int(top, scale**n * math.factorial(n))
 
 
 def grassmann_pf_oracle(M: AltTensor):
@@ -374,13 +379,9 @@ def _det_bareiss(rows) -> Fraction:
     is divided by the product of the row scales.
     """
     n = len(rows)
-    m = []
-    scales = 1
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        s = math.lcm(*(x.denominator for x in row))
-        scales *= s
-        m.append([x.numerator * (s // x.denominator) for x in row])
+    cleared = [clear_denominators(row) for row in rows]
+    scales = math.prod(s for s, _ in cleared)
+    m = [ints for _, ints in cleared]
     sign = 1
     prev = 1
     for c in range(n - 1):

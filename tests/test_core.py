@@ -8,7 +8,9 @@ import sympy as sp
 
 from spfk.core import (
     QQ,
+    ZZ,
     SeededSampler,
+    clear_denominators,
     double_factorial_coeff,
     even_double_factorial,
     mix_seed,
@@ -183,12 +185,19 @@ _DOT_CASES = [
     (QQ, "values", [(Fraction(1, 2), Fraction(3)), (Fraction(-2, 3), Fraction(5, 7))], False),
     (QQ, "cancels", [(Fraction(1, 2), Fraction(4)), (Fraction(-1), Fraction(2))], True),
     (QQ, "no pairs", [], True),
+    (ZZ, "values", [(2, 3), (-4, 5), (7, 1)], False),
+    (ZZ, "cancels", [(2, 6), (-3, 4)], True),
+    (ZZ, "no pairs", [], True),
     (SYMPY_RING, "values", [(_X + 1, _Y), (_Z, _X - _Y)], False),
     (SYMPY_RING, "cancels", [(_X, _Y + _Z), (-_Y - _Z, _X)], True),
     (SYMPY_RING, "no pairs", [], True),
 ]
 _RING_NAMES = {
-    SHUFFLE_RING: "shuffle", ANTISHUFFLE_RING: "antishuffle", QQ: "qq", SYMPY_RING: "sympy"
+    SHUFFLE_RING: "shuffle",
+    ANTISHUFFLE_RING: "antishuffle",
+    QQ: "qq",
+    ZZ: "zz",
+    SYMPY_RING: "sympy",
 }
 
 
@@ -204,3 +213,29 @@ def test_dot_equals_the_fold_of_mul_and_add(ring, pairs, cancels):
     assert ring.is_zero(got) == cancels
     if isinstance(got, FreePoly):
         assert all(got._terms.values())
+
+
+def test_integer_ring_is_the_int_operators():
+    assert (ZZ.zero, ZZ.one) == (0, 1)
+    assert (ZZ.add(2, -5), ZZ.neg(3), ZZ.mul(-4, 6)) == (-3, -3, -24)
+    assert ZZ.eq(7, 7) and not ZZ.eq(7, -7)
+    assert ZZ.is_zero(0) and not ZZ.is_zero(-1)
+    with pytest.raises(NotImplementedError):
+        ZZ.div_int(4, 2)
+
+
+@pytest.mark.parametrize(
+    "values, scale, ints",
+    [
+        ([], 1, []),
+        ([3, -2], 1, [3, -2]),
+        ([Fraction(1, 2), Fraction(-2, 3), 5], 6, [3, -4, 30]),
+        ([Fraction(4, 6), Fraction(1, 4), Fraction(0)], 12, [8, 3, 0]),
+        ([Fraction(-7, 10)] * 2, 10, [-7, -7]),
+    ],
+    ids=["empty", "ints", "mixed", "reduced", "repeated"],
+)
+def test_clear_denominators(values, scale, ints):
+    got_scale, got_ints = clear_denominators(iter(values))
+    assert (got_scale, got_ints) == (scale, ints)
+    assert [Fraction(i, got_scale) for i in got_ints] == [Fraction(v) for v in values]

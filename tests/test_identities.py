@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 import sys
 import weakref
 from fractions import Fraction
@@ -36,6 +37,8 @@ from spfk.tensors import (
 )
 
 from oracles import first_row_expansion, scale
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_seed42.json"
 
 
 def test_pfab_n1_both_sides():
@@ -197,6 +200,29 @@ def test_xipfashu_term_count_sanity():
         acc[word] = acc.get(word, 0) + coeff
     assert len(acc) == 70
     assert all(abs(c) == 576 for c in acc.values())
+
+
+def _right_side_first(sides):
+    # The row's sides with the right side evaluated as soon as they are built,
+    # before run_check calls the left side.
+    def swapped(params, seed, points):
+        shown, lhs, rhs = sides(params, seed, points)
+        right = rhs()
+        return shown, lhs, lambda: right
+
+    return swapped
+
+
+def test_every_suite_case_reports_the_same_with_the_right_side_first(monkeypatch):
+    # Each side is a function of its inputs alone: the order the two sides
+    # run in changes no byte of the suite's report (XIPFASHU numbers its
+    # blocks before either side runs).
+    for identity, check in list(suite.IDENTITIES.items()):
+        swapped = check._replace(sides=_right_side_first(check.sides))
+        monkeypatch.setitem(suite.IDENTITIES, identity, swapped)
+    results, ok = suite.run_suite(suite.SuiteConfig())
+    assert ok
+    assert suite.suite_json_bytes(results) == GOLDEN.read_bytes()
 
 
 # The wick checks one size above the suite (perfbench's WICK_CHECKS), with

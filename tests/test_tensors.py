@@ -528,6 +528,72 @@ def test_blocked_sum_matches_power_oracles_qq(density):
                 assert pfaffian(M) == hyperpfaffian(M)
 
 
+def _mixed_entries(order, dim, keep=1):
+    # Every keep-th slot, valued with alternating signs over denominators 1..5.
+    slots = itertools.combinations(range(1, dim + 1), order)
+    return {
+        idx: Fraction((-1) ** i * (i % 7 + 1), i % 5 + 1)
+        for i, idx in enumerate(slots)
+        if i % keep == 0
+    }
+
+
+_HAND_ENTRIES = {
+    (1, 2): Fraction(1, 2),
+    (1, 3): Fraction(-2, 3),
+    (1, 4): Fraction(5, 6),
+    (2, 3): Fraction(3, 4),
+    (2, 4): Fraction(-1, 5),
+    (3, 4): Fraction(7, 2),
+}
+# (tensor class, order, dim, entries, the oracle's value).  Every nonempty
+# tensor has common denominator 60 and negative entries; n = dim / order is
+# odd for the dim-6 pairs and the order-3 tensor.  The dim-4 pair values are
+# a12 a34 -+ a13 a24 + a14 a23 = 7/4 -+ 2/15 + 5/8.
+_PINNED_ORACLES = [
+    (AltTensor, 2, 4, _HAND_ENTRIES, Fraction(269, 120)),
+    (SymTensor, 2, 4, _HAND_ENTRIES, Fraction(301, 120)),
+    (AltTensor, 2, 6, _mixed_entries(2, 6), Fraction(-583, 150)),
+    (SymTensor, 2, 6, _mixed_entries(2, 6), Fraction(-601, 50)),
+    (AltTensor, 4, 8, _mixed_entries(4, 8, keep=3), Fraction(-193, 360)),
+    (SymTensor, 3, 9, _mixed_entries(3, 9, keep=2), Fraction(430543, 2160)),
+    (AltTensor, 2, 4, {}, Fraction(0)),
+    (SymTensor, 3, 6, {}, Fraction(0)),
+    (AltTensor, 2, 0, {}, Fraction(1)),
+    (SymTensor, 3, 0, {}, Fraction(1)),
+]
+
+
+_ORACLE_OF = {AltTensor: grassmann_pf_oracle, SymTensor: sz_hf_oracle}
+
+
+@pytest.mark.parametrize(
+    "cls, order, dim, entries, pinned",
+    _PINNED_ORACLES,
+    ids=[f"{c.__name__}-{k}-{d}-{len(e)}" for c, k, d, e, _ in _PINNED_ORACLES],
+)
+def test_power_oracles_keep_their_values_on_mixed_denominators(cls, order, dim, entries, pinned):
+    T = cls(QQ, order, dim, entries)
+    assert _enumerated_sum(T, cls is AltTensor) == pinned
+    got = _ORACLE_OF[cls](T)
+    assert got == pinned
+    assert type(got) is Fraction
+
+
+def test_power_oracles_on_qq_do_no_fraction_arithmetic(monkeypatch):
+    # Over QQ the powers run on int numerators: a Fraction product or sum
+    # anywhere in them raises here.
+    cases = [(cls(QQ, k, d, e), _ORACLE_OF[cls], v) for cls, k, d, e, v in _PINNED_ORACLES]
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic in a power oracle")
+
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    for T, oracle, pinned in cases:
+        assert oracle(T) == pinned
+
+
 def _letter_value(rng, slot):
     # A distinct letter per slot, with a small integer coefficient.
     return FreePoly.from_word((slot,), rng.next_int(5))
