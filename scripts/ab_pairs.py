@@ -9,7 +9,9 @@ runs once in each checkout, one run at a time; the side that runs first
 alternates from seed to seed, the parent first at the first seed.  Each run's
 last stdout line is its JSON result.  For every metric the script prints both
 medians, the parent's quartiles (``statistics.quantiles``, inclusive method)
-and in how many pairs the change reads lower.  ``--out`` writes the pairs,
+and in how many pairs the change reads lower; for each end-to-end metric of
+``BENCHMARK.json`` it also prints whether the change median is within that
+metric's relative bound of the parent median.  ``--out`` writes the pairs,
 seeds and per-metric summary into a ``BENCH_<n>.json`` file under this
 workload's name, keeping the other workloads already in that file.
 
@@ -21,9 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import statistics
 import subprocess
 import sys
+
+SPEC = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 METHOD = (
     "each seed runs parent then change or change then parent, alternating; each side in its"
@@ -48,25 +53,41 @@ def _quartiles(values: list) -> list:
     return [round(q1, 4), round(q3, 4)]
 
 
-def summarize(pairs: list[tuple[dict, dict]]) -> dict:
+def read_bounds(path=SPEC) -> dict:
+    """{metric: relative bound} for the lower-is-better end-to-end metrics of
+    a benchmark spec file."""
+    with open(path, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["bound"] for m in spec["end_to_end"] if m["better"] == "lower"}
+
+
+def summarize(pairs: list[tuple[dict, dict]], bounds: dict | None = None) -> dict:
     """Per-metric summary of (parent result, change result) pairs, each the
-    last-line JSON of one ``perfbench/run.py`` run, in the BENCH file layout."""
+    last-line JSON of one ``perfbench/run.py`` run, in the BENCH file layout.
+    A metric with a bound (``read_bounds()`` by default) gets ``bound`` and
+    ``within_bound``: whether the change median is at most the parent median
+    times (1 + bound)."""
+    bounds = read_bounds() if bounds is None else bounds
     out: dict = {}
     for name in pairs[0][0]["metrics"]:
         values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs]
         parent = [p for p, _ in values]
         change = [c for _, c in values]
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
         out[name] = {
-            "parent_median": round(statistics.median(parent), 4),
+            "parent_median": round(parent_median, 4),
             "parent_q1_q3": _quartiles(parent),
             "parent_min_max": [round(min(parent), 4), round(max(parent), 4)],
-            "change_median": round(statistics.median(change), 4),
+            "change_median": round(change_median, 4),
             "change_q1_q3": _quartiles(change),
             "change_min_max": [round(min(change), 4), round(max(change), 4)],
             "change_lower_in_pairs": sum(c < p for p, c in values),
-            "ratio": round(statistics.median(change) / statistics.median(parent), 4),
+            "ratio": round(change_median / parent_median, 4),
             "pairs": [[round(p, 4), round(c, 4)] for p, c in values],
         }
+        if name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["within_bound"] = change_median <= parent_median * (1 + bounds[name])
     out["operations_failed"] = {
         "parent": sum(p["failed"] for p, _ in pairs),
         "change": sum(c["failed"] for _, c in pairs),
@@ -82,11 +103,14 @@ def format_summary(workload: str, summary: dict) -> str:
             rows.append(f"  operations failed: parent {s['parent']}, change {s['change']}")
             continue
         q1, q3 = s["parent_q1_q3"]
-        rows.append(
+        row = (
             f"  {name:<14} parent {s['parent_median']:.4f} (q1-q3 {q1:.4f}-{q3:.4f})"
             f" -> change {s['change_median']:.4f}, lower in"
-            f" {s['change_lower_in_pairs']}/{len(s['pairs'])}"
+            f" {s['change_lower_in_pairs']}/{len(s['pairs'])}, ratio {s['ratio']:.4f}"
         )
+        if "within_bound" in s:
+            row += f" {'within' if s['within_bound'] else 'OVER'} bound +{s['bound']:g}"
+        rows.append(row)
     return "\n".join(rows)
 
 

@@ -12,6 +12,7 @@ samples of seed 42, so the mixing algorithm must never change silently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -84,38 +85,28 @@ def check_domain(name: str, params: dict, domain) -> dict:
 class Ring:
     """Ring interface the kernels are generic over.
 
-    Implementations supply ``zero``/``one`` plus the arithmetic hooks below.
-    A ring need not be commutative (the antishuffle ring is only
-    graded-commutative): ``mul(a, b)`` and ``dot`` keep a on the left.
-    ``div_int`` is required only where a kernel divides by an integer
-    (nilpotent exponentials, double-factorial normalizations) and may raise
-    for rings without that capability.
+    Implementations supply ``zero``/``one``; the arithmetic hooks default to
+    Python's operators (``operator.add``, ``neg``, ``mul``, ``eq``), so a ring
+    whose elements already implement them names only its zero and one.
+    ``is_zero`` is Python truthiness (``operator.not_``): a ring whose zero
+    is truthy must override it.  A ring need not be commutative (the
+    antishuffle ring is only graded-commutative): ``mul(a, b)`` and ``dot``
+    keep a on the left.  ``div_int`` is required only where a kernel divides
+    by an integer (nilpotent exponentials, double-factorial normalizations)
+    and by default raises.
     """
 
     zero = None
     one = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def eq(self, a, b) -> bool:
-        raise NotImplementedError
+    add, neg, mul, eq = operator.add, operator.neg, operator.mul, operator.eq
+    is_zero = operator.not_
 
     def dot(self, pairs):
         """Sum of mul(a, b) over the (a, b) pairs; zero for no pairs."""
-        return functools.reduce(self.add, (self.mul(a, b) for a, b in pairs), self.zero)
+        return functools.reduce(self.add, itertools.starmap(self.mul, pairs), self.zero)
 
     def div_int(self, a, n: int):
         raise NotImplementedError(f"{type(self).__name__} does not support integer division")
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
 
 
 class RationalField(Ring):
@@ -124,20 +115,8 @@ class RationalField(Ring):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def div_int(self, a, n: int):
-        return Fraction(a, n) if isinstance(a, int) else a / n
+        return Fraction(a, n)
 
 
 QQ = RationalField()
@@ -147,8 +126,6 @@ class IntegerRing(Ring):
     """The integers as a Ring whose every operation is one C call."""
 
     zero, one = 0, 1
-    add, neg, mul, eq = operator.add, operator.neg, operator.mul, operator.eq
-    is_zero = operator.not_
 
 
 ZZ = IntegerRing()

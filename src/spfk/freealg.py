@@ -278,6 +278,8 @@ class ShuffleRing(Ring):
     graded-commutative: odd-degree elements anticommute, so kernels multiply
     entries in a fixed canonical order, and callers must ensure the entries
     they feed in are even-degree (central) wherever commutativity matters.
+    Sum, negation, equality and the zero test are FreePoly's own operators,
+    the Ring defaults.
     """
 
     zero = FreePoly.zero()
@@ -288,19 +290,10 @@ class ShuffleRing(Ring):
             raise ValueError(f"q must be 1 or -1, got {q!r}")
         self.q = q
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         # The products are looked up as module globals on every call, so a
         # wrapper installed on them sees the ring's products too.
         return shuffle(a, b) if self.q == 1 else q_shuffle(a, b, self.q)
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def dot(self, pairs):
         # All products go into one dict, so the sum is never copied.
@@ -312,9 +305,6 @@ class ShuffleRing(Ring):
         return FreePoly._make(
             {w: c // n if type(c) is int and not c % n else Fraction(c, n) for w, c in terms}
         )
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
 
 SHUFFLE_RING = ShuffleRing(1)

@@ -28,7 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, double_factorial_coeff, mix_seed
+from .core import QQ, SeededSampler, clear_denominators, double_factorial_coeff, mix_seed
 from .freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, sort_with_sign
 from .integrals import ordered_sum, r_value
 from .report import Check, VerificationReport, at_points, run_check
@@ -36,6 +36,7 @@ from .tensors import (
     AltTensor,
     DenseMatrix,
     SymTensor,
+    blocked_count,
     determinant,
     enumerate_blocked,
     group_form,
@@ -204,7 +205,7 @@ def verify_hyperpf_structure(
 def _structure_composition(m, n, _t, sampler):
     dim = 2 * m * n
     A = _random_alt_tensor(sampler, 2, dim)
-    coeff = math.factorial(m * n) // (math.factorial(m) ** n * math.factorial(n))
+    coeff = blocked_count(n, m)
 
     def lhs():
         P = AltTensor.from_function(QQ, 2 * m, dim, lambda K: pfaffian(A.restrict(K)))
@@ -382,14 +383,8 @@ def _rat_mehta1(n, sampler, _coeff):
 
 def _rat_mehta2(n, sampler, _coeff):
     x = sampler.positive_distinct(n, _SAMPLE_BOUND)
-
-    def rhs():
-        out = 1 / math.prod(x)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out *= (x[j] - x[i]) / (x[j] + x[i])
-        return out
-
+    # Reversing x turns each (x_i - x_j)/(x_i + x_j) into (x_j - x_i)/(x_j + x_i).
+    rhs = lambda: _schur_product(x[::-1], 1 / math.prod(x))
     return lambda: ordered_sum([x] * n, 1, signed=True), rhs
 
 
@@ -533,8 +528,7 @@ def _vi_sides(parts, x):
     its own power of L.  The two sides are unscaled separately, so a wrong
     exponent cannot cancel out of the comparison.
     """
-    scale = math.lcm(*(v.denominator for v in x))
-    y = [v.numerator * (scale // v.denominator) for v in x]
+    scale, y = clear_denominators(x)
     powers = [[v ** e for e in range(max(parts) + 1)] for v in y]
 
     def lhs():
@@ -633,15 +627,16 @@ def _vandermonde_check(p, seed, _points):
     return {"params": shown, "conventions": {"pf_sign": "(-1)^(C(n,2)*C(2m,2))"}}, lhs, rhs
 
 
-# 2mn is capped before N^n is computed, so a huge n costs no big power; N
-# has the Nn limit itself, which n = 0 would otherwise leave unbounded.
+# 2mn is capped before N^n is computed, so a huge n costs no big power.  N
+# is at most _SAMPLE_BOUND, the most distinct points the sampler can draw;
+# with Nn <= 10000 a larger N would allow only n <= 1, an empty product.
 VANDERMONDE = {
     "vandermonde": Check(
         _vandermonde_check,
         "VANDERMONDE",
         {"N": ..., "n": ..., "m": ..., "y": None},
         (
-            {"N": (1, 10_000), "n": (0, None), "m": (1, None)},
+            {"N": (1, _SAMPLE_BOUND), "n": (0, None), "m": (1, None)},
             {
                 "2mn": (lambda p: 2 * p["m"] * p["n"], 8),
                 "Nn": (lambda p: p["N"] ** p["n"], 10_000),

@@ -81,7 +81,7 @@ def run_check(
     """Check the row of ``table`` (id: Check) named ``variant``, in any case.
 
     ``given`` holds flag values, a missing flag taking its default, and may
-    carry inputs that are not flags (a de Bruijn family, the Chen alphabet).
+    carry an input that is not a flag (a de Bruijn row's family).
     The domain is checked before any work; then the left side runs, then the
     right side, and one report is built.  Equal sides are formatted once, after
     the right side is dropped, so both sides and the string are never held at

@@ -371,15 +371,17 @@ def sz_hf_oracle(S: SymTensor):
     return _power_oracle(SquareZeroElement, S)
 
 
-def _det_bareiss(rows) -> Fraction:
-    """Determinant of square rational rows, with the denominators cleared once.
+def determinant(M: DenseMatrix):
+    """Exact determinant over the rationals, with the denominators cleared once.
 
     Each row is scaled to ints by the lcm of its denominators; fraction-free
     (Bareiss) elimination then divides exactly with ``//``, and the result
     is divided by the product of the row scales.
     """
-    n = len(rows)
-    cleared = [clear_denominators(row) for row in rows]
+    if M.rows != M.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = M.rows
+    cleared = [clear_denominators(row) for row in M.data]
     scales = math.prod(s for s, _ in cleared)
     m = [ints for _, ints in cleared]
     sign = 1
@@ -401,13 +403,6 @@ def _det_bareiss(rows) -> Fraction:
             row[c] = 0
         prev = pivot
     return Fraction(sign * m[n - 1][n - 1], scales) if n else Fraction(1)
-
-
-def determinant(M: DenseMatrix):
-    """Exact determinant over the rationals by fraction-free elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant needs a square matrix")
-    return _det_bareiss(M.data)
 
 
 def _json_int(value) -> int:

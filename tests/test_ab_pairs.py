@@ -95,3 +95,27 @@ def test_main_exits_1_when_a_run_is_not_correct_or_gives_no_result(monkeypatch, 
     monkeypatch.setattr(ab_pairs, "run_once", lambda *_: next(results))
     argv = ["--parent", "p", "--change", "c", "--workload", "tensor_qq", "--seeds", "1"]
     assert ab_pairs.main(argv) == 1
+
+
+def test_summarize_reports_each_bound_from_the_spec(tmp_path):
+    # A fake spec: wall_ref_s may rise 20 %, peak_rss_mb only 1 %.
+    spec = tmp_path / "BENCHMARK.json"
+    spec.write_text(json.dumps({"end_to_end": [
+        {"name": "wall_ref_s", "unit": "s", "better": "lower", "bound": 0.2},
+        {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.01},
+    ]}))
+    bounds = ab_pairs.read_bounds(spec)
+    assert bounds == {"wall_ref_s": 0.2, "peak_rss_mb": 0.01}
+    pairs = [(_run(1.0, 25.0), _run(1.1, 25.5)), (_run(1.0, 25.0), _run(1.15, 25.5))]
+    summary = ab_pairs.summarize(pairs, bounds)
+    assert summary["wall_ref_s"]["bound"] == 0.2
+    assert summary["wall_ref_s"]["within_bound"] is True  # 1.125 <= 1.0 * 1.2
+    assert summary["peak_rss_mb"]["within_bound"] is False  # 25.5 > 25.0 * 1.01
+    text = ab_pairs.format_summary("suite", summary)
+    assert "lower in 0/2, ratio 1.1250 within bound +0.2" in text
+    assert "lower in 0/2, ratio 1.0200 OVER bound +0.01" in text
+    assert "within_bound" not in ab_pairs.summarize(pairs, {})["wall_ref_s"]
+
+
+def test_the_repo_spec_bounds_every_end_to_end_metric():
+    assert set(ab_pairs.read_bounds()) == {"wall_ref_s", "cpu_ref_s", "setup_s", "peak_rss_mb"}

@@ -786,7 +786,7 @@ def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
         (("vi", "--parts", "0,1"), "VI needs parts >= 1, got parts=[0, 1]"),
         # With n = 0 the Nn cap reads 1 whatever N is: N has its own bound.
         (("vandermonde", "--N", str(10**41), "--n", "0", "--m", "1"),
-         f"size cap exceeded for VANDERMONDE: N <= 10000, got N={10**41}"),
+         f"size cap exceeded for VANDERMONDE: N <= 200, got N={10**41}"),
     ),
 )
 def test_verify_size_below_minimum_names_the_identity_and_flag(capsys, argv, message):

@@ -1,5 +1,6 @@
 import functools
 import json
+import operator
 import pathlib
 from fractions import Fraction
 
@@ -216,10 +217,16 @@ def test_dot_equals_the_fold_of_mul_and_add(ring, pairs, cancels):
 
 
 def test_integer_ring_is_the_int_operators():
-    assert (ZZ.zero, ZZ.one) == (0, 1)
-    assert (ZZ.add(2, -5), ZZ.neg(3), ZZ.mul(-4, 6)) == (-3, -3, -24)
-    assert ZZ.eq(7, 7) and not ZZ.eq(7, -7)
-    assert ZZ.is_zero(0) and not ZZ.is_zero(-1)
+    # Python's operators are the Ring defaults; QQ and ZZ name only 0 and 1.
+    for ring in (ZZ, QQ):
+        assert (ring.zero, ring.one) == (0, 1)
+        assert ring.add is operator.add and ring.neg is operator.neg
+        assert ring.mul is operator.mul and ring.eq is operator.eq
+        assert ring.is_zero is operator.not_
+        assert (ring.add(2, -5), ring.neg(3), ring.mul(-4, 6)) == (-3, -3, -24)
+        assert ring.eq(7, 7) and not ring.eq(7, -7)
+        assert ring.is_zero(ring.zero) and not ring.is_zero(-1)
+    assert QQ.div_int(3, 6) == QQ.div_int(Fraction(3, 2), 3) == Fraction(1, 2)
     with pytest.raises(NotImplementedError):
         ZZ.div_int(4, 2)
 

@@ -185,6 +185,11 @@ def test_shuffle_ring_q_selects_the_product():
     assert SHUFFLE_RING.mul(u, v) == shuffle(u, v)
     assert ANTISHUFFLE_RING.mul(u, v) == q_shuffle(u, v, -1) != shuffle(u, v)
     assert ShuffleRing(1).q == SHUFFLE_RING.q == 1 and ANTISHUFFLE_RING.q == -1
+    # Sum, negation, equality and the zero test are FreePoly's own operators.
+    p = u + FreePoly.from_word((C, A), Fraction(-3, 2))
+    for ring in (SHUFFLE_RING, ANTISHUFFLE_RING):
+        assert ring.is_zero(ring.zero) and not ring.is_zero(ring.one)
+        assert ring.eq(ring.add(p, ring.neg(p)), ring.zero)
     for q in (0, 2, Fraction(1, 2)):
         with pytest.raises(ValueError, match="q must be 1 or -1"):
             ShuffleRing(q)

@@ -77,11 +77,26 @@ def test_oracle_matches_closed_form_short_words():
             assert iterated_integral_oracle(params) == r_value(params), word
 
 
-def test_chen_form_check_flag():
-    fam = MonomialFamily(phi=(Fraction(2), Fraction(7, 2)))
-    assert chen_form((0, 1, 0), fam, check=True) == r_value(
-        [Fraction(2), Fraction(7, 2), Fraction(2)]
-    )
+def _enters_r_value(*_args):
+    raise AssertionError("CHEN's left side entered r_value")
+
+
+def test_chen_left_side_never_enters_r_value(monkeypatch):
+    # The left side, <u><v>, integrates each word by the oracle; only the
+    # right side, <u shuffle v>, goes through the closed form r_value.
+    sampler = SeededSampler(mix_seed(42, "chen separation"))
+    pairs = []
+    for _ in range(12):
+        u = tuple(sampler.next_int(4) - 1 for _ in range(sampler.next_int(5) - 1))
+        v = tuple(sampler.next_int(4) - 1 for _ in range(sampler.next_int(4)))
+        fam = MonomialFamily(phi=tuple(sampler.positive_distinct(4, 50)))
+        pairs.append(integrals._chen_pair(u, v, fam))
+    with monkeypatch.context() as patch:
+        patch.setattr(integrals, "r_value", _enters_r_value)
+        lefts = [lhs() for lhs, _ in pairs]
+        with pytest.raises(AssertionError, match="entered r_value"):
+            pairs[0][1]()
+    assert lefts == [rhs() for _, rhs in pairs]
 
 
 def test_verify_chen_cases():
