@@ -79,9 +79,6 @@ class FreePoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

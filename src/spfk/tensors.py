@@ -6,7 +6,9 @@ The tensor kernels are generic over a Ring.  pf, hf, hpf and hhf share one
 blocked partition sum, memoised on the set of remaining indices, which
 multiplies block entries in increasing-minimum order (so the graded-commutative
 antishuffle ring gets the enumeration's value) and sums each subset with one
-``Ring.dot``, one dict over the shuffle rings.  ``group_form`` builds the one
+``Ring.dot``, one dict over the shuffle rings.  Over QQ it runs on ints with
+one scale per index (the lcm of the denominators of the entries that index
+heads), divided out once at the end.  ``group_form`` builds the one
 right side of the Wick, de Bruijn and VI identities: the kernel of a tensor
 whose entries (anti)symmetrise the value of a group of letters, an odd pair
 order bordered by a first row of singles.  The hyper kernels have
@@ -230,17 +232,30 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
     multiplies the sub-result on the left: blocks multiply in
     increasing-minimum order, as in enumerate_blocked, which keeps the value
     over non-commutative rings such as the antishuffle ring.
+
+    Over QQ it runs over ZZ: s_h is the lcm of the denominators of the
+    entries whose smallest index is h (else 1), and the entry c at I is the
+    int c * prod(s_i, i in I).  A partition uses each index once, so every
+    term and memo value of a subset carries the product of its scales (as
+    Pf(DAD) = det(D) Pf(A)), divided out once at the end; the ints do not
+    grow as L^n, as they would with one common denominator L.
     """
     k, d = tensor.order, tensor.dim
     if d % k:
         raise ValueError(f"order {k} must divide dimension {d}")
     if d > MAX_BLOCKED:
         raise ValueError(f"size cap exceeded: kn = {d} > {MAX_BLOCKED}")
-    ring = tensor.ring
+    ring, entries, scales = tensor.ring, tensor.entries(), [1] * (d + 1)
+    if ring is QQ:
+        for idx, c in entries:
+            scales[idx[0]] = math.lcm(scales[idx[0]], c.denominator)
+        entries = [(idx, c.numerator * math.prod(map(scales.__getitem__, idx)) // c.denominator)
+                   for idx, c in entries]
+        ring = ZZ
     # Nonzero entries by the bit of their smallest index, in lexicographic
     # order: (block mask, masks below each other member, (entry, -entry)).
     by_head = [[] for _ in range(d)]
-    for idx, c in tensor.entries():
+    for idx, c in entries:
         mask = 0
         for i in idx:
             mask |= 1 << (i - 1)
@@ -268,7 +283,7 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
 
     value = rec((1 << d) - 1)
     del rec  # rec refers to itself: unbinding it frees the memo now, not at a gc pass
-    return value
+    return value if ring is tensor.ring else QQ.div_int(value, math.prod(scales))
 
 
 def pfaffian(M: AltTensor):

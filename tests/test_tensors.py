@@ -594,6 +594,85 @@ def test_power_oracles_on_qq_do_no_fraction_arithmetic(monkeypatch):
         assert oracle(T) == pinned
 
 
+_KERNELS = (
+    (AltTensor, True, (pfaffian, hyperpfaffian)),
+    (SymTensor, False, (hafnian, hyperhafnian)),
+)
+
+
+def _kernel_values(order, dim, entries):
+    """[(tensor, signed, kernel, value)] for each kernel that takes an
+    order-``order`` QQ tensor with these entries."""
+    out = []
+    for cls, signed, kernels in _KERNELS:
+        T = cls(QQ, order, dim, entries)
+        for kernel in kernels[order != 2 :]:
+            out.append((T, signed, kernel, kernel(T)))
+    return out
+
+
+def test_blocked_kernels_on_qq_do_no_fraction_arithmetic(monkeypatch):
+    # Over QQ the blocked sum runs on int entries, scaled per index: a
+    # Fraction sum, product or negation anywhere in it raises here.
+    shapes = ((2, 4, _HAND_ENTRIES), (2, 6, _mixed_entries(2, 6)),
+              (3, 9, _mixed_entries(3, 9, keep=2)), (4, 8, _mixed_entries(4, 8, keep=3)))
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic in a blocked kernel")
+
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__", "__sub__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    cases = [case for shape in shapes for case in _kernel_values(*shape)]
+    monkeypatch.undo()
+    for T, signed, kernel, value in cases:
+        assert value == _enumerated_sum(T, signed), (kernel.__name__, T.order, T.dim)
+
+
+def _distinct_prime_entries(order, dim):
+    # Every slot, each over its own prime, so no two heads share a factor.
+    slots = itertools.combinations(range(1, dim + 1), order)
+    return {idx: Fraction((-1) ** i * (i % 7 + 1), sp.prime(i + 1)) for i, idx in enumerate(slots)}
+
+
+_LARGE_PRIME = 10**20 + 39
+# The dim-4 Pfaffian a12 a34 - a13 a24 + a14 a23 = 1/6 - 1/2 + 1/3 = 0, its
+# heads scaled by 70, 6 and 3.
+_CANCELLING = {
+    (1, 2): Fraction(1, 2),
+    (1, 3): Fraction(1, 7),
+    (1, 4): Fraction(1, 5),
+    (2, 3): Fraction(5, 3),
+    (2, 4): Fraction(7, 2),
+    (3, 4): Fraction(1, 3),
+}
+# (order, dim, entries) whose per-index scales differ from head to head:
+# distinct primes, plain ints, int entries at head 1 beside powers of a large
+# prime at the other heads, a cancelling Pfaffian, empty tensors and dim 0.
+_SCALED = [
+    (4, 12, _distinct_prime_entries(4, 12)),
+    (3, 9, _distinct_prime_entries(3, 9)),
+    (2, 8, _distinct_prime_entries(2, 8)),
+    (2, 6, {idx: (-1) ** sum(idx) * (idx[0] + 2 * idx[1])
+            for idx in itertools.combinations(range(1, 7), 2)}),
+    (3, 6, {idx: Fraction(-idx[2], 1) if idx[0] == 1 else Fraction(idx[1], _LARGE_PRIME ** idx[0])
+            for idx in itertools.combinations(range(1, 7), 3)}),
+    (2, 4, _CANCELLING),
+    (2, 4, {}),
+    (3, 6, {}),
+    (2, 0, {}),
+    (3, 0, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "order, dim, entries", _SCALED, ids=[f"{k}-{d}-{len(e)}" for k, d, e in _SCALED]
+)
+def test_blocked_kernels_match_enumeration_with_per_index_scales(order, dim, entries):
+    for T, signed, kernel, value in _kernel_values(order, dim, entries):
+        assert value == _enumerated_sum(T, signed), kernel.__name__
+        assert type(value) is Fraction, kernel.__name__
+
+
 def _letter_value(rng, slot):
     # A distinct letter per slot, with a small integer coefficient.
     return FreePoly.from_word((slot,), rng.next_int(5))
@@ -666,7 +745,7 @@ def test_shuffle_ring_kernels_add_no_polynomials(monkeypatch):
     monkeypatch.undo()
     assert pf == first_row_pfaffian(M) == _enumerated_sum(M, True)
     assert hf == _enumerated_sum(S, False)
-    assert not pf.is_zero() and not hf.is_zero()
+    assert pf and hf
 
 
 def test_blocked_sum_frees_its_memo_on_return():
