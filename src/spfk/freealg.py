@@ -9,8 +9,8 @@ operation returns a new instance.
 The shuffle, the q-shuffle and ``ShuffleRing.dot`` share one accumulation
 loop into one dict.  A word pair whose letters are all distinct (the common
 case in the Wick checks) is read off a per-length merge table; every other
-pair goes to the memoised recursion (Reutenauer, *Free Lie Algebras*, ch. 1),
-which merges the words that repeated letters make equal.
+pair goes to the one memoised q-shuffle recursion (Reutenauer, *Free Lie
+Algebras*, ch. 1), which merges the words that repeated letters make equal.
 """
 from __future__ import annotations
 
@@ -134,35 +134,20 @@ class FreePoly:
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _shuffle_words(u: Word, v: Word) -> dict:
+def _shuffle_words(u: Word, v: Word, qval) -> dict:
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
     head = (u[0],)
-    out = {head + w: c for w, c in _shuffle_words(u[1:], v).items()}
-    head = (v[0],)
-    if v[0] != u[0]:
+    out = {head + w: c for w, c in _shuffle_words(u[1:], v, qval).items()}
+    head, factor = (v[0],), qval ** len(u)
+    rest = _shuffle_words(u, v[1:], qval).items()
+    if factor and v[0] != u[0]:
         # The two halves' words start with different letters: none meet.
-        out.update({head + w: c for w, c in _shuffle_words(u, v[1:]).items()})
+        out.update({head + w: c * factor for w, c in rest})
         return out
-    for w, c in _shuffle_words(u, v[1:]).items():
-        key = head + w
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-@functools.lru_cache(maxsize=1 << 18)
-def _q_shuffle_words(u: Word, v: Word, qval) -> dict:
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    head = (u[0],)
-    out = {head + w: c for w, c in _q_shuffle_words(u[1:], v, qval).items()}
-    head = (v[0],)
-    factor = qval ** len(u)
-    for w, c in _q_shuffle_words(u, v[1:], qval).items():
+    for w, c in rest:
         key = head + w
         s = out.get(key, 0) + c * factor
         if s:
@@ -170,6 +155,10 @@ def _q_shuffle_words(u: Word, v: Word, qval) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+# No package code calls this name; perfbench/tracing.py reads the cache by it.
+_q_shuffle_words = _shuffle_words
 
 
 @functools.lru_cache(maxsize=256)
@@ -223,7 +212,7 @@ def _shuffle_sum(pairs, qval) -> FreePoly:
                         else:
                             out.pop(w)
                     continue
-                mults = _shuffle_words(u, v) if qval == 1 else _q_shuffle_words(u, v, qval)
+                mults = _shuffle_words(u, v, qval)
                 if not out:
                     out.update(mults if c == 1 else {w: c * mult for w, mult in mults.items()})
                     continue

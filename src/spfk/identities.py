@@ -229,7 +229,8 @@ def _structure_sum(m, n, _t, sampler):
                 total += sgn * hyperpfaffian(A.restrict(I)) * hyperpfaffian(B.restrict(comp))
         return [total]
 
-    return lambda: [hyperpfaffian(A + B)], rhs
+    plus = lambda I: A.entry(I) + B.entry(I)
+    return lambda: [hyperpfaffian(AltTensor.from_function(QQ, 2 * m, dim, plus))], rhs
 
 
 def _structure_minor(m, n, t, sampler):

@@ -6,17 +6,18 @@ The tensor kernels are generic over a Ring.  pf, hf, hpf and hhf share one
 blocked partition sum, memoised on the set of remaining indices, which
 multiplies block entries in increasing-minimum order (so the graded-commutative
 antishuffle ring gets the enumeration's value) and sums each subset with one
-``Ring.dot``, one dict over the shuffle rings.  Over QQ it runs on ints with
-one scale per index (the lcm of the denominators of the entries that index
-heads), divided out once at the end.  ``group_form`` builds the one
-right side of the Wick, de Bruijn and VI identities: the kernel of a tensor
-whose entries (anti)symmetrise the value of a group of letters, an odd pair
-order bordered by a first row of singles.  The hyper kernels have
-independent Grassmann/square-zero power oracles, one helper over the two
-nilpotent algebras that reads the top coefficient of G^h * G^(n-h),
-h = n // 2, in one pass, over ZZ for a QQ tensor (int numerators over one
-denominator); the Grassmann one needs an even order.  enumerate_blocked
-lists the partitions themselves.
+``Ring.dot``, one dict over the shuffle rings; a block's sign is one popcount
+against its one XOR parity mask.  Over QQ it runs on ints with one scale per
+index (the lcm of the denominators of the entries it heads), divided out once
+at the end.  ``restrict`` builds its sub-tensor with ``from_function``.
+``group_form`` builds the one right side of the Wick, de Bruijn and VI
+identities: the kernel of a tensor whose entries (anti)symmetrise the value of
+a group of letters, an odd pair order bordered by a first row of singles.  The
+hyper kernels have independent Grassmann/square-zero power oracles, one helper
+over the two nilpotent algebras that reads the top coefficient of
+G^h * G^(n-h), h = n // 2, in one pass, over ZZ for a QQ tensor (int numerators
+over one denominator); the Grassmann one needs an even order.
+enumerate_blocked lists the partitions themselves.
 """
 from __future__ import annotations
 
@@ -109,25 +110,6 @@ class _Tensor:
             entries[idx] = fn(idx)
         return cls(ring, order, dim, entries)
 
-    def __add__(self, other):
-        if type(other) is not type(self) or (self.ring, self.order, self.dim) != (
-            other.ring,
-            other.order,
-            other.dim,
-        ):
-            raise TypeError("tensor shapes/rings differ")
-        ring = self.ring
-        out = dict(self._entries)
-        for idx, c in other._entries.items():
-            s = ring.add(out.get(idx, ring.zero), c)
-            if ring.is_zero(s):
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        t = type(self).__new__(type(self))
-        t.ring, t.order, t.dim, t._entries = ring, self.order, self.dim, out
-        return t
-
     def restrict(self, indices):
         """Sub-tensor on the strictly increasing index list, reindexed to 1..len."""
         indices = tuple(indices)
@@ -138,15 +120,8 @@ class _Tensor:
             prev = i
         if prev > self.dim:
             raise ValueError("restriction index out of range")
-        pos = {v: p + 1 for p, v in enumerate(indices)}
-        sub = {}
-        index_set = set(indices)
-        for idx, c in self._entries.items():
-            if all(i in index_set for i in idx):
-                sub[tuple(pos[i] for i in idx)] = c
-        t = type(self).__new__(type(self))
-        t.ring, t.order, t.dim, t._entries = self.ring, self.order, len(indices), sub
-        return t
+        pick = lambda idx: self.entry([indices[i - 1] for i in idx])
+        return type(self).from_function(self.ring, self.order, len(indices), pick)
 
 
 class AltTensor(_Tensor):
@@ -253,14 +228,13 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
                    for idx, c in entries]
         ring = ZZ
     # Nonzero entries by the bit of their smallest index, in lexicographic
-    # order: (block mask, masks below each other member, (entry, -entry)).
+    # order: (block mask, XOR of the masks below its members, (entry, -entry)).
     by_head = [[] for _ in range(d)]
     for idx, c in entries:
-        mask = 0
+        parity = 0
         for i in idx:
-            mask |= 1 << (i - 1)
-        below = tuple((1 << (i - 1)) - 1 for i in idx[1:])
-        by_head[idx[0] - 1].append((mask, below, (c, ring.neg(c))))
+            parity ^= (1 << (i - 1)) - 1
+        by_head[idx[0] - 1].append((mask_of(idx), parity, (c, ring.neg(c))))
     memo = {0: ring.one}
 
     def rec(rest: int):
@@ -268,7 +242,7 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
         if hit is not None:
             return hit
         pairs = []
-        for mask, below, entry in by_head[(rest & -rest).bit_length() - 1]:
+        for mask, parity, entry in by_head[(rest & -rest).bit_length() - 1]:
             if rest & mask != mask:
                 continue
             left = rest ^ mask
@@ -276,7 +250,7 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
             if ring.is_zero(sub):
                 continue
             # Odd inversions between the block and the indices left: -entry.
-            odd = signed and sum((left & m).bit_count() for m in below) & 1
+            odd = signed and (left & parity).bit_count() & 1
             pairs.append((entry[odd], sub))
         out = memo[rest] = ring.dot(pairs)
         return out

@@ -42,6 +42,10 @@ def test_q_shuffle_examples():
     assert q_shuffle(w(A), w(B), 1) == shuffle(w(A), w(B))
     # hand-run recursion: ab sh_{-1} c = a(b sh c) + (-1)^2 c(ab)
     assert q_shuffle(w(A, B), w(C), -1) == w(A, B, C) - w(A, C, B) + w(C, A, B)
+    # Any other q takes the same recursion; q = 0 keeps only the concatenation
+    # and stores no zero coefficient.
+    assert q_shuffle(w(A, B), w(C), 0) == w(A, B, C)
+    assert q_shuffle(w(A, B), w(A), 2) == FreePoly({(A, A, B): 6, (A, B, A): 1})
 
 
 def _antishuffle_oracle(u, v, qval=-1):
@@ -77,9 +81,7 @@ def _pairwise(p, q, product):
 
 
 def _by_recursion(p, q, qval):
-    if qval == 1:
-        return _pairwise(p, q, lambda u, v: FreePoly(_shuffle_words(u, v)))
-    return _pairwise(p, q, lambda u, v: FreePoly(_q_shuffle_words(u, v, qval)))
+    return _pairwise(p, q, lambda u, v: FreePoly(_shuffle_words(u, v, qval)))
 
 
 def _check_against_recursion_and_oracle(p, q, qval):
@@ -112,16 +114,21 @@ def test_mixed_polys_match_recursion_and_oracle(p, q, qval):
 
 
 def test_only_pairs_with_a_repeated_letter_or_empty_word_reach_the_word_caches():
+    # One memoised recursion serves every q; the second name is the same cache.
+    assert _q_shuffle_words is _shuffle_words
     for qval in (1, -1):
         _shuffle_words.cache_clear()
-        _q_shuffle_words.cache_clear()
         q_shuffle(w(0, 1) + w(4), w(2, 3) + w(5, 6, 7), qval)
-        assert _shuffle_words.cache_info().currsize == _q_shuffle_words.cache_info().currsize == 0
+        assert _shuffle_words.cache_info().currsize == 0
         for u, v in (((0, 1), (2, 2)), ((0, 0), (2, 3)), ((0, 1), (1, 2)), ((), (2, 3))):
             q_shuffle(FreePoly.from_word(u), FreePoly.from_word(v), qval)
-            cache = _shuffle_words if qval == 1 else _q_shuffle_words
-            assert cache.cache_info().misses > 0, (u, v)
-            cache.cache_clear()
+            assert _shuffle_words.cache_info().misses > 0, (u, v)
+            _shuffle_words.cache_clear()
+    # At q = -1, different first letters take the no-merge shortcut, while a
+    # repeated letter makes words meet deeper in the recursion.
+    for u, v in (((0, 1, 0), (2, 0)), ((1, 1), (0, 1)), ((2, 0, 2), (0, 2, 1)), ((0,), (1, 1, 0))):
+        got = q_shuffle(FreePoly.from_word(u), FreePoly.from_word(v), -1)
+        assert got == FreePoly(_shuffle_words(u, v, -1)) == _antishuffle_oracle(u, v), (u, v)
 
 
 @settings(max_examples=150, deadline=None)

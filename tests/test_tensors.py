@@ -374,6 +374,17 @@ def test_restrict():
         M.restrict((3, 1))
     with pytest.raises(ValueError):
         M.restrict((1, 5))
+    keep = (2, 4, 5, 6)
+    S = _random_sym(54, 3, 6)
+    sub = S.restrict(keep)
+    assert (type(sub), sub.order, sub.dim) == (SymTensor, 3, 4)
+    triples = itertools.combinations(range(1, 5), 3)
+    assert sub.entries() == [(idx, S.entry([keep[i - 1] for i in idx])) for idx in triples]
+    sparse = SymTensor(QQ, 2, 4, {(1, 3): Fraction(5), (2, 4): Fraction(7)}).restrict((1, 3, 4))
+    assert sparse.entries() == [((1, 2), Fraction(5))]
+    empty = M.restrict(())
+    assert (type(empty), empty.order, empty.dim, empty.entries()) == (AltTensor, 2, 0, [])
+    assert pfaffian(empty) == 1
 
 
 def test_alt_get_signs():

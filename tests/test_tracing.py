@@ -74,3 +74,8 @@ def test_workloads_find_every_name_they_call():
         workloads.check_pass(workload, p, 1, len(cases))
         assert p.failures == [], workload
         assert p.checks == len(cases), workload
+    # A traced pass also reads the word cache's statistics by both its names.
+    caches = tracing.word_caches()
+    for label in ("word_cache", "q_word_cache"):
+        for stat in ("hit_ratio", "entries", "fill_ratio"):
+            assert f"freealg.{label}.{stat}" in caches, (label, stat)
