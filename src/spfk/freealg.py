@@ -66,14 +66,17 @@ class FreePoly:
     def coeff(self, w: Word) -> Fraction:
         return self._terms.get(tuple(w), 0)
 
-    def terms(self):
-        """Canonically ordered (word, coefficient) pairs: length first, then
-        lexicographic on ids.
-
-        The words are sorted as tuples, then stably by length: each length's
+    def _canonical_words(self):
+        """The words in canonical order: length first, then lexicographic on
+        ids.  They are sorted as tuples, then stably by length: each length's
         bucket keeps its sorted order, and no Python key runs per term."""
         words = sorted(self._terms)
         words.sort(key=len)
+        return words
+
+    def terms(self):
+        """Canonically ordered (word, coefficient) pairs."""
+        words = self._canonical_words()
         return list(zip(words, map(self._terms.__getitem__, words)))
 
     def num_terms(self) -> int:
@@ -114,8 +117,7 @@ class FreePoly:
         if not terms:
             return "0"
         ratio = operator.attrgetter("numerator", "denominator")
-        words = sorted(terms)
-        words.sort(key=len)
+        words = self._canonical_words()
         runs = []
         for length, run in itertools.groupby(words, len):
             run = list(run)

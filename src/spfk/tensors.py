@@ -79,21 +79,22 @@ class _Tensor:
         if entries:
             for idx, c in entries.items():
                 idx = tuple(idx)
-                self._validate_index(idx)
+                if len(idx) != order:
+                    raise ValueError(f"index length {len(idx)} != order {order}")
+                self._check_increasing(idx, "stored")
                 if not ring.is_zero(c):
                     clean[idx] = c
         self._entries = clean
 
-    def _validate_index(self, idx):
-        if len(idx) != self.order:
-            raise ValueError(f"index length {len(idx)} != order {self.order}")
+    def _check_increasing(self, idx, what):
+        """Refuse idx unless it is strictly increasing within 1..dim."""
         prev = 0
         for i in idx:
             if i <= prev:
-                raise ValueError("stored indices must be strictly increasing")
+                raise ValueError(f"{what} indices must be strictly increasing")
             prev = i
         if prev > self.dim:
-            raise ValueError("index out of range")
+            raise ValueError(f"{what} index out of range")
 
     def entry(self, sorted_idx) -> object:
         """Stored coefficient at a strictly increasing tuple (zero if absent)."""
@@ -113,13 +114,7 @@ class _Tensor:
     def restrict(self, indices):
         """Sub-tensor on the strictly increasing index list, reindexed to 1..len."""
         indices = tuple(indices)
-        prev = 0
-        for i in indices:
-            if i <= prev:
-                raise ValueError("restriction indices must be strictly increasing")
-            prev = i
-        if prev > self.dim:
-            raise ValueError("restriction index out of range")
+        self._check_increasing(indices, "restriction")
         pick = lambda idx: self.entry([indices[i - 1] for i in idx])
         return type(self).from_function(self.ring, self.order, len(indices), pick)
 

@@ -287,15 +287,36 @@ def test_erratum_demo_script_runs():
     assert "coefficient 1/(2n)!!: equal=False" in lines
 
 
-def test_run_suite_script_prints_the_golden_report():
+def test_python_m_spfk_suite_prints_the_golden_report():
     root = pathlib.Path(__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_suite.py"),
-                           "--seed", "42", "--json"],
+    proc = subprocess.run([sys.executable, "-m", "spfk", "suite", "--seed", "42", "--json"],
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == GOLDEN.read_bytes()
+
+
+def test_each_module_imports_first():
+    # The package's __init__ imports nothing, so no entry point fixes the
+    # import order: each module must import cleanly on its own.  One fresh
+    # interpreter imports each module after dropping every cached spfk module.
+    root = pathlib.Path(__file__).parents[1]
+    names = sorted(f"spfk.{path.stem}" for path in (root / "src" / "spfk").glob("*.py"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    for key in [key for key in sys.modules if key.split('.')[0] == 'spfk']:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module(name)\n"
+        "    print(name)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == names
 
 
 @pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))

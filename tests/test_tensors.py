@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -385,6 +386,32 @@ def test_restrict():
     empty = M.restrict(())
     assert (type(empty), empty.order, empty.dim, empty.entries()) == (AltTensor, 2, 0, [])
     assert pfaffian(empty) == 1
+
+
+_INCREASING = "indices must be strictly increasing"
+# (case, way, index, message) for an order-2 tensor on dim 4.  Only a stored
+# index has a fixed length: a restriction may keep any number of indices.
+_BAD_INDICES = [
+    (f"{way}-{case}", way, idx, f"{way} {message}")
+    for case, idx, message in (
+        ("zero", (0, 2), _INCREASING),
+        ("negative", (-1, 2), _INCREASING),
+        ("repeat", (2, 2), _INCREASING),
+        ("decreasing", (3, 1), _INCREASING),
+        ("above_dim", (1, 5), "index out of range"),
+    )
+    for way in ("stored", "restriction")
+] + [("stored-wrong_length", "stored", (1, 2, 3), "index length 3 != order 2")]
+
+
+@pytest.mark.parametrize("way, idx, message", [row[1:] for row in _BAD_INDICES],
+                         ids=[row[0] for row in _BAD_INDICES])
+def test_bad_index_is_refused(way, idx, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if way == "stored":
+            AltTensor(QQ, 2, 4, {idx: Fraction(1)})
+        else:
+            _random_alt(53, 2, 4).restrict(idx)
 
 
 def test_alt_get_signs():
