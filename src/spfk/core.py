@@ -132,9 +132,17 @@ ZZ = IntegerRing()
 
 
 def clear_denominators(values) -> tuple[int, list[int]]:
-    """(L, [L * v for v in values]) for L the lcm of the denominators of the
-    rationals ``values`` (1 for none): int numerators over one denominator."""
-    values = [Fraction(v) for v in values]
+    """(L, [L * v for v in values]) for L the lcm of the denominators of
+    ``values`` (1 for none): int numerators over one denominator.
+
+    ``values`` is any iterable of ints and Fractions, read once; their
+    ``numerator`` and ``denominator`` are read as they are, so no Fraction is
+    built.  Any other value, a float included, is refused with a TypeError
+    before the lcm is taken."""
+    values = list(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"clear_denominators takes ints and Fractions, got {type(v).__name__}")
     scale = math.lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 

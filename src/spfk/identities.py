@@ -112,17 +112,31 @@ def _wick_odd(n: int, signed: bool):
     return _wick_sides(n, 2, _word_of_letters, signed, not signed, ring)
 
 
+def _xipfashu_ids(k: int, n: int) -> dict:
+    """{sorted 2k-tuple of 1..2kn: letter}, the letters numbering the tuples
+    in the order the left side first meets them: permutations in
+    lexicographic order, blocks left to right.
+
+    A set S first shows as block j in the least permutation that has it
+    there: the smallest values outside S, sorted, then S, sorted, then the
+    rest, sorted.  So S is keyed by the least (that permutation, j) over j,
+    and the sets are numbered in key order, with no permutation scanned."""
+    width, full = 2 * k, range(1, 2 * k * n + 1)
+
+    def first_met(block):
+        rest = tuple(i for i in full if i not in block)
+        cut = lambda j: rest[: j * width] + block + rest[j * width :]
+        return min((cut(j), j) for j in range(n))
+
+    blocks = sorted(itertools.combinations(full, width), key=first_met)
+    return {block: letter for letter, block in enumerate(blocks)}
+
+
 def _wick_xipfashu(k: int, n: int):
-    # A block's letter numbers its sorted tuple in the order the left side
-    # first meets it (lexicographic permutations, blocks left to right), set
-    # before either side runs; each block's (letter, sign) is looked up once.
+    # Each block's letter is set by _xipfashu_ids before either side runs;
+    # each block's (letter, sign) is looked up once.
     width, order = 2 * k, 2 * k * n
-    ids: dict = {}
-    for perm in itertools.permutations(range(1, order + 1)):
-        for b in range(0, order, width):
-            ids.setdefault(tuple(sorted(perm[b : b + width])), len(ids))
-        if len(ids) == math.comb(order, width):
-            break
+    ids = _xipfashu_ids(k, n)
     block_letters: dict = {}
 
     def word_of(seq):
@@ -315,12 +329,16 @@ def verify_rational_identity(
 
 
 def _schur_product(x, scale=1) -> Fraction:
-    # scale * prod_{i<j} (x_i - x_j) / (x_i + x_j)
-    out = Fraction(scale)
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            out *= (x[i] - x[j]) / (x[i] + x[j])
-    return out
+    # scale * prod_{i<j} (x_i - x_j) / (x_i + x_j), for an int or Fraction
+    # scale.  Each factor is homogeneous of degree 0, so the products run on
+    # the ints y = L x of the cleared point and one Fraction is built.
+    _, y = clear_denominators(x)
+    num = den = 1
+    for i, a in enumerate(y):
+        for b in y[i + 1 :]:
+            num *= a - b
+            den *= a + b
+    return Fraction(scale.numerator * num, scale.denominator * den)
 
 
 # Each evaluator draws one sample point and gives the two sides at it.

@@ -23,6 +23,14 @@ expansion is the tests' oracle).  Its right side is
 bordered at an odd order by the single-letter integrals; the left side
 calls none of that code.
 
+The right sides' ordered integrals run on ints too.  R is homogeneous of
+degree -r, R(L z) = L^-r R(z), so with L the lcm of a family's denominators
+``r_value`` takes the ints L z and builds one Fraction(L^r, product of the
+int partial sums).  Each family is cleared once: the de Bruijn slot
+families once per check (merged block exponents stay cleared,
+``merged_exponent(params, L)``), and CHEN's ``fam.phi`` once per
+``chen_form`` call.
+
 The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity, on
 seeded word pairs over ``ALPHABET`` letters, is the ``CHEN`` row, run by
 ``report.run_check``; each order's parity and every cap is in its row's
@@ -32,6 +40,7 @@ right side, <u shuffle v>, goes through ``chen_form`` and ``r_value``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,39 +76,52 @@ class MonomialFamily:
                     raise ValueError("exponent parameters must be > 0")
 
 
-def merged_exponent(params) -> Fraction:
-    """z-parameter of a product of monomials: sum of parameters minus (count-1)."""
+def merged_exponent(params, scale=1):
+    """z-parameter of a product of monomials: sum of parameters minus (count-1).
+
+    For parameters cleared over ``scale`` (each one scale times its value)
+    the result is cleared over it too: sum - scale * (count - 1)."""
     params = list(params)
-    return sum(params) - (len(params) - 1)
+    return sum(params) - scale * (len(params) - 1)
 
 
-def r_value(xs) -> Fraction:
-    """1 / (x1 (x1+x2) ... (x1+...+xr)); the empty product is 1."""
-    acc = Fraction(0)
-    prod = Fraction(1)
+def r_value(xs, scale=None) -> Fraction:
+    """R(x) = 1 / (x1 (x1+x2) ... (x1+...+xr)); the empty product is 1.
+
+    ``xs`` (any iterable) holds ints cleared over ``scale``, each x = scale z
+    for the z whose R is wanted.  R is homogeneous of degree -r, R(L z) =
+    L^-r R(z), so the value is one Fraction(scale^r, product of the int
+    partial sums).  With no scale, ``xs`` (ints and Fractions) is cleared
+    here first (``core.clear_denominators``).
+    """
+    if scale is None:
+        scale, xs = clear_denominators(xs)
+    acc = r = 0
+    prod = 1
     for x in xs:
         acc += x
-        if acc == 0:
+        if not acc:
             raise ZeroDivisionError("zero partial sum")
         prod *= acc
-    return 1 / prod
+        r += 1
+    return Fraction(scale**r, prod)
 
 
-def _family_params(word, fam: MonomialFamily):
+def _family_params(word, phi):
     try:
-        return [fam.phi[i] for i in word]
+        return [phi[i] for i in word]
     except IndexError as exc:
         raise ValueError("unknown letter for this family") from exc
 
 
 def chen_form(w, fam: MonomialFamily):
-    """<w> for a word (tuple of letter indices) or linearly for a FreePoly."""
-    if isinstance(w, FreePoly):
-        out = Fraction(0)
-        for word, c in w.terms():
-            out += c * chen_form(word, fam)
-        return out
-    return r_value(_family_params(tuple(w), fam))
+    """<w> for a word (tuple of letter indices) or linearly for a FreePoly.
+
+    ``fam.phi`` is cleared over its lcm L once per call, and each word's
+    value is ``r_value`` of its cleared parameters over L."""
+    scale, phi = clear_denominators(fam.phi)
+    terms = w.terms() if isinstance(w, FreePoly) else [(w, 1)]
+    return sum((c * r_value(_family_params(word, phi), scale) for word, c in terms), Fraction(0))
 
 
 def iterated_integral_oracle(params) -> Fraction:
@@ -126,7 +148,7 @@ def _chen_pair(u, v, fam: MonomialFamily):
     """The two sides of Chen's identity for one word pair, as callables:
     <u><v>, each factor integrated by the oracle, and <u shuffle v> by the
     closed form ``r_value``."""
-    integral = lambda word: iterated_integral_oracle(_family_params(word, fam))
+    integral = lambda word: iterated_integral_oracle(_family_params(word, fam.phi))
     lhs = lambda: integral(u) * integral(v)
     return lhs, lambda: chen_form(shuffle(FreePoly.from_word(u), FreePoly.from_word(v)), fam)
 
@@ -264,18 +286,22 @@ def _debruijn_sides(slots, width: int, signed: bool, order: int):
     callables.  The right side is ``tensors.group_form`` of value_of(seq), the
     ordered integral R of the letters of seq read from slots[0], slots[1],
     ..., merged in blocks of ``width``; an odd order (pair rows only) is
-    bordered by the single-letter integrals 1 / slots[0][i]."""
-    slots = [tuple(Fraction(z) for z in fam) for fam in slots]  # exact for int families too
+    bordered by the single-letter integrals 1 / slots[0][i].  The slot
+    families are cleared over one scale L once, and each entry is
+    ``r_value`` of its cleared block exponents over L."""
     g = len(slots)
     if g % width:
         raise ValueError(f"a group of {g} letters does not split into blocks of width {width}")
     lhs = lambda: ordered_sum([slots[p % g] for p in range(order)], width, signed)
+    scale, flat = clear_denominators(z for fam in slots for z in fam)
+    flat = iter(flat)
+    cleared = [list(itertools.islice(flat, len(fam))) for fam in slots]
 
     def value_of(seq):
-        zs = [slots[s][i - 1] for s, i in enumerate(seq)]
+        zs = [cleared[s][i - 1] for s, i in enumerate(seq)]
         if width > 1:
-            zs = [merged_exponent(zs[b : b + width]) for b in range(0, len(zs), width)]
-        return 1 / zs[0] if len(zs) == 1 else r_value(zs)
+            zs = [merged_exponent(zs[b : b + width], scale) for b in range(0, len(zs), width)]
+        return r_value(zs, scale)
 
     return lhs, lambda: group_form(QQ, order, g, value_of, signed, signed)
 

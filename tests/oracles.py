@@ -20,6 +20,11 @@ the package because the checker never calls them.
   reference for the product's one population count.  The generators,
   ``berezin_extract``, ``exp_even`` and ``ordered_product`` build the
   Gaussian and Wick forms whose coefficients are Pfaffians and hafnians.
+- ``r_value_loop`` and ``schur_product_loop`` are R(x) and the Schur
+  product with one Fraction operation per factor, the references for the
+  package's forms that clear the point's denominators once;
+  ``refuse_fraction_arithmetic`` makes every Fraction operator raise, and
+  ``MIXED`` is a point with mixed denominators.
 """
 import math
 from fractions import Fraction
@@ -250,3 +255,40 @@ def ordered_product(factors):
     for f in factors[1:]:
         out = out * f
     return out
+
+
+MIXED = (
+    Fraction(3, 2), Fraction(7, 5), Fraction(11, 4), Fraction(2), Fraction(13, 6),
+    Fraction(9, 7), Fraction(5, 3), Fraction(17, 8),
+)
+
+
+def r_value_loop(xs):
+    """1 / (x1 (x1+x2) ... (x1+...+xr)), one Fraction sum and product per letter."""
+    acc, prod = Fraction(0), Fraction(1)
+    for x in xs:
+        acc += x
+        if acc == 0:
+            raise ZeroDivisionError("zero partial sum")
+        prod *= acc
+    return 1 / prod
+
+
+def schur_product_loop(x, scale=1):
+    """scale * prod_{i<j} (x_i - x_j) / (x_i + x_j), one Fraction per factor."""
+    out = Fraction(scale)
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            out *= (x[i] - x[j]) / (x[i] + x[j])
+    return out
+
+
+def refuse_fraction_arithmetic(monkeypatch):
+    """Make every Fraction sum, difference, product, quotient and negation raise."""
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, op, refuse)

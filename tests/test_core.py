@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import operator
 import pathlib
 from fractions import Fraction
@@ -239,10 +240,22 @@ def test_integer_ring_is_the_int_operators():
         ([Fraction(1, 2), Fraction(-2, 3), 5], 6, [3, -4, 30]),
         ([Fraction(4, 6), Fraction(1, 4), Fraction(0)], 12, [8, 3, 0]),
         ([Fraction(-7, 10)] * 2, 10, [-7, -7]),
+        ([Fraction(1, 2), Fraction(5, 3)], 6, [3, 10]),
+        ([-3, Fraction(-5, 4), Fraction(1, 6)], 12, [-36, -15, 2]),
     ],
-    ids=["empty", "ints", "mixed", "reduced", "repeated"],
+    ids=["empty", "ints", "mixed", "reduced", "repeated", "fractions", "negative"],
 )
 def test_clear_denominators(values, scale, ints):
     got_scale, got_ints = clear_denominators(iter(values))
     assert (got_scale, got_ints) == (scale, ints)
     assert [Fraction(i, got_scale) for i in got_ints] == [Fraction(v) for v in values]
+
+
+@pytest.mark.parametrize("bad", (1.5, 2.0), ids=["float", "integral-float"])
+def test_clear_denominators_refuses_a_float_before_any_work(monkeypatch, bad):
+    def no_work(*_args):
+        raise AssertionError("took the lcm of a point holding a float")
+
+    monkeypatch.setattr(math, "lcm", no_work)
+    with pytest.raises(TypeError, match="ints and Fractions, got float"):
+        clear_denominators(iter([Fraction(1, 2), 3, bad]))

@@ -36,7 +36,13 @@ from spfk.tensors import (
     signed_permutations,
 )
 
-from oracles import first_row_expansion, scale
+from oracles import (
+    MIXED,
+    first_row_expansion,
+    refuse_fraction_arithmetic,
+    scale,
+    schur_product_loop,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_seed42.json"
 
@@ -176,6 +182,26 @@ def test_xipfashu_left_side_matches_unmemoised_loop(k, n):
     assert report.equal
     assert report.lhs_terms == expected.num_terms()
     assert report.lhs_digest == digest(expected.canonical_string())
+
+
+def _xipfashu_ids_by_scan(k, n):
+    # Oracle: walk the permutations in lexicographic order, blocks left to
+    # right, numbering each sorted block the first time it is met.
+    width, order = 2 * k, 2 * k * n
+    ids = {}
+    for perm in itertools.permutations(range(1, order + 1)):
+        for b in range(0, order, width):
+            ids.setdefault(tuple(sorted(perm[b : b + width])), len(ids))
+        if len(ids) == math.comb(order, width):
+            break
+    return ids
+
+
+@pytest.mark.parametrize(
+    "k,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]
+)
+def test_xipfashu_ids_match_the_permutation_scan(k, n):
+    assert identities._xipfashu_ids(k, n) == _xipfashu_ids_by_scan(k, n)
 
 
 def test_xipfashu_term_count_sanity():
@@ -695,3 +721,31 @@ def test_an_unequal_check_reports_both_canonical_strings():
     assert report.counterexample == ("1/1:0.1;2/1:1.0", "1/1:0.1")
     assert report.lhs_digest == digest("1/1:0.1;2/1:1.0")
     assert report.rhs_digest == digest("1/1:0.1")
+
+
+# Points with mixed denominators, negative values, no values and one value.
+_SCHUR_POINTS = (
+    MIXED,
+    (Fraction(-3, 2), Fraction(5, 7), 2, Fraction(1, 3), Fraction(-9, 4)),
+    (),
+    (Fraction(4, 9),),
+)
+
+
+def test_schur_product_does_no_fraction_arithmetic(monkeypatch):
+    # The products run on the cleared point and one Fraction is built, for
+    # an int and for a Fraction scale: a Fraction sum, product or quotient
+    # anywhere in it raises here.  Each value, from a list or an iterator,
+    # must equal the Fraction loop's.
+    scales = (1, 3, Fraction(-2, 7))
+    refuse_fraction_arithmetic(monkeypatch)
+    got = [
+        (identities._schur_product(x, c), identities._schur_product(iter(x), c))
+        for x in _SCHUR_POINTS
+        for c in scales
+    ]
+    with pytest.raises(ZeroDivisionError):
+        identities._schur_product([Fraction(1, 2), Fraction(-1, 2)])
+    monkeypatch.undo()
+    assert got == [(schur_product_loop(x, c),) * 2 for x in _SCHUR_POINTS for c in scales]
+    assert all(type(value) is Fraction for pair in got for value in pair)

@@ -20,7 +20,7 @@ from spfk.integrals import (
 )
 from spfk.tensors import signed_permutations
 
-from oracles import debruijn_rhs
+from oracles import MIXED as _MIXED, debruijn_rhs, r_value_loop, refuse_fraction_arithmetic
 
 
 def test_r_value_examples():
@@ -35,6 +35,29 @@ def test_r_value_examples():
 def test_r_value_zero_partial_sum():
     with pytest.raises(ZeroDivisionError):
         r_value([Fraction(1), Fraction(-1)])
+
+
+# A point with mixed denominators, one whose partial sums turn negative, the
+# empty point and plain ints.
+_R_POINTS = (
+    _MIXED,
+    (Fraction(3, 2), Fraction(-7, 3), Fraction(1, 4), -2),
+    (),
+    (2, 3, 5),
+)
+
+
+def test_r_value_does_no_fraction_arithmetic(monkeypatch):
+    # r_value clears the point once and builds one Fraction: a Fraction sum,
+    # product or quotient anywhere in it raises here.  Each value, a list or
+    # an iterator, must equal the Fraction loop's.
+    refuse_fraction_arithmetic(monkeypatch)
+    got = [(r_value(xs), r_value(iter(xs))) for xs in _R_POINTS]
+    with pytest.raises(ZeroDivisionError, match="zero partial sum"):
+        r_value([Fraction(1, 3), Fraction(-1, 3), 2])
+    monkeypatch.undo()
+    assert got == [(r_value_loop(xs), r_value_loop(xs)) for xs in _R_POINTS]
+    assert all(type(value) is Fraction for pair in got for value in pair)
 
 
 def test_merged_exponent():
@@ -352,10 +375,6 @@ def _brute_force_both(slots, width):
     return signed, unsigned
 
 
-_MIXED = (
-    Fraction(3, 2), Fraction(7, 5), Fraction(11, 4), Fraction(2), Fraction(13, 6),
-    Fraction(9, 7), Fraction(5, 3), Fraction(17, 8),
-)
 
 
 @pytest.mark.parametrize(
@@ -388,9 +407,12 @@ def test_left_side_calls_no_right_side_kernel(monkeypatch):
     for name in ("pfaffian", "hafnian", "hyperpfaffian", "hyperhafnian", "group_form"):
         monkeypatch.setattr(tensors, name, refuse)
     monkeypatch.setattr(integrals, "group_form", refuse)
+    monkeypatch.setattr(integrals, "r_value", refuse)
+    monkeypatch.setattr(integrals, "merged_exponent", refuse)
     for variant, order, k in _small_cases():
         fam = default_family(variant, order, k, seed=3)
         ordered_sum(*_left_side_args(variant, order, k, fam))
+        _left_side(variant, order, k, fam)
     with pytest.raises(AssertionError, match="right-side kernel"):
         verify_debruijn("EVEN", n=4)
 
@@ -458,3 +480,63 @@ def test_integer_families_give_exact_right_sides():
         if order <= 4:
             value = _right_side(variant, order, k, fam)
             assert isinstance(value, Fraction) and value == _right_side(variant, order, k, exact)
+
+
+def test_every_debruijn_row_holds_at_a_non_integer_family():
+    # The suite's families are ints, cleared over scale 1, so only a family
+    # with denominators shows a wrong power of the scale in either side.
+    for variant, order, k in _suite_orders():
+        n = order if k is None else order // (2 * k)
+        assert verify_debruijn(variant, n=n, k=k, fam=_FRACTIONAL).equal is True, (variant, order)
+
+
+def _entry_function(slots, width):
+    """value_of of ``_debruijn_sides``: the entry function its right side
+    hands to group_form, caught there."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrals, "group_form", lambda _ring, _order, _g, value_of, *_: value_of)
+        _lhs, rhs = integrals._debruijn_sides(slots, width, True, len(slots))
+        return rhs()
+
+
+def _entry_loop(slots, width, seq):
+    # The ordered integral of seq's letters, each block merged, in Fractions.
+    zs = [Fraction(slots[s][i - 1]) for s, i in enumerate(seq)]
+    blocks = [zs[b : b + width] for b in range(0, len(zs), width)]
+    return r_value_loop(sum(block) - (len(block) - 1) for block in blocks)
+
+
+_NEGATIVE = (Fraction(3, 2), Fraction(-7, 3), Fraction(1, 4), 5)
+
+
+@pytest.mark.parametrize(
+    "slots, width",
+    (
+        ((_MIXED, _MIXED[::-1]), 1),
+        ((_MIXED, _MIXED[::-1]), 2),
+        (_FRACTIONAL.grid, 4),
+        ((_NEGATIVE, _NEGATIVE[::-1]), 1),
+        ((_NEGATIVE, _NEGATIVE[::-1]), 2),
+        (((2, 3, 5), (7, 4, 6)), 2),
+        ((_MIXED[:5], _MIXED[::-1], _MIXED[2:]), 1),
+    ),
+    ids=["mixed-1", "mixed-2", "mixed-4", "negative-1", "negative-2", "ints-2", "unequal-1"],
+)
+def test_debruijn_entries_do_no_fraction_arithmetic(monkeypatch, slots, width):
+    # The entries read the slot families cleared once, on ints: a Fraction
+    # sum, product or quotient anywhere in them raises here.  Each entry (a
+    # group, a single letter, the empty group, an iterator) must equal the
+    # Fraction loop's.
+    value_of = _entry_function(slots, width)
+    letters = range(1, min(map(len, slots)) + 1)
+    seqs = [(), (1,), *itertools.permutations(letters, len(slots))]
+    refuse_fraction_arithmetic(monkeypatch)
+    got = [(value_of(seq), value_of(iter(seq))) for seq in seqs]
+    monkeypatch.undo()
+    assert got == [(_entry_loop(slots, width, seq),) * 2 for seq in seqs]
+
+
+def test_debruijn_entry_with_a_zero_partial_sum_raises():
+    value_of = _entry_function(((2, -2), (2, -2)), 1)
+    with pytest.raises(ZeroDivisionError, match="zero partial sum"):
+        value_of((1, 2))
