@@ -210,21 +210,22 @@ class SeededSampler:
         q = self.next_int(bound)
         return Fraction(p, q)
 
+    def distinct(self, count: int, draw) -> list:
+        """The first ``count`` pairwise-distinct values of ``draw()``, in the
+        order first drawn (a repeat is drawn again), within 10^6 draws."""
+        found: dict = {}  # insertion-ordered; a repeat keeps its first place
+        attempts = 0
+        while len(found) < count:
+            attempts += 1
+            if attempts > 1_000_000:
+                raise RuntimeError("sampler failed to find distinct values")
+            found[draw()] = None
+        return list(found)
+
     def positive_distinct(self, count: int, bound: int) -> list[Fraction]:
         """`count` pairwise-distinct strictly positive rationals p/q, p,q <= bound."""
         if count < 1:
             raise ValueError("count must be >= 1")
         if bound < count:
             raise ValueError(f"infeasible count/bound: need bound >= count, got {count}/{bound}")
-        seen: set[Fraction] = set()
-        out: list[Fraction] = []
-        attempts = 0
-        while len(out) < count:
-            attempts += 1
-            if attempts > 1_000_000:
-                raise RuntimeError("sampler failed to find distinct rationals")
-            r = self.rational(bound)
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        return out
+        return self.distinct(count, lambda: self.rational(bound))

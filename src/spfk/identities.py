@@ -328,17 +328,17 @@ def verify_rational_identity(
     return run_check(RATIONAL, variant, {"n": size, "m": size, "coeff": coeff}, seed, points)
 
 
-def _schur_product(x, scale=1) -> Fraction:
-    # scale * prod_{i<j} (x_i - x_j) / (x_i + x_j), for an int or Fraction
-    # scale.  Each factor is homogeneous of degree 0, so the products run on
-    # the ints y = L x of the cleared point and one Fraction is built.
+def _schur_product(x, factor=1) -> Fraction:
+    # factor * prod_{i<j} (x_i - x_j) / (x_i + x_j), for an int or Fraction
+    # factor.  Each quotient is homogeneous of degree 0, so the products run
+    # on the ints y = L x of the cleared point and one Fraction is built.
     _, y = clear_denominators(x)
     num = den = 1
     for i, a in enumerate(y):
         for b in y[i + 1 :]:
             num *= a - b
             den *= a + b
-    return Fraction(scale.numerator * num, scale.denominator * den)
+    return Fraction(factor.numerator * num, factor.denominator * den)
 
 
 # Each evaluator draws one sample point and gives the two sides at it.
@@ -612,9 +612,10 @@ def _vandermonde_check(p, seed, _points):
         y = sampler.positive_distinct(N, _SAMPLE_BOUND)
     else:
         y = [Fraction(v) for v in y]
+        if len(y) != N:
+            listed = ", ".join(map(str, y))
+            raise ValueError(f"VANDERMONDE needs N values of y, got y=[{listed}] for N={N}")
         shown["y"] = [f"{v.numerator}/{v.denominator}" for v in y]
-    if len(y) != N:
-        raise ValueError("y must have N values")
 
     def lhs():
         total = Fraction(0)

@@ -244,20 +244,14 @@ def _sample_params(seed: int, tag, count: int) -> tuple:
     # Small distinct integers keep the partial-sum denominators of the large
     # permutation expansions compact without losing exactness.
     sampler = SeededSampler(mix_seed(seed, tag))
-    bound = count + 16
-    seen: set[int] = set()
-    out: list[Fraction] = []
-    while len(out) < count:
-        v = sampler.next_int(bound)
-        if v not in seen:
-            seen.add(v)
-            out.append(Fraction(1 + v))
-    return tuple(out)
+    draws = sampler.distinct(count, lambda: sampler.next_int(count + 16))
+    return tuple(Fraction(1 + v) for v in draws)
 
 
 def default_family(variant: str, order: int, k: int | None, seed: int) -> MonomialFamily:
     """The seeded family of a de Bruijn row: phi and psi for a plain row,
-    2k grid rows for a generalized one (``k`` given)."""
+    2k grid rows for a generalized one (``k`` given).  Each is ``order``
+    distinct ints 1 + v, v <= order + 16, from ``SeededSampler.distinct``."""
     if k is None:
         return MonomialFamily(
             phi=_sample_params(seed, ("phi", variant, order), order),
@@ -351,4 +345,3 @@ DEBRUIJN = {
         _general("GENERAL_PERM", signed=False),
     )
 }
-DEBRUIJN_VARIANTS = tuple(check.name for check in DEBRUIJN.values())

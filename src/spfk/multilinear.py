@@ -1,14 +1,16 @@
 """Grassmann algebra (anticommuting generators) and square-zero commutative
 algebra over a generic coefficient ring.
 
-Elements are finite maps from generator bitmasks to ring coefficients, with
-at most 64 generators.  The two algebras share one product, which drops
-overlapping masks (eta_i^2 = 0 holds structurally: a bitmask never repeats a
-generator) and, for the Grassmann algebra, signs each disjoint pair with one
-population count.  ``coeff_of_product`` reads one coefficient of a product
-by the same rule without forming it.  The tensor power oracles multiply
-here; the exponentials, Berezin extraction and ordered products that test
-these algebras are in ``tests/oracles.py``.
+Elements are finite maps from generator bitmasks to ring coefficients, built
+by the constructor, which drops zero coefficients and refuses a mask past 64
+generators: generator i is ``cls(ring, {1 << i: ring.one})``, and ``mask_of``
+gives the mask of a 1-based index list.  The two algebras share one product,
+which drops overlapping masks (eta_i^2 = 0 holds structurally: a bitmask
+never repeats a generator) and, for the Grassmann algebra, signs each
+disjoint pair with one population count.  ``coeff_of_product`` reads one
+coefficient of a product by the same rule without forming it.  The tensor
+power oracles multiply here; the exponentials, Berezin extraction and
+ordered products that test these algebras are in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -66,23 +68,6 @@ class _NilpotentElement:
     def zero(cls, ring: Ring):
         return cls._make(ring, {})
 
-    @classmethod
-    def generator(cls, ring: Ring, i: int):
-        if not 0 <= i < MAX_GENERATORS:
-            raise ValueError("generator capacity exceeded (64 generators)")
-        return cls._make(ring, {1 << i: ring.one})
-
-    @classmethod
-    def quadratic(cls, ring: Ring, n: int, entry):
-        """Sum over i<j of entry(i, j) times generators i and j (1-based)."""
-        terms = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                c = entry(i, j)
-                if not ring.is_zero(c):
-                    terms[mask_of((i, j))] = c
-        return cls._make(ring, terms)
-
     def coeff(self, mask: int):
         return self._terms.get(mask, self.ring.zero)
 
@@ -113,12 +98,6 @@ class _NilpotentElement:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, coeff):
-        ring = self.ring
-        if ring.is_zero(coeff):
-            return type(self).zero(ring)
-        return type(self)._make(ring, {m: ring.mul(c, coeff) for m, c in self._terms.items()})
 
     def div_int(self, n: int):
         ring = self.ring

@@ -162,11 +162,6 @@ def _within_caps(case: SuiteCase, overrides: dict) -> bool:
     return True
 
 
-def _pool_entry(args):
-    case, config = args
-    return run_case(case, config)
-
-
 def run_suite(config: SuiteConfig) -> tuple[list[tuple[SuiteCase, VerificationReport]], bool]:
     """Run the (possibly capped) default matrix; results sorted canonically.
     Caps that exclude every case raise ValueError: an empty run checks
@@ -177,7 +172,7 @@ def run_suite(config: SuiteConfig) -> tuple[list[tuple[SuiteCase, VerificationRe
         raise ValueError(f"no suite case is within the caps {caps}")
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_pool_entry, [(c, config) for c in cases]))
+            reports = list(pool.map(run_case, cases, itertools.repeat(config)))
     else:
         reports = [run_case(c, config) for c in cases]
     results = list(zip(cases, reports))

@@ -208,11 +208,11 @@ def wedge_sign(a_mask, b_mask):
 
 
 def grassmann_generators(ring, n):
-    return [GrassmannElement.generator(ring, i) for i in range(n)]
+    return [GrassmannElement(ring, {1 << i: ring.one}) for i in range(n)]
 
 
 def sz_generators(ring, n):
-    return [SquareZeroElement.generator(ring, i) for i in range(n)]
+    return [SquareZeroElement(ring, {1 << i: ring.one}) for i in range(n)]
 
 
 def berezin_extract(T, indices):
@@ -274,9 +274,9 @@ def r_value_loop(xs):
     return 1 / prod
 
 
-def schur_product_loop(x, scale=1):
-    """scale * prod_{i<j} (x_i - x_j) / (x_i + x_j), one Fraction per factor."""
-    out = Fraction(scale)
+def schur_product_loop(x, factor=1):
+    """factor * prod_{i<j} (x_i - x_j) / (x_i + x_j), one Fraction per quotient."""
+    out = Fraction(factor)
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
             out *= (x[i] - x[j]) / (x[i] + x[j])

@@ -161,6 +161,14 @@ def test_verify_negative_y_reads_the_same_in_both_spellings(capsys, big_n, n, y,
     assert json.loads(outs[0])["params"]["y"] == shown
 
 
+def test_verify_vandermonde_y_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, "verify", "vandermonde", "--N", "3", "--n", "2", "--m", "1",
+                         "--y", "1,2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: VANDERMONDE needs N values of y, got y=[1, 2] for N=3\n"
+
+
 def test_verify_vandermonde_y_is_in_the_report_params(capsys):
     payloads = []
     for y in ("1,2", "1,3", "1/2,5/3"):
@@ -769,8 +777,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):

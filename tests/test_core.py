@@ -80,6 +80,19 @@ def test_sampler_bounds_and_errors():
         SeededSampler(7).positive_distinct(0, 4)
 
 
+def test_distinct_keeps_first_draws_in_order():
+    draws = iter([3, 1, 3, 2, 1, 5])
+    assert SeededSampler(7).distinct(3, lambda: next(draws)) == [3, 1, 2]
+    assert next(draws) == 1  # nothing past the third distinct value is drawn
+
+
+def test_distinct_of_zero_values_draws_nothing():
+    def refuse():
+        raise AssertionError("drew a value")
+
+    assert SeededSampler(7).distinct(0, refuse) == []
+
+
 def test_sampler_golden_file():
     # The first 64 samples of seed 42 are the platform-independence contract.
     expected = json.loads((GOLDEN / "sampler_seed42.json").read_text())

@@ -657,6 +657,18 @@ def test_vandermonde_caps():
         verify_vandermonde_average(2, 3, 2)
 
 
+def test_vandermonde_y_of_the_wrong_length_is_refused_before_any_work(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a side ran")
+
+    monkeypatch.setattr(identities, "hyperpfaffian", refuse)
+    monkeypatch.setattr(identities, "determinant", refuse)
+    expected = "VANDERMONDE needs N values of y, got y=[1, 5/2] for N=3"
+    with pytest.raises(ValueError) as info:
+        verify_vandermonde_average(3, 2, 1, y=[1, Fraction(5, 2)])
+    assert str(info.value) == expected
+
+
 def test_reports_are_deterministic():
     a = verify_rational_identity("SCHUR", 2, seed=42)
     b = verify_rational_identity("SCHUR", 2, seed=42)
@@ -734,18 +746,18 @@ _SCHUR_POINTS = (
 
 def test_schur_product_does_no_fraction_arithmetic(monkeypatch):
     # The products run on the cleared point and one Fraction is built, for
-    # an int and for a Fraction scale: a Fraction sum, product or quotient
+    # an int and for a Fraction factor: a Fraction sum, product or quotient
     # anywhere in it raises here.  Each value, from a list or an iterator,
     # must equal the Fraction loop's.
-    scales = (1, 3, Fraction(-2, 7))
+    factors = (1, 3, Fraction(-2, 7))
     refuse_fraction_arithmetic(monkeypatch)
     got = [
         (identities._schur_product(x, c), identities._schur_product(iter(x), c))
         for x in _SCHUR_POINTS
-        for c in scales
+        for c in factors
     ]
     with pytest.raises(ZeroDivisionError):
         identities._schur_product([Fraction(1, 2), Fraction(-1, 2)])
     monkeypatch.undo()
-    assert got == [(schur_product_loop(x, c),) * 2 for x in _SCHUR_POINTS for c in scales]
+    assert got == [(schur_product_loop(x, c),) * 2 for x in _SCHUR_POINTS for c in factors]
     assert all(type(value) is Fraction for pair in got for value in pair)

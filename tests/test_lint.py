@@ -1,0 +1,58 @@
+"""A stdlib-only lint of the package sources: every imported name is used in
+its module, and every private module-level function or class is referenced
+there.  A deletion that leaves an import or a helper behind fails here."""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "spfk"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported(tree) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def _loads(tree) -> list[str]:
+    return [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+
+
+def unused_names(source: str) -> list[str]:
+    """Imported names never read, and private top-level defs and classes
+    never referenced outside their own body."""
+    tree = ast.parse(source)
+    loads = _loads(tree)
+    out = [name for name in _imported(tree) if name not in loads]
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") and not node.name.startswith("__"):
+            if loads.count(node.name) == _loads(node).count(node.name):
+                out.append(node.name)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_import_or_private_helper(path):
+    assert unused_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_lint_sees_a_planted_unused_import_and_helper():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from fractions import Fraction as F\n"
+        "def _helper(n):\n"
+        "    return _helper(n - 1) if n else math.pi\n"
+        "def _used():\n"
+        "    return F(1)\n"
+        "VALUE = _used()\n"
+    )
+    assert unused_names(source) == ["os", "_helper"]

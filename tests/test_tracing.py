@@ -8,7 +8,7 @@ calls must still run and pass the workload's own checks."""
 import os
 import sys
 
-from spfk import freealg
+from spfk import freealg, identities, integrals
 from spfk.core import QQ
 from spfk.multilinear import GrassmannElement, SquareZeroElement
 
@@ -45,7 +45,7 @@ def test_tracer_wraps_every_name_and_restores_it():
         freealg.SHUFFLE_RING.mul(a, b)
         freealg.ANTISHUFFLE_RING.mul(a, b)
         for cls in (GrassmannElement, SquareZeroElement):
-            cls.generator(QQ, 0) * cls.generator(QQ, 1)
+            cls(QQ, {1: QQ.one}) * cls(QQ, {2: QQ.one})
     finally:
         tracer.restore()
     layers = tracer.layers()
@@ -57,6 +57,31 @@ def test_tracer_wraps_every_name_and_restores_it():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_r_value_counts_the_calls_made_through_identities():
+    # identities imports r_value by name; the tracer rebinds that name too,
+    # so every ARQ and MEHTA1 right-side call reaches the integrals.r_value
+    # span, as a counter on the identities name confirms.
+    original = integrals.r_value
+    tracer = tracing.Tracer()
+    tracer.install([f for f in tracing.FUNCTIONS if f[0] == "integrals.r_value"], ())
+    counted = []
+    try:
+        traced = identities.r_value
+        assert traced is integrals.r_value is not original
+
+        def count(*args, **kwargs):
+            counted.append(args)
+            return traced(*args, **kwargs)
+
+        identities.r_value = count
+        for variant, size in (("ARQ", 1), ("MEHTA1", 3)):
+            assert identities.verify_rational_identity(variant, size).equal, variant
+    finally:
+        tracer.restore()
+    assert identities.r_value is integrals.r_value is original
+    assert len(counted) == tracer.layers()["integrals.r_value.calls"] > 0
 
 
 def test_workloads_find_every_name_they_call():
