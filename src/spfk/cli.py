@@ -1,10 +1,10 @@
 """Command-line front end: run single verifiers or the full suite, and
 evaluate (hyper)Pfaffians/hafnians of tensors stored as JSON files.
 
-Exit codes: 0 pass, 1 identity failure or a closed stdout (the reader of a
-pipe went away, as after ``| head -1``), 2 usage or input error.  The default
-seed is 42, overridable by the SPFK_SEED environment variable and then by
---seed.
+Exit codes: 0 pass, 1 identity failure, a broken worker pool or a closed
+stdout (the reader of a pipe went away, as after ``| head -1``), 2 usage or
+input error.  The default seed is 42, overridable by the SPFK_SEED
+environment variable and then by --seed.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import tensors
@@ -206,6 +207,9 @@ def _cmd_suite(ns) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:
+        print(f"error: worker pool failed: {exc}", file=sys.stderr)
+        return 1
     if ns.json:
         sys.stdout.buffer.write(suite_json_bytes(results))
         sys.stdout.buffer.flush()

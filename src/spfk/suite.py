@@ -171,8 +171,10 @@ def run_suite(config: SuiteConfig) -> tuple[list[tuple[SuiteCase, VerificationRe
         caps = " ".join(f"--max {name}={limit}" for name, limit in config.caps.items())
         raise ValueError(f"no suite case is within the caps {caps}")
     if config.jobs > 1:
+        # About 8 chunks per worker: fewer round trips than one per case, little imbalance.
+        chunksize = -(-len(cases) // (8 * config.jobs))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(run_case, cases, itertools.repeat(config)))
+            reports = list(pool.map(run_case, cases, itertools.repeat(config), chunksize=chunksize))
     else:
         reports = [run_case(c, config) for c in cases]
     results = list(zip(cases, reports))

@@ -9,6 +9,8 @@ import signal
 import subprocess
 import sys
 import time
+import types
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -668,6 +670,18 @@ def test_suite_parallel_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_suite_jobs2_prints_the_golden_report():
+    # A real pool of two workers deals the cases in chunks; the report's bytes
+    # do not depend on the dealing: the full matrix (16 chunks of 15 cases)
+    # and a capped one (28 cases in 14 chunks of 2) match the serial run.
+    results, ok = suite.run_suite(suite.SuiteConfig(seed=42, jobs=2))
+    assert ok
+    assert suite.suite_json_bytes(results) == GOLDEN.read_bytes()
+    serial, _ = suite.run_suite(suite.SuiteConfig(seed=42, caps={"size": 1}))
+    pooled, _ = suite.run_suite(suite.SuiteConfig(seed=42, jobs=2, caps={"size": 1}))
+    assert suite.suite_json_bytes(pooled) == suite.suite_json_bytes(serial)
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("SPFK_SEED", "99")
     code, out, _ = run(capsys, "verify", "schur", "--n", "1", "--format", "json")
@@ -764,9 +778,11 @@ def test_suite_jobs_below_one(capsys, jobs):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each map's
+    chunksize, maps in-process."""
 
     created = []
+    chunksizes = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -777,13 +793,40 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, *iterables)
+
+
+def _echo_case(case, config):
+    """Stands in for run_case: a report with the case's sort key, no work."""
+    return types.SimpleNamespace(identity=case.runner, params=case.param_dict(),
+                                 seeds=[config.seed + case.seed_offset],
+                                 equal=case.expect_equal)
+
+
+@pytest.mark.parametrize("jobs", (2, 64))
+@pytest.mark.parametrize("caps", ({}, {"size": 1}), ids=("all", "size1"))
+def test_suite_deals_at_most_8_chunks_per_worker(monkeypatch, jobs, caps):
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(_SerialPool, "chunksizes", [])
+    monkeypatch.setattr(suite, "run_case", _echo_case)
+    results, ok = suite.run_suite(suite.SuiteConfig(jobs=jobs, caps=caps))
+    assert ok and _SerialPool.created == [jobs]
+    [chunksize] = _SerialPool.chunksizes
+    assert chunksize >= 1
+    assert -(-len(results) // chunksize) <= 8 * jobs
+    if len(results) <= 8 * jobs:
+        assert chunksize == 1
+    if not caps and jobs == 2:
+        assert chunksize == 15  # 16 chunks of the 226 default cases
 
 
 def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr(suite, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(_SerialPool, "chunksizes", [])
     code0, serial, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--json")
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     code1, pooled, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "64", "--json")
@@ -791,8 +834,29 @@ def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: None)
     code2, single, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "64", "--json")
     assert _SerialPool.created == [3]
+    assert _SerialPool.chunksizes == [4]  # 82 cases in 21 chunks, at most 8 per worker
     assert code0 == code1 == code2 == 0
     assert serial == pooled == single
+
+
+class _BrokenPool(_SerialPool):
+    """A pool whose worker died: map raises as ProcessPoolExecutor's does."""
+
+    def map(self, fn, *iterables, chunksize=1):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+def test_suite_broken_pool_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(_BrokenPool, "created", [])
+    monkeypatch.setattr(suite, "run_case", _refuse)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    code, out, err = run(capsys, "suite", "--jobs", "2", "--json")
+    assert _BrokenPool.created == [2]
+    assert code == 1
+    assert out == ""
+    assert err == ("error: worker pool failed: "
+                   "A process in the process pool was terminated abruptly\n")
 
 
 @pytest.mark.parametrize(
