@@ -16,6 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import tensors
+from .core import COEFF_CONVENTIONS
 from .report import VerificationReport
 from .suite import (
     CAP_NAMES,
@@ -74,7 +75,7 @@ _IDENTITY_FLAGS = {
     "parts": {"type": _parse_parts, "help": "parts, e.g. 1,2,3"},
     "y": {"type": _parse_rationals, "help": "sample values, e.g. 1,2,5/2"},
     "pairs": {"type": int},
-    "coeff": {"choices": ("corrected", "paper")},
+    "coeff": {"choices": COEFF_CONVENTIONS},
 }
 
 
@@ -170,8 +171,7 @@ def _cmd_tensor(ns) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    frac = Fraction(value)
-    print(f"{frac.numerator}/{frac.denominator}")
+    print(f"{value.numerator}/{value.denominator}")
     return 0
 
 

@@ -20,31 +20,18 @@ from fractions import Fraction
 _MASK64 = (1 << 64) - 1
 
 
-def odd_double_factorial(n: int) -> int:
-    """(2n-1)!! = 1*3*5*...*(2n-1), the number of perfect matchings of 2n points.
-
-    Computed as (2n)!/(2^n n!); odd_double_factorial(0) == 1.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return math.factorial(2 * n) // ((1 << n) * math.factorial(n))
-
-
-def even_double_factorial(n: int) -> int:
-    """(2n)!! = 2*4*...*(2n), with even_double_factorial(0) == 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return (1 << n) * math.factorial(n)
+COEFF_CONVENTIONS = ("corrected", "paper")
 
 
 def double_factorial_coeff(half: int, coeff: str) -> tuple[int, str]:
     """The normalising double factorial of a 2n-point sum and its name:
-    (2n-1)!! for the ``"corrected"`` convention, the source paper's (2n)!!
-    for ``"paper"``."""
+    (2n-1)!! = (2n)!/(2n)!! for the ``"corrected"`` convention, the source
+    paper's (2n)!! = 2^n n! for ``"paper"``.  A negative n raises ValueError."""
+    even = math.factorial(half) << half
     if coeff == "corrected":
-        return odd_double_factorial(half), "(2n-1)!!"
+        return math.factorial(2 * half) // even, "(2n-1)!!"
     if coeff == "paper":
-        return even_double_factorial(half), "(2n)!!"
+        return even, "(2n)!!"
     raise ValueError("coeff must be 'corrected' or 'paper'")
 
 

@@ -36,7 +36,7 @@ seeded word pairs over ``ALPHABET`` letters, is the ``CHEN`` row, run by
 ``report.run_check``; each order's parity and every cap is in its row's
 domain, checked (``core.check_domain``) before any sampling.  CHEN's left
 side, <u><v>, integrates each word by ``iterated_integral_oracle``; only its
-right side, <u shuffle v>, goes through ``chen_form`` and ``r_value``.
+right side, the FreePoly <u shuffle v>, goes through ``chen_form`` and ``r_value``.
 """
 from __future__ import annotations
 
@@ -114,14 +114,14 @@ def _family_params(word, phi):
         raise ValueError("unknown letter for this family") from exc
 
 
-def chen_form(w, fam: MonomialFamily):
-    """<w> for a word (tuple of letter indices) or linearly for a FreePoly.
+def chen_form(w: FreePoly, fam: MonomialFamily):
+    """<w>, extended linearly over the words of the FreePoly ``w``.
 
     ``fam.phi`` is cleared over its lcm L once per call, and each word's
     value is ``r_value`` of its cleared parameters over L."""
     scale, phi = clear_denominators(fam.phi)
-    terms = w.terms() if isinstance(w, FreePoly) else [(w, 1)]
-    return sum((c * r_value(_family_params(word, phi), scale) for word, c in terms), Fraction(0))
+    return sum((c * r_value(_family_params(word, phi), scale) for word, c in w.terms()),
+               Fraction(0))
 
 
 def iterated_integral_oracle(params) -> Fraction:

@@ -3,14 +3,15 @@ algebra over a generic coefficient ring.
 
 Elements are finite maps from generator bitmasks to ring coefficients, built
 by the constructor, which drops zero coefficients and refuses a mask past 64
-generators: generator i is ``cls(ring, {1 << i: ring.one})``, and ``mask_of``
-gives the mask of a 1-based index list.  The two algebras share one product,
-which drops overlapping masks (eta_i^2 = 0 holds structurally: a bitmask
-never repeats a generator) and, for the Grassmann algebra, signs each
-disjoint pair with one population count.  ``coeff_of_product`` reads one
-coefficient of a product by the same rule without forming it.  The tensor
-power oracles multiply here; the exponentials, Berezin extraction and
-ordered products that test these algebras are in ``tests/oracles.py``.
+generators: generator i is ``cls(ring, {1 << i: ring.one})``, the zero is
+``cls(ring)``, and ``mask_of`` gives the mask of a 1-based index list.  The
+two algebras share one product, which drops overlapping masks (eta_i^2 = 0
+holds structurally: a bitmask never repeats a generator) and, for the
+Grassmann algebra, signs each disjoint pair with one population count.
+``coeff_of_product`` reads one coefficient of a product by the same rule
+without forming it.  The tensor power oracles multiply here; the
+exponentials, Berezin extraction and ordered products that test these
+algebras are in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -64,10 +65,6 @@ class _NilpotentElement:
     def one(cls, ring: Ring):
         return cls._make(ring, {0: ring.one})
 
-    @classmethod
-    def zero(cls, ring: Ring):
-        return cls._make(ring, {})
-
     def coeff(self, mask: int):
         return self._terms.get(mask, self.ring.zero)
 
@@ -76,9 +73,6 @@ class _NilpotentElement:
 
     def num_terms(self) -> int:
         return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __add__(self, other):
         self._check_compat(other)
@@ -95,13 +89,6 @@ class _NilpotentElement:
     def __neg__(self):
         ring = self.ring
         return type(self)._make(ring, {m: ring.neg(c) for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def div_int(self, n: int):
-        ring = self.ring
-        return type(self)._make(ring, {m: ring.div_int(c, n) for m, c in self._terms.items()})
 
     def _product(self, other):
         # Bound as __mul__ in each subclass's own namespace.  P(B) is built

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import SeededSampler, check_domain, double_factorial_coeff, mix_seed
@@ -22,11 +21,7 @@ def digest(canonical: str) -> str:
 
 
 def scalar_list_canonical(values) -> str:
-    parts = []
-    for v in values:
-        frac = Fraction(v)
-        parts.append(f"{frac.numerator}/{frac.denominator}")
-    return ";".join(parts) if parts else "0"
+    return ";".join(f"{v.numerator}/{v.denominator}" for v in values) or "0"
 
 
 @dataclass

@@ -390,10 +390,15 @@ def determinant(M: DenseMatrix):
 
 
 def _json_int(value) -> int:
-    # An integer or a decimal string.  int() would read JSON true/false as
-    # 1/0, truncate 1.5 and overflow on 1e400, so bools and floats are refused.
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    # A JSON integer or a decimal string, -?[0-9]+.  int() would also read
+    # true/false as 1/0, truncate 1.5, overflow on 1e400, and take "1_0", " 3 ",
+    # "+1" and non-ASCII digits.  Of ASCII characters, only 0-9 are isdigit().
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
         raise TypeError(f"expected an integer, got {value!r}")
+    if not (value.isascii() and value.removeprefix("-").isdigit()):
+        raise ValueError(f"expected a decimal string, got {value!r}")
     return int(value)
 
 

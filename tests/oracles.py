@@ -241,9 +241,9 @@ def exp_even(H):
     while True:
         k += 1
         power = power * H
-        if power.is_zero():
+        if not power.num_terms():
             return out
-        out = out + power.div_int(math.factorial(k))
+        out = out + power * type(H)(H.ring, {0: H.ring.div_int(H.ring.one, math.factorial(k))})
 
 
 def ordered_product(factors):

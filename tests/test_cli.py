@@ -223,7 +223,8 @@ def test_verify_bad_list_value_is_a_usage_error(capsys, argv):
 
 # The identity table against the suite, the CLI, --help and the README.
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_seed42.json"
+ROOT = pathlib.Path(__file__).parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "suite_seed42.json"
 
 
 def _first_cases():
@@ -285,12 +286,17 @@ def test_suite_case_and_library_verifier_give_one_report(identity):
     assert via_library.to_json_dict() == via_suite
 
 
+def _src_env() -> dict:
+    """The environment for a child interpreter: this one's, with the
+    repository's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_erratum_demo_script_runs():
-    root = pathlib.Path(__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "erratum_demo.py")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "erratum_demo.py")],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "coefficient 1/(2n-1)!!: equal=True" in lines
@@ -298,11 +304,8 @@ def test_erratum_demo_script_runs():
 
 
 def test_python_m_spfk_suite_prints_the_golden_report():
-    root = pathlib.Path(__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "spfk", "suite", "--seed", "42", "--json"],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == GOLDEN.read_bytes()
 
@@ -311,10 +314,7 @@ def test_each_module_imports_first():
     # The package's __init__ imports nothing, so no entry point fixes the
     # import order: each module must import cleanly on its own.  One fresh
     # interpreter imports each module after dropping every cached spfk module.
-    root = pathlib.Path(__file__).parents[1]
-    names = sorted(f"spfk.{path.stem}" for path in (root / "src" / "spfk").glob("*.py"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    names = sorted(f"spfk.{path.stem}" for path in (ROOT / "src" / "spfk").glob("*.py"))
     code = (
         "import importlib, sys\n"
         f"for name in {names!r}:\n"
@@ -324,7 +324,7 @@ def test_each_module_imports_first():
         "    print(name)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == names
 
@@ -340,9 +340,8 @@ def test_closed_stdout_pipe_exits_1_with_empty_stderr(argv, unbuffered):
     # with EPIPE.  Whether a write comes after the close depends on how much
     # of the output the pipe buffer took first, so the read end is closed
     # before the command starts: every write then meets a closed pipe.
-    root = pathlib.Path(__file__).parents[1]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
@@ -381,7 +380,7 @@ def test_suite_emits_exactly_the_table_ids():
 
 
 def test_readme_id_list_is_the_table():
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     listed = re.search(r"Identity ids: `([^`]*)`", readme).group(1).split()
     assert listed == list(suite.IDENTITIES)
 
@@ -758,6 +757,30 @@ def test_tensor_json_non_integers_exit_2(tmp_path, capsys, obj):
     code, _, err = run(capsys, "pf", str(path))
     assert code == 2
     assert "malformed" in err
+
+
+# Strings int() reads but that are not -?[0-9]+: an underscore, surrounding
+# spaces, a leading plus and a non-ASCII digit (ARABIC-INDIC DIGIT THREE).
+@pytest.mark.parametrize("spelling", ("1_0", " 3 ", "+1", "\u0663"),
+                         ids=("underscore", "spaces", "plus", "arabic-indic"))
+@pytest.mark.parametrize("field", ("dim", "idx", "num", "den"))
+def test_tensor_json_refuses_a_non_decimal_string_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                  field, spelling):
+    monkeypatch.setattr(tensors, "pfaffian", lambda _M: pytest.fail("ran the kernel"))
+    entry = {"idx": [1, 2], "num": "1", "den": "3"}
+    obj = {"order": 2, "dim": "2", "entries": [entry]}
+    if field == "dim":
+        obj["dim"] = spelling
+    elif field == "idx":
+        entry["idx"] = [spelling, 2]
+    else:
+        entry[field] = spelling
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pf", str(path))
+    where = "tensor JSON" if field == "dim" else "tensor entry"
+    message = f"error: malformed {where}: expected a decimal string, got {spelling!r}"
+    assert (code, out, err.strip()) == (2, "", message)
 
 
 def test_env_seed_not_an_integer(capsys, monkeypatch):

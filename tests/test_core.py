@@ -14,9 +14,7 @@ from spfk.core import (
     SeededSampler,
     clear_denominators,
     double_factorial_coeff,
-    even_double_factorial,
     mix_seed,
-    odd_double_factorial,
 )
 from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly
 
@@ -38,16 +36,16 @@ def _matchings(points):
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 1), (2, 3), (4, 105)])
 def test_odd_double_factorial(n, expected):
-    assert odd_double_factorial(n) == expected
-    assert odd_double_factorial(n) == _matchings(tuple(range(2 * n)))
+    assert double_factorial_coeff(n, "corrected")[0] == expected
+    assert double_factorial_coeff(n, "corrected")[0] == _matchings(tuple(range(2 * n)))
 
 
 def test_even_double_factorial():
-    assert [even_double_factorial(n) for n in range(4)] == [1, 2, 8, 48]
+    assert [double_factorial_coeff(n, "paper")[0] for n in range(4)] == [1, 2, 8, 48]
     with pytest.raises(ValueError):
-        odd_double_factorial(-1)
+        double_factorial_coeff(-1, "corrected")
     with pytest.raises(ValueError):
-        even_double_factorial(-1)
+        double_factorial_coeff(-1, "paper")
 
 
 def test_double_factorial_coeff_conventions():
@@ -106,6 +104,38 @@ def test_child_seeds_independent():
     assert c1.seed != c2.seed
     assert mix_seed(42, "a") != mix_seed(42, "b")
     assert mix_seed(42, ("x", 1)) == mix_seed(42, ("x", 1))
+
+
+# mix_seed's values, pinned: the suite's samples, and so the golden report,
+# follow from them.  The seed is read mod 2^64 (-1 is 2^64 - 1).
+@pytest.mark.parametrize(
+    "seed,tag,value",
+    [
+        (42, (), 4585920040508063452),
+        (42, "", 14244689599190620302),
+        (42, 0, 1315597890332495672),
+        (42, -1, 4490333183104252778),
+        (42, 2**64, 16714881957025213475),
+        (42, -(2**64), 555795608101356270),
+        (42, b"\x00\xff", 10755244764638106716),
+        (42, "é", 18155888414579775966),
+        (42, ("vi", (1, 2), 8, 0), 10997211037229705523),
+        (42, ["vi", [1, 2], 8, 0], 10997211037229705523),  # a list folds as the equal tuple
+        (0, (), 16608969375651130126),
+        (-1, ("vi", (1, 2), 8, 0), 18442143990578589494),
+        (2**64 - 1, ("vi", (1, 2), 8, 0), 18442143990578589494),
+        (10**30, "", 3783628167981254675),
+    ],
+)
+def test_mix_seed_values(seed, tag, value):
+    assert mix_seed(seed, tag) == value
+
+
+def test_mix_seed_refuses_a_float_tag():
+    with pytest.raises(TypeError, match="unsupported tag type: float"):
+        mix_seed(42, 1.5)
+    with pytest.raises(TypeError, match="unsupported tag type: float"):
+        mix_seed(42, ("vi", 1.5))
 
 
 def _ring_elements(ring, sampler, count):

@@ -74,11 +74,11 @@ def test_family_validation():
 
 def test_chen_form_examples():
     fam = MonomialFamily(phi=(Fraction(3),))
-    assert chen_form((0,), fam) == Fraction(1, 3)
+    assert chen_form(FreePoly.from_word((0,)), fam) == Fraction(1, 3)
     fam2 = MonomialFamily(phi=(Fraction(2), Fraction(3)))
-    assert chen_form((0, 1), fam2) == Fraction(1, 10)
+    assert chen_form(FreePoly.from_word((0, 1)), fam2) == Fraction(1, 10)
     # Chen instance: <a><b> = <a sh b>
-    lhs = chen_form((0,), fam2) * chen_form((1,), fam2)
+    lhs = chen_form(FreePoly.from_word((0,)), fam2) * chen_form(FreePoly.from_word((1,)), fam2)
     rhs = chen_form(shuffle(FreePoly.from_word((0,)), FreePoly.from_word((1,))), fam2)
     assert lhs == rhs == Fraction(1, 6)
     assert Fraction(1, 6) == Fraction(1, 10) + Fraction(1, 15)
@@ -87,7 +87,7 @@ def test_chen_form_examples():
 def test_chen_form_unknown_letter():
     fam = MonomialFamily(phi=(Fraction(3),))
     with pytest.raises(ValueError, match="unknown letter"):
-        chen_form((1,), fam)
+        chen_form(FreePoly.from_word((1,)), fam)
 
 
 def test_oracle_matches_closed_form_short_words():
@@ -312,14 +312,17 @@ def _right_side(variant, order, k, fam, coeff="corrected"):
     return value
 
 
-def _brute_force(slots, width, signed):
-    """Sum over all m! permutations of sgn^signed * R(merged block exponents)."""
-    total = Fraction(0)
+def _brute_force(slots, width):
+    """The signed and the unsigned sums over all m! permutations of
+    sgn^signed * R(merged block exponents), in one pass."""
+    signed = unsigned = Fraction(0)
     for perm, sign in signed_permutations(len(slots)):
         params = [slots[p][letter - 1] for p, letter in enumerate(perm)]
-        zs = [merged_exponent(params[b : b + width]) for b in range(0, len(params), width)]
-        total += (sign if signed else 1) * r_value(zs)
-    return total
+        blocks = range(0, len(params), width)
+        term = r_value([merged_exponent(params[b : b + width]) for b in blocks])
+        signed += sign * term
+        unsigned += term
+    return signed, unsigned
 
 
 def _small_cases():
@@ -337,18 +340,14 @@ def test_left_side_matches_permutation_expansion(seed):
     for variant, order, k in _small_cases():
         fam = default_family(variant, order, k, seed)
         lhs = _left_side(variant, order, k, fam)
-        assert lhs == _brute_force(*_left_side_args(variant, order, k, fam)), (variant, order, k)
+        slots, width, signed = _left_side_args(variant, order, k, fam)
+        assert lhs == _brute_force(slots, width)[not signed], (variant, order, k)
 
 
 def test_general_left_sides_order_8_match_permutation_expansion():
     fam = default_family("GENERAL_DET", 8, 2, seed=42)
     slots, width, _ = _left_side_args("GENERAL_DET", 8, 2, fam)
-    signed_sum = unsigned_sum = Fraction(0)
-    for perm, sign in signed_permutations(8):
-        params = [slots[p][letter - 1] for p, letter in enumerate(perm)]
-        term = r_value([merged_exponent(params[:4]), merged_exponent(params[4:])])
-        signed_sum += sign * term
-        unsigned_sum += term
+    signed_sum, unsigned_sum = _brute_force(slots, width)
     assert ordered_sum(slots, width, signed=True) == signed_sum
     assert ordered_sum(slots, width, signed=False) == unsigned_sum
     assert _left_side("GENERAL_DET", 8, 2, fam) == signed_sum
@@ -366,26 +365,12 @@ def test_ordered_sum_non_integer_fractions():
         ("GENERAL_DET", 4, 2),
         ("GENERAL_PERM", 4, 2),
     ):
-        args = _left_side_args(variant, order, k, fam)
-        value = ordered_sum(*args)
+        slots, width, signed = _left_side_args(variant, order, k, fam)
+        value = ordered_sum(slots, width, signed)
         assert isinstance(value, Fraction) and value.denominator > 1
-        assert value == _brute_force(*args), variant
+        assert value == _brute_force(slots, width)[not signed], variant
         n = order if k is None else order // (2 * k)
         assert verify_debruijn(variant, n=n, k=k, fam=fam).equal
-
-
-def _brute_force_both(slots, width):
-    """The signed and the unsigned permutation sums of ``_brute_force`` in one pass."""
-    signed = unsigned = Fraction(0)
-    for perm, sign in signed_permutations(len(slots)):
-        params = [slots[p][letter - 1] for p, letter in enumerate(perm)]
-        blocks = range(0, len(params), width)
-        term = r_value([merged_exponent(params[b : b + width]) for b in blocks])
-        signed += sign * term
-        unsigned += term
-    return signed, unsigned
-
-
 
 
 @pytest.mark.parametrize(
@@ -397,7 +382,7 @@ def test_ordered_sum_mixed_denominators_match_permutation_expansion(width, order
     # and one full-width block pin where the shift and the in-block sign apply.
     families = tuple(_MIXED[j:] + _MIXED[:j] for j in range(6))
     slots = [families[p % width] for p in range(order)]
-    signed, unsigned = _brute_force_both(slots, width)
+    signed, unsigned = _brute_force(slots, width)
     assert ordered_sum(slots, width, signed=True) == signed
     assert ordered_sum(slots, width, signed=False) == unsigned
     assert unsigned.denominator > 1
@@ -406,7 +391,7 @@ def test_ordered_sum_mixed_denominators_match_permutation_expansion(width, order
 def test_ordered_sum_order_8_at_sampled_rational_points():
     # The MEHTA2/SUM1 left sides: one family, width 1, at a positive_distinct point.
     x = SeededSampler(mix_seed(42, "order-8")).positive_distinct(8, 200)
-    signed, unsigned = _brute_force_both([x] * 8, 1)
+    signed, unsigned = _brute_force([x] * 8, 1)
     assert ordered_sum([x] * 8, 1, signed=True) == signed
     assert ordered_sum([x] * 8, 1, signed=False) == unsigned
 

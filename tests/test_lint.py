@@ -1,13 +1,15 @@
-"""A stdlib-only lint of the package sources: every imported name is used in
-its module, and every private module-level function or class is referenced
-there.  A deletion that leaves an import or a helper behind fails here."""
+"""A stdlib-only lint of the package sources, the tests and the scripts:
+every imported name is used in its module, and every private module-level
+function or class is referenced there.  A deletion that leaves an import or
+a helper behind fails here."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "spfk"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = [*sorted((ROOT / "src" / "spfk").glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+           *sorted((ROOT / "scripts").glob("*.py"))]
 
 
 def _imported(tree) -> list[str]:

@@ -1,9 +1,7 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from spfk.core import QQ, SeededSampler
 from spfk.freealg import SHUFFLE_RING, FreePoly
@@ -24,14 +22,14 @@ def test_wedge_examples():
     e1, e2 = grassmann_generators(QQ, 2)
     assert (e1 * e2).coeff(mask_of((1, 2))) == 1
     assert (e2 * e1).coeff(mask_of((1, 2))) == -1
-    assert (e1 * e2 * e1).is_zero()
+    assert not (e1 * e2 * e1).num_terms()
 
 
 def test_sz_examples():
     x1, x2 = sz_generators(QQ, 2)
     assert (x1 * x2).coeff(mask_of((1, 2))) == 1
     assert x2 * x1 == x1 * x2
-    assert (x1 * x1).is_zero()
+    assert not (x1 * x1).num_terms()
 
 
 def test_wedge_sign_is_inversion_parity():
@@ -51,7 +49,7 @@ def test_single_term_products_on_six_generators(cls, signed):
         for b in range(1 << 6):
             prod = left * cls(QQ, {b: Fraction(2)})
             if a & b:
-                assert prod.is_zero(), (a, b)
+                assert not prod.num_terms(), (a, b)
             else:
                 sign = wedge_sign(a, b) if signed else 1
                 assert prod.terms() == [(a | b, sign * 2 * c)], (a, b)
@@ -82,7 +80,7 @@ def test_coeff_of_product_matches_the_product(cls):
     # six generators and at masks that reach past both supports.
     sampler = SeededSampler(17)
     masks = list(range(1 << 6)) + [1 << 6, (1 << 7) | 3, (1 << 63) | 5]
-    zero = cls.zero(QQ)
+    zero = cls(QQ)
     for _ in range(40):
         a = _random_element(cls, sampler, 6, 1 + sampler.next_int(8))
         b = _random_element(cls, sampler, 6, 1 + sampler.next_int(8))
@@ -96,10 +94,10 @@ def test_cancelling_product_stores_no_zero_term():
     e1, e2 = grassmann_generators(QQ, 2)
     assert ((e1 + e2) * (e1 + e2)).num_terms() == 0
     x1, x2 = sz_generators(QQ, 2)
-    assert ((x1 + x2) * (x1 - x2)).num_terms() == 0
+    assert ((x1 + x2) * (x1 + -x2)).num_terms() == 0
     # x1 x2 and x2 x3 cancel; x1 x3 stays.
     x3 = SquareZeroElement(QQ, {1 << 2: QQ.one})
-    assert ((x1 + x2 + x3) * (x1 - x2 + x3)).terms() == [(0b101, 2)]
+    assert ((x1 + x2 + x3) * (x1 + -x2 + x3)).terms() == [(0b101, 2)]
 
 
 def test_graded_commutativity():
@@ -251,7 +249,7 @@ def test_sz_exp_of_quadratic_gives_hafnians():
         for I in itertools.combinations(range(1, ngen + 1), size):
             assert berezin_extract(T, I) == hafnian(S.restrict(I))
     pairs = itertools.combinations(range(1, 4), 2)
-    assert SquareZeroElement(QQ, {mask_of(ij): Fraction(0) for ij in pairs}).is_zero()
+    assert not SquareZeroElement(QQ, {mask_of(ij): Fraction(0) for ij in pairs}).num_terms()
 
 
 def test_linear_factor_series_coefficients():

@@ -188,14 +188,14 @@ def test_hafnian_examples():
 
 def test_hafnian_of_all_ones_counts_matchings():
     # cross-module link: hafnian of the all-ones off-diagonal tensor is (2n-1)!!
-    from spfk.core import odd_double_factorial
+    from spfk.core import double_factorial_coeff
 
     for n in (1, 2, 3, 4):
         ones = SymTensor(
             QQ, 2, 2 * n,
             {t: Fraction(1) for t in itertools.combinations(range(1, 2 * n + 1), 2)},
         )
-        assert hafnian(ones) == odd_double_factorial(n)
+        assert hafnian(ones) == double_factorial_coeff(n, "corrected")[0]
 
 
 def test_hyperpfaffian_examples():
