@@ -4,7 +4,9 @@ evaluate (hyper)Pfaffians/hafnians of tensors stored as JSON files.
 Exit codes: 0 pass, 1 identity failure, a broken worker pool or a closed
 stdout (the reader of a pipe went away, as after ``| head -1``), 2 usage or
 input error.  The default seed is 42, overridable by the SPFK_SEED
-environment variable and then by --seed.
+environment variable and then by --seed.  Every integer in a flag or in
+SPFK_SEED is read by ``core.integer`` (-?[0-9]+ in ASCII); spaces may stand
+only around a list piece, a ``/`` or the ``=`` of ``--max NAME=VALUE``.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import tensors
-from .core import COEFF_CONVENTIONS
+from .core import COEFF_CONVENTIONS, integer
 from .report import VerificationReport
 from .suite import (
     CAP_NAMES,
@@ -43,7 +45,7 @@ _TENSOR_COMMANDS = {
 
 def _parse_parts(text: str) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(integer(p.strip()) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --parts value: {text!r}") from exc
 
@@ -52,12 +54,9 @@ def _parse_rationals(text: str) -> list:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
+        num, slash, den = piece.partition("/")
         try:
-            if "/" in piece:
-                num, den = piece.split("/")
-                out.append(Fraction(int(num), int(den)))
-            else:
-                out.append(Fraction(int(piece)))
+            out.append(Fraction(integer(num.strip()), integer(den.strip()) if slash else 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(f"bad rational value: {piece!r}") from exc
     return out
@@ -67,14 +66,14 @@ def _parse_rationals(text: str) -> list:
 # their defaults, is in the identity table; none has an argparse default, so
 # a flag given to an id that does not read it is refused.
 _IDENTITY_FLAGS = {
-    "n": {"type": int},
-    "m": {"type": int},
-    "k": {"type": int},
-    "t": {"type": int},
-    "N": {"type": int},
+    "n": {"type": integer},
+    "m": {"type": integer},
+    "k": {"type": integer},
+    "t": {"type": integer},
+    "N": {"type": integer},
     "parts": {"type": _parse_parts, "help": "parts, e.g. 1,2,3"},
     "y": {"type": _parse_rationals, "help": "sample values, e.g. 1,2,5/2"},
-    "pairs": {"type": int},
+    "pairs": {"type": integer},
     "coeff": {"choices": COEFF_CONVENTIONS},
 }
 
@@ -185,7 +184,7 @@ def _parse_caps(raw) -> dict:
         if key not in CAP_NAMES:
             raise ValueError(f"unknown --max cap {key!r}; known caps: {', '.join(CAP_NAMES)}")
         try:
-            caps[key] = int(val)
+            caps[key] = integer(val.strip())
         except ValueError as exc:
             raise ValueError(f"bad --max value: {item!r}") from exc
     return caps
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("identity")
     for name, kwargs in _IDENTITY_FLAGS.items():
         pv.add_argument(f"--{name}", default=None, **kwargs)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--seed", type=integer, default=None)
     pv.add_argument("--format", choices=("text", "json"), default="text")
     pv.add_argument("--paranoid", action="store_true")
 
@@ -243,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         pt.add_argument("file")
 
     ps = sub.add_parser("suite", help="run the full verification matrix")
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=integer, default=None)
     ps.add_argument("--json", action="store_true")
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=integer, default=1)
     ps.add_argument("--paranoid", action="store_true")
     ps.add_argument("--max", action="append", metavar="CAP=VALUE",
                     help="lower a size cap, e.g. --max 2mn=6")
@@ -257,7 +256,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else list(argv)))
     if ns.command in ("verify", "suite") and ns.seed is None:
         try:
-            ns.seed = int(os.environ.get("SPFK_SEED", DEFAULT_SEED))
+            ns.seed = integer(os.environ.get("SPFK_SEED", DEFAULT_SEED))
         except ValueError:
             print("error: SPFK_SEED must be an integer", file=sys.stderr)
             return 2

@@ -1,4 +1,5 @@
-"""Exact rational arithmetic, the ring contract, and seeded sampling.
+"""Exact rational arithmetic, the ring contract, the one reader of integers
+from outside (``integer``), and seeded sampling.
 
 Everything in this package computes over exact coefficient rings: the base
 field is arbitrary-precision rationals (``fractions.Fraction``), and the
@@ -33,6 +34,21 @@ def double_factorial_coeff(half: int, coeff: str) -> tuple[int, str]:
     if coeff == "paper":
         return even, "(2n)!!"
     raise ValueError("coeff must be 'corrected' or 'paper'")
+
+
+def integer(value) -> int:
+    """An integer from outside (a CLI flag, a list piece, ``SPFK_SEED`` or a
+    tensor-JSON field): an int as it is, or a str of the form ``-?[0-9]+`` in
+    ASCII, where only 0-9 are isdigit().  int() would also read true/false as
+    1/0, truncate 1.5, overflow on 1e400, and take "1_0", " 3 ", "+1" and
+    non-ASCII digits."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not (value.isascii() and value.removeprefix("-").isdigit()):
+        raise ValueError(f"expected a decimal string, got {value!r}")
+    return int(value)
 
 
 def check_domain(name: str, params: dict, domain) -> dict:

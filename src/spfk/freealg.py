@@ -6,11 +6,12 @@ A word is a plain tuple of non-negative letter ids; the algebra core never
 inspects what a letter means.  FreePoly values are immutable; every
 operation returns a new instance.
 
-The shuffle, the q-shuffle and ``ShuffleRing.dot`` share one accumulation
-loop into one dict.  A word pair whose letters are all distinct (the common
-case in the Wick checks) is read off a per-length merge table; every other
-pair goes to the one memoised q-shuffle recursion (Reutenauer, *Free Lie
-Algebras*, ch. 1), which merges the words that repeated letters make equal.
+The shuffle, the q-shuffle and ``ShuffleRing.dot`` share one sum into one
+dict, with one add loop per path.  A word pair whose letters are all distinct
+(the common case in the Wick checks) is read off a per-length merge table;
+every other pair goes to the one memoised q-shuffle recursion (Reutenauer,
+*Free Lie Algebras*, ch. 1), which merges the words that repeated letters
+make equal.
 """
 from __future__ import annotations
 
@@ -144,12 +145,7 @@ def _shuffle_words(u: Word, v: Word, qval) -> dict:
     head = (u[0],)
     out = {head + w: c for w, c in _shuffle_words(u[1:], v, qval).items()}
     head, factor = (v[0],), qval ** len(u)
-    rest = _shuffle_words(u, v[1:], qval).items()
-    if factor and v[0] != u[0]:
-        # The two halves' words start with different letters: none meet.
-        out.update({head + w: c * factor for w, c in rest})
-        return out
-    for w, c in rest:
+    for w, c in _shuffle_words(u, v[1:], qval).items():
         key = head + w
         s = out.get(key, 0) + c * factor
         if s:
@@ -188,8 +184,8 @@ def _shuffle_sum(pairs, qval) -> FreePoly:
     C(a+b, a) distinct result words, each with coefficient q ** inversions,
     so it is read off ``_merges(a, b)`` with no dict and no cache entry per
     pair.  Every other pair (an empty word, a repeated letter, another qval)
-    goes to the memoised recursion, which merges repeated words.  A term pair
-    into an empty sum is copied in without the lookups an addition needs."""
+    goes to the memoised recursion, which merges repeated words.  Each path
+    adds every term pair through its one loop, dropping the words that cancel."""
     table = qval == 1 or qval == -1
     out: dict = {}
     get = out.get
@@ -203,9 +199,6 @@ def _shuffle_sum(pairs, qval) -> FreePoly:
                 if letters and v and letters.isdisjoint(v) and len(set(v)) == len(v):
                     uv = u + v
                     signed = (c, c * qval)
-                    if not out:
-                        out.update({pick(uv): signed[odd] for pick, odd in _merges(len(u), len(v))})
-                        continue
                     for pick, odd in _merges(len(u), len(v)):
                         w = pick(uv)
                         s = get(w, 0) + signed[odd]
@@ -214,11 +207,7 @@ def _shuffle_sum(pairs, qval) -> FreePoly:
                         else:
                             out.pop(w)
                     continue
-                mults = _shuffle_words(u, v, qval)
-                if not out:
-                    out.update(mults if c == 1 else {w: c * mult for w, mult in mults.items()})
-                    continue
-                for w, mult in mults.items():
+                for w, mult in _shuffle_words(u, v, qval).items():
                     s = get(w, 0) + c * mult
                     if s:
                         out[w] = s

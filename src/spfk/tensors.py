@@ -17,7 +17,8 @@ hyper kernels have independent Grassmann/square-zero power oracles, one helper
 over the two nilpotent algebras that reads the top coefficient of
 G^h * G^(n-h), h = n // 2, in one pass, over ZZ for a QQ tensor (int numerators
 over one denominator); the Grassmann one needs an even order.
-enumerate_blocked lists the partitions themselves.
+enumerate_blocked lists the partitions themselves; ``tensor_from_json`` reads
+its integers with ``core.integer``, as the CLI does.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import QQ, ZZ, Ring, clear_denominators
+from .core import QQ, ZZ, Ring, clear_denominators, integer
 from .freealg import sort_with_sign
 from .multilinear import GrassmannElement, SquareZeroElement, mask_of
 
@@ -300,12 +301,10 @@ def group_form(ring: Ring, order: int, g: int, value_of, signed: bool, alternati
     perms = tuple(signed_permutations(g))  # read once per entry
 
     def entry(idx):
-        total = None
+        total = ring.zero
         for tau, sign in perms:
             value = value_of(tuple(idx[t - 1] for t in tau))
-            if signed and sign < 0:
-                value = ring.neg(value)
-            total = value if total is None else ring.add(total, value)
+            total = ring.add(total, ring.neg(value) if signed and sign < 0 else value)
         return total
 
     dim, fn = order, entry
@@ -389,19 +388,6 @@ def determinant(M: DenseMatrix):
     return Fraction(sign * m[n - 1][n - 1], scales) if n else Fraction(1)
 
 
-def _json_int(value) -> int:
-    # A JSON integer or a decimal string, -?[0-9]+.  int() would also read
-    # true/false as 1/0, truncate 1.5, overflow on 1e400, and take "1_0", " 3 ",
-    # "+1" and non-ASCII digits.  Of ASCII characters, only 0-9 are isdigit().
-    if type(value) is int:
-        return value
-    if not isinstance(value, str):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if not (value.isascii() and value.removeprefix("-").isdigit()):
-        raise ValueError(f"expected a decimal string, got {value!r}")
-    return int(value)
-
-
 def tensor_from_json(obj: dict, kind: str) -> _Tensor:
     """Parse the tensor JSON format,
     {"order":k,"dim":d,"entries":[{"idx":[...],"num":"..","den":".."}]}, with
@@ -410,8 +396,8 @@ def tensor_from_json(obj: dict, kind: str) -> _Tensor:
     if not isinstance(obj, dict):
         raise ValueError("tensor JSON must be an object")
     try:
-        order = _json_int(obj["order"])
-        dim = _json_int(obj["dim"])
+        order = integer(obj["order"])
+        dim = integer(obj["dim"])
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor JSON: {exc}") from exc
@@ -422,9 +408,9 @@ def tensor_from_json(obj: dict, kind: str) -> _Tensor:
         try:
             if not isinstance(item["idx"], list):
                 raise TypeError("idx must be a list")
-            idx = tuple(_json_int(i) for i in item["idx"])
-            num = _json_int(item["num"])
-            den = _json_int(item["den"])
+            idx = tuple(integer(i) for i in item["idx"])
+            num = integer(item["num"])
+            den = integer(item["den"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tensor entry: {exc}") from exc
         if den == 0:

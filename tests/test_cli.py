@@ -793,6 +793,80 @@ def test_env_seed_not_an_integer(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["seeds"] == [5]
 
 
+# Every path that reads an integer from outside: (the argv before the value,
+# the value around the bad spelling, the one error line, a single value?).
+# Spaces are refused around a single value and taken around a list piece or
+# either side of --max NAME=VALUE; SPFK_SEED (value None) is a single value.
+_INTEGER_PATHS = {
+    **{
+        f"verify-{flag}": (["verify", "pfab", flag], "{}",
+                           f"spfk verify: error: argument {flag}: invalid integer value: {{!r}}", True)
+        for flag in ("--n", "--m", "--k", "--t", "--N", "--pairs", "--seed")
+    },
+    **{
+        f"suite-{flag}": (["suite", flag], "{}",
+                          f"spfk suite: error: argument {flag}: invalid integer value: {{!r}}", True)
+        for flag in ("--seed", "--jobs")
+    },
+    "parts-piece": (["verify", "vi", "--parts"], "1,{}",
+                    "spfk verify: error: argument --parts: bad --parts value: {!r}", False),
+    "y-numerator": (["verify", "vandermonde", "--y"], "{}/2",
+                    "spfk verify: error: argument --y: bad rational value: {!r}", False),
+    "y-denominator": (["verify", "vandermonde", "--y"], "1/{}",
+                      "spfk verify: error: argument --y: bad rational value: {!r}", False),
+    "max-value": (["suite", "--max"], "size={}", "error: bad --max value: {!r}", False),
+    "SPFK_SEED-verify": (["verify", "pfab", "--n", "2"], None,
+                         "error: SPFK_SEED must be an integer", True),
+    "SPFK_SEED-suite": (["suite"], None, "error: SPFK_SEED must be an integer", True),
+}
+_BAD_SPELLINGS = {"underscore": "1_0", "plus": "+1", "arabic-indic": "\u0663", "spaces": " 3 "}
+
+
+def _bad_integer_cases():
+    for path, (argv, value, message, single) in _INTEGER_PATHS.items():
+        for name, spelling in _BAD_SPELLINGS.items():
+            if single or name != "spaces":
+                yield pytest.param(argv, value, message, spelling, id=f"{path}-{name}")
+
+
+@pytest.mark.parametrize("argv,value,message,spelling", _bad_integer_cases())
+def test_each_outside_integer_path_refuses_each_bad_spelling(capsys, monkeypatch, argv, value,
+                                                             message, spelling):
+    for key, row in suite.IDENTITIES.items():
+        monkeypatch.setitem(suite.IDENTITIES, key, row._replace(sides=_refuse))
+    monkeypatch.setattr(suite, "run_case", _refuse)
+    if value is None:
+        monkeypatch.setenv("SPFK_SEED", spelling)
+    else:
+        monkeypatch.delenv("SPFK_SEED", raising=False)
+        argv = [*argv, value.format(spelling)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error" in line] == [message.format(argv[-1])]
+
+
+@pytest.mark.parametrize(
+    "argv,values",
+    (
+        (["verify", "vi", "--format=json", "--parts"], ("1,2", " 1 , 2 ")),
+        (["verify", "vandermonde", "--format=json", "--N", "2", "--n", "2", "--m", "1", "--y"],
+         ("1,5/2", "1, 5 / 2 ")),
+        (["suite", "--json", "--max"], ("size=1", " size = 1 ")),
+    ),
+    ids=("parts", "y", "max"),
+)
+def test_spaces_around_a_separator_give_the_same_run(capsys, argv, values):
+    plain, padded = values
+    code, out, _ = run(capsys, *argv, plain)
+    assert code == 0 and out
+    assert run(capsys, *argv, padded)[:2] == (code, out)
+
+
 @pytest.mark.parametrize("jobs", ("0", "-3"))
 def test_suite_jobs_below_one(capsys, jobs):
     code, _, err = run(capsys, "suite", "--max", "size=2", "--jobs", jobs)

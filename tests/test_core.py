@@ -14,6 +14,7 @@ from spfk.core import (
     SeededSampler,
     clear_denominators,
     double_factorial_coeff,
+    integer,
     mix_seed,
 )
 from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly
@@ -183,7 +184,8 @@ _UNIT = FreePoly.unit()
 # one sum.  A single letter has odd degree, so in the antishuffle ring
 # mul(a, b) = -mul(b, a) for the letters of "distinct": a sum that swapped
 # its factors would differ from the fold there, and "cancels" cancels only
-# because both orders meet.
+# because both orders meet.  "cancels repeated" cancels word for word within
+# the recursion alone.
 _DOT_CASES = [
     (SHUFFLE_RING, "repeated", [(_word(0, 1) + _word(1, coeff=2), _word(0) - _word(1, 1))], False),
     (SHUFFLE_RING, "distinct", [(_word(0, 1), _word(2)), (_word(3, coeff=3), _word(4, 5))], False),
@@ -205,6 +207,8 @@ _DOT_CASES = [
         ],
         True,
     ),
+    (SHUFFLE_RING, "cancels repeated",
+     [(_word(0), _word(0, 1)), (_word(0, 1, coeff=-1), _word(0))], True),
     (SHUFFLE_RING, "no pairs", [], True),
     (ANTISHUFFLE_RING, "repeated", [(_word(0), _word(0, 1)), (_word(1, 0), _word(0))], False),
     (ANTISHUFFLE_RING, "distinct", [(_word(0), _word(1)), (_word(2, 3, 5), _word(4))], False),
@@ -226,6 +230,8 @@ _DOT_CASES = [
         ],
         True,
     ),
+    (ANTISHUFFLE_RING, "cancels repeated",
+     [(_word(0), _word(0, 1)), (_word(0, 1, coeff=-1), _word(0))], True),
     (ANTISHUFFLE_RING, "no pairs", [], True),
     (QQ, "values", [(Fraction(1, 2), Fraction(3)), (Fraction(-2, 3), Fraction(5, 7))], False),
     (QQ, "cancels", [(Fraction(1, 2), Fraction(4)), (Fraction(-1), Fraction(2))], True),
@@ -302,3 +308,36 @@ def test_clear_denominators_refuses_a_float_before_any_work(monkeypatch, bad):
     monkeypatch.setattr(math, "lcm", no_work)
     with pytest.raises(TypeError, match="ints and Fractions, got float"):
         clear_denominators(iter([Fraction(1, 2), 3, bad]))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(-5, -5), (2**70, 2**70), ("-0", 0), ("007", 7), ("-12", -12)],
+    ids=["negative-int", "big-int", "minus-zero", "leading-zeros", "negative-string"],
+)
+def test_integer_reads_an_int_or_a_decimal_string(value, expected):
+    got = integer(value)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (True, TypeError, "expected an integer, got True"),
+        (1.0, TypeError, "expected an integer, got 1.0"),
+        (None, TypeError, "expected an integer, got None"),
+        ("", ValueError, "expected a decimal string, got ''"),
+        ("-", ValueError, "expected a decimal string, got '-'"),
+        ("--1", ValueError, "expected a decimal string, got '--1'"),
+        ("1_0", ValueError, "expected a decimal string, got '1_0'"),
+        ("+1", ValueError, "expected a decimal string, got '+1'"),
+        (" 3 ", ValueError, "expected a decimal string, got ' 3 '"),
+        ("\u0663", ValueError, "expected a decimal string, got '\u0663'"),
+    ],
+    ids=["bool", "float", "none", "empty", "minus", "two-minuses", "underscore", "plus", "spaces",
+         "arabic-indic"],
+)
+def test_integer_refuses_every_other_value(value, error, message):
+    with pytest.raises(error) as exc:
+        integer(value)
+    assert str(exc.value) == message

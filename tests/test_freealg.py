@@ -46,6 +46,10 @@ def test_q_shuffle_examples():
     # and stores no zero coefficient.
     assert q_shuffle(w(A, B), w(C), 0) == w(A, B, C)
     assert q_shuffle(w(A, B), w(A), 2) == FreePoly({(A, A, B): 6, (A, B, A): 1})
+    # a sh_{-1} a = aa - aa: the recursion's own loop drops the cancelled word.
+    assert _shuffle_words((A,), (A,), -1) == {}
+    cancelled = q_shuffle(w(A), w(A), -1)
+    assert cancelled == FreePoly.zero() and cancelled.num_terms() == 0
 
 
 def _antishuffle_oracle(u, v, qval=-1):
@@ -124,8 +128,8 @@ def test_only_pairs_with_a_repeated_letter_or_empty_word_reach_the_word_caches()
             q_shuffle(FreePoly.from_word(u), FreePoly.from_word(v), qval)
             assert _shuffle_words.cache_info().misses > 0, (u, v)
             _shuffle_words.cache_clear()
-    # At q = -1, different first letters take the no-merge shortcut, while a
-    # repeated letter makes words meet deeper in the recursion.
+    # At q = -1, a repeated letter makes words meet at any depth of the
+    # recursion, and both halves of each step merge through one loop.
     for u, v in (((0, 1, 0), (2, 0)), ((1, 1), (0, 1)), ((2, 0, 2), (0, 2, 1)), ((0,), (1, 1, 0))):
         got = q_shuffle(FreePoly.from_word(u), FreePoly.from_word(v), -1)
         assert got == FreePoly(_shuffle_words(u, v, -1)) == _antishuffle_oracle(u, v), (u, v)

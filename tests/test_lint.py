@@ -1,7 +1,9 @@
 """A stdlib-only lint of the package sources, the tests and the scripts:
 every imported name is used in its module, and every private module-level
 function or class is referenced there.  A deletion that leaves an import or
-a helper behind fails here."""
+a helper behind fails here.  The modules that read outside text, ``cli`` and
+``tensors``, leave integers to ``core.integer``: neither calls the builtin
+``int`` nor hands it on to be called."""
 import ast
 import pathlib
 
@@ -58,3 +60,35 @@ def test_lint_sees_a_planted_unused_import_and_helper():
         "VALUE = _used()\n"
     )
     assert unused_names(source) == ["os", "_helper"]
+
+
+def builtin_int_uses(source: str) -> list[int]:
+    """The lines that call the builtin ``int`` or hand it on to be called
+    (argparse's ``type=int``); ``int`` in an annotation is not a use."""
+    tree = ast.parse(source)
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            roots.append(node.annotation)
+    annotated = {id(n) for root in roots if root is not None for n in ast.walk(root)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "int" and id(node) not in annotated)
+
+
+@pytest.mark.parametrize("name", ("cli.py", "tensors.py"))
+def test_outside_text_has_one_integer_reader(name):
+    assert builtin_int_uses((ROOT / "src" / "spfk" / name).read_text(encoding="utf-8")) == []
+
+
+def test_lint_sees_a_planted_builtin_int():
+    source = (
+        "import argparse\n"
+        "def parse(text: str, base: int = 10) -> int:\n"
+        "    return int(text, base)\n"
+        "rows: int = 0\n"
+        "FLAGS = {'n': {'type': int}}\n"
+        "argparse.ArgumentParser().add_argument('--k', type=int)\n"
+    )
+    assert builtin_int_uses(source) == [3, 5, 6]
