@@ -106,7 +106,7 @@ def _range_text(flag: str, bound: tuple) -> str:
 
 def _identity_help() -> str:
     lines = ["identities, their flags ([--flag default] is optional), ranges; size caps:"]
-    for identity, (_runner, _variant, flags, (ranges, caps)) in IDENTITIES.items():
+    for identity, (_, _, flags, (ranges, caps), _) in IDENTITIES.items():
         usage = " ".join(_flag_usage(name, default) for name, default in flags.items())
         bounds = ", ".join(_range_text(flag, bound) for flag, bound in ranges.items())
         capped = [f"{m} <= {limit}" for m, (_, limit) in caps.items() if limit is not None]
@@ -138,9 +138,8 @@ def _cmd_verify(ns) -> int:
         print(f"unknown identity: {ns.identity!r}", file=sys.stderr)
         print("known identities: " + ", ".join(IDENTITIES), file=sys.stderr)
         return 2
-    given = {name: getattr(ns, name) for name in _IDENTITY_FLAGS if getattr(ns, name) is not None}
     try:
-        case = make_case(ns.identity, given)
+        case = make_case(ns.identity, {name: getattr(ns, name) for name in _IDENTITY_FLAGS})
         if ns.paranoid and not takes_points(ns.identity):
             raise ValueError(f"{ns.identity} does not read --paranoid")
         report = run_case(case, SuiteConfig(seed=ns.seed, paranoid=ns.paranoid))

@@ -1,11 +1,11 @@
 """The identity checks of the source paper, one table row each.
 
-Each check is a ``report.Check`` row, (sides, name, flags, domain), in one of
-the tables ``WICK``, ``STRUCTURE``, ``RATIONAL``, ``VI`` and ``VANDERMONDE``
-(the de Bruijn and Chen rows are in ``integrals``).  ``report.run_check``
-runs every row the same way: the domain check (``core.check_domain``)
-before any work, then the left side, then the right side.  Each
-``verify_*`` function here is that driver on its table.
+Each check is a ``report.Check`` row (sides, name, flags, domain, inputs) in
+one of the tables ``WICK``, ``STRUCTURE``, ``RATIONAL``, ``VI`` and
+``VANDERMONDE`` (the de Bruijn and Chen rows are in ``integrals``).
+``report.run_check`` runs every row the same way: ``report.complete`` before
+any work, then the left side, then the right side.  Each ``verify_*``
+function here is that driver on its table, given only what its caller gave.
 
 The two sides are built independently: the left side is the
 definition-level sum (permutation sums, tuple enumeration; the sums of R over
@@ -28,7 +28,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import QQ, SeededSampler, clear_denominators, double_factorial_coeff, mix_seed
+from .core import (QQ, SeededSampler, clear_denominators, double_factorial_coeff, integer,
+                   mix_seed)
 from .freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, sort_with_sign
 from .integrals import ordered_sum, r_value
 from .report import Check, VerificationReport, at_points, run_check
@@ -54,7 +55,7 @@ _SAMPLE_BOUND = 200
 
 
 def verify_shuffle_wick(
-    variant: str, n: int, k: int | None = None, coeff: str = "corrected"
+    variant: str, n: int, k: int | None = None, coeff: str | None = None
 ) -> VerificationReport:
     """Permutation sum of concatenation words against the matching
     (hyper)Pfaffian or hafnian computed in the shuffle/antishuffle ring."""
@@ -272,20 +273,21 @@ def _structure_minor(m, n, t, sampler):
 
 
 def _structure_det_decomp(m, n, _t, sampler):
-    # The row blocks are assigned to distinct column groups, so the sum runs
-    # over ordered block assignments, not minima-ordered partitions.
+    # Row blocks go to distinct column groups: every order of each partition's
+    # blocks, each with the partition's sign, as the blocks have even width.
     dim = 2 * m * n
     T = _random_dense(sampler, dim, dim)
     width = 2 * m
 
     def rhs():
         total = Fraction(0)
-        for blocks, sign in enumerate_blocked(n, width, ordered=True):
-            prod = Fraction(1)
-            for b, block in enumerate(blocks):
-                cols = tuple(range(b * width + 1, (b + 1) * width + 1))
-                prod *= determinant(T.submatrix(block, cols))
-            total += sign * prod
+        for partition, sign in enumerate_blocked(n, width):
+            for blocks in itertools.permutations(partition):
+                prod = Fraction(1)
+                for b, block in enumerate(blocks):
+                    cols = tuple(range(b * width + 1, (b + 1) * width + 1))
+                    prod *= determinant(T.submatrix(block, cols))
+                total += sign * prod
         return [total]
 
     return lambda: [determinant(T)], rhs
@@ -320,12 +322,13 @@ STRUCTURE = {
 
 
 def verify_rational_identity(
-    variant: str, size: int, seed: int = 42, points: int = 3, coeff: str = "corrected"
+    variant: str, size: int, seed: int = 42, points: int = 3, coeff: str | None = None
 ) -> VerificationReport:
     """Closed-form rational identities checked at seeded positive rational
-    points; `size` is the natural parameter of each variant (n or m)."""
-    # The row reads its one size flag, n or m, and ignores the other.
-    return run_check(RATIONAL, variant, {"n": size, "m": size, "coeff": coeff}, seed, points)
+    points; `size` is the row's one flag, n or m."""
+    row = RATIONAL.get(variant.lower())
+    flag = next(iter(row.flags)) if row else "n"  # an unknown variant is refused by name
+    return run_check(RATIONAL, variant, {flag: size, "coeff": coeff}, seed, points)
 
 
 def _schur_product(x, factor=1) -> Fraction:
@@ -563,10 +566,10 @@ def _vi_sides(parts, x):
     return lhs, lambda: group_form(QQ, len(parts), 2, value_of, True, True)
 
 
-def verify_VI(parts, N: int = 8, seed: int = 42, points: int = 3) -> VerificationReport:
+def verify_VI(parts, N: int | None = None, seed: int = 42, points: int = 3) -> VerificationReport:
     """Signed quasimonomial sum against its Pfaffian (even length) or
     bordered-Pfaffian (odd length) evaluation, at seeded rational points."""
-    return run_check(VI, "VI", {"parts": tuple(int(p) for p in parts), "N": N}, seed, points)
+    return run_check(VI, "VI", {"parts": tuple(map(integer, parts)), "N": N}, seed, points)
 
 
 def _vi_check(p, seed, points):

@@ -34,7 +34,7 @@ families once per check (merged block exponents stay cleared,
 The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity, on
 seeded word pairs over ``ALPHABET`` letters, is the ``CHEN`` row, run by
 ``report.run_check``; each order's parity and every cap is in its row's
-domain, checked (``core.check_domain``) before any sampling.  CHEN's left
+domain, checked (``report.complete``) before any sampling.  CHEN's left
 side, <u><v>, integrates each word by ``iterated_integral_oracle``; only its
 right side, the FreePoly <u shuffle v>, goes through ``chen_form`` and ``r_value``.
 """
@@ -162,7 +162,7 @@ def _random_chen_pair(sampler: SeededSampler):
     return _chen_pair(u, v, MonomialFamily(phi=tuple(sampler.positive_distinct(ALPHABET, 100))))
 
 
-def verify_chen_batch(seed: int, pairs: int = 100) -> VerificationReport:
+def verify_chen_batch(seed: int, pairs: int | None = None) -> VerificationReport:
     """Chen's identity on seeded random word pairs of total length <= 8."""
     return run_check(CHEN, "CHEN", {"pairs": pairs}, seed)
 
@@ -267,11 +267,12 @@ def verify_debruijn(
     k: int | None = None,
     fam: MonomialFamily | None = None,
     seed: int = 42,
-    coeff: str = "corrected",
+    coeff: str | None = None,
 ) -> VerificationReport:
     """Ordered integral of a determinant/permanent against its (hyper)Pfaffian
     or hafnian form, exactly.  ``n`` is the matrix order of the plain
-    variants; the generalized block variants take (k, n), matrix order 2kn."""
+    variants; the generalized block variants take (k, n), matrix order 2kn;
+    ``fam`` replaces the row's seeded family."""
     return run_check(DEBRUIJN, variant, {"n": n, "k": k, "coeff": coeff, "fam": fam}, seed)
 
 
@@ -302,8 +303,8 @@ def _debruijn_sides(slots, width: int, signed: bool, order: int):
 
 def _debruijn(name, families, width, signed=True, parity="even", coeff=False):
     # A plain row: matrix order n, with the given parity and at most
-    # MAX_ORDER, reading the named families (phi, psi) in turn; its report
-    # names the order.
+    # MAX_ORDER, reading the named families (phi, psi) in turn of its seeded
+    # family or of a given input ``fam``; its report names the order.
     def sides(p, seed, _points):
         order = p["n"]
         fam = p.get("fam") or default_family(name, order, None, seed)
@@ -317,7 +318,7 @@ def _debruijn(name, families, width, signed=True, parity="even", coeff=False):
 
     flags = {"n": ..., "coeff": "corrected"} if coeff else {"n": ...}
     domain = ({"n": (0, None, parity)}, {"order": (lambda q: q["n"], MAX_ORDER)})
-    return Check(sides, name, flags, domain)
+    return Check(sides, name, flags, domain, ("fam",))
 
 
 def _general(name, signed: bool):
@@ -328,8 +329,8 @@ def _general(name, signed: bool):
         lhs, rhs = _debruijn_sides(grid[:width], width, signed, order)
         return {}, lambda: [lhs()], lambda: [rhs()]
 
-    caps = {"2kn": (lambda q: 2 * q["k"] * q["n"], MAX_ORDER)}
-    return Check(sides, name, {"k": ..., "n": ...}, ({"k": (1, None), "n": (0, None)}, caps))
+    domain = ({"k": (1, None), "n": (0, None)}, {"2kn": (lambda q: 2 * q["k"] * q["n"], MAX_ORDER)})
+    return Check(sides, name, {"k": ..., "n": ...}, domain, ("fam",))
 
 
 DEBRUIJN = {

@@ -62,12 +62,29 @@ class Check(NamedTuple):
     exact scalars.  ``name`` is the check's name in refusals and its variant
     name; ``flags`` maps each CLI flag the check reads to its default,
     ``...`` marking a required one; ``domain`` is (ranges, caps) as
-    ``core.check_domain`` reads it."""
+    ``core.check_domain`` reads it; ``inputs`` names the other inputs it reads
+    (a de Bruijn row's family), absent unless given and never reported."""
 
     sides: Callable
     name: str
     flags: dict
     domain: tuple
+    inputs: tuple = ()
+
+
+def complete(identity: str, check: Check, given: dict) -> tuple[dict, dict]:
+    """(params, measures): ``given``, None meaning not given, over the row's
+    defaults.  A flag the row does not read, or one it needs and lacks, is a
+    ValueError naming ``identity``; then ``core.check_domain`` runs."""
+    given = {name: value for name, value in given.items() if value is not None}
+    unread = [f"--{k}" for k in given if k not in check.flags and k not in check.inputs]
+    if unread:
+        raise ValueError(f"{identity} does not read {', '.join(unread)}")
+    params = {**check.flags, **given}
+    missing = [f"--{name}" for name, value in params.items() if value is ...]
+    if missing:
+        raise ValueError(f"{', '.join(missing)} is required for {identity}")
+    return params, check_domain(check.name, params, check.domain)
 
 
 def run_check(
@@ -75,25 +92,23 @@ def run_check(
 ) -> VerificationReport:
     """Check the row of ``table`` (id: Check) named ``variant``, in any case.
 
-    ``given`` holds flag values, a missing flag taking its default, and may
-    carry an input that is not a flag (a de Bruijn row's family).
-    The domain is checked before any work; then the left side runs, then the
-    right side, and one report is built.  Equal sides are formatted once, after
-    the right side is dropped, so both sides and the string are never held at
-    once.  A check with a ``coeff`` flag names its double-factorial convention."""
+    ``given`` is completed and refused by ``complete`` before any work; then
+    the left side runs, then the right side, and one report is built.  Equal
+    sides are formatted once, after the right side is dropped, so both sides
+    and the string are never held at once.  A check with a ``coeff`` flag
+    names its double-factorial convention."""
     name = variant.upper()
     identity = next((i for i, check in table.items() if check.name == name), None)
     if identity is None:
         raise ValueError(f"unknown variant: {name}")
-    sides, _name, flags, domain = table[identity]
-    params = {**flags, **given}
-    check_domain(name, params, domain)
-    header = {"params": {flag: params[flag] for flag in flags}, "seeds": [seed], "conventions": {}}
-    if "coeff" in flags:  # the convention's name does not depend on n
+    check = table[identity]
+    params, _measures = complete(identity, check, given)
+    header = {"params": {f: params[f] for f in check.flags}, "seeds": [seed], "conventions": {}}
+    if "coeff" in check.flags:  # the convention's name does not depend on n
         _, named = double_factorial_coeff(0, params["coeff"])
         header["conventions"] = {"double_factorial": named}
     t0 = time.perf_counter()
-    shown, lhs, rhs = sides(params, seed, points)
+    shown, lhs, rhs = check.sides(params, seed, points)
     header.update(shown)
     left = lhs()
     right = rhs()

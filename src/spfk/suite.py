@@ -5,9 +5,9 @@ deterministic text and JSON reporting.
 from the tables of ``identities`` and ``integrals`` that declare it:
 `spfk verify`, the suite matrix and `spfk verify --help` all read it, and
 ``run_case`` hands a case straight to ``report.run_check``.  A case is an id
-plus its parameters, named like the CLI flags.  Building a case checks the
-row's parameter domain (``core.check_domain``), whose measures are the
-case's `--max` caps.
+plus its parameters, named like the CLI flags.  Building a case completes
+and checks them (``report.complete``); the domain's measures are the case's
+`--max` caps.
 
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
@@ -21,10 +21,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .core import check_domain
 from .identities import RATIONAL, STRUCTURE, VANDERMONDE, VI, WICK
 from .integrals import CHEN, DEBRUIJN
-from .report import VerificationReport, run_check
+from .report import VerificationReport, complete, run_check
 
 DEFAULT_SEED = 42
 
@@ -53,8 +52,8 @@ class SuiteConfig:
         return 10 if self.paranoid else 3
 
 
-# id: Check(sides, name, flags with their defaults, domain), from the tables
-# that declare each row once.  A default of ``...`` marks a flag the id
+# id: Check(sides, name, flags with their defaults, domain, inputs), from the
+# tables that declare each row once.  A default of ``...`` marks a flag the id
 # cannot run without; only the ids whose flags include `coeff` take one.  The
 # domain is checked by core.check_domain: the case's caps are the measures it
 # returns, and `spfk suite --max CAP=VALUE` skips the cases above a cap.
@@ -62,7 +61,7 @@ IDENTITIES = {**WICK, **STRUCTURE, **RATIONAL, **VI, **VANDERMONDE, **CHEN, **DE
 
 # The names `spfk suite --max` takes: every measure a domain caps.
 CAP_NAMES = tuple(
-    dict.fromkeys(["size", *(m for *_, (_, caps) in IDENTITIES.values() for m in caps)])
+    dict.fromkeys(["size", *(m for check in IDENTITIES.values() for m in check.domain[1])])
 )
 
 
@@ -73,17 +72,9 @@ def takes_points(identity) -> bool:
 
 
 def make_case(identity, given: dict, expect_equal=True, seed_offset=0, caps=None) -> SuiteCase:
-    """The case of one id: ``given`` plus the row's defaults.  A flag the id
-    does not read, or one it needs and lacks, is a ValueError."""
-    _sides, variant, flags, domain = IDENTITIES[identity]
-    unread = [f"--{name}" for name in given if name not in flags]
-    if unread:
-        raise ValueError(f"{identity} does not read {', '.join(unread)}")
-    params = {**flags, **given}
-    missing = [f"--{name}" for name, value in params.items() if value is ...]
-    if missing:
-        raise ValueError(f"{', '.join(missing)} is required for {identity}")
-    measures = check_domain(variant, params, domain)
+    """The case of one id: ``given`` completed by ``report.complete``, which
+    refuses a flag the id does not read or one it needs and lacks."""
+    params, measures = complete(identity, IDENTITIES[identity], given)
     if caps is None:
         caps = {"size": next(iter(measures.values())), **measures}
     return SuiteCase(

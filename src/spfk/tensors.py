@@ -155,17 +155,11 @@ class DenseMatrix:
         return DenseMatrix(len(row_idx), len(tuple(col_idx)), rows)
 
 
-def enumerate_blocked(n: int, k: int, ordered: bool = False):
+def enumerate_blocked(n: int, k: int):
     """Partitions of {1..kn} into n blocks of size k, blocks internally
-    increasing, each with the sign of the concatenated sequence.  Yields
-    (blocks, sign) deterministically.
-
-    By default the blocks come in increasing-minimum order, |E_{kn,k}| of
-    them.  With ``ordered`` every order of the blocks appears: each of the
-    (kn)!/(k!)^n assignments of disjoint k-sets to the n positions once, the
-    index set of iterated Laplace expansions along consecutive k-column
-    groups.
-    """
+    increasing and in increasing-minimum order, |E_{kn,k}| of them, each with
+    the sign of the concatenated sequence.  Yields (blocks, sign)
+    deterministically."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if n * k > MAX_BLOCKED:
@@ -176,13 +170,10 @@ def enumerate_blocked(n: int, k: int, ordered: bool = False):
             flat = [i for block in acc for i in block]
             yield tuple(acc), sort_with_sign(flat)[1]
             return
-        for block in itertools.combinations(remaining, k):
-            # The blocks holding the smallest remaining index come first.
-            if not ordered and block[0] != remaining[0]:
-                return
-            block_set = set(block)
-            nxt = tuple(x for x in remaining if x not in block_set)
-            yield from rec(nxt, acc + [block])
+        first, rest = remaining[0], remaining[1:]
+        for others in itertools.combinations(rest, k - 1):  # the block of the least index
+            taken = set(others)
+            yield from rec(tuple(x for x in rest if x not in taken), acc + [(first, *others)])
 
     yield from rec(tuple(range(1, n * k + 1)), [])
 

@@ -15,7 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spfk import cli, identities, integrals, suite, tensors
+from spfk import cli, identities, integrals, report, suite, tensors
 from spfk.cli import main
 from spfk.tensors import MAX_BLOCKED, hyperpfaffian
 from oracles import tensor_to_json
@@ -260,21 +260,20 @@ def _library_report(identity, p, seed, points):
     """The id's case through the library verifier its table is named for."""
     name = suite.IDENTITIES[identity].name
     if identity in identities.WICK:
-        return identities.verify_shuffle_wick(name, p["n"], k=p.get("k"), coeff=p.get("coeff", "corrected"))
+        return identities.verify_shuffle_wick(name, p["n"], k=p.get("k"), coeff=p.get("coeff"))
     if identity in identities.STRUCTURE:
         return identities.verify_hyperpf_structure(name, p["m"], p["n"], t=p.get("t"), seed=seed)
     if identity in identities.RATIONAL:
         size = p.get("n", p.get("m"))
         return identities.verify_rational_identity(
-            name, size, seed=seed, points=points, coeff=p.get("coeff", "corrected"))
+            name, size, seed=seed, points=points, coeff=p.get("coeff"))
     if identity == "vi":
         return identities.verify_VI(p["parts"], N=p["N"], seed=seed, points=points)
     if identity == "vandermonde":
         return identities.verify_vandermonde_average(p["N"], p["n"], p["m"], y=p["y"], seed=seed)
     if identity == "chen":
         return integrals.verify_chen_batch(seed, pairs=p["pairs"])
-    return integrals.verify_debruijn(name, n=p["n"], k=p.get("k"), seed=seed,
-                                     coeff=p.get("coeff", "corrected"))
+    return integrals.verify_debruijn(name, n=p["n"], k=p.get("k"), seed=seed, coeff=p.get("coeff"))
 
 
 @pytest.mark.parametrize("identity", list(suite.IDENTITIES))
@@ -284,6 +283,72 @@ def test_suite_case_and_library_verifier_give_one_report(identity):
     via_suite = suite.run_case(case, config).to_json_dict()
     via_library = _library_report(identity, case.param_dict(), 7 + case.seed_offset, config.points)
     assert via_library.to_json_dict() == via_suite
+
+
+# One mistake each: a library call, the `spfk verify` argv of the same
+# mistake, and the message both give.
+_LIBRARY_MISTAKES = [
+    pytest.param(lambda: identities.verify_shuffle_wick("PFAB", 2, coeff="paper"),
+                 ["pfab", "--n", "2", "--coeff", "paper"], "pfab does not read --coeff",
+                 id="pfab-coeff"),
+    pytest.param(lambda: identities.verify_shuffle_wick("PFAB", 2, k=3),
+                 ["pfab", "--n", "2", "--k", "3"], "pfab does not read --k", id="pfab-k"),
+    pytest.param(lambda: identities.verify_rational_identity("SCHUR", 2, coeff="paper"),
+                 ["schur", "--n", "2", "--coeff", "paper"], "schur does not read --coeff",
+                 id="schur-coeff"),
+    pytest.param(lambda: integrals.verify_debruijn("EVEN", n=4, k=2),
+                 ["debruijn_even", "--n", "4", "--k", "2"], "debruijn_even does not read --k",
+                 id="even-k"),
+    pytest.param(lambda: identities.verify_hyperpf_structure("MINOR", 1, 2),
+                 ["minor", "--m", "1", "--n", "2"], "--t is required for minor", id="minor-no-t"),
+    pytest.param(lambda: identities.verify_shuffle_wick("XIPFASHU", 2),
+                 ["xipfashu", "--n", "2"], "--k is required for xipfashu", id="xipfashu-no-k"),
+    pytest.param(lambda: integrals.verify_debruijn("GENERAL_DET", n=2),
+                 ["debruijn_general_det", "--n", "2"], "--k is required for debruijn_general_det",
+                 id="general-det-no-k"),
+    pytest.param(lambda: report.run_check(suite.IDENTITIES, "MINOR", {"m": 1, "n": 2}),
+                 ["minor", "--m", "1", "--n", "2"], "--t is required for minor",
+                 id="run-check-minor-no-t"),
+]
+
+
+def _refuse_every_row(monkeypatch):
+    for table in (identities.WICK, identities.STRUCTURE, identities.RATIONAL, identities.VI,
+                  identities.VANDERMONDE, integrals.CHEN, integrals.DEBRUIJN, suite.IDENTITIES):
+        for key, row in table.items():
+            monkeypatch.setitem(table, key, row._replace(sides=_refuse))
+
+
+@pytest.mark.parametrize("call,argv,message", _LIBRARY_MISTAKES)
+def test_library_verifier_refuses_as_spfk_verify_does(capsys, monkeypatch, call, argv, message):
+    _refuse_every_row(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_library_verifier_names_the_rows_own_flag_and_refuses_bad_parts(monkeypatch):
+    sundquist = identities.verify_rational_identity("SUNDQUIST", 2)
+    assert sundquist.params == {"m": 2}
+    fam = integrals.default_family("GENERAL_DET", 2, 1, 42)
+    assert integrals.verify_debruijn("GENERAL_DET", n=1, k=1, fam=fam).params == {"k": 1, "n": 1}
+    _refuse_every_row(monkeypatch)
+    with pytest.raises(ValueError, match="^unknown variant: NOPE$"):
+        identities.verify_rational_identity("NOPE", 2)
+    for parts in ([1.5, True], [1, True]):
+        with pytest.raises(TypeError, match="^expected an integer, got (1.5|True)$"):
+            identities.verify_VI(parts, N=3)
+
+
+def test_verify_help_lists_exactly_each_rows_cli_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    for identity, check in suite.IDENTITIES.items():
+        line = re.search(rf"^  {identity} .*$", out, re.M).group(0)
+        assert re.findall(r"--(\w+)", line) == list(check.flags), identity
+    assert "fam" not in out
 
 
 def _src_env() -> dict:
@@ -370,7 +435,7 @@ def test_verify_coeff_only_where_the_table_takes_it(capsys, identity):
 
 
 def test_coeff_column():
-    takes = [i for i, (_r, _v, flags, _c) in suite.IDENTITIES.items() if "coeff" in flags]
+    takes = [i for i, (_r, _v, flags, _c, _i) in suite.IDENTITIES.items() if "coeff" in flags]
     assert takes == ["fhaff1", "schur_hyper", "wigner_rank1", "debruijn_perm_product"]
 
 
@@ -390,7 +455,7 @@ def test_verify_help_names_every_id(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for identity, (*_, (ranges, caps)) in suite.IDENTITIES.items():
+    for identity, (*_, (ranges, caps), _inputs) in suite.IDENTITIES.items():
         line = re.search(rf"^  {identity} .*$", out, re.M).group(0)
         for flag, (least, most, *parity) in ranges.items():
             bound = f"{flag} >= {least}" if most is None else f"{least} <= {flag} <= {most}"
@@ -437,7 +502,7 @@ def test_suite_unknown_max_cap_is_refused(capsys, monkeypatch, name):
 
 
 def test_suite_known_max_caps_are_the_table_measures():
-    measured = {m for *_, (_ranges, caps) in suite.IDENTITIES.values() for m in caps}
+    measured = {m for *_, (_ranges, caps), _inputs in suite.IDENTITIES.values() for m in caps}
     assert set(suite.CAP_NAMES) == measured | {"size"}
     assert cli._parse_caps([f"{name}=3" for name in suite.CAP_NAMES]) == dict.fromkeys(
         suite.CAP_NAMES, 3
@@ -493,7 +558,7 @@ _LISTED_LAST = {("vandermonde", "N")}
 
 def _one_step_outside():
     cases, last = [], []
-    for identity, (_runner, name, _flags, (ranges, caps)) in suite.IDENTITIES.items():
+    for identity, (_runner, name, _flags, (ranges, caps), _inputs) in suite.IDENTITIES.items():
         base = _first_cases()[identity].param_dict()
         moved = lambda flag, value: {**base, flag: value}
         for flag, (least, most, *parity) in ranges.items():
@@ -1165,7 +1230,7 @@ def test_fuzz_tensor_json(tmp_path_factory, command):
 def _in_domain(draw, identity):
     """Flag values inside the id's table domain.  An int stays within two of
     its minimum, so that an example costs no more than a suite case."""
-    _runner, _name, flags, (ranges, caps) = suite.IDENTITIES[identity]
+    _runner, _name, flags, (ranges, caps), _inputs = suite.IDENTITIES[identity]
     base = _first_cases()[identity].param_dict()
     params = {}
     for flag, (least, most, *parity) in ranges.items():
@@ -1188,7 +1253,7 @@ def _in_domain(draw, identity):
 
 def _out_of_domain(draw, identity):
     """In-domain values with one ranged flag moved past one of its bounds."""
-    _runner, _name, _flags, (ranges, _caps) = suite.IDENTITIES[identity]
+    _runner, _name, _flags, (ranges, _caps), _inputs = suite.IDENTITIES[identity]
     params = _in_domain(draw, identity)
     full = {**_first_cases()[identity].param_dict(), **params}
     flag = draw(st.sampled_from(list(ranges)))

@@ -346,7 +346,7 @@ def test_det_decomposition(m, n):
 def test_structure_caps():
     with pytest.raises(ValueError, match="size cap"):
         verify_hyperpf_structure("COMPOSITION", 2, 3, seed=42)
-    with pytest.raises(ValueError, match="needs t"):
+    with pytest.raises(ValueError, match="^--t is required for minor$"):
         verify_hyperpf_structure("MINOR", 1, 2, seed=42)
     with pytest.raises(ValueError, match="MINOR needs t <= n"):
         verify_hyperpf_structure("MINOR", 1, 2, t=3, seed=42)

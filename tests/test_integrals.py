@@ -221,7 +221,7 @@ def test_debruijn_errors():
         verify_debruijn("EVEN", n=10)
     with pytest.raises(ValueError, match="ODD needs odd n, got n=4"):
         verify_debruijn("ODD", n=4)
-    with pytest.raises(ValueError, match="GENERAL_DET needs k >= 1, got k=None"):
+    with pytest.raises(ValueError, match="^--k is required for debruijn_general_det$"):
         verify_debruijn("GENERAL_DET", n=2)
 
 

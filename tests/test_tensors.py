@@ -90,10 +90,19 @@ def test_enumerate_blocked_cap():
 
 
 def test_block_assignments_ordered_count():
-    # ordered variant: (kn)!/(k!)^n assignments
-    assert sum(1 for _ in enumerate_blocked(2, 2, ordered=True)) == 6
-    assert sum(1 for _ in enumerate_blocked(2, 4, ordered=True)) == 70
-    signs = dict(enumerate_blocked(2, 2, ordered=True))
+    # DET_DECOMP sums over every order of each partition's blocks: (kn)!/(k!)^n
+    # assignments, partitions times n!.  At an even block width each order
+    # keeps the partition's sign, the sign of its own concatenated sequence.
+    def assignments(n, k):
+        return {order: sign for blocks, sign in enumerate_blocked(n, k)
+                for order in itertools.permutations(blocks)}
+
+    for n, k, count in ((2, 2, 6), (2, 4, 70)):
+        signs = assignments(n, k)
+        assert len(signs) == count == blocked_count(n, k) * math.factorial(n)
+        for order, sign in signs.items():
+            assert sort_with_sign([i for block in order for i in block])[1] == sign
+    signs = assignments(2, 2)
     assert signs[((1, 2), (3, 4))] == 1
     assert signs[((3, 4), (1, 2))] == 1
     assert signs[((2, 4), (1, 3))] == -1
