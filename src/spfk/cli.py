@@ -19,18 +19,16 @@ from fractions import Fraction
 
 from . import tensors
 from .core import COEFF_CONVENTIONS, integer
-from .report import VerificationReport
+from .report import VerificationReport, run_check
 from .suite import (
     CAP_NAMES,
     DEFAULT_SEED,
     IDENTITIES,
+    PARANOID_POINTS,
     SuiteConfig,
-    make_case,
-    run_case,
     run_suite,
     suite_json_bytes,
     suite_text,
-    takes_points,
 )
 
 # Each tensor command: the tensor kind it reads and its kernel's name in
@@ -138,11 +136,13 @@ def _cmd_verify(ns) -> int:
         print(f"unknown identity: {ns.identity!r}", file=sys.stderr)
         print("known identities: " + ", ".join(IDENTITIES), file=sys.stderr)
         return 2
+    given = {name: getattr(ns, name) for name in _IDENTITY_FLAGS}
     try:
-        case = make_case(ns.identity, {name: getattr(ns, name) for name in _IDENTITY_FLAGS})
-        if ns.paranoid and not takes_points(ns.identity):
-            raise ValueError(f"{ns.identity} does not read --paranoid")
-        report = run_case(case, SuiteConfig(seed=ns.seed, paranoid=ns.paranoid))
+        if ns.paranoid:  # refused here, as complete would name the input --points
+            if "points" not in IDENTITIES[ns.identity].inputs:
+                raise ValueError(f"{ns.identity} does not read --paranoid")
+            given["points"] = PARANOID_POINTS
+        report = run_check(IDENTITIES, ns.identity, given, ns.seed)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

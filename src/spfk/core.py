@@ -65,7 +65,7 @@ def check_domain(name: str, params: dict, domain) -> dict:
         value = params.get(flag)
         items = value if isinstance(value, (list, tuple)) else [value]
         shown = list(items) if items is value else value
-        if value is None or not items or min(items) < least:
+        if not items or min(items) < least:
             raise ValueError(f"{name} needs {flag} >= {least}, got {flag}={shown}")
         if isinstance(most, str) and value > params[most]:
             raise ValueError(

@@ -158,7 +158,7 @@ def _wick_xipfashu(k: int, n: int):
 
 def _wick(name, sides_of, domain, flags=None):
     # A Wick row: symbolic, so no seed; ``sides_of(params)`` gives the sides.
-    sides = lambda p, _seed, _points: ({"seeds": []}, *sides_of(p))
+    sides = lambda p, _seed: ({"seeds": []}, *sides_of(p))
     return Check(sides, name, flags or {"n": ...}, domain)
 
 
@@ -166,7 +166,8 @@ def _wick(name, sides_of, domain, flags=None):
 # measure is also the size of the id's suite cases.
 _WICK_2N = ({"n": (0, None)}, {"2n": (lambda p: 2 * p["n"], 8)})
 _WICK_N = ({"n": (0, None)}, {"n": (lambda p: p["n"], 6)})
-_WICK_2KN = ({"n": (0, None), "k": (1, None)}, {"2kn": (lambda p: 2 * p["k"] * p["n"], 8)})
+# k <= 4 bounds XIPFASHU's 2k-letter blocks at n = 0 too, where 2kn caps nothing.
+_WICK_2KN = ({"n": (0, None), "k": (1, 4)}, {"2kn": (lambda p: 2 * p["k"] * p["n"], 8)})
 
 WICK = {
     check.name.lower(): check
@@ -296,7 +297,7 @@ def _structure_det_decomp(m, n, _t, sampler):
 def _structure(name, sides_of, t=False):
     # A structure row: ``sides_of(m, n, t, sampler)`` draws its tensors from
     # the sampler of (seed, name, m, n, t) and gives the sides.
-    def sides(p, seed, _points):
+    def sides(p, seed):
         m, n, t = p["m"], p["n"], p.get("t")
         sampler = SeededSampler(mix_seed(seed, ("structure", name, m, n, t or 0)))
         return {}, *sides_of(m, n, t, sampler)
@@ -322,13 +323,13 @@ STRUCTURE = {
 
 
 def verify_rational_identity(
-    variant: str, size: int, seed: int = 42, points: int = 3, coeff: str | None = None
+    variant: str, size: int, seed: int = 42, points: int | None = None, coeff: str | None = None
 ) -> VerificationReport:
     """Closed-form rational identities checked at seeded positive rational
     points; `size` is the row's one flag, n or m."""
     row = RATIONAL.get(variant.lower())
     flag = next(iter(row.flags)) if row else "n"  # an unknown variant is refused by name
-    return run_check(RATIONAL, variant, {flag: size, "coeff": coeff}, seed, points)
+    return run_check(RATIONAL, variant, {flag: size, "coeff": coeff, "points": points}, seed)
 
 
 def _schur_product(x, factor=1) -> Fraction:
@@ -498,14 +499,14 @@ def _rational(name, sides_at, flag, most, *parity, coeff=False):
     # A rational row, checked at seeded sample points: ``sides_at(size,
     # sampler, coeff)`` draws one point.  The one size flag runs from 1 to
     # ``most`` and is also the case's size.
-    def sides(p, seed, points):
+    def sides(p, seed):
         size = p[flag]
         at = lambda sampler: sides_at(size, sampler, p.get("coeff"))
-        return {}, *at_points(seed, (name, size), points, at)
+        return {}, *at_points(name, seed, (name, size), p.get("points"), at)
 
     flags = {flag: ..., "coeff": "corrected"} if coeff else {flag: ...}
     domain = ({flag: (1, most, *parity)}, {"size": (lambda q: q[flag], None)})
-    return Check(sides, name, flags, domain)
+    return Check(sides, name, flags, domain, ("points",))
 
 
 RATIONAL = {
@@ -566,17 +567,18 @@ def _vi_sides(parts, x):
     return lhs, lambda: group_form(QQ, len(parts), 2, value_of, True, True)
 
 
-def verify_VI(parts, N: int | None = None, seed: int = 42, points: int = 3) -> VerificationReport:
+def verify_VI(parts, N: int | None = None, seed: int = 42, points=None) -> VerificationReport:
     """Signed quasimonomial sum against its Pfaffian (even length) or
     bordered-Pfaffian (odd length) evaluation, at seeded rational points."""
-    return run_check(VI, "VI", {"parts": tuple(map(integer, parts)), "N": N}, seed, points)
+    given = {"parts": tuple(map(integer, parts)), "N": N, "points": points}
+    return run_check(VI, "VI", given, seed)
 
 
-def _vi_check(p, seed, points):
+def _vi_check(p, seed):
     parts, N = p["parts"], p["N"]
     sides_at = lambda s: _vi_sides(parts, s.positive_distinct(N, _SAMPLE_BOUND))
     shown = {"parts": list(parts), "N": N}
-    return {"params": shown}, *at_points(seed, ("vi", parts, N), points, sides_at)
+    return {"params": shown}, *at_points("VI", seed, ("vi", parts, N), p.get("points"), sides_at)
 
 
 VI = {
@@ -585,6 +587,7 @@ VI = {
         "VI",
         {"parts": ..., "N": 8},
         ({"parts": (1, 4), "N": (1, 8)}, {"len": (lambda p: len(p["parts"]), 4)}),
+        ("points",),
     )
 }
 
@@ -607,7 +610,7 @@ def verify_vandermonde_average(
     return run_check(VANDERMONDE, "VANDERMONDE", {"N": N, "n": n, "m": m, "y": y}, seed)
 
 
-def _vandermonde_check(p, seed, _points):
+def _vandermonde_check(p, seed):
     N, n, m, y = p["N"], p["n"], p["m"], p["y"]
     shown = {"N": N, "n": n, "m": m}
     if y is None:
@@ -650,16 +653,16 @@ def _vandermonde_check(p, seed, _points):
     return {"params": shown, "conventions": {"pf_sign": "(-1)^(C(n,2)*C(2m,2))"}}, lhs, rhs
 
 
-# 2mn is capped before N^n is computed, so a huge n costs no big power.  N
-# is at most _SAMPLE_BOUND, the most distinct points the sampler can draw;
-# with Nn <= 10000 a larger N would allow only n <= 1, an empty product.
+# 2mn is capped before N^n is computed, so a huge n costs no big power; m <= 4
+# caps the right side's 2m blocks at n = 0.  N <= _SAMPLE_BOUND, the most distinct
+# points the sampler draws; with Nn <= 10000 a larger N allows only n <= 1, an empty product.
 VANDERMONDE = {
     "vandermonde": Check(
         _vandermonde_check,
         "VANDERMONDE",
         {"N": ..., "n": ..., "m": ..., "y": None},
         (
-            {"N": (1, _SAMPLE_BOUND), "n": (0, None), "m": (1, None)},
+            {"N": (1, _SAMPLE_BOUND), "n": (0, None), "m": (1, 4)},
             {
                 "2mn": (lambda p: 2 * p["m"] * p["n"], 8),
                 "Nn": (lambda p: p["N"] ** p["n"], 10_000),

@@ -167,8 +167,8 @@ def verify_chen_batch(seed: int, pairs: int | None = None) -> VerificationReport
     return run_check(CHEN, "CHEN", {"pairs": pairs}, seed)
 
 
-def _chen_check(p, seed, _points):
-    return {}, *at_points(seed, ("chen",), p["pairs"], _random_chen_pair)
+def _chen_check(p, seed):
+    return {}, *at_points("CHEN", seed, ("chen",), p["pairs"], _random_chen_pair)
 
 
 _CHEN_DOMAIN = ({"pairs": (1, MAX_PAIRS)}, {"size": (lambda _p: MAX_WORD, None)})
@@ -273,7 +273,10 @@ def verify_debruijn(
     or hafnian form, exactly.  ``n`` is the matrix order of the plain
     variants; the generalized block variants take (k, n), matrix order 2kn;
     ``fam`` replaces the row's seeded family."""
-    return run_check(DEBRUIJN, variant, {"n": n, "k": k, "coeff": coeff, "fam": fam}, seed)
+    identity = "debruijn_" + variant.lower()
+    if identity not in DEBRUIJN:  # named as the caller named it, with no id prefix
+        raise ValueError(f"unknown variant: {variant.upper()}")
+    return run_check(DEBRUIJN, identity, {"n": n, "k": k, "coeff": coeff, "fam": fam}, seed)
 
 
 def _debruijn_sides(slots, width: int, signed: bool, order: int):
@@ -305,7 +308,7 @@ def _debruijn(name, families, width, signed=True, parity="even", coeff=False):
     # A plain row: matrix order n, with the given parity and at most
     # MAX_ORDER, reading the named families (phi, psi) in turn of its seeded
     # family or of a given input ``fam``; its report names the order.
-    def sides(p, seed, _points):
+    def sides(p, seed):
         order = p["n"]
         fam = p.get("fam") or default_family(name, order, None, seed)
         lhs, rhs = _debruijn_sides([getattr(fam, f) for f in families], width, signed, order)
@@ -322,14 +325,15 @@ def _debruijn(name, families, width, signed=True, parity="even", coeff=False):
 
 
 def _general(name, signed: bool):
-    # A generalized block row: 2k-wise blocks of a matrix of order 2kn.
-    def sides(p, seed, _points):
+    # A generalized block row: 2k-wise blocks of a matrix of order 2kn; k <= 4
+    # bounds the 2k grid rows of its family at n = 0 too.
+    def sides(p, seed):
         width, order = 2 * p["k"], 2 * p["k"] * p["n"]
         grid = (p.get("fam") or default_family(name, order, p["k"], seed)).grid
         lhs, rhs = _debruijn_sides(grid[:width], width, signed, order)
         return {}, lambda: [lhs()], lambda: [rhs()]
 
-    domain = ({"k": (1, None), "n": (0, None)}, {"2kn": (lambda q: 2 * q["k"] * q["n"], MAX_ORDER)})
+    domain = ({"k": (1, 4), "n": (0, None)}, {"2kn": (lambda q: 2 * q["k"] * q["n"], MAX_ORDER)})
     return Check(sides, name, {"k": ..., "n": ...}, domain, ("fam",))
 
 

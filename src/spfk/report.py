@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .core import SeededSampler, check_domain, double_factorial_coeff, mix_seed
+from .core import SeededSampler, check_domain, double_factorial_coeff, integer, mix_seed
 
 
 def digest(canonical: str) -> str:
@@ -56,14 +56,14 @@ class VerificationReport:
 class Check(NamedTuple):
     """One identity's table row.
 
-    ``sides(params, seed, points)`` returns the report header's departures
-    from the default (params: the flag values; seeds: [seed]) and the two
-    sides as zero-argument callables, each giving a FreePoly or a list of
-    exact scalars.  ``name`` is the check's name in refusals and its variant
-    name; ``flags`` maps each CLI flag the check reads to its default,
-    ``...`` marking a required one; ``domain`` is (ranges, caps) as
-    ``core.check_domain`` reads it; ``inputs`` names the other inputs it reads
-    (a de Bruijn row's family), absent unless given and never reported."""
+    ``sides(params, seed)`` returns the report header's departures from the
+    default (params: the flag values; seeds: [seed]) and the two sides as
+    zero-argument callables, each giving a FreePoly or a list of exact
+    scalars.  ``name`` is the check's seed tag and its name in refusals;
+    ``flags`` maps each CLI flag it reads to its default, ``...`` marking a
+    required one; ``domain`` is (ranges, caps) as ``core.check_domain`` reads
+    it; ``inputs`` names its other inputs (a de Bruijn ``fam``, a sampled
+    row's ``points``), absent unless given and never reported."""
 
     sides: Callable
     name: str
@@ -87,20 +87,17 @@ def complete(identity: str, check: Check, given: dict) -> tuple[dict, dict]:
     return params, check_domain(check.name, params, check.domain)
 
 
-def run_check(
-    table: dict, variant: str, given: dict, seed: int = 42, points: int = 3
-) -> VerificationReport:
-    """Check the row of ``table`` (id: Check) named ``variant``, in any case.
+def run_check(table: dict, variant: str, given: dict, seed: int = 42) -> VerificationReport:
+    """Check the row ``table[variant.lower()]`` of ``table`` (id: Check).
 
     ``given`` is completed and refused by ``complete`` before any work; then
     the left side runs, then the right side, and one report is built.  Equal
     sides are formatted once, after the right side is dropped, so both sides
     and the string are never held at once.  A check with a ``coeff`` flag
     names its double-factorial convention."""
-    name = variant.upper()
-    identity = next((i for i, check in table.items() if check.name == name), None)
-    if identity is None:
-        raise ValueError(f"unknown variant: {name}")
+    identity = variant.lower()
+    if identity not in table:
+        raise ValueError(f"unknown variant: {variant.upper()}")
     check = table[identity]
     params, _measures = complete(identity, check, given)
     header = {"params": {f: params[f] for f in check.flags}, "seeds": [seed], "conventions": {}}
@@ -108,7 +105,7 @@ def run_check(
         _, named = double_factorial_coeff(0, params["coeff"])
         header["conventions"] = {"double_factorial": named}
     t0 = time.perf_counter()
-    shown, lhs, rhs = check.sides(params, seed, points)
+    shown, lhs, rhs = check.sides(params, seed)
     header.update(shown)
     left = lhs()
     right = rhs()
@@ -136,9 +133,13 @@ def run_check(
     )
 
 
-def at_points(seed: int, tag: tuple, points: int, sides_at) -> tuple:
-    """The two sides of a check at its seeded sample points, as lists:
+def at_points(name: str, seed: int, tag: tuple, points, sides_at) -> tuple:
+    """The two sides of check ``name`` at its seeded sample points, as lists:
     ``sides_at(sampler)`` gives one point's (lhs, rhs) callables, and point p
-    draws from a sampler seeded with (seed, (*tag, p))."""
+    draws from a sampler seeded with (seed, (*tag, p)).  ``points`` is 3 if
+    None; fewer than 1 would check nothing and is refused before any draw."""
+    points = 3 if points is None else integer(points)
+    if points < 1:
+        raise ValueError(f"{name} needs points >= 1, got points={points}")
     pairs = [sides_at(SeededSampler(mix_seed(seed, (*tag, p)))) for p in range(points)]
     return (lambda: [lhs() for lhs, _ in pairs]), (lambda: [rhs() for _, rhs in pairs])

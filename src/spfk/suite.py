@@ -4,10 +4,10 @@ deterministic text and JSON reporting.
 ``IDENTITIES`` maps each identity id to its ``report.Check`` row, gathered
 from the tables of ``identities`` and ``integrals`` that declare it:
 `spfk verify`, the suite matrix and `spfk verify --help` all read it, and
-``run_case`` hands a case straight to ``report.run_check``.  A case is an id
-plus its parameters, named like the CLI flags.  Building a case completes
-and checks them (``report.complete``); the domain's measures are the case's
-`--max` caps.
+``run_case`` hands a case straight to ``report.run_check`` (a paranoid run
+sets ``points`` of a row that reads it).  A case is an id plus its
+parameters, named like the CLI flags.  Building a case completes and checks
+them (``report.complete``); the domain's measures are the case's `--max` caps.
 
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
@@ -26,6 +26,7 @@ from .integrals import CHEN, DEBRUIJN
 from .report import VerificationReport, complete, run_check
 
 DEFAULT_SEED = 42
+PARANOID_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,6 @@ class SuiteConfig:
     jobs: int = 1
     caps: dict = field(default_factory=dict)
 
-    @property
-    def points(self) -> int:
-        return 10 if self.paranoid else 3
-
 
 # id: Check(sides, name, flags with their defaults, domain, inputs), from the
 # tables that declare each row once.  A default of ``...`` marks a flag the id
@@ -63,12 +60,6 @@ IDENTITIES = {**WICK, **STRUCTURE, **RATIONAL, **VI, **VANDERMONDE, **CHEN, **DE
 CAP_NAMES = tuple(
     dict.fromkeys(["size", *(m for check in IDENTITIES.values() for m in check.domain[1])])
 )
-
-
-def takes_points(identity) -> bool:
-    """Whether the id is checked at sample points, so that ``paranoid``
-    (10 points instead of 3) changes its check."""
-    return identity in RATIONAL or identity in VI
 
 
 def make_case(identity, given: dict, expect_equal=True, seed_offset=0, caps=None) -> SuiteCase:
@@ -140,9 +131,10 @@ def default_cases() -> list[SuiteCase]:
 
 
 def run_case(case: SuiteCase, config: SuiteConfig) -> VerificationReport:
-    name = IDENTITIES[case.runner].name
-    seed = config.seed + case.seed_offset
-    return run_check(IDENTITIES, name, case.param_dict(), seed, config.points)
+    given = case.param_dict()
+    if config.paranoid and "points" in IDENTITIES[case.runner].inputs:
+        given["points"] = PARANOID_POINTS
+    return run_check(IDENTITIES, case.runner, given, config.seed + case.seed_offset)
 
 
 def _within_caps(case: SuiteCase, overrides: dict) -> bool:

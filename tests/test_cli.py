@@ -281,7 +281,8 @@ def test_suite_case_and_library_verifier_give_one_report(identity):
     case = _first_cases()[identity]
     config = suite.SuiteConfig(seed=7, paranoid=True)
     via_suite = suite.run_case(case, config).to_json_dict()
-    via_library = _library_report(identity, case.param_dict(), 7 + case.seed_offset, config.points)
+    via_library = _library_report(identity, case.param_dict(), 7 + case.seed_offset,
+                                   suite.PARANOID_POINTS)
     assert via_library.to_json_dict() == via_suite
 
 
@@ -529,12 +530,12 @@ def _grown(value, step):
 
 def _past_the_cap(base, ranges, caps, measure):
     """The first params, growing one flag, whose `measure` passes its limit
-    while the caps before it hold.  The flags the ranges leave unbounded
-    above are tried first, then those with a fixed bound, within it."""
+    while the caps before it hold.  The flags are tried in the order the
+    ranges declare them, one with a fixed bound only within it."""
     earlier = list(caps)[: list(caps).index(measure)]
     size_of, limit = caps[measure]
     bounded = lambda flag: ranges[flag][1] is not None and not isinstance(base[flag], tuple)
-    for flag in sorted(ranges, key=bounded):
+    for flag in ranges:
         _least, most, *parity = ranges[flag]
         if isinstance(most, str):
             continue
@@ -551,13 +552,20 @@ def _past_the_cap(base, ranges, caps, measure):
 
 
 # Fixed upper bounds whose one-step-outside case is listed after all the
-# others: the cases are numbered by position (params<k>), so a bound added
-# later goes last and leaves the numbers of the cases before it as they were.
-_LISTED_LAST = {("vandermonde", "N")}
+# others, in this order: the cases are numbered by position (params<k>), so a
+# bound added later goes last and leaves the numbers of the cases before it as
+# they were.
+_LISTED_LAST = (
+    ("vandermonde", "N"),
+    ("xipfashu", "k"),
+    ("vandermonde", "m"),
+    ("debruijn_general_det", "k"),
+    ("debruijn_general_perm", "k"),
+)
 
 
 def _one_step_outside():
-    cases, last = [], []
+    cases, last = [], {}
     for identity, (_runner, name, _flags, (ranges, caps), _inputs) in suite.IDENTITIES.items():
         base = _first_cases()[identity].param_dict()
         moved = lambda flag, value: {**base, flag: value}
@@ -571,9 +579,12 @@ def _one_step_outside():
                               f"got {flag}={above} > {most}={base[most]}"))
             elif most is not None:
                 above = (most + 1,) if isinstance(base[flag], tuple) else most + 1
-                listed = last if (identity, flag) in _LISTED_LAST else cases
-                listed.append((identity, moved(flag, above), f"size cap exceeded for {name}: "
-                               f"{flag} <= {most}, got {flag}={_shown(above)}"))
+                case = (identity, moved(flag, above), f"size cap exceeded for {name}: "
+                        f"{flag} <= {most}, got {flag}={_shown(above)}")
+                if (identity, flag) in _LISTED_LAST:
+                    last[identity, flag] = case
+                else:
+                    cases.append(case)
             if parity:
                 wrong = base[flag] + 1
                 cases.append((identity, moved(flag, wrong),
@@ -583,7 +594,7 @@ def _one_step_outside():
                 params = _past_the_cap(base, ranges, caps, measure)
                 cases.append((identity, params, f"size cap exceeded for {name}: {measure} <= "
                               f"{limit}, got {measure}={size_of(params)}"))
-    return cases + last
+    return cases + [last[key] for key in _LISTED_LAST]
 
 
 @pytest.mark.parametrize("identity,params,message", _one_step_outside())
@@ -599,6 +610,58 @@ def test_verify_one_step_outside_each_declared_bound(capsys, monkeypatch, identi
 
 def test_every_id_has_a_bound_one_step_outside():
     assert {identity for identity, _p, _m in _one_step_outside()} == set(suite.IDENTITIES)
+
+
+def test_no_ranged_flag_defaults_to_none():
+    # core.check_domain reads each ranged flag as a value: a None default
+    # would reach it, as no given value or `...` can.
+    for identity, (_sides, _name, flags, (ranges, _caps), _inputs) in suite.IDENTITIES.items():
+        assert [flag for flag in ranges if flags[flag] is None] == [], identity
+
+
+def _far_past():
+    """Each ranged flag of each id at 10**11 (a list flag: one element), the
+    id's other ranged flags at the least value their range and parity allow."""
+    cases = []
+    for identity, (*_, (ranges, _caps), _inputs) in suite.IDENTITIES.items():
+        least = {}
+        for flag, (low, _most, *parity) in ranges.items():
+            least[flag] = low + (bool(parity) and low % 2 != (parity[0] == "odd"))
+        tuples = {flag for flag, value in _first_cases()[identity].param_dict().items()
+                  if isinstance(value, tuple)}
+        shaped = lambda flag, value: (value,) if flag in tuples else value
+        for flag in ranges:
+            params = {f: shaped(f, v) for f, v in {**least, flag: 10**11}.items()}
+            cases.append(pytest.param(identity, params, id=f"{identity}-{flag}"))
+    return cases
+
+
+@pytest.mark.parametrize("identity,params", _far_past())
+def test_verify_each_flag_far_past_its_range_ends_promptly(identity, params):
+    out = io.StringIO()
+    assert _fuzz_main(["verify", identity, *_flag_argv(params)], limit=5.0, out=out) == 2
+    assert out.getvalue() == ""
+
+
+def test_verify_completes_its_inputs_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return complete(*args)
+
+    complete = report.complete
+    monkeypatch.setattr(report, "complete", counted)
+    monkeypatch.setattr(suite, "complete", counted)
+    code, _out, _err = run(capsys, "verify", "schur", "--n", "2")
+    assert code == 0
+    assert calls == ["schur"]
+
+
+def test_run_check_refuses_points_on_a_row_without_sample_points(monkeypatch):
+    _refuse_every_row(monkeypatch)
+    with pytest.raises(ValueError, match="^pfab does not read --points$"):
+        report.run_check(suite.IDENTITIES, "pfab", {"n": 2, "points": 10})
 
 
 def test_pf_command(tmp_path, capsys):
@@ -1107,7 +1170,7 @@ def test_verify_paranoid_only_where_the_check_samples_points(capsys, identity):
 
 
 def test_paranoid_ids_are_the_table_rows_with_sample_points():
-    assert {i for i in suite.IDENTITIES if suite.takes_points(i)} == _SAMPLED_IDS
+    assert {i for i, row in suite.IDENTITIES.items() if "points" in row.inputs} == _SAMPLED_IDS
 
 
 @pytest.mark.parametrize(
@@ -1205,10 +1268,11 @@ def _verify_argv(draw):
     return argv + ["--format", draw(st.sampled_from(("json", "text")))]
 
 
-def _fuzz_main(argv, limit=10.0):
-    """The exit code of main(argv), its output captured, under _time_limit."""
+def _fuzz_main(argv, limit=10.0, out=None):
+    """The exit code of main(argv), its output captured (stdout into ``out``
+    when given), under _time_limit."""
     err = io.StringIO()
-    with _time_limit(argv, limit), contextlib.redirect_stdout(io.StringIO()), \
+    with _time_limit(argv, limit), contextlib.redirect_stdout(out or io.StringIO()), \
             contextlib.redirect_stderr(err):
         try:
             code = main(argv)
@@ -1276,7 +1340,7 @@ def _table_argv(draw, inside):
     identity = draw(st.sampled_from(list(suite.IDENTITIES)))
     params = (_in_domain if inside else _out_of_domain)(draw, identity)
     argv = ["verify", identity, *_flag_argv(params)]
-    if suite.takes_points(identity) and draw(st.booleans()):
+    if "points" in suite.IDENTITIES[identity].inputs and draw(st.booleans()):
         argv.append("--paranoid")
     return argv + ["--format", draw(st.sampled_from(("json", "text")))]
 

@@ -140,7 +140,7 @@ def test_odd_even_and_antishuffle_right_sides_match_the_first_row_expansion(n):
             single = lambda p: FreePoly.from_word((p - 1,))
             minor = lambda keep: kernel(Q.restrict(keep))
             expected = first_row_expansion(n, single, minor, mul, signed=kernel is pfaffian)
-        _header, _lhs, rhs = identities.WICK[name].sides({"n": n}, 0, 1)
+        _header, _lhs, rhs = identities.WICK[name].sides({"n": n}, 0)
         assert rhs() == expected, (name, n)
 
 
@@ -231,8 +231,8 @@ def test_xipfashu_term_count_sanity():
 def _right_side_first(sides):
     # The row's sides with the right side evaluated as soon as they are built,
     # before run_check calls the left side.
-    def swapped(params, seed, points):
-        shown, lhs, rhs = sides(params, seed, points)
+    def swapped(params, seed):
+        shown, lhs, rhs = sides(params, seed)
         right = rhs()
         return shown, lhs, lambda: right
 
@@ -467,7 +467,7 @@ def test_wick_debruijn_and_vi_left_sides_never_enter_group_form(monkeypatch):
     assert {case.runner for case in cases} == set(rows)
     for case in cases:
         seed = suite.DEFAULT_SEED + case.seed_offset
-        _shown, lhs, rhs = rows[case.runner].sides(case.param_dict(), seed, 3)
+        _shown, lhs, rhs = rows[case.runner].sides(case.param_dict(), seed)
         lhs()
         with pytest.raises(Entered):
             rhs()
@@ -498,6 +498,39 @@ def test_rational_caps():
         verify_rational_identity("ARQ", 3)
     with pytest.raises(ValueError, match="unknown variant"):
         verify_rational_identity("NOPE", 1)
+
+
+# One RATIONAL row (the erratum row, which passed at 0 points) and VI.
+_SAMPLED_CALLS = (
+    pytest.param(
+        lambda pts: verify_rational_identity("SCHUR_HYPER", 1, points=pts, coeff="paper"),
+        "SCHUR_HYPER",
+        id="schur_hyper",
+    ),
+    pytest.param(lambda pts: verify_VI((1, 2), N=3, points=pts), "VI", id="vi"),
+)
+
+
+@pytest.mark.parametrize("call,name", _SAMPLED_CALLS)
+def test_a_sample_count_below_one_is_refused_before_any_point_is_drawn(monkeypatch, call, name):
+    # Zero points would compare two empty lists and pass vacuously.
+    def refuse(*_args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr("spfk.report.SeededSampler", refuse)
+    for points in (0, -2):
+        with pytest.raises(ValueError, match=f"^{name} needs points >= 1, got points={points}$"):
+            call(points)
+    with pytest.raises(TypeError, match="^expected an integer, got True$"):
+        call(True)
+
+
+@pytest.mark.parametrize("call,name", _SAMPLED_CALLS)
+def test_one_sample_point_gives_one_term(call, name):
+    report = call(1)
+    assert report.identity == name.lower()
+    assert (report.lhs_terms, report.rhs_terms) == (1, 1)
+    assert call(None).lhs_terms == 3  # the default count
 
 
 def test_vi_simple_cases():
@@ -704,7 +737,7 @@ def _watched_row(rhs_terms):
         refs.append(weakref.ref(poly))
         return poly
 
-    def sides(_params, _seed, _points):
+    def sides(_params, _seed):
         return {}, lambda: FreePoly({(0, 1): 1, (1, 0): 2}), rhs
 
     return {"watched": Check(sides, "WATCHED", {}, ({}, {}))}, refs

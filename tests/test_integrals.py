@@ -298,7 +298,7 @@ def _left_side(variant, order, k, fam):
     """The left side alone of a de Bruijn row, at the family ``fam``."""
     params = {"n": order, "coeff": "corrected"} if k is None else {"k": k, "n": order // (2 * k)}
     row = integrals.DEBRUIJN[f"debruijn_{variant.lower()}"]
-    _header, lhs, _rhs = row.sides({**params, "fam": fam}, 0, 1)
+    _header, lhs, _rhs = row.sides({**params, "fam": fam}, 0)
     (value,) = lhs()
     return value
 
@@ -307,7 +307,7 @@ def _right_side(variant, order, k, fam, coeff="corrected"):
     """The right side alone of a de Bruijn row, at the family ``fam``."""
     params = {"n": order, "coeff": coeff} if k is None else {"k": k, "n": order // (2 * k)}
     row = integrals.DEBRUIJN[f"debruijn_{variant.lower()}"]
-    _header, _lhs, rhs = row.sides({**params, "fam": fam}, 0, 1)
+    _header, _lhs, rhs = row.sides({**params, "fam": fam}, 0)
     (value,) = rhs()
     return value
 
