@@ -94,9 +94,11 @@ class Ring:
     ``is_zero`` is Python truthiness (``operator.not_``): a ring whose zero
     is truthy must override it.  A ring need not be commutative (the
     antishuffle ring is only graded-commutative): ``mul(a, b)`` and ``dot``
-    keep a on the left.  ``div_int`` is required only where a kernel divides
-    by an integer (nilpotent exponentials, double-factorial normalizations)
-    and by default raises.
+    keep a on the left.  ``sum`` of signed values defaults to the fold of
+    ``add`` and ``neg``; QQ sums int numerators over the values' lcm.
+    ``div_int`` is required only where a kernel divides by an integer
+    (nilpotent exponentials, double-factorial normalizations) and by default
+    raises.
     """
 
     zero = None
@@ -108,6 +110,14 @@ class Ring:
         """Sum of mul(a, b) over the (a, b) pairs; zero for no pairs."""
         return functools.reduce(self.add, itertools.starmap(self.mul, pairs), self.zero)
 
+    def sum(self, values, signs=None):
+        """The exact sum of ``values``, each negated where its entry of
+        ``signs`` (one +1 or -1 per value; all +1 if None) is negative; zero
+        for none.  By default one ``add`` (and ``neg``) per value."""
+        if signs is not None:
+            values = (v if s > 0 else self.neg(v) for v, s in zip(values, signs))
+        return functools.reduce(self.add, values, self.zero)
+
     def div_int(self, a, n: int):
         raise NotImplementedError(f"{type(self).__name__} does not support integer division")
 
@@ -117,6 +127,13 @@ class RationalField(Ring):
 
     zero = Fraction(0)
     one = Fraction(1)
+
+    def sum(self, values, signs=None):
+        """One pass of int numerators over the lcm of the denominators
+        (``clear_denominators``), and one Fraction built: no Fraction
+        arithmetic per value."""
+        scale, nums = clear_denominators(values)
+        return Fraction(sum(nums if signs is None else map(operator.mul, signs, nums)), scale)
 
     def div_int(self, a, n: int):
         return Fraction(a, n)
@@ -163,14 +180,26 @@ def mix_seed(seed: int, tag) -> int:
     """Derive an independent child seed from (seed, tag).
 
     Tags may be ints, strings, or tuples of those; folding is bytewise so the
-    result never depends on interpreter hash randomization.
+    result never depends on interpreter hash randomization.  The state after
+    a tuple's bytes before its last part is memoised (``_fold_head``): the
+    points of one check, and CHEN's pairs, differ only in that last part.
     """
-    h = seed & _MASK64
-    for byte in _tag_bytes(tag):
-        h = (h ^ byte) & _MASK64
-        _, h = _splitmix64(h)
-    _, out = _splitmix64(h)
+    if isinstance(tag, (tuple, list)) and tag:
+        head, tail = _tag_bytes(tag[:-1]), _part_bytes(tag[-1])
+    else:
+        head, tail = b"", _tag_bytes(tag)
+    _, out = _splitmix64(_fold(_fold_head(seed & _MASK64, head), tail))
     return out
+
+
+def _fold(h: int, data: bytes) -> int:
+    # Each byte is XORed into the state, which then takes one splitmix64 output.
+    for byte in data:
+        _, h = _splitmix64(h ^ byte)
+    return h
+
+
+_fold_head = functools.lru_cache(maxsize=256)(_fold)  # about 190 tag heads in one suite
 
 
 def _tag_bytes(tag) -> bytes:
@@ -181,12 +210,14 @@ def _tag_bytes(tag) -> bytes:
     if isinstance(tag, str):
         return b"s" + tag.encode("utf-8")
     if isinstance(tag, (tuple, list)):
-        out = b"t"
-        for part in tag:
-            piece = _tag_bytes(part)
-            out += len(piece).to_bytes(4, "little") + piece
-        return out
+        return b"t" + b"".join([_part_bytes(part) for part in tag])
     raise TypeError(f"unsupported tag type: {type(tag).__name__}")
+
+
+def _part_bytes(part) -> bytes:
+    # One part of a tuple tag: its byte length, then its bytes.
+    piece = _tag_bytes(part)
+    return len(piece).to_bytes(4, "little") + piece
 
 
 class SeededSampler:

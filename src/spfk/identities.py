@@ -20,12 +20,15 @@ for the de Bruijn rows; at an odd order ODD_EVEN, ANTISHUFFLE and VI are
 bordered by its first row of singles.  The seven Wick rows differ only in
 their ``word_of`` rule, which both sides read (``_wick_sides``).  VI clears
 the point's denominators once and runs its quasimonomial DP on ints; each
-side is divided back by its own power of the scale.
+side is divided back by its own power of the scale.  ARQ clears its point
+once too: its products run on ints and its antisymmetrisations are
+``QQ.sum``s.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .core import (QQ, SeededSampler, clear_denominators, double_factorial_coeff, integer,
@@ -465,34 +468,32 @@ def _rat_wigner_rank1(n, sampler, coeff):
 
 
 def _rat_arq(m, sampler, _coeff):
+    # Every factor is homogeneous: with x cleared over L and (a, b) over M
+    # once, the q product of a permutation is Q / M^d and its x powers are
+    # X / L^(d(d-1)/2) for int products Q and X, and R is ``r_value`` of the
+    # cleared x over L.  Each antisymmetrisation is one ``QQ.sum``, and each
+    # side builds one Fraction over M^d L^(d(d-1)/2).
     d = 2 * m
     batch = sampler.positive_distinct(3 * d, _SAMPLE_BOUND)
-    x, a, b = batch[:d], batch[d : 2 * d], batch[2 * d :]
+    scale, x = clear_denominators(batch[:d])
+    ab_scale, ab = clear_denominators(batch[d:])
+    a, b = ab[:d], ab[d:]
+    perms, signs = zip(*signed_permutations(d))
+    # q: b - a at the odd positions 1, 3, ..., b + a at the even ones.
+    q = [math.prod(b[p - 1] + (a[p - 1] if i % 2 else -a[p - 1]) for i, p in enumerate(perm))
+         for perm in perms]
+    xr = [math.prod(x[p - 1] ** i for i, p in enumerate(perm)) for perm in perms]
+    den = ab_scale**d * scale ** (d * (d - 1) // 2)
+    antisym = lambda values: QQ.sum(values, signs)
+    r = lambda: [r_value([x[p - 1] for p in perm], scale) for perm in perms]
+    # f g / (M^d L^(d(d-1)/2)) as one Fraction.
+    times = lambda f, g: Fraction(f.numerator * g.numerator, f.denominator * g.denominator * den)
 
-    def r_part(perm):
-        return r_value([x[p - 1] for p in perm])
+    def lhs():
+        rq = [Fraction(v.numerator * w, v.denominator) for v, w in zip(r(), q)]
+        return times(antisym(rq), antisym(xr))
 
-    def q_part(perm):
-        out = Fraction(1)
-        for i in range(1, d + 1):
-            sgn = -1 if i % 2 else 1
-            out *= b[perm[i - 1] - 1] + sgn * a[perm[i - 1] - 1]
-        return out
-
-    def xr_part(perm):
-        out = Fraction(1)
-        for i in range(1, d + 1):
-            out *= x[perm[i - 1] - 1] ** (i - 1)
-        return out
-
-    def antisym(fn):
-        total = Fraction(0)
-        for perm, sign in signed_permutations(d):
-            total += sign * fn(perm)
-        return total
-
-    lhs = lambda: antisym(lambda p: r_part(p) * q_part(p)) * antisym(xr_part)
-    return lhs, lambda: antisym(r_part) * antisym(lambda p: q_part(p) * xr_part(p))
+    return lhs, lambda: times(antisym(r()), antisym(map(operator.mul, q, xr)))
 
 
 def _rational(name, sides_at, flag, most, *parity, coeff=False):

@@ -12,11 +12,12 @@ index (the lcm of the denominators of the entries it heads), divided out once
 at the end.  ``restrict`` builds its sub-tensor with ``from_function``.
 ``group_form`` builds the one right side of the Wick, de Bruijn and VI
 identities: the kernel of a tensor whose entries (anti)symmetrise the value of
-a group of letters, an odd pair order bordered by a first row of singles.  The
-hyper kernels have independent Grassmann/square-zero power oracles, one helper
-over the two nilpotent algebras that reads the top coefficient of
-G^h * G^(n-h), h = n // 2, in one pass, over ZZ for a QQ tensor (int numerators
-over one denominator); the Grassmann one needs an even order.
+a group of letters, each one ``Ring.sum``, an odd pair order bordered by a
+first row of singles.  The hyper kernels have independent
+Grassmann/square-zero power oracles, one helper over the two nilpotent
+algebras that reads the top coefficient of G^h * G^(n-h), h = n // 2, in one
+pass, over ZZ for a QQ tensor (int numerators over one denominator); the
+Grassmann one needs an even order.
 enumerate_blocked lists the partitions themselves; ``tensor_from_json`` reads
 its integers with ``core.integer``, as the CLI does.
 """
@@ -287,16 +288,14 @@ def group_form(ring: Ring, order: int, g: int, value_of, signed: bool, alternati
     new index 1 meets old index j through value_of((j,)), the old indices
     moving up by one, so the Pfaffian is sum_j (-1)^(j+1) value_of((j,))
     Pf(the pairs without j), the odd-order form of de Bruijn's and Wick's
-    identities (the hafnian has no sign).
+    identities (the hafnian has no sign).  Each entry is one ``ring.sum`` of
+    its signed values, over QQ one int sum over their lcm.
     """
     perms = tuple(signed_permutations(g))  # read once per entry
+    signs = [sign for _, sign in perms] if signed else None
 
     def entry(idx):
-        total = ring.zero
-        for tau, sign in perms:
-            value = value_of(tuple(idx[t - 1] for t in tau))
-            total = ring.add(total, ring.neg(value) if signed and sign < 0 else value)
-        return total
+        return ring.sum((value_of(tuple(idx[t - 1] for t in tau)) for tau, _ in perms), signs)
 
     dim, fn = order, entry
     if g == 2 and order % 2:

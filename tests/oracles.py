@@ -24,12 +24,17 @@ the package because the checker never calls them.
   product with one Fraction operation per factor, the references for the
   package's forms that clear the point's denominators once;
   ``refuse_fraction_arithmetic`` makes every Fraction operator raise, and
-  ``MIXED`` is a point with mixed denominators.
+  ``MIXED`` is a point with mixed denominators.  ``group_form_loop`` and
+  ``arq_loop`` are ``tensors.group_form`` over QQ and ARQ's two sides with
+  one Fraction operation per permutation (per factor in ARQ), the
+  references for their sums over one lcm.
+- ``mix_seed_fold`` is ``core.mix_seed`` folding every tag byte in turn,
+  with no memo.
 """
 import math
 from fractions import Fraction
 
-from spfk.core import QQ, double_factorial_coeff
+from spfk.core import QQ, _splitmix64, _tag_bytes, double_factorial_coeff
 from spfk.freealg import FreePoly, shuffle, sort_with_sign
 from spfk.integrals import merged_exponent, r_value
 from spfk.multilinear import GrassmannElement, SquareZeroElement, mask_of
@@ -292,3 +297,62 @@ def refuse_fraction_arithmetic(monkeypatch):
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                "__truediv__", "__rtruediv__", "__neg__"):
         monkeypatch.setattr(Fraction, op, refuse)
+
+
+def group_form_loop(order, g, value_of, signed, alternating):
+    """``tensors.group_form`` over QQ, each entry summed with one Fraction
+    sum (and negation) per permutation."""
+
+    def entry(idx):
+        total = Fraction(0)
+        for tau, sign in signed_permutations(g):
+            value = value_of(tuple(idx[t - 1] for t in tau))
+            total += -value if signed and sign < 0 else value
+        return total
+
+    dim, fn = order, entry
+    if g == 2 and order % 2:
+        dim = order + 1
+        fn = lambda ij: value_of((ij[1] - 1,)) if ij[0] == 1 else entry((ij[0] - 1, ij[1] - 1))
+    cls, kernel = (AltTensor, hyperpfaffian) if alternating else (SymTensor, hyperhafnian)
+    return kernel(cls.from_function(QQ, g, dim, fn))
+
+
+def arq_loop(x, a, b):
+    """ARQ's (left, right) at the point (x, a, b): A(R q) A(X) and
+    A(R) A(q X), A the antisymmetrisation over the permutations p of 1..d, R
+    the ordered integral of x read in p's order, q(p) = prod_i (b_p(i) -+
+    a_p(i)), minus at odd i, and X(p) = prod_i x_p(i)^(i-1), one Fraction
+    operation per factor."""
+    d = len(x)
+
+    def q_part(perm):
+        out = Fraction(1)
+        for i in range(1, d + 1):
+            out *= b[perm[i - 1] - 1] + (-1 if i % 2 else 1) * a[perm[i - 1] - 1]
+        return out
+
+    def x_part(perm):
+        out = Fraction(1)
+        for i in range(1, d + 1):
+            out *= Fraction(x[perm[i - 1] - 1]) ** (i - 1)
+        return out
+
+    def antisym(fn):
+        total = Fraction(0)
+        for perm, sign in signed_permutations(d):
+            total += sign * fn(perm)
+        return total
+
+    r_part = lambda perm: r_value_loop([x[p - 1] for p in perm])
+    lhs = antisym(lambda p: r_part(p) * q_part(p)) * antisym(x_part)
+    return lhs, antisym(r_part) * antisym(lambda p: q_part(p) * x_part(p))
+
+
+def mix_seed_fold(seed, tag):
+    """``core.mix_seed``: the seed mod 2^64 XORed with each tag byte in turn,
+    each time taking one splitmix64 output, and one more step at the end."""
+    h = seed & ((1 << 64) - 1)
+    for byte in _tag_bytes(tag):
+        _, h = _splitmix64(h ^ byte)
+    return _splitmix64(h)[1]

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from spfk import core, identities, integrals, report, suite
 from spfk.core import (
     QQ,
     ZZ,
+    Ring,
     SeededSampler,
     clear_denominators,
     double_factorial_coeff,
@@ -19,6 +21,7 @@ from spfk.core import (
 )
 from spfk.freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly
 
+from oracles import mix_seed_fold, refuse_fraction_arithmetic
 from test_symbolic_ring import SYMPY_RING
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -130,6 +133,32 @@ def test_child_seeds_independent():
 )
 def test_mix_seed_values(seed, tag, value):
     assert mix_seed(seed, tag) == value
+
+
+def test_memoised_mix_seed_is_the_plain_fold_on_the_suites_tags(monkeypatch):
+    # Every (seed, tag) the default and --paranoid suites draw, caught where
+    # report, identities and integrals look mix_seed up, gives the per-byte
+    # fold's value: first with the memo of tag heads cold, then warm, when
+    # every head is served from the memo.
+    drawn = []
+
+    def record(seed, tag):
+        drawn.append((seed, tag))
+        return mix_seed(seed, tag)
+
+    for module in (report, identities, integrals):
+        monkeypatch.setattr(module, "mix_seed", record)
+    for paranoid in (False, True):
+        assert suite.run_suite(suite.SuiteConfig(paranoid=paranoid))[1]
+    monkeypatch.undo()
+    assert len(drawn) > 1000
+    core._fold_head.cache_clear()
+    cold = [mix_seed(seed, tag) for seed, tag in drawn]
+    misses = core._fold_head.cache_info().misses
+    warm = [mix_seed(seed, tag) for seed, tag in drawn]
+    assert cold == warm == [mix_seed_fold(seed, tag) for seed, tag in drawn]
+    assert 0 < misses == core._fold_head.cache_info().misses < len(drawn)
+    assert core._fold_head.cache_info().maxsize is not None
 
 
 def test_mix_seed_refuses_a_float_tag():
@@ -279,6 +308,47 @@ def test_integer_ring_is_the_int_operators():
     assert QQ.div_int(3, 6) == QQ.div_int(Fraction(3, 2), 3) == Fraction(1, 2)
     with pytest.raises(NotImplementedError):
         ZZ.div_int(4, 2)
+
+
+# (values, signs, sum) for Ring.sum: ints among Fractions, mixed and negative
+# denominators, signed values, cancelling sums and no values.
+_SUM_CASES = {
+    "ints-and-fractions": ([3, Fraction(1, 2), -2, Fraction(5, 3)], None, Fraction(19, 6)),
+    "mixed": ([Fraction(7, 12), Fraction(-5, 8), Fraction(3, 10)], None, Fraction(31, 120)),
+    "negative": ([Fraction(3, -4), Fraction(-5, -6), Fraction(1, -9)], [1, -1, -1],
+                 Fraction(-53, 36)),
+    "signed": ([Fraction(2, 5), 4, Fraction(-7, 15)], [-1, 1, -1], Fraction(61, 15)),
+    "cancels": ([Fraction(1, 6), Fraction(1, 3), Fraction(-1, 2)], None, Fraction(0)),
+    "cancels-signed": ([Fraction(3, 4), 1, Fraction(1, 4)], [1, -1, 1], Fraction(0)),
+    "empty": ([], None, QQ.zero),
+    "empty-signed": ([], [], QQ.zero),
+}
+
+
+@pytest.mark.parametrize("values, signs, total", _SUM_CASES.values(), ids=_SUM_CASES.keys())
+def test_rational_sum_is_the_fold_of_add(monkeypatch, values, signs, total):
+    # QQ.sum takes one int sum over the values' lcm and builds one Fraction:
+    # a Fraction operator anywhere in it raises here.  From a list or an
+    # iterator it equals the fold of add over the signed values, which is
+    # the Ring default on QQ.
+    signed = values if signs is None else [v if s > 0 else -v for v, s in zip(values, signs)]
+    fold = functools.reduce(operator.add, signed, QQ.zero)
+    default = Ring.sum(QQ, values, signs)
+    refuse_fraction_arithmetic(monkeypatch)
+    got = [QQ.sum(values, signs), QQ.sum(iter(values), signs)]
+    monkeypatch.undo()
+    assert got == [total, total] == [fold, fold] == [default, default]
+    assert all(type(value) is Fraction for value in got)
+
+
+def test_ring_sum_default_is_the_fold_on_the_shuffle_ring():
+    words = [_word(0, 1), _word(1, 0, coeff=Fraction(-2, 3)), _word(0, 1, coeff=-1), _word(2)]
+    for signs in (None, [1, -1, 1, -1], [-1, -1, -1, 1], [1, 1, 1, 1]):
+        signed = words if signs is None else [w if s > 0 else -w for w, s in zip(words, signs)]
+        fold = functools.reduce(SHUFFLE_RING.add, signed, SHUFFLE_RING.zero)
+        assert SHUFFLE_RING.sum(iter(words), signs) == fold, signs
+    assert SHUFFLE_RING.is_zero(SHUFFLE_RING.sum([words[0], words[0]], [1, -1]))
+    assert SHUFFLE_RING.sum([]) == SHUFFLE_RING.zero
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import pathlib
@@ -38,7 +39,9 @@ from spfk.tensors import (
 
 from oracles import (
     MIXED,
+    arq_loop,
     first_row_expansion,
+    group_form_loop,
     refuse_fraction_arithmetic,
     scale,
     schur_product_loop,
@@ -249,6 +252,17 @@ def test_every_suite_case_reports_the_same_with_the_right_side_first(monkeypatch
     results, ok = suite.run_suite(suite.SuiteConfig())
     assert ok
     assert suite.suite_json_bytes(results) == GOLDEN.read_bytes()
+
+
+# sha256 of `spfk suite --seed 42 --json --paranoid`: every sampled row at 10
+# points, so the ARQ and VI arithmetic runs at each of them.
+PARANOID_SHA256 = "7f2b9e29d91970ce9ecb507d64e715d4cb4885a935d5eaa1538ca7de3743a1f8"
+
+
+def test_paranoid_suite_report_is_pinned():
+    results, ok = suite.run_suite(suite.SuiteConfig(seed=42, paranoid=True))
+    assert ok
+    assert hashlib.sha256(suite.suite_json_bytes(results)).hexdigest() == PARANOID_SHA256
 
 
 # The wick checks one size above the suite (perfbench's WICK_CHECKS), with
@@ -794,3 +808,59 @@ def test_schur_product_does_no_fraction_arithmetic(monkeypatch):
     monkeypatch.undo()
     assert got == [(schur_product_loop(x, c),) * 2 for x in _SCHUR_POINTS for c in factors]
     assert all(type(value) is Fraction for pair in got for value in pair)
+
+
+# Points with mixed denominators, some given over a negative denominator and
+# some negative, whose partial sums in any order are nonzero.
+_SIGNED_POINT = (
+    Fraction(3, 2), Fraction(5, -7), 2, Fraction(-1, -3), Fraction(11, 4), Fraction(9, -8),
+    Fraction(13, 6), 6, Fraction(17, 5), Fraction(-4, 9), Fraction(7, 3), Fraction(1, 10),
+)
+
+
+@pytest.mark.parametrize("parts", ((1, 2), (2, 1, 3), (3, 1, 4, 2)), ids=("12", "213", "3142"))
+def test_vi_group_form_does_no_fraction_arithmetic(monkeypatch, parts):
+    # VI's right side is group_form over QQ of its pair entries, each two
+    # values summed over their lcm into one Fraction (a bordered first row of
+    # singles at an odd length), so a Fraction sum, product, quotient or
+    # negation anywhere in it raises here.  It equals the form whose entries
+    # add one Fraction per permutation.
+    x = _SIGNED_POINT[:8]
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "group_form", lambda _ring, _order, _g, value_of, *_: value_of)
+        value_of = identities._vi_sides(parts, x)[1]()
+    _lhs, rhs = identities._vi_sides(parts, x)
+    refuse_fraction_arithmetic(monkeypatch)
+    got = rhs()
+    monkeypatch.undo()
+    assert got == group_form_loop(len(parts), 2, value_of, True, True) != 0
+
+
+class _FixedPoint:
+    # A sampler whose one draw is the given batch.
+    def __init__(self, batch):
+        self.batch = list(batch)
+
+    def positive_distinct(self, count, _bound):
+        assert count == len(self.batch)
+        return self.batch
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("start", (0, 6), ids=["head", "tail"])
+def test_arq_sides_do_no_fraction_arithmetic(monkeypatch, m, start):
+    # ARQ clears x and (a, b) once: the q and x-power products run on ints,
+    # each antisymmetrisation is one QQ.sum and each side builds one
+    # Fraction, so a Fraction sum, product, quotient or negation anywhere in
+    # either side raises here.  The left side keeps one Fraction built per
+    # permutation, R times its int q product, beside r_value's own.  Both
+    # sides equal the Fraction loop's.
+    d = 2 * m
+    batch = (_SIGNED_POINT + _SIGNED_POINT)[start : start + 3 * d]
+    lhs, rhs = identities._rat_arq(m, _FixedPoint(batch), None)
+    refuse_fraction_arithmetic(monkeypatch)
+    got = (lhs(), rhs())
+    monkeypatch.undo()
+    assert got == arq_loop(batch[:d], batch[d : 2 * d], batch[2 * d :])
+    assert got[0] == got[1] != 0
+    assert all(type(value) is Fraction for value in got)

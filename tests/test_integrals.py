@@ -20,7 +20,13 @@ from spfk.integrals import (
 )
 from spfk.tensors import signed_permutations
 
-from oracles import MIXED as _MIXED, debruijn_rhs, r_value_loop, refuse_fraction_arithmetic
+from oracles import (
+    MIXED as _MIXED,
+    debruijn_rhs,
+    group_form_loop,
+    r_value_loop,
+    refuse_fraction_arithmetic,
+)
 
 
 def test_r_value_examples():
@@ -530,6 +536,34 @@ def test_debruijn_entries_do_no_fraction_arithmetic(monkeypatch, slots, width):
     got = [(value_of(seq), value_of(iter(seq))) for seq in seqs]
     monkeypatch.undo()
     assert got == [(_entry_loop(slots, width, seq),) * 2 for seq in seqs]
+
+
+# Four rows of eight values with mixed denominators, some given over a
+# negative denominator, some negative.
+_SIGNED_GRID = tuple(
+    row[r:] + row[:r]
+    for row in [(Fraction(3, 2), Fraction(7, -3), Fraction(1, 4), 5, Fraction(-9, -8),
+                 Fraction(13, 6), Fraction(-2, 5), Fraction(11, 4))]
+    for r in range(4)
+)
+
+
+@pytest.mark.parametrize("signed", (True, False), ids=["det", "perm"])
+@pytest.mark.parametrize("grid", (_FRACTIONAL.grid, _SIGNED_GRID), ids=["mixed", "signed"])
+def test_debruijn_group_form_of_four_letters_does_no_fraction_arithmetic(
+    monkeypatch, grid, signed
+):
+    # The right side of a k = 2 row is group_form over QQ with g = 4: each
+    # entry sums its 24 values over their lcm and builds one Fraction, so a
+    # Fraction sum, product, quotient or negation anywhere in it raises here.
+    # At orders 4 and 8 it equals the form whose entries add one Fraction per
+    # permutation.
+    value_of = _entry_function(grid, 4)
+    refuse_fraction_arithmetic(monkeypatch)
+    got = [integrals._debruijn_sides(grid, 4, signed, order)[1]() for order in (4, 8)]
+    monkeypatch.undo()
+    assert got == [group_form_loop(order, 4, value_of, signed, signed) for order in (4, 8)]
+    assert all(value for value in got)
 
 
 def test_debruijn_entry_with_a_zero_partial_sum_raises():
