@@ -9,20 +9,21 @@ function here is that driver on its table, given only what its caller gave.
 
 The two sides are built independently: the left side is the
 definition-level sum (permutation sums, tuple enumeration; the sums of R over
-permutations in MEHTA2 and SUM1 go through ``integrals.ordered_sum``, and
+permutations in MEHTA2 and SUM1 go through ``integrals.ordered_sum``,
 HAFSYM's permutation sum is the same kind of DP over the set of placed
-letters, ``_hafsym_lhs``) and never goes through the kernel that computes the
-right side.  Equality is exact, in the free algebra for the symbolic
-identities and at seeded rational points for the rational-function ones.
-The right side of every Wick row and of VI is one ``tensors.group_form``
-call, whose entries (anti)symmetrise the value of one group of letters, as
-for the de Bruijn rows; at an odd order ODD_EVEN, ANTISHUFFLE and VI are
-bordered by its first row of singles.  The seven Wick rows differ only in
-their ``word_of`` rule, which both sides read (``_wick_sides``).  VI clears
-the point's denominators once and runs its quasimonomial DP on ints; each
-side is divided back by its own power of the scale.  ARQ clears its point
-once too: its products run on ints and its antisymmetrisations are
-``QQ.sum``s.
+letters on ints, ``_hafsym_lhs``, and each Wick row's permutation sum is a
+DP over placed groups of letters, ``_wick_sides``) and never goes through
+the kernel that computes the right side.  Equality is exact, in the free
+algebra for the symbolic identities and at seeded rational points for the
+rational-function ones.  The right side of every Wick row and of VI is one
+``tensors.group_form`` call, whose entries (anti)symmetrise the value of one
+group of letters, as for the de Bruijn rows; at an odd order ODD_EVEN,
+ANTISHUFFLE and VI are bordered by its first row of singles.  The seven Wick
+rows differ only in their ``word_of`` rule, which both sides read once per
+ordered group of letters (``_wick_sides``).  VI clears the point's
+denominators once and runs its quasimonomial DP on ints; each side is
+divided back by its own power of the scale.  ARQ clears its point once too:
+its products run on ints and its antisymmetrisations are ``QQ.sum``s.
 """
 from __future__ import annotations
 
@@ -70,13 +71,55 @@ def _wick_sides(order: int, g: int, word_of, signed: bool, alternating: bool, ri
     (word, coefficient) of a sequence of indices, a concatenation of the words
     of its groups of g.  The left side sums sgn(p)^signed word_of(p) over the
     permutations p of 1..order; the right side is ``tensors.group_form`` of
-    the one-word FreePoly of each group, so both sides read one rule."""
+    the one-word FreePoly of each group, so both sides read one rule.
+
+    A permutation is its groups of g in turn (the last one of order % g when
+    that is nonzero), and its word the concatenation of theirs, so the left
+    side is a forward DP over the groups, as ``integrals.ordered_sum`` is
+    over positions.  A state is the bitmask of the indices placed so far,
+    mapped to {word so far: coefficient}; each group placed next extends it
+    by the {word: coefficient} of the orderings of its index set, each
+    ``word_of`` once per check, with its own inversion sign.  Its inversions
+    with the indices already placed are one popcount, as in the blocked sum:
+    the placed indices against the XOR of the "indices above i" masks of its
+    members.  States that meet are merged, and each state is dropped once
+    it is extended.
+    """
 
     def lhs():
-        acc: dict = {}
-        for perm, sign in signed_permutations(order):
-            word, coeff = word_of(perm)
-            acc[word] = acc.get(word, 0) + (sign * coeff if signed else coeff)
+        full = (1 << order) - 1
+        groups = {}  # {size: [(set mask, XOR of its above masks, {word: coeff})]}
+        for size in {g, order % g} - {0}:
+            taus = tuple(signed_permutations(size))
+            groups[size] = []
+            for idx in itertools.combinations(range(1, order + 1), size):
+                mask = parity = 0
+                for i in idx:
+                    mask |= 1 << (i - 1)
+                    parity ^= full ^ ((1 << i) - 1)
+                words: dict = {}
+                for tau, sign in taus:
+                    word, coeff = word_of(tuple(idx[t - 1] for t in tau))
+                    words[word] = words.get(word, 0) + (sign * coeff if signed else coeff)
+                groups[size].append((mask, parity, words))
+        states = {0: {(): 1}}
+        for size in [g] * (order // g) + [order % g] * (order % g > 0):
+            nxt: dict = {}
+            while states:  # each state is dropped once it is extended
+                used, prefixes = states.popitem()
+                for mask, parity, words in groups[size]:
+                    if used & mask:
+                        continue
+                    into = nxt.setdefault(used | mask, {})
+                    flip = signed and (used & parity).bit_count() & 1
+                    for word, coeff in words.items():
+                        if flip:
+                            coeff = -coeff
+                        for prefix, c in prefixes.items():
+                            key = prefix + word
+                            into[key] = into.get(key, 0) + c * coeff
+            states = nxt
+        (acc,) = states.values()
         for word in [word for word, c in acc.items() if not c]:
             del acc[word]
         return FreePoly._make(acc)
@@ -117,8 +160,9 @@ def _wick_odd(n: int, signed: bool):
 
 
 def _xipfashu_ids(k: int, n: int) -> dict:
-    """{sorted 2k-tuple of 1..2kn: letter}, the letters numbering the tuples
-    in the order the left side first meets them: permutations in
+    """{sorted 2k-tuple of 1..2kn: letter}.  The numbering is a definition,
+    which fixes every letter id and so every XIPFASHU digest: the tuples in
+    the order they first show when the permutations of 1..2kn are read in
     lexicographic order, blocks left to right.
 
     A set S first shows as block j in the least permutation that has it
@@ -137,23 +181,16 @@ def _xipfashu_ids(k: int, n: int) -> dict:
 
 
 def _wick_xipfashu(k: int, n: int):
-    # Each block's letter is set by _xipfashu_ids before either side runs;
-    # each block's (letter, sign) is looked up once.
+    # Each block's letter is set by _xipfashu_ids before either side runs.
     width, order = 2 * k, 2 * k * n
     ids = _xipfashu_ids(k, n)
-    block_letters: dict = {}
 
     def word_of(seq):
-        coeff = 1
-        letters = []
+        coeff, letters = 1, []
         for b in range(0, len(seq), width):
-            block = seq[b : b + width]
-            hit = block_letters.get(block)
-            if hit is None:
-                canon, sign = sort_with_sign(block)
-                hit = block_letters[block] = ids[canon], sign
-            letters.append(hit[0])
-            coeff *= hit[1]
+            canon, sign = sort_with_sign(seq[b : b + width])
+            letters.append(ids[canon])
+            coeff *= sign
         return tuple(letters), coeff
 
     return _wick_sides(order, width, word_of, True, True)
@@ -428,20 +465,37 @@ def _hafsym_lhs(x, y) -> Fraction:
     at an even position multiplies by its y, and a set reached at an odd
     position is divided by its x-sum once, after every way into it has been
     added.  O(2^d d) instead of d!.
+
+    It runs on ints, as ``ordered_sum`` does.  x and y are cleared together
+    by one scale L, which cancels: each term has as many y factors as x-sums.
+    The weights of the sets of 2t letters are int numerators over one
+    denominator D_t, the lcm of their x-sums, so dividing by a set's x-sum
+    multiplies by D_t // (its x-sum); the result is the full set's weight
+    over the product of the D_t.
     """
     d = len(x)
-    weight = [Fraction(0)] * (1 << d)
-    weight[0] = Fraction(1)
+    _scale, flat = clear_denominators([*x, *y])
+    xs, ys = flat[:d], flat[d:]
+    xsum = [0] * (1 << d)
+    step = [1] * (d + 1)
+    for placed_set in range(1, 1 << d):
+        low = placed_set & -placed_set
+        xsum[placed_set] = xsum[placed_set ^ low] + xs[low.bit_length() - 1]
+        placed = placed_set.bit_count()
+        if placed % 2 == 0:
+            step[placed] = math.lcm(step[placed], xsum[placed_set])
+    weight = [0] * (1 << d)
+    weight[0] = 1
     for placed_set in range(1 << d):  # every subset comes before its supersets
         w = weight[placed_set]
-        placed = bin(placed_set).count("1")
+        placed = placed_set.bit_count()
         if placed and placed % 2 == 0:
-            w /= sum(x[i] for i in range(d) if placed_set >> i & 1)
+            w *= step[placed] // xsum[placed_set]
             weight[placed_set] = w
         for i in range(d):
             if not placed_set >> i & 1:
-                weight[placed_set | 1 << i] += w if placed % 2 else w * y[i]
-    return weight[-1]
+                weight[placed_set | 1 << i] += w if placed % 2 else w * ys[i]
+    return Fraction(weight[-1], math.prod(step))
 
 
 def _rat_hafsym(n, sampler, _coeff):

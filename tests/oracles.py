@@ -30,6 +30,9 @@ the package because the checker never calls them.
   references for their sums over one lcm.
 - ``mix_seed_fold`` is ``core.mix_seed`` folding every tag byte in turn,
   with no memo.
+- ``wick_lhs_loop`` is a Wick row's left side as its literal sum over the
+  permutations, one ``word_of`` per permutation, the reference for the
+  package's DP over placed groups.
 """
 import math
 from fractions import Fraction
@@ -356,3 +359,12 @@ def mix_seed_fold(seed, tag):
     for byte in _tag_bytes(tag):
         _, h = _splitmix64(h ^ byte)
     return _splitmix64(h)[1]
+
+
+def wick_lhs_loop(order, word_of, signed):
+    """Sum over the permutations p of 1..order of sgn(p)^signed word_of(p)."""
+    acc = {}
+    for perm, sign in signed_permutations(order):
+        word, coeff = word_of(perm)
+        acc[word] = acc.get(word, 0) + (sign * coeff if signed else coeff)
+    return FreePoly(acc)

@@ -422,7 +422,7 @@ def test_closed_stdout_pipe_exits_1_with_empty_stderr(argv, unbuffered):
 
 @pytest.mark.parametrize("identity", list(suite.IDENTITIES))
 def test_verify_coeff_only_where_the_table_takes_it(capsys, identity):
-    flags = suite.IDENTITIES[identity][2]
+    flags = suite.IDENTITIES[identity].flags
     case = _first_cases()[identity]
     params = {k: v for k, v in case.param_dict().items() if k != "coeff"}
     code, out, err = run(capsys, "verify", identity, *_flag_argv(params), "--coeff", "paper",
@@ -436,7 +436,7 @@ def test_verify_coeff_only_where_the_table_takes_it(capsys, identity):
 
 
 def test_coeff_column():
-    takes = [i for i, (_r, _v, flags, _c, _i) in suite.IDENTITIES.items() if "coeff" in flags]
+    takes = [i for i, row in suite.IDENTITIES.items() if "coeff" in row.flags]
     assert takes == ["fhaff1", "schur_hyper", "wigner_rank1", "debruijn_perm_product"]
 
 
@@ -456,7 +456,8 @@ def test_verify_help_names_every_id(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for identity, (*_, (ranges, caps), _inputs) in suite.IDENTITIES.items():
+    for identity, row in suite.IDENTITIES.items():
+        ranges, caps = row.domain
         line = re.search(rf"^  {identity} .*$", out, re.M).group(0)
         for flag, (least, most, *parity) in ranges.items():
             bound = f"{flag} >= {least}" if most is None else f"{least} <= {flag} <= {most}"
@@ -503,7 +504,7 @@ def test_suite_unknown_max_cap_is_refused(capsys, monkeypatch, name):
 
 
 def test_suite_known_max_caps_are_the_table_measures():
-    measured = {m for *_, (_ranges, caps), _inputs in suite.IDENTITIES.values() for m in caps}
+    measured = {m for row in suite.IDENTITIES.values() for m in row.domain[1]}
     assert set(suite.CAP_NAMES) == measured | {"size"}
     assert cli._parse_caps([f"{name}=3" for name in suite.CAP_NAMES]) == dict.fromkeys(
         suite.CAP_NAMES, 3
@@ -566,7 +567,8 @@ _LISTED_LAST = (
 
 def _one_step_outside():
     cases, last = [], {}
-    for identity, (_runner, name, _flags, (ranges, caps), _inputs) in suite.IDENTITIES.items():
+    for identity, row in suite.IDENTITIES.items():
+        name, (ranges, caps) = row.name, row.domain
         base = _first_cases()[identity].param_dict()
         moved = lambda flag, value: {**base, flag: value}
         for flag, (least, most, *parity) in ranges.items():
@@ -615,15 +617,17 @@ def test_every_id_has_a_bound_one_step_outside():
 def test_no_ranged_flag_defaults_to_none():
     # core.check_domain reads each ranged flag as a value: a None default
     # would reach it, as no given value or `...` can.
-    for identity, (_sides, _name, flags, (ranges, _caps), _inputs) in suite.IDENTITIES.items():
-        assert [flag for flag in ranges if flags[flag] is None] == [], identity
+    for identity, row in suite.IDENTITIES.items():
+        ranges, _caps = row.domain
+        assert [flag for flag in ranges if row.flags[flag] is None] == [], identity
 
 
 def _far_past():
     """Each ranged flag of each id at 10**11 (a list flag: one element), the
     id's other ranged flags at the least value their range and parity allow."""
     cases = []
-    for identity, (*_, (ranges, _caps), _inputs) in suite.IDENTITIES.items():
+    for identity, row in suite.IDENTITIES.items():
+        ranges, _caps = row.domain
         least = {}
         for flag, (low, _most, *parity) in ranges.items():
             least[flag] = low + (bool(parity) and low % 2 != (parity[0] == "odd"))
@@ -1253,7 +1257,7 @@ _flag_text = {
 @st.composite
 def _verify_argv(draw):
     identity = draw(st.sampled_from([*suite.IDENTITIES, "nope"]))
-    flags = suite.IDENTITIES[identity][2] if identity in suite.IDENTITIES else {"n": ...}
+    flags = suite.IDENTITIES[identity].flags if identity in suite.IDENTITIES else {"n": ...}
     # Mostly the id's own flags, sometimes one missing or one it does not read.
     names = [name for name in flags if draw(st.integers(0, 7))]
     if draw(st.integers(0, 4)) == 0:
@@ -1294,7 +1298,8 @@ def test_fuzz_tensor_json(tmp_path_factory, command):
 def _in_domain(draw, identity):
     """Flag values inside the id's table domain.  An int stays within two of
     its minimum, so that an example costs no more than a suite case."""
-    _runner, _name, flags, (ranges, caps), _inputs = suite.IDENTITIES[identity]
+    row = suite.IDENTITIES[identity]
+    flags, (ranges, caps) = row.flags, row.domain
     base = _first_cases()[identity].param_dict()
     params = {}
     for flag, (least, most, *parity) in ranges.items():
@@ -1317,7 +1322,7 @@ def _in_domain(draw, identity):
 
 def _out_of_domain(draw, identity):
     """In-domain values with one ranged flag moved past one of its bounds."""
-    _runner, _name, _flags, (ranges, _caps), _inputs = suite.IDENTITIES[identity]
+    ranges, _caps = suite.IDENTITIES[identity].domain
     params = _in_domain(draw, identity)
     full = {**_first_cases()[identity].param_dict(), **params}
     flag = draw(st.sampled_from(list(ranges)))

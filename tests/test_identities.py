@@ -27,7 +27,7 @@ from spfk.identities import (
     verify_vandermonde_average,
 )
 from spfk.integrals import r_value
-from spfk.report import Check, digest, run_check
+from spfk.report import Check, complete, digest, run_check
 from spfk.tensors import (
     AltTensor,
     SymTensor,
@@ -45,6 +45,7 @@ from oracles import (
     refuse_fraction_arithmetic,
     scale,
     schur_product_loop,
+    wick_lhs_loop,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_seed42.json"
@@ -229,6 +230,48 @@ def test_xipfashu_term_count_sanity():
         acc[word] = acc.get(word, 0) + coeff
     assert len(acc) == 70
     assert all(abs(c) == 576 for c in acc.values())
+
+
+def _wick_left_side_and_rule(monkeypatch, identity, given):
+    # The row's left side, and the (order, word_of, signed) it sums, read off
+    # the row's one _wick_sides call.
+    seen = []
+    real = identities._wick_sides
+
+    def record(order, g, word_of, signed, *rest):
+        seen.append((order, word_of, signed))
+        return real(order, g, word_of, signed, *rest)
+
+    check = identities.WICK[identity]
+    monkeypatch.setattr(identities, "_wick_sides", record)
+    _header, lhs, _rhs = check.sides(complete(identity, check, given)[0], 0)
+    monkeypatch.undo()
+    (rule,) = seen
+    return lhs, rule
+
+
+def _wick_left_side_cases():
+    # Every default suite size, then order 8 and the odd orders, each once.
+    cases = [(c.runner, c.param_dict()) for c in suite.default_cases() if c.runner in identities.WICK]
+    extra = (
+        [(identity, {"n": 4}) for identity in ("pfab", "sdb2", "fhaff2", "fhaff1")]
+        + [("xipfashu", {"k": 1, "n": 4}), ("xipfashu", {"k": 2, "n": 2})]
+        + [(identity, {"n": n}) for identity in ("odd_even", "antishuffle") for n in (3, 5)]
+    )
+    return cases + [case for case in extra if case not in cases]
+
+
+@pytest.mark.parametrize(
+    "identity, given",
+    _wick_left_side_cases(),
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{v[k]}" for k in sorted(v)),
+)
+def test_wick_left_side_is_the_permutation_sum(monkeypatch, identity, given):
+    # The DP over placed groups against the literal n! loop over the row's
+    # own word_of: every default suite size, order 8, and the odd orders
+    # whose trailing single carries the sign.
+    lhs, (order, word_of, signed) = _wick_left_side_and_rule(monkeypatch, identity, given)
+    assert lhs() == wick_lhs_loop(order, word_of, signed)
 
 
 def _right_side_first(sides):
@@ -455,6 +498,18 @@ def test_hafsym_left_side_never_calls_the_hafnian(monkeypatch):
     x = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
     y = [Fraction(5), Fraction(1, 4), Fraction(3), Fraction(2, 7)]
     assert identities._hafsym_lhs(x, y) == _hafsym_lhs_by_permutations(x, y)
+
+
+@pytest.mark.parametrize("d", (2, 4, 6))
+def test_hafsym_left_side_runs_on_ints(monkeypatch, d):
+    # x and y with mixed denominators, cleared together once: no Fraction
+    # arithmetic runs in the DP, and the value is the permutation sum's.
+    x, y = MIXED[:d], MIXED[::-1][:d]
+    refuse_fraction_arithmetic(monkeypatch)
+    got = identities._hafsym_lhs(x, y)
+    monkeypatch.undo()
+    assert type(got) is Fraction
+    assert got == _hafsym_lhs_by_permutations(x, y)
 
 
 def test_wick_debruijn_and_vi_left_sides_never_enter_group_form(monkeypatch):
