@@ -8,12 +8,11 @@ any work, then the left side, then the right side.  Each ``verify_*``
 function here is that driver on its table, given only what its caller gave.
 
 The two sides are built independently: the left side is the
-definition-level sum (permutation sums, tuple enumeration; the sums of R over
-permutations in MEHTA2 and SUM1 go through ``integrals.ordered_sum``,
-HAFSYM's permutation sum is the same kind of DP over the set of placed
-letters on ints, ``_hafsym_lhs``, and each Wick row's permutation sum is a
-DP over placed groups of letters, ``_wick_sides``) and never goes through
-the kernel that computes the right side.  Equality is exact, in the free
+definition-level sum (permutation sums, tuple enumeration; every
+permutation sum, of R in MEHTA2 and SUM1 (``integrals.ordered_sum``), in
+HAFSYM (``_hafsym_lhs``) and of words in each Wick row (``_wick_sides``), is
+one ``integrals.placed_sum`` DP over the set of placed indices) and never
+goes through the kernel that computes the right side.  Equality is exact, in the free
 algebra for the symbolic identities and at seeded rational points for the
 rational-function ones.  The right side of every Wick row and of VI is one
 ``tensors.group_form`` call, whose entries (anti)symmetrise the value of one
@@ -35,7 +34,7 @@ from fractions import Fraction
 from .core import (QQ, SeededSampler, clear_denominators, double_factorial_coeff, integer,
                    mix_seed)
 from .freealg import ANTISHUFFLE_RING, SHUFFLE_RING, FreePoly, sort_with_sign
-from .integrals import ordered_sum, r_value
+from .integrals import index_masks, ordered_sum, placed_sum, r_value
 from .report import Check, VerificationReport, at_points, run_check
 from .tensors import (
     AltTensor,
@@ -75,50 +74,26 @@ def _wick_sides(order: int, g: int, word_of, signed: bool, alternating: bool, ri
 
     A permutation is its groups of g in turn (the last one of order % g when
     that is nonzero), and its word the concatenation of theirs, so the left
-    side is a forward DP over the groups, as ``integrals.ordered_sum`` is
-    over positions.  A state is the bitmask of the indices placed so far,
-    mapped to {word so far: coefficient}; each group placed next extends it
-    by the {word: coefficient} of the orderings of its index set, each
-    ``word_of`` once per check, with its own inversion sign.  Its inversions
-    with the indices already placed are one popcount, as in the blocked sum:
-    the placed indices against the XOR of the "indices above i" masks of its
-    members.  States that meet are merged, and each state is dropped once
-    it is extended.
+    side is ``integrals.placed_sum`` with one level per group, its key the
+    word so far.  Each index set of a group's size is one move, with the
+    {word: coefficient} of its orderings, each ``word_of`` once per check
+    and signed by its own inversions; its inversions with the indices
+    already placed are the move's parity.
     """
 
     def lhs():
-        full = (1 << order) - 1
-        groups = {}  # {size: [(set mask, XOR of its above masks, {word: coeff})]}
+        groups = {}  # {size: [(set mask, parity, {word: coeff})]}
         for size in {g, order % g} - {0}:
             taus = tuple(signed_permutations(size))
             groups[size] = []
             for idx in itertools.combinations(range(1, order + 1), size):
-                mask = parity = 0
-                for i in idx:
-                    mask |= 1 << (i - 1)
-                    parity ^= full ^ ((1 << i) - 1)
                 words: dict = {}
                 for tau, sign in taus:
                     word, coeff = word_of(tuple(idx[t - 1] for t in tau))
                     words[word] = words.get(word, 0) + (sign * coeff if signed else coeff)
-                groups[size].append((mask, parity, words))
-        states = {0: {(): 1}}
-        for size in [g] * (order // g) + [order % g] * (order % g > 0):
-            nxt: dict = {}
-            while states:  # each state is dropped once it is extended
-                used, prefixes = states.popitem()
-                for mask, parity, words in groups[size]:
-                    if used & mask:
-                        continue
-                    into = nxt.setdefault(used | mask, {})
-                    flip = signed and (used & parity).bit_count() & 1
-                    for word, coeff in words.items():
-                        if flip:
-                            coeff = -coeff
-                        for prefix, c in prefixes.items():
-                            key = prefix + word
-                            into[key] = into.get(key, 0) + c * coeff
-            states = nxt
+                groups[size].append((*index_masks(i - 1 for i in idx), words))
+        sizes = [g] * (order // g) + [order % g] * (order % g > 0)
+        states, _ = placed_sum([groups[size] for size in sizes], signed, ())
         (acc,) = states.values()
         for word in [word for word, c in acc.items() if not c]:
             del acc[word]
@@ -460,42 +435,24 @@ def _hafsym_lhs(x, y) -> Fraction:
     """Sum over the orderings s of the letters of
     prod_{even j} y[s_j] / prod_{odd j} (x[s_0] + ... + x[s_j]).
 
-    A prefix's weight depends only on the set of letters it places, so this
-    is a forward DP over that set, as in ``integrals.ordered_sum``: a letter
-    at an even position multiplies by its y, and a set reached at an odd
-    position is divided by its x-sum once, after every way into it has been
-    added.  O(2^d d) instead of d!.
+    A prefix's weight depends only on the set of letters it places and their
+    x-sum, so this is ``integrals.placed_sum`` with one level per position,
+    its key the partial x-sum: a letter at an even position multiplies by
+    its y, and the level of each odd position closes, dividing by the
+    x-sum.  O(2^d d) instead of d!.
 
-    It runs on ints, as ``ordered_sum`` does.  x and y are cleared together
-    by one scale L, which cancels: each term has as many y factors as x-sums.
-    The weights of the sets of 2t letters are int numerators over one
-    denominator D_t, the lcm of their x-sums, so dividing by a set's x-sum
-    multiplies by D_t // (its x-sum); the result is the full set's weight
-    over the product of the D_t.
+    It runs on ints, as ``ordered_sum`` does: x and y are cleared together
+    by one scale L, which cancels, since each term has as many y factors as
+    x-sums.
     """
     d = len(x)
     _scale, flat = clear_denominators([*x, *y])
     xs, ys = flat[:d], flat[d:]
-    xsum = [0] * (1 << d)
-    step = [1] * (d + 1)
-    for placed_set in range(1, 1 << d):
-        low = placed_set & -placed_set
-        xsum[placed_set] = xsum[placed_set ^ low] + xs[low.bit_length() - 1]
-        placed = placed_set.bit_count()
-        if placed % 2 == 0:
-            step[placed] = math.lcm(step[placed], xsum[placed_set])
-    weight = [0] * (1 << d)
-    weight[0] = 1
-    for placed_set in range(1 << d):  # every subset comes before its supersets
-        w = weight[placed_set]
-        placed = placed_set.bit_count()
-        if placed and placed % 2 == 0:
-            w *= step[placed] // xsum[placed_set]
-            weight[placed_set] = w
-        for i in range(d):
-            if not placed_set >> i & 1:
-                weight[placed_set | 1 << i] += w if placed % 2 else w * ys[i]
-    return Fraction(weight[-1], math.prod(step))
+    letters = [index_masks((i,)) for i in range(d)]
+    even = [(mask, parity, {xs[i]: ys[i]}) for i, (mask, parity) in enumerate(letters)]
+    odd = [(mask, parity, {xs[i]: 1}) for i, (mask, parity) in enumerate(letters)]
+    states, denominator = placed_sum([even, odd] * (d // 2), False, 0, range(1, d, 2))
+    return Fraction(sum(w for keys in states.values() for w in keys.values()), denominator)
 
 
 def _rat_hafsym(n, sampler, _coeff):

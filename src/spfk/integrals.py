@@ -15,10 +15,10 @@ identity here evaluates in exact rationals.
 All eight de Bruijn rows are built by one function, ``_debruijn_sides``,
 position p of the matrix reading the family slots[p % g].  Its left side,
 the ordered integral of the expanded determinant or permanent, is
-``ordered_sum``: a forward DP on ints that places one letter per position,
-its state the set of letters used so far and the partial sum, with each
-block closed at its last position, so no n! expansion runs (the literal
-expansion is the tests' oracle).  Its right side is
+``ordered_sum``, which runs on ints through ``placed_sum``: the one forward
+DP over the set of placed indices behind every permutation-sum left side
+(HAFSYM's and the Wick rows' in ``identities`` too), so no n! expansion
+runs (the literal expansion is the tests' oracle).  Its right side is
 ``tensors.group_form`` of the ordered integral of one group of g letters,
 bordered at an odd order by the single-letter integrals; the left side
 calls none of that code.
@@ -180,6 +180,64 @@ CHEN = {"chen": Check(_chen_check, "CHEN", {"pairs": 100}, _CHEN_DOMAIN)}
 _signed_perms = signed_permutations
 
 
+def index_masks(indices):
+    """(mask, parity) of a set of indices: its bitmask, and the XOR of its
+    members' "indices above" masks, so the set closes an odd number of
+    inversions with a placed set ``used`` exactly when
+    (used & parity).bit_count() is odd."""
+    mask = parity = 0
+    for i in indices:
+        mask |= 1 << i
+        parity ^= -1 << (i + 1)  # every bit above i
+    return mask, parity
+
+
+def placed_sum(levels, signed: bool, start, closes=()):
+    """The forward DP over the set of placed indices behind every
+    permutation-sum left side.
+
+    A state maps the bitmask of the indices placed so far to {key: weight},
+    from {0: {start: 1}}.  ``levels[t]`` lists level t's moves as (mask,
+    parity, {piece: coeff}), mask and parity from ``index_masks``: a move
+    disjoint from a state extends each of its keys to key + piece, the
+    weight times coeff, negated when ``signed`` and (used & parity) has an
+    odd popcount (the inversions the move closes).  States that meet are
+    merged, and each state is dropped once it is extended.  key + piece is a
+    word concatenation for the Wick rows and an int sum for the sums of R.
+
+    After each level t in ``closes`` every weight is divided by its key: the
+    zero weights are dropped, and the rest become int numerators over one
+    denominator D, the lcm of the keys, each weight times D // key.  The
+    result is (states, the product of the D's).
+    """
+    states = {0: {start: 1}}
+    denominator = 1
+    for t, moves in enumerate(levels):
+        nxt: dict = {}
+        while states:
+            used, keys = states.popitem()
+            for mask, parity, pieces in moves:
+                if used & mask:
+                    continue
+                into = nxt.setdefault(used | mask, {})
+                flip = signed and (used & parity).bit_count() & 1
+                for piece, coeff in pieces.items():
+                    if flip:
+                        coeff = -coeff
+                    for key, weight in keys.items():
+                        grown = key + piece
+                        into[grown] = into.get(grown, 0) + weight * coeff
+        states = nxt
+        if t in closes:
+            states = {used: {key: w for key, w in keys.items() if w}
+                      for used, keys in states.items()}
+            step = math.lcm(*(key for keys in states.values() for key in keys))
+            denominator *= step
+            states = {used: {key: w * (step // key) for key, w in keys.items()}
+                      for used, keys in states.items()}
+    return states, denominator
+
+
 def ordered_sum(slots, width: int, signed: bool) -> Fraction:
     """Sum over sigma of sgn(sigma)^signed * R(z_1, ..., z_r) for letters 0..m-1.
 
@@ -188,18 +246,12 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
     a block whose exponent is its merged exponent, sum - (width - 1).
 
     Since R(z_1..z_r) = prod_j 1/(z_1+...+z_j), each factor depends only on
-    the blocks placed so far, so the sum is a forward DP over positions.  A
-    state is (bitmask of used letters, partial sum) with an int weight; each
-    position extends every state by every unused letter i, adding its
-    parameter and flipping the sign when popcount(used >> (i+1)) is odd (the
-    inversions it closes), and states that meet are merged at once.  The DP
-    runs on ints: the parameters are scaled by L, the lcm of their
-    denominators, the block shift L (width - 1) is subtracted at a block's
-    first position, and R(L z) = L^-r R(z) for r blocks.  At a block's last
-    position the weights become int numerators over one denominator D, the
-    lcm of the partial sums reached there, so closing a block multiplies a
-    numerator by D // (its partial sum).  The result is
-    Fraction(total * L^r, product of the D's).
+    the blocks placed so far, so the sum is ``placed_sum`` with one level
+    per position, one move per letter, the key the partial sum of the
+    blocks placed, and a close at each block's last position.  It runs on
+    ints: the parameters are scaled by L, the lcm of their denominators,
+    the block shift L (width - 1) is subtracted at a block's first position,
+    and R(L z) = L^-r R(z) for r blocks.
 
     Every block exponent must be positive, or the integral diverges (and a
     zero partial sum the brute-force expansion divides by could cancel out
@@ -218,25 +270,13 @@ def ordered_sum(slots, width: int, signed: bool) -> Fraction:
             raise ValueError(
                 "a merged block exponent can be <= 0: the ordered integral diverges"
             )
-    states = {(0, 0): 1}
-    denominator = 1
-    for p, fam in enumerate(fams):
-        lead = shift if p % width == 0 else 0
-        nxt: dict = {}
-        for (used, acc), weight in states.items():
-            acc -= lead
-            for i in range(m):
-                if not used >> i & 1:
-                    key = used | 1 << i, acc + fam[i]
-                    flip = signed and (used >> (i + 1)).bit_count() & 1
-                    nxt[key] = nxt.get(key, 0) + (-weight if flip else weight)
-        states = nxt
-        if p % width == width - 1:
-            states = {key: w for key, w in states.items() if w}
-            step = math.lcm(*(acc for _used, acc in states))
-            denominator *= step
-            states = {key: w * (step // key[1]) for key, w in states.items()}
-    return Fraction(sum(states.values()) * scale ** (m // width), denominator)
+    letters = [index_masks((i,)) for i in range(m)]
+    levels = [[(mask, parity, {fam[i] - (shift if p % width == 0 else 0): 1})
+               for i, (mask, parity) in enumerate(letters)]
+              for p, fam in enumerate(fams)]
+    states, denominator = placed_sum(levels, signed, 0, range(width - 1, m, width))
+    total = sum(w for keys in states.values() for w in keys.values())
+    return Fraction(total * scale ** (m // width), denominator)
 
 
 def _sample_params(seed: int, tag, count: int) -> tuple:

@@ -11,9 +11,11 @@ from spfk.integrals import (
     MonomialFamily,
     chen_form,
     default_family,
+    index_masks,
     iterated_integral_oracle,
     merged_exponent,
     ordered_sum,
+    placed_sum,
     r_value,
     verify_chen_batch,
     verify_debruijn,
@@ -425,6 +427,69 @@ def test_ordered_sum_argument_errors():
     with pytest.raises(ValueError, match="each of the 2 letters"):
         ordered_sum([(Fraction(2),), (Fraction(3), Fraction(4))], 1, signed=True)
     assert ordered_sum([], 1, signed=True) == 1
+
+
+@pytest.mark.parametrize("width", (1, 2, 4))
+def test_ordered_sum_does_no_fraction_arithmetic(monkeypatch, width):
+    # Families with mixed denominators, cleared once: the DP runs on ints,
+    # and the value is the permutation expansion's.
+    families = tuple(_MIXED[j:] + _MIXED[:j] for j in range(4))
+    slots = [families[p % width] for p in range(4)]
+    refuse_fraction_arithmetic(monkeypatch)
+    got = [ordered_sum(slots, width, signed) for signed in (True, False)]
+    monkeypatch.undo()
+    assert all(type(value) is Fraction for value in got)
+    assert got == list(_brute_force(slots, width))
+
+
+def _one_letter_levels(*pieces):
+    # One level per entry of ``pieces``, one move per index i carrying pieces[t][i].
+    return [[(*index_masks((i,)), piece) for i, piece in enumerate(level)] for level in pieces]
+
+
+def _ordering_levels(sizes):
+    # One level per group size, one move per index set, its pieces the set's
+    # orderings as words, each with its own inversion sign.
+    order = sum(sizes)
+    return [
+        [
+            (*index_masks(idx), {tuple(idx[t - 1] for t in tau): sign
+                                 for tau, sign in signed_permutations(size)})
+            for idx in itertools.combinations(range(order), size)
+        ]
+        for size in sizes
+    ]
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    (
+        pytest.param(([], True, 7), ({0: {7: 1}}, 1), id="no-levels"),
+        # Both orders of two letters reach the key 1 - 1 = 0 with opposite
+        # signs, so the closed level has no weight left and no key to divide by.
+        pytest.param(
+            (_one_letter_levels([{1: 1}, {1: 1}], [{-1: 1}, {-1: 1}]), True, 0, (1,)),
+            ({3: {}}, 1),
+            id="closed-level-cancels",
+        ),
+        # Groups placed in turn: every permutation as its own word, with its
+        # sign.  Even groups, or an odd one after an even count, read the same
+        # sign from the indices below as from those above; 1, 2, 1 does not.
+        *(
+            pytest.param(
+                (_ordering_levels(sizes), True, ()),
+                ({(1 << sum(sizes)) - 1: {tuple(i - 1 for i in perm): sign
+                                          for perm, sign in signed_permutations(sum(sizes))}},
+                 1),
+                id="signed-groups-" + "-".join(map(str, sizes)),
+            )
+            for sizes in ((2, 2, 1), (1, 2, 1))
+        ),
+    ),
+)
+def test_placed_sum_table(args, expected):
+    states, denominator = placed_sum(*args)
+    assert (states, denominator) == expected
 
 
 @pytest.mark.parametrize(

@@ -77,7 +77,7 @@ def builtin_int_uses(source: str) -> list[int]:
                   if isinstance(node, ast.Name) and node.id == "int" and id(node) not in annotated)
 
 
-@pytest.mark.parametrize("name", ("cli.py", "identities.py", "tensors.py"))
+@pytest.mark.parametrize("name", ("cli.py", "identities.py", "integrals.py", "tensors.py"))
 def test_outside_text_has_one_integer_reader(name):
     assert builtin_int_uses((ROOT / "src" / "spfk" / name).read_text(encoding="utf-8")) == []
 
