@@ -7,6 +7,10 @@ input error.  The default seed is 42, overridable by the SPFK_SEED
 environment variable and then by --seed.  Every integer in a flag or in
 SPFK_SEED is read by ``core.integer`` (-?[0-9]+ in ASCII); spaces may stand
 only around a list piece, a ``/`` or the ``=`` of ``--max NAME=VALUE``.
+
+Loading this module imports no process pool: `suite --jobs N>1` imports it
+when it starts one, and a broken pool's exception class is imported only
+when an exception reaches its handler.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import tensors
@@ -189,6 +192,14 @@ def _parse_caps(raw) -> dict:
     return caps
 
 
+def _broken_pool():
+    """The exception of a pool whose worker died, imported when an exception
+    reaches its ``except`` clause: only a run that started a pool loads it."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool
+
+
 def _cmd_suite(ns) -> int:
     try:
         caps = _parse_caps(ns.max)
@@ -205,7 +216,7 @@ def _cmd_suite(ns) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except _broken_pool() as exc:
         print(f"error: worker pool failed: {exc}", file=sys.stderr)
         return 1
     if ns.json:

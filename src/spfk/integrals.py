@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import QQ, SeededSampler, clear_denominators, double_factorial_coeff, mix_seed
 from .freealg import FreePoly, shuffle
@@ -56,24 +56,29 @@ MAX_ORDER = 8
 MAX_PAIRS = 1000
 
 
-@dataclass(frozen=True)
-class MonomialFamily:
-    """Monomial integrand family: letter i integrates t^(phi[i] - 1).
-
-    ``psi`` is the second family of the two-family rows; ``grid`` holds the
-    row-families of the generalized block variants.  All parameters must be
-    strictly positive so every integral converges at 0.
-    """
-
+class _Family(NamedTuple):
     phi: tuple = ()
     psi: tuple = ()
     grid: tuple = ()
 
-    def __post_init__(self):
-        for group in (self.phi, self.psi) + tuple(self.grid):
+
+class MonomialFamily(_Family):
+    """Monomial integrand family: letter i integrates t^(phi[i] - 1).
+
+    ``psi`` is the second family of the two-family rows; ``grid`` holds the
+    row-families of the generalized block variants.  All parameters must be
+    strictly positive so every integral converges at 0: a record is refused
+    when it is made (``_make`` and ``_replace`` do not check).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phi=(), psi=(), grid=()):
+        for group in (phi, psi, *grid):
             for z in group:
                 if z <= 0:
                     raise ValueError("exponent parameters must be > 0")
+        return super().__new__(cls, phi, psi, grid)
 
 
 def merged_exponent(params, scale=1):

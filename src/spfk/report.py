@@ -4,13 +4,15 @@ check from its table row to its report.
 Digests are deterministic functions of the canonical form of each side, so
 the same (identity, params, seed) always reproduces the same report.  The
 elapsed time is kept on the object for human output but excluded from the
-canonical JSON, which must be byte-identical across runs.
+canonical JSON, which must be byte-identical across runs.  The report is a
+``NamedTuple`` record, as the table row is: it pickles back from the suite's
+worker processes, and start-up needs no ``dataclasses`` (nor the ``inspect``
+that loads).
 """
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .core import SeededSampler, check_domain, double_factorial_coeff, integer, mix_seed
@@ -24,8 +26,7 @@ def scalar_list_canonical(values) -> str:
     return ";".join(f"{v.numerator}/{v.denominator}" for v in values) or "0"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     params: dict
     seeds: list
@@ -36,7 +37,7 @@ class VerificationReport:
     rhs_terms: int
     elapsed_ms: int = 0
     counterexample: tuple | None = None
-    conventions: dict = field(default_factory=dict)
+    conventions: dict = {}  # read only: the default is one dict shared by every report
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,6 +9,11 @@ sets ``points`` of a row that reads it).  A case is an id plus its
 parameters, named like the CLI flags.  Building a case completes and checks
 them (``report.complete``); the domain's measures are the case's `--max` caps.
 
+Cases, the config and the reports are ``NamedTuple`` records, which pickle
+to and from the workers of `--jobs N>1`.  ``run_suite`` imports the process
+pool only when it starts one, so a serial run never loads
+``concurrent.futures`` or ``multiprocessing``.
+
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
 and seeds.  Negative regressions (uncorrected coefficient conventions) are
@@ -18,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .identities import RATIONAL, STRUCTURE, VANDERMONDE, VI, WICK
 from .integrals import CHEN, DEBRUIJN
@@ -29,8 +33,7 @@ DEFAULT_SEED = 42
 PARANOID_POINTS = 10
 
 
-@dataclass(frozen=True)
-class SuiteCase:
+class SuiteCase(NamedTuple):
     runner: str  # the identity id
     params: tuple  # sorted (key, value) pairs; values are ints/strings/tuples
     expect_equal: bool = True
@@ -41,12 +44,11 @@ class SuiteCase:
         return dict(self.params)
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     seed: int = DEFAULT_SEED
     paranoid: bool = False
     jobs: int = 1
-    caps: dict = field(default_factory=dict)
+    caps: dict = {}  # read only: the default is one dict shared by every config
 
 
 # id: Check(sides, name, flags with their defaults, domain, inputs), from the
@@ -154,6 +156,9 @@ def run_suite(config: SuiteConfig) -> tuple[list[tuple[SuiteCase, VerificationRe
         caps = " ".join(f"--max {name}={limit}" for name, limit in config.caps.items())
         raise ValueError(f"no suite case is within the caps {caps}")
     if config.jobs > 1:
+        # Imported here, so that a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # About 8 chunks per worker: fewer round trips than one per case, little imbalance.
         chunksize = -(-len(cases) // (8 * config.jobs))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

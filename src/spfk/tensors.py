@@ -26,8 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import QQ, ZZ, Ring, clear_denominators, integer
 from .freealg import sort_with_sign
@@ -132,8 +132,7 @@ class SymTensor(_Tensor):
     and repeated indices give zero (hafnians never read the diagonal)."""
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
+class DenseMatrix(NamedTuple):
     """Rectangular matrix, row-major, no symmetry assumed."""
 
     rows: int

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pathlib
+import pickle
 import re
 import signal
 import subprocess
@@ -393,6 +394,43 @@ def test_each_module_imports_first():
                           env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == names
+
+
+def test_serial_commands_load_no_pool_and_no_dataclasses(tmp_path):
+    # Only `suite --jobs N>1` starts a pool, so the other commands must not
+    # pay its import.  The modules the site hook loads before the snapshot
+    # do not count.  The pooled run afterwards imports the pool late and
+    # still prints the serial bytes.
+    path = tmp_path / "alt.json"
+    path.write_text(json.dumps({"order": 2, "dim": 4, "entries": [
+        {"idx": [1, 2], "num": "1", "den": "1"}, {"idx": [3, 4], "num": "2", "den": "3"}]}))
+    code = (
+        "import io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from spfk import cli\n"
+        "def out(argv):\n"
+        "    sys.stdout = io.TextIOWrapper(io.BytesIO())\n"
+        "    code = cli.main(argv)\n"
+        "    sys.stdout.flush()\n"
+        "    data, sys.stdout = sys.stdout.buffer.getvalue(), sys.__stdout__\n"
+        "    return code, data\n"
+        "serial = [out(['verify', 'pfab', '--n', '1']), out(['pf', sys.argv[1]]),\n"
+        "          out(['suite', '--max', 'size=1', '--json'])]\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "pooled = out(['suite', '--jobs', '2', '--max', 'size=1', '--json'])\n"
+        "print(json.dumps({'codes': [c for c, _ in serial], 'pf': serial[1][1].decode(),\n"
+        "                  'loaded': loaded, 'same': pooled == serial[2]}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    assert result["pf"] == "2/3\n"
+    assert "spfk.suite" in result["loaded"]
+    heavy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
+    assert heavy.isdisjoint(result["loaded"])
+    assert result["same"]
 
 
 @pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
@@ -1037,7 +1075,7 @@ def _echo_case(case, config):
 @pytest.mark.parametrize("jobs", (2, 64))
 @pytest.mark.parametrize("caps", ({}, {"size": 1}), ids=("all", "size1"))
 def test_suite_deals_at_most_8_chunks_per_worker(monkeypatch, jobs, caps):
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
     monkeypatch.setattr(_SerialPool, "chunksizes", [])
     monkeypatch.setattr(suite, "run_case", _echo_case)
@@ -1053,7 +1091,7 @@ def test_suite_deals_at_most_8_chunks_per_worker(monkeypatch, jobs, caps):
 
 
 def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
     monkeypatch.setattr(_SerialPool, "chunksizes", [])
     code0, serial, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--json")
@@ -1076,7 +1114,7 @@ class _BrokenPool(_SerialPool):
 
 
 def test_suite_broken_pool_is_one_error_line(capsys, monkeypatch):
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _BrokenPool)
     monkeypatch.setattr(_BrokenPool, "created", [])
     monkeypatch.setattr(suite, "run_case", _refuse)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -1086,6 +1124,24 @@ def test_suite_broken_pool_is_one_error_line(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: worker pool failed: "
                    "A process in the process pool was terminated abruptly\n")
+
+
+@pytest.mark.parametrize(
+    "record",
+    (
+        suite.make_case("fhaff1", {"n": 2, "coeff": "paper"}, expect_equal=False),
+        suite.SuiteConfig(seed=7, paranoid=True, jobs=2, caps={"size": 1}),
+        report.run_check(suite.IDENTITIES, "fhaff1", {"n": 2, "coeff": "paper"}),
+        integrals.MonomialFamily(phi=(2, 3), psi=(5,), grid=((7,), (11,))),
+        tensors.DenseMatrix.from_rows([[1, 2], [3, 4]]),
+    ),
+    ids=("case", "config", "report", "family", "matrix"),
+)
+def test_records_sent_between_processes_pickle_back_equal(record):
+    # `--jobs` sends cases and the config to the workers and reports back.
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,8 @@ def test_family_validation():
         MonomialFamily(phi=(Fraction(0),))
     with pytest.raises(ValueError):
         MonomialFamily(phi=(Fraction(1),), psi=(Fraction(-2),))
+    with pytest.raises(ValueError):
+        MonomialFamily(grid=((Fraction(2), Fraction(3)), (Fraction(5), Fraction(0))))
 
 
 def test_chen_form_examples():
