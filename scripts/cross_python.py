@@ -10,6 +10,8 @@ give:
 - the sha256 of ``spfk suite --seed 42 --json --paranoid`` that Tier-1 pins;
 - the first 64 samples of ``SeededSampler(42)`` as
   ``tests/golden/sampler_seed42.json``;
+- both sides' digest and term count of the SDB2 Wick check at n = 4
+  (40 320 words, +-1 coefficients, two-digit letters), as Tier-1 pins them;
 - ``spfk pf|hf|hpf|hhf`` of one fixed order-2 tensor file, as pinned below.
 
 Prints one line per interpreter and check, ``ok`` or ``DIFF`` with the
@@ -31,6 +33,15 @@ GOLDEN = ROOT / "tests" / "golden"
 
 # sha256 of `spfk suite --seed 42 --json --paranoid`, as in tests/test_identities.py.
 PARANOID_SHA256 = "7f2b9e29d91970ce9ecb507d64e715d4cb4885a935d5eaa1538ca7de3743a1f8"
+
+# Digest of both sides of `verify_shuffle_wick("SDB2", 4)`, as in WICK_PINNED of
+# tests/test_identities.py.
+SDB2_SHA256 = "afe6b0048c9c5cb6c68050c0df33ac61268a5702c471ae615f1d44a021d94b90"
+SDB2 = (
+    "from spfk.identities import verify_shuffle_wick\n"
+    "r = verify_shuffle_wick('SDB2', 4)\n"
+    "print(r.lhs_digest, r.rhs_digest, r.lhs_terms, r.rhs_terms)\n"
+)
 
 # An alternating and a symmetric reading of one order-2 tensor of dimension 6:
 # entry (i, j) is (i j - 5) / (i + 2 j).
@@ -82,6 +93,11 @@ def checks(python: str, tensor_file: str) -> list:
             "sampler seed 42",
             lambda: (_run(python, ["-c", SAMPLER]).decode().split(),
                      json.loads((GOLDEN / "sampler_seed42.json").read_text())),
+        ),
+        (
+            "wick sdb2 n=4 digest",
+            lambda: (_run(python, ["-c", SDB2]).decode().split(),
+                     [SDB2_SHA256, SDB2_SHA256, "40320", "40320"]),
         ),
     ]
     for command, value in TENSOR_VALUES.items():

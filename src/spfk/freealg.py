@@ -69,9 +69,14 @@ class FreePoly:
 
     def _canonical_words(self):
         """The words in canonical order: length first, then lexicographic on
-        ids.  They are sorted as tuples, then stably by length: each length's
-        bucket keeps its sorted order, and no Python key runs per term."""
-        words = sorted(self._terms)
+        ids.  They are sorted lexicographically, then stably by length: each
+        length's bucket keeps its sorted order.  With every letter in 0..255,
+        the ``bytes`` of a word orders as its tuple and compares by memcmp;
+        a letter past 255 makes ``bytes`` raise, and the tuples are sorted."""
+        try:
+            words = sorted(self._terms, key=bytes)
+        except ValueError:
+            words = sorted(self._terms)
         words.sort(key=len)
         return words
 
@@ -111,28 +116,33 @@ class FreePoly:
 
     def canonical_string(self) -> str:
         """``num/den:l1.l2...`` per term in ``terms()`` order, joined by ``;``;
-        ``0`` for the zero polynomial.  Terms are keyed on (num, den): an int
-        and the equal Fraction share one format string per word length, no
-        ``Fraction.__hash__`` runs, and int coefficients take no Python step."""
+        ``0`` for the zero polynomial.  Each run of one word length takes one
+        format string per coefficient key, so no Python step runs per term.
+        If every coefficient is an int, it is its own key; otherwise terms are
+        keyed on (num, den), so an int and the equal Fraction share one format
+        string and no ``Fraction.__hash__`` runs."""
         terms = self._terms
         if not terms:
             return "0"
-        ratio = operator.attrgetter("numerator", "denominator")
-        words = self._canonical_words()
+        if set(map(type, terms.values())) == {int}:
+            keyed, head = iter, "%d/1:"
+        else:
+            keyed = functools.partial(map, operator.attrgetter("numerator", "denominator"))
+            head = "%d/%d:"
         runs = []
-        for length, run in itertools.groupby(words, len):
+        for length, run in itertools.groupby(self._canonical_words(), len):
             run = list(run)
             coeffs = list(map(terms.__getitem__, run))
             body = ".".join(("%d",) * length)
-            # The (num, den) keys are made twice, not held: 40 320 pairs take 2 MiB.
-            fmt = {key: "%d/%d:" % key + body for key in set(map(ratio, coeffs))}
-            runs.append(";".join(map(operator.mod, map(fmt.__getitem__, map(ratio, coeffs)), run)))
+            # Keys are made twice, not held: 40 320 (num, den) pairs take 2 MiB.
+            fmt = {key: head % key + body for key in set(keyed(coeffs))}
+            runs.append(";".join(map(operator.mod, map(fmt.__getitem__, keyed(coeffs)), run)))
         return ";".join(runs)
 
     def __repr__(self) -> str:
         if not self._terms:
             return "FreePoly(0)"
-        bits = [f"{c}*{''.join(map(str, w)) or 'e'}" for w, c in self.terms()]
+        bits = [f"{c}*{'.'.join(map(str, w)) or 'e'}" for w, c in self.terms()]
         return "FreePoly(" + " + ".join(bits) + ")"
 
 

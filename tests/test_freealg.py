@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spfk import freealg
 from spfk.freealg import (
     ANTISHUFFLE_RING,
     SHUFFLE_RING,
@@ -308,14 +309,16 @@ def test_canonical_string_edge_cases():
     assert FreePoly({(): Fraction(-3, 4), (7,): 2}).canonical_string() == "-3/4:;2/1:7"
 
 
-def _random_poly(rng):
-    # Word lengths 0..8, letters up to 1200, int and Fraction coefficients
-    # of both signs drawn from a small pool, so coefficients repeat.
+def _random_poly(rng, top=1200, fractions=True):
+    # Word lengths 0..8, letters up to top, int (and, with fractions,
+    # Fraction) coefficients of both signs drawn from a small pool, so
+    # coefficients repeat.
     pool = [rng.randint(-9, 9) or 1 for _ in range(4)]
-    pool += [Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 40)) for _ in range(4)]
+    if fractions:
+        pool += [Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 40)) for _ in range(4)]
     terms = {}
     for _ in range(rng.randint(0, 30)):
-        word = tuple(rng.randint(0, 1200) for _ in range(rng.randint(0, 8)))
+        word = tuple(rng.randint(0, top) for _ in range(rng.randint(0, 8)))
         terms[word] = rng.choice(pool)
     return FreePoly(terms)
 
@@ -336,6 +339,74 @@ def test_canonical_string_matches_the_per_term_formatter():
         assert p.canonical_string() == canonical_string_per_term(p)
     two = FreePoly({(0,): 2, (1,): Fraction(2)})
     assert two.canonical_string() == "2/1:0;2/1:1"
+
+
+def _byte_letter_polys(rng, fractions):
+    # Letters in 0..255: 0, 255 and the empty word in each of 20 fixed-word
+    # polys, then 200 random polys of word lengths 0..8.
+    edge = {(): 3, (0,): -1, (255,): 2, (0, 255): 1, (255, 0): -1, (255,) * 8: 5,
+            tuple(range(8)): 7, (1,) * 7: -2, (254, 255, 0): 4}
+    pool = [-(2**70), -3, -1, 1, 2, 2**64 + 1, 10**30]
+    if fractions:
+        pool += [Fraction(-7, 3), Fraction(2), Fraction(2**65 + 1, 3), Fraction(-1)]
+    cases = [FreePoly({w: rng.choice(pool) for w in edge}) for _ in range(20)]
+    return cases + [_random_poly(rng, top=255, fractions=fractions) for _ in range(200)]
+
+
+def _assert_canonical(p):
+    words = [word for word, _ in p.terms()]
+    assert len(words) == p.num_terms() and words == sorted(words, key=word_key)
+    assert p.canonical_string() == canonical_string_per_term(p)
+
+
+@pytest.fixture
+def sort_keys(monkeypatch):
+    """The key each sort in freealg was called with: bytes on the byte path."""
+    keys = []
+
+    def spy(iterable, key=None):
+        keys.append(key)
+        return sorted(iterable, key=key)
+
+    monkeypatch.setattr(freealg, "sorted", spy, raising=False)
+    return keys
+
+
+def test_byte_letters_with_int_coefficients_sort_on_bytes(sort_keys):
+    for p in _byte_letter_polys(random.Random(34), fractions=False):
+        _assert_canonical(p)
+    assert set(sort_keys) <= {bytes}
+    assert FreePoly({(255,): -(2**70), (0, 255): 2**64 + 1}).canonical_string() == (
+        "-1180591620717411303424/1:255;18446744073709551617/1:0.255")
+
+
+def test_mixed_coefficients_never_hash_a_fraction(monkeypatch, sort_keys):
+    def refuse(self):
+        raise AssertionError("Fraction.__hash__ ran")
+
+    polys = _byte_letter_polys(random.Random(35), fractions=True)
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    for p in polys:
+        _assert_canonical(p)
+    assert set(sort_keys) <= {bytes}
+    p = FreePoly({(0,): 2, (255,): Fraction(2), (1, 0): Fraction(-1), (0, 1): -1})
+    assert p.canonical_string() == "2/1:0;2/1:255;-1/1:0.1;-1/1:1.0"
+
+
+def test_a_letter_past_255_falls_back_to_the_tuple_sort(sort_keys):
+    p = FreePoly({(256,): 1, (0, 1): 2, (255,): Fraction(1, 2), (1, 256): -1, (1, 2): 3, (): 4})
+    _assert_canonical(p)
+    assert [word for word, _ in p.terms()] == [(), (255,), (256,), (0, 1), (1, 2), (1, 256)]
+    assert sort_keys[:2] == [bytes, None]
+    for p in [_random_poly(random.Random(seed), top=256) for seed in range(100)]:
+        _assert_canonical(p)
+
+
+def test_repr_separates_letters():
+    assert repr(FreePoly({(1, 23): 1})) == "FreePoly(1*1.23)"
+    assert repr(FreePoly({(12, 3): 1})) == "FreePoly(1*12.3)"
+    assert repr(FreePoly({(): Fraction(-1, 2), (7,): 2})) == "FreePoly(-1/2*e + 2*7)"
+    assert repr(FreePoly.zero()) == "FreePoly(0)"
 
 
 def test_sort_with_sign():
