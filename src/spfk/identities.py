@@ -22,7 +22,8 @@ rows differ only in their ``word_of`` rule, which both sides read once per
 ordered group of letters (``_wick_sides``).  VI clears the point's
 denominators once and runs its quasimonomial DP on ints; each side is
 divided back by its own power of the scale.  ARQ clears its point once too:
-its products run on ints and its antisymmetrisations are ``QQ.sum``s.
+its products run on ints.  Every sum of rationals in a side is one
+``QQ.sum`` (``core.Ring.sum``), and every product of them one ``math.prod``.
 """
 from __future__ import annotations
 
@@ -251,14 +252,12 @@ def _structure_sum(m, n, _t, sampler):
     B = _random_alt_tensor(sampler, 2 * m, dim)
 
     def rhs():
-        total = Fraction(0)
         full = range(1, dim + 1)
-        for j in range(n + 1):
-            for I in itertools.combinations(full, 2 * j * m):
-                comp = tuple(i for i in full if i not in set(I))
-                sgn = -1 if (sum(I) - j * m) % 2 else 1
-                total += sgn * hyperpfaffian(A.restrict(I)) * hyperpfaffian(B.restrict(comp))
-        return [total]
+        splits = [(I, j) for j in range(n + 1) for I in itertools.combinations(full, 2 * j * m)]
+        rest = lambda I: tuple(i for i in full if i not in I)
+        terms = (hyperpfaffian(A.restrict(I)) * hyperpfaffian(B.restrict(rest(I)))
+                 for I, _ in splits)
+        return [QQ.sum(terms, [-1 if (sum(I) - j * m) % 2 else 1 for I, j in splits])]
 
     plus = lambda I: A.entry(I) + B.entry(I)
     return lambda: [hyperpfaffian(AltTensor.from_function(QQ, 2 * m, dim, plus))], rhs
@@ -270,20 +269,11 @@ def _structure_minor(m, n, t, sampler):
     A = _random_alt_tensor(sampler, 2 * m, dim)
     T = _random_dense(sampler, rows, dim)
 
-    def lhs():
-        all_rows = tuple(range(1, rows + 1))
-        total = Fraction(0)
-        for K in itertools.combinations(range(1, dim + 1), rows):
-            total += hyperpfaffian(A.restrict(K)) * determinant(T.submatrix(all_rows, K))
-        return [total]
-
-    def q_entry(I):
-        total = Fraction(0)
-        for K in itertools.combinations(range(1, dim + 1), 2 * m):
-            a = A.entry(K)
-            if a:
-                total += a * determinant(T.submatrix(I, K))
-        return total
+    all_rows = tuple(range(1, rows + 1))
+    lhs = lambda: [QQ.sum(hyperpfaffian(A.restrict(K)) * determinant(T.submatrix(all_rows, K))
+                          for K in itertools.combinations(range(1, dim + 1), rows))]
+    # The stored entries of A are its nonzero ones.
+    q_entry = lambda I: QQ.sum(a * determinant(T.submatrix(I, K)) for K, a in A.entries())
 
     return lhs, lambda: [hyperpfaffian(AltTensor.from_function(QQ, 2 * m, rows, q_entry))]
 
@@ -295,16 +285,13 @@ def _structure_det_decomp(m, n, _t, sampler):
     T = _random_dense(sampler, dim, dim)
     width = 2 * m
 
+    cols = [tuple(range(b * width + 1, (b + 1) * width + 1)) for b in range(n)]
+    minors = lambda blocks: math.prod(map(determinant, map(T.submatrix, blocks, cols)))
+
     def rhs():
-        total = Fraction(0)
-        for partition, sign in enumerate_blocked(n, width):
-            for blocks in itertools.permutations(partition):
-                prod = Fraction(1)
-                for b, block in enumerate(blocks):
-                    cols = tuple(range(b * width + 1, (b + 1) * width + 1))
-                    prod *= determinant(T.submatrix(block, cols))
-                total += sign * prod
-        return [total]
+        orders = [(blocks, sign) for partition, sign in enumerate_blocked(n, width)
+                  for blocks in itertools.permutations(partition)]
+        return [QQ.sum((minors(blocks) for blocks, _ in orders), [s for _, s in orders])]
 
     return lambda: [determinant(T)], rhs
 
@@ -397,11 +384,8 @@ def _rat_sundquist(m, sampler, _coeff):
         entry = lambda ij: (
             u[ij[0] - 1] * v[ij[1] - 1] - u[ij[1] - 1] * v[ij[0] - 1]
         ) / (x[ij[0] - 1] + x[ij[1] - 1])
-        out = pfaffian(AltTensor.from_function(QQ, 2, d, entry))
-        for i in range(d):
-            for j in range(i + 1, d):
-                out *= x[i] + x[j]
-        return out
+        pf = pfaffian(AltTensor.from_function(QQ, 2, d, entry))
+        return math.prod((a + b for a, b in itertools.combinations(x, 2)), start=pf)
 
     return lhs, rhs
 
@@ -409,14 +393,10 @@ def _rat_sundquist(m, sampler, _coeff):
 def _rat_mehta1(n, sampler, _coeff):
     x = sampler.positive_distinct(n, _SAMPLE_BOUND)
 
-    def lhs():
-        total = Fraction(0)
-        for cut in range(n + 1):
-            sign = -1 if cut % 2 else 1
-            total += sign * r_value(reversed(x[:cut])) * r_value(x[cut:])
-        return total
-
-    return lhs, lambda: Fraction(0)
+    cuts = range(n + 1)
+    lhs = lambda: QQ.sum((r_value(reversed(x[:c])) * r_value(x[c:]) for c in cuts),
+                         [(-1) ** c for c in cuts])
+    return lhs, lambda: QQ.zero
 
 
 def _rat_mehta2(n, sampler, _coeff):
@@ -635,15 +615,9 @@ def _vandermonde_check(p, seed):
             raise ValueError(f"VANDERMONDE needs N values of y, got y=[{listed}] for N={N}")
         shown["y"] = [f"{v.numerator}/{v.denominator}" for v in y]
 
-    def lhs():
-        total = Fraction(0)
-        for tup in itertools.product(range(N), repeat=n):
-            prod = Fraction(1)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    prod *= (y[tup[j]] - y[tup[i]]) ** (2 * m)
-            total += prod
-        return [total / N ** n]
+    pairs = list(itertools.combinations(range(n), 2))
+    power = lambda tup: math.prod((y[tup[j]] - y[tup[i]]) ** (2 * m) for i, j in pairs)
+    lhs = lambda: [QQ.sum(map(power, itertools.product(range(N), repeat=n))) / N ** n]
 
     def rhs():
         width = 2 * m
@@ -652,13 +626,13 @@ def _vandermonde_check(p, seed):
         blocks = [range((s - 1) * n + 1, s * n + 1) for s in range(1, width + 1)]
         for combo in itertools.product(*blocks):
             e = sum(combo) - shift
-            entries[combo] = sum(v ** e for v in y)
+            entries[combo] = QQ.sum(v ** e for v in y)
         M = AltTensor(QQ, width, width * n, entries)
         sign = -1 if (math.comb(n, 2) * math.comb(width, 2)) % 2 else 1
         value = sign * Fraction(math.factorial(n), N ** n) * hyperpfaffian(M)
         if m > 1:
             return [value]
-        rows = [[sum(v ** (i + j) for v in y) for j in range(n)] for i in range(n)]
+        rows = [[QQ.sum(v ** (i + j) for v in y) for j in range(n)] for i in range(n)]
         det_form = Fraction(math.factorial(n), N ** n) * determinant(DenseMatrix.from_rows(rows))
         return [value] if det_form == value else [value, det_form]
 

@@ -35,8 +35,9 @@ The de Bruijn checks are the ``DEBRUIJN`` rows and Chen's identity, on
 seeded word pairs over ``ALPHABET`` letters, is the ``CHEN`` row, run by
 ``report.run_check``; each order's parity and every cap is in its row's
 domain, checked (``report.complete``) before any sampling.  CHEN's left
-side, <u><v>, integrates each word by ``iterated_integral_oracle``; only its
-right side, the FreePoly <u shuffle v>, goes through ``chen_form`` and ``r_value``.
+side, <u><v>, integrates each word by ``iterated_integral_oracle``, which
+runs on Fractions by design; only its right side, the FreePoly
+<u shuffle v>, goes through ``chen_form`` and ``r_value``.
 """
 from __future__ import annotations
 
@@ -122,11 +123,11 @@ def _family_params(word, phi):
 def chen_form(w: FreePoly, fam: MonomialFamily):
     """<w>, extended linearly over the words of the FreePoly ``w``.
 
-    ``fam.phi`` is cleared over its lcm L once per call, and each word's
-    value is ``r_value`` of its cleared parameters over L."""
+    ``fam.phi`` is cleared over its lcm L once per call, each word's value
+    is ``r_value`` of its cleared parameters over L, and the values are
+    summed by one ``QQ.sum``."""
     scale, phi = clear_denominators(fam.phi)
-    return sum((c * r_value(_family_params(word, phi), scale) for word, c in w.terms()),
-               Fraction(0))
+    return QQ.sum(c * r_value(_family_params(word, phi), scale) for word, c in w.terms())
 
 
 def iterated_integral_oracle(params) -> Fraction:

@@ -3,7 +3,9 @@ every imported name is used in its module, and every private module-level
 function or class is referenced there.  A deletion that leaves an import or
 a helper behind fails here.  The modules that read outside text, ``cli`` and
 ``tensors``, leave integers to ``core.integer``: neither calls the builtin
-``int`` nor hands it on to be called."""
+``int`` nor hands it on to be called.  The check sides of ``identities`` and
+``integrals`` sum through ``Ring.sum``: neither starts a fold at
+``Fraction(0)`` or ``Fraction(1)``, outside CHEN's Fraction oracle."""
 import ast
 import pathlib
 
@@ -92,3 +94,42 @@ def test_lint_sees_a_planted_builtin_int():
         "argparse.ArgumentParser().add_argument('--k', type=int)\n"
     )
     assert builtin_int_uses(source) == [3, 5, 6]
+
+
+def fraction_constants(source: str, exempt=()) -> list[int]:
+    """The lines that call ``Fraction(0)`` or ``Fraction(1)``, the start of a
+    hand-written exact sum or product, outside the functions named in
+    ``exempt``."""
+    tree = ast.parse(source)
+    skipped = {id(n) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in exempt
+               for n in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "Fraction" and id(node) not in skipped
+                  and len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
+                  and node.args[0].value in (0, 1))
+
+
+@pytest.mark.parametrize("name, exempt", (("identities.py", ()),
+                                          ("integrals.py", ("iterated_integral_oracle",))))
+def test_check_sides_start_no_fraction_fold(name, exempt):
+    source = (ROOT / "src" / "spfk" / name).read_text(encoding="utf-8")
+    assert fraction_constants(source, exempt) == []
+
+
+def test_lint_sees_a_planted_fraction_fold():
+    source = (
+        "from fractions import Fraction\n"
+        "def lhs(xs):\n"
+        "    total = Fraction(0)\n"
+        "    for x in xs:\n"
+        "        total += x\n"
+        "    return total\n"
+        "def oracle(xs):\n"
+        "    return Fraction(1)\n"
+        "ONE = Fraction(1)\n"
+        "HALF, SUM = Fraction(1, 2), Fraction(1 + 0)\n"
+    )
+    assert fraction_constants(source, ("oracle",)) == [3, 9]
+    assert fraction_constants(source) == [3, 8, 9]
