@@ -216,12 +216,15 @@ def _blocked_sum(tensor: _Tensor, signed: bool):
         ring = ZZ
     # Nonzero entries by the bit of their smallest index, in lexicographic
     # order: (block mask, XOR of the masks below its members, (entry, -entry)).
+    # The tensor has checked each index, and the cap bounds them by d <= 20.
     by_head = [[] for _ in range(d)]
     for idx, c in entries:
-        parity = 0
+        mask = parity = 0
         for i in idx:
-            parity ^= (1 << (i - 1)) - 1
-        by_head[idx[0] - 1].append((mask_of(idx), parity, (c, ring.neg(c))))
+            bit = 1 << (i - 1)
+            mask |= bit
+            parity ^= bit - 1
+        by_head[idx[0] - 1].append((mask, parity, (c, ring.neg(c))))
     memo = {0: ring.one}
 
     def rec(rest: int):
