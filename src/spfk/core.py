@@ -246,15 +246,18 @@ class SeededSampler:
 
     def distinct(self, count: int, draw) -> list:
         """The first ``count`` pairwise-distinct values of ``draw()``, in the
-        order first drawn (a repeat is drawn again), within 10^6 draws."""
+        order first drawn (a repeat is drawn again), within 10^6 draws.  A
+        draw, int or Fraction, is recorded under its (numerator, denominator),
+        so no ``Fraction.__hash__`` runs; a repeat keeps its first value."""
         found: dict = {}  # insertion-ordered; a repeat keeps its first place
         attempts = 0
         while len(found) < count:
             attempts += 1
             if attempts > 1_000_000:
                 raise RuntimeError("sampler failed to find distinct values")
-            found[draw()] = None
-        return list(found)
+            value = draw()
+            found.setdefault((value.numerator, value.denominator), value)
+        return list(found.values())
 
     def positive_distinct(self, count: int, bound: int) -> list[Fraction]:
         """`count` pairwise-distinct strictly positive rationals p/q, p,q <= bound."""

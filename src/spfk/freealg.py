@@ -11,10 +11,14 @@ dict, with one add loop per path.  A word pair whose letters are all distinct
 (the common case in the Wick checks) is read off a per-length merge table;
 every other pair goes to the one memoised q-shuffle recursion (Reutenauer,
 *Free Lie Algebras*, ch. 1), which merges the words that repeated letters
-make equal.
+make equal.  A q = 1 dot whose term pairs all take the merge table with one
+coefficient product (every level of the FHAFF1 and FHAFF2 hafnians) is
+counted instead: ``Counter.update`` counts each merge pattern's words in C,
+and each count is scaled by the one product.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -186,16 +190,71 @@ def _merges(a: int, b: int) -> tuple:
     return tuple(out)
 
 
+def _length_runs(words):
+    """The words in one list per word length, or None if a word is empty or
+    repeats a letter."""
+    lengths = list(map(len, words))
+    if 0 in lengths or list(map(len, map(set, words))) != lengths:
+        return None
+    return [list(run) for _, run in itertools.groupby(sorted(words, key=len), len)]
+
+
+def _counted_sum(pairs):
+    """The dot of ``_shuffle_sum`` at q = 1, formed by counting, or None.
+
+    It applies when every term pair pairs nonempty words whose letters are
+    all distinct, the two factors of each pair share no letter, and every
+    cu * cv is one value c.  Then each merged word has coefficient c times
+    the number of times it is made.  Every pair is checked before any is
+    counted; then each pair's concatenations u + v are grouped by word
+    length (a, b), and ``Counter.update`` counts each ``_merges(a, b)``
+    pattern's picks over its group in C.  Pairs with a zero factor add
+    nothing; with none left the dot is zero."""
+    c = None
+    runs = []  # (words of p, words of q) of one word length each
+    for p, q in pairs:
+        pt, qt = p._terms, q._terms
+        if not pt or not qt:
+            continue
+        cps, cqs = list(pt.values()), list(qt.values())
+        cpq = cps[0] * cqs[0]
+        if cps.count(cps[0]) != len(cps) or cqs.count(cqs[0]) != len(cqs):
+            return None
+        if c is None:
+            c = cpq
+        elif cpq != c:
+            return None
+        us, vs = _length_runs(pt), _length_runs(qt)
+        if us is None or vs is None:
+            return None
+        if not set(itertools.chain.from_iterable(pt)).isdisjoint(itertools.chain.from_iterable(qt)):
+            return None
+        runs += itertools.product(us, vs)
+    counts = collections.Counter()
+    for u_run, v_run in runs:
+        uvs = list(itertools.starmap(operator.add, itertools.product(u_run, v_run)))
+        for pick, _odd in _merges(len(u_run[0]), len(v_run[0])):
+            counts.update(map(pick, uvs))
+    return dict(zip(counts, map(operator.mul, itertools.repeat(c), counts.values())))
+
+
 def _shuffle_sum(pairs, qval) -> FreePoly:
     """Sum over the (p, q) factor pairs, and over their term pairs, of
     cu * cv * (u sh_q v), formed in one dict.
 
-    For qval = 1 or -1, a term pair whose letters are all distinct has
+    At qval = 1, a dot whose term pairs all take the merge table and share
+    one coefficient product is counted (``_counted_sum``).  Otherwise, for
+    qval = 1 or -1, a term pair whose letters are all distinct has
     C(a+b, a) distinct result words, each with coefficient q ** inversions,
     so it is read off ``_merges(a, b)`` with no dict and no cache entry per
     pair.  Every other pair (an empty word, a repeated letter, another qval)
     goes to the memoised recursion, which merges repeated words.  Each path
     adds every term pair through its one loop, dropping the words that cancel."""
+    if qval == 1:
+        pairs = list(pairs)
+        counted = _counted_sum(pairs)
+        if counted is not None:
+            return FreePoly._make(counted)
     table = qval == 1 or qval == -1
     out: dict = {}
     get = out.get

@@ -136,18 +136,22 @@ def iterated_integral_oracle(params) -> Fraction:
     Integrates outermost-first: each step is an antiderivative over
     (t, 1), splitting into the value at 1 minus the lower-limit monomial, so
     the intermediate state is a genuine sum of monomials rather than the
-    single-term closed-form recursion.
+    single-term closed-form recursion.  The monomials are keyed on their
+    exponent's (numerator, denominator), so no ``Fraction.__hash__`` runs;
+    exponents and coefficients are Fractions.
     """
-    poly = {Fraction(0): Fraction(1)}
+    zero = Fraction(0)
+    poly = {(0, 1): (zero, Fraction(1))}  # {(num, den) of e: (e, coefficient of t^e)}
     for z in reversed(list(params)):
-        nxt: dict = {}
-        for e, c in poly.items():
+        nxt = {(0, 1): (zero, zero)}
+        for e, c in poly.values():
             zz = z + e
             term = c / zz
-            nxt[Fraction(0)] = nxt.get(Fraction(0), Fraction(0)) + term
-            nxt[zz] = nxt.get(zz, Fraction(0)) - term
-        poly = {e: c for e, c in nxt.items() if c}
-    return poly.get(Fraction(0), Fraction(0))
+            nxt[0, 1] = (zero, nxt[0, 1][1] + term)
+            key = (zz.numerator, zz.denominator)
+            nxt[key] = (zz, nxt.get(key, (zz, zero))[1] - term)
+        poly = {key: ec for key, ec in nxt.items() if ec[1]}
+    return poly.get((0, 1), (zero, zero))[1]
 
 
 def _chen_pair(u, v, fam: MonomialFamily):

@@ -11,6 +11,7 @@ that loads).
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import time
 from typing import Callable, NamedTuple
@@ -92,10 +93,15 @@ def run_check(table: dict, variant: str, given: dict, seed: int = 42) -> Verific
     """Check the row ``table[variant.lower()]`` of ``table`` (id: Check).
 
     ``given`` is completed and refused by ``complete`` before any work; then
-    the left side runs, then the right side, and one report is built.  Equal
-    sides are formatted once, after the right side is dropped, so both sides
-    and the string are never held at once.  A check with a ``coeff`` flag
-    names its double-factorial convention."""
+    ``_compare`` runs the sides and builds the report.  A check with a
+    ``coeff`` flag names its double-factorial convention.
+
+    The cyclic collector is paused from the sides until the report is built
+    and left as it was found, even if a side raises.  The sides make many
+    new tracked tuples (every merged word is one) but no reference cycle, so
+    a pass among them frees nothing; it is resumed once ``_compare`` has
+    returned, when the two sides are freed and its first pass has little
+    left to scan."""
     identity = variant.lower()
     if identity not in table:
         raise ValueError(f"unknown variant: {variant.upper()}")
@@ -106,7 +112,19 @@ def run_check(table: dict, variant: str, given: dict, seed: int = 42) -> Verific
         _, named = double_factorial_coeff(0, params["coeff"])
         header["conventions"] = {"double_factorial": named}
     t0 = time.perf_counter()
-    shown, lhs, rhs = check.sides(params, seed)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _compare(identity, header, t0, *check.sides(params, seed))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _compare(identity: str, header: dict, t0: float, shown: dict, lhs, rhs) -> VerificationReport:
+    """Run the left side, then the right side, and report on the two.  Equal
+    sides are formatted once, after the right side is dropped, so both sides
+    and the string are never held at once."""
     header.update(shown)
     left = lhs()
     right = rhs()

@@ -88,6 +88,14 @@ def test_distinct_keeps_first_draws_in_order():
     assert next(draws) == 1  # nothing past the third distinct value is drawn
 
 
+def test_distinct_keeps_the_first_of_equal_int_and_fraction_draws():
+    draws = iter([Fraction(1, 2), 2, Fraction(2), Fraction(2, 4), -3, 7])
+    got = SeededSampler(7).distinct(3, lambda: next(draws))
+    assert got == [Fraction(1, 2), 2, -3]
+    assert list(map(type, got)) == [Fraction, int, int]
+    assert next(draws) == 7
+
+
 def test_distinct_of_zero_values_draws_nothing():
     def refuse():
         raise AssertionError("drew a value")

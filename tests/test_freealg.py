@@ -118,6 +118,68 @@ def test_mixed_polys_match_recursion_and_oracle(p, q, qval):
     _check_against_recursion_and_oracle(p, q, qval)
 
 
+def _uniform_pairs(rng, c, count):
+    """``count`` factor pairs at q = 1 that the counted dot takes: each pair
+    splits fresh distinct letters into nonempty words of mixed lengths, each
+    factor has one coefficient and every product of the two is ``c``; a
+    pair with a zero factor is mixed in."""
+    pairs = []
+    for _ in range(count):
+        letters = rng.sample(range(40), rng.randint(2, 9))
+        cut = rng.randint(1, len(letters) - 1)
+
+        def words(run):
+            out = []
+            while run:
+                size = rng.randint(1, min(3, len(run)))
+                out.append(tuple(run[:size]))
+                run = run[size:]
+            return out
+
+        cp = rng.choice((1, -1, 2, -3, Fraction(2, 3), Fraction(-5, 4)))
+        cq = c // cp if type(c) is type(cp) is int and not c % cp else Fraction(c) / cp
+        p = FreePoly(dict.fromkeys(words(letters[:cut]), cp))
+        q = FreePoly(dict.fromkeys(words(letters[cut:]), cq))
+        pairs.append((p, q))
+    pairs.insert(rng.randint(0, count), rng.choice(((FreePoly.zero(), w(50)), (w(50), FreePoly.zero()))))
+    return pairs
+
+
+@pytest.mark.parametrize("c", (1, -6, 12, Fraction(7, 3), Fraction(-1, 2)))
+@pytest.mark.parametrize("seed", range(4))
+def test_counted_dots_match_the_per_pair_recursion(c, seed):
+    rng = random.Random(seed)
+    pairs = _uniform_pairs(rng, c, rng.randint(1, 4))
+    assert freealg._counted_sum(pairs) is not None
+    expected = FreePoly.zero()
+    for p, q in pairs:
+        expected = expected + _by_recursion(p, q, 1)
+    got = SHUFFLE_RING.dot(pairs)
+    assert got == expected and got.num_terms() == expected.num_terms()
+    assert set(map(type, got._terms.values())) <= {int, Fraction}
+
+
+def test_counted_dot_edges():
+    # No pairs, or only zero factors, is the zero polynomial.
+    assert freealg._counted_sum([]) == {} and SHUFFLE_RING.dot([]) == FreePoly.zero()
+    assert freealg._counted_sum([(FreePoly.zero(), w(0)), (w(1), FreePoly.zero())]) == {}
+    # Each failed condition leaves the dot to the per-word loop, unchanged.
+    for pairs in (
+        [(w(0) + w(1), FreePoly.from_word((2, 3), 2))],  # 2 = 1 * 2, counted
+        [(w(0) + FreePoly.from_word((1,), 2), w(2))],  # one factor's coefficients differ
+        [(w(0), w(1)), (w(2), FreePoly.from_word((3,), 2))],  # products differ between pairs
+        [(w(0), w(1, 0))],  # the factors share a letter
+        [(w(0), w(1, 1))],  # a word repeats a letter
+        [(w(0), FreePoly.unit())],  # an empty word
+    ):
+        counted = freealg._counted_sum(pairs)
+        assert (counted is not None) == (pairs[0][1] == FreePoly.from_word((2, 3), 2))
+        expected = FreePoly.zero()
+        for p, q in pairs:
+            expected = expected + _by_recursion(p, q, 1)
+        assert SHUFFLE_RING.dot(pairs) == expected
+
+
 def test_only_pairs_with_a_repeated_letter_or_empty_word_reach_the_word_caches():
     # One memoised recursion serves every q; the second name is the same cache.
     assert _q_shuffle_words is _shuffle_words

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -327,6 +328,18 @@ def test_wick_one_size_above_the_suite_keeps_its_digests(variant, n, k, pinned, 
     assert report.equal
     assert (report.lhs_digest, report.rhs_digest) == (pinned, pinned)
     assert (report.lhs_terms, report.rhs_terms) == (terms, terms)
+
+
+# PFAB at n = 4 is the signed row the counted shuffle dots leave alone;
+# perfbench's WICK_CHECKS leave it out for length, so it is pinned here.
+PFAB_PINNED = "45c98bb115f40bc1aa41be114e5d3b250f918e07ada997afb973921318dca334"
+
+
+def test_pfab_one_size_above_the_suite_keeps_its_digest():
+    report = verify_shuffle_wick("PFAB", 4)
+    assert report.equal
+    assert (report.lhs_digest, report.rhs_digest) == (PFAB_PINNED, PFAB_PINNED)
+    assert (report.lhs_terms, report.rhs_terms) == (40320, 40320)
 
 
 @pytest.mark.parametrize(
@@ -835,6 +848,45 @@ def test_an_unequal_check_reports_both_canonical_strings():
     assert report.counterexample == ("1/1:0.1;2/1:1.0", "1/1:0.1")
     assert report.lhs_digest == digest("1/1:0.1;2/1:1.0")
     assert report.rhs_digest == digest("1/1:0.1")
+
+
+def _collector_row(raising: str):
+    """A one-row table whose sides record ``gc.isenabled()`` as they run;
+    the side named ``raising`` raises after recording."""
+    seen = []
+
+    def side(name):
+        def run():
+            seen.append(gc.isenabled())
+            if name == raising:
+                raise RuntimeError(f"{name} failed")
+            return FreePoly({(0, 1): 1})
+
+        return run
+
+    def sides(_params, _seed):
+        return {}, side("lhs"), side("rhs")
+
+    return {"collector": Check(sides, "COLLECTOR", {}, ({}, {}))}, seen
+
+
+@pytest.mark.parametrize("raising", ("neither", "lhs", "rhs"))
+@pytest.mark.parametrize("collecting", (True, False))
+def test_run_check_pauses_the_collector_and_leaves_it_as_found(collecting, raising):
+    table, seen = _collector_row(raising)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if raising == "neither":
+            assert run_check(table, "collector", {}).equal
+        else:
+            with pytest.raises(RuntimeError, match=f"^{raising} failed$"):
+                run_check(table, "collector", {})
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is collecting
+    assert seen == [False] * (1 if raising == "lhs" else 2)
 
 
 # Points with mixed denominators, negative values, no values and one value.
