@@ -1,16 +1,15 @@
 """Command-line front end: run single verifiers or the full suite, and
 evaluate (hyper)Pfaffians/hafnians of tensors stored as JSON files.
 
-Exit codes: 0 pass, 1 identity failure, a broken worker pool or a closed
-stdout (the reader of a pipe went away, as after ``| head -1``), 2 usage or
-input error.  The default seed is 42, overridable by the SPFK_SEED
+Exit codes: 0 pass, 1 identity failure, a `--jobs` worker that died or a
+closed stdout (the reader of a pipe went away, as after ``| head -1``), 2
+usage or input error.  The default seed is 42, overridable by the SPFK_SEED
 environment variable and then by --seed.  Every integer in a flag or in
 SPFK_SEED is read by ``core.integer`` (-?[0-9]+ in ASCII); spaces may stand
 only around a list piece, a ``/`` or the ``=`` of ``--max NAME=VALUE``.
 
-Loading this module imports no process pool: `suite --jobs N>1` imports it
-when it starts one, and a broken pool's exception class is imported only
-when an exception reaches its handler.
+No command imports a process pool: `suite --jobs N>1` forks its workers
+(``suite.run_suite``).
 """
 from __future__ import annotations
 
@@ -29,6 +28,7 @@ from .suite import (
     IDENTITIES,
     PARANOID_POINTS,
     SuiteConfig,
+    WorkerError,
     run_suite,
     suite_json_bytes,
     suite_text,
@@ -192,14 +192,6 @@ def _parse_caps(raw) -> dict:
     return caps
 
 
-def _broken_pool():
-    """The exception of a pool whose worker died, imported when an exception
-    reaches its ``except`` clause: only a run that started a pool loads it."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return BrokenProcessPool
-
-
 def _cmd_suite(ns) -> int:
     try:
         caps = _parse_caps(ns.max)
@@ -216,7 +208,7 @@ def _cmd_suite(ns) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _broken_pool() as exc:
+    except WorkerError as exc:
         print(f"error: worker pool failed: {exc}", file=sys.stderr)
         return 1
     if ns.json:

@@ -13,8 +13,8 @@ every other pair goes to the one memoised q-shuffle recursion (Reutenauer,
 *Free Lie Algebras*, ch. 1), which merges the words that repeated letters
 make equal.  A q = 1 dot whose term pairs all take the merge table with one
 coefficient product (every level of the FHAFF1 and FHAFF2 hafnians) is
-counted instead: ``Counter.update`` counts each merge pattern's words in C,
-and each count is scaled by the one product.
+counted instead: the C loop behind ``Counter.update`` counts each merge
+pattern's words into one dict, and each count is scaled by the one product.
 """
 from __future__ import annotations
 
@@ -207,9 +207,10 @@ def _counted_sum(pairs):
     cu * cv is one value c.  Then each merged word has coefficient c times
     the number of times it is made.  Every pair is checked before any is
     counted; then each pair's concatenations u + v are grouped by word
-    length (a, b), and ``Counter.update`` counts each ``_merges(a, b)``
-    pattern's picks over its group in C.  Pairs with a zero factor add
-    nothing; with none left the dot is zero."""
+    length (a, b), and ``collections._count_elements`` (the C loop behind
+    ``Counter.update``) counts each ``_merges(a, b)`` pattern's picks over
+    its group into the dict that is returned, scaled by c in place.  Pairs
+    with a zero factor add nothing; with none left the dot is zero."""
     c = None
     runs = []  # (words of p, words of q) of one word length each
     for p, q in pairs:
@@ -230,12 +231,14 @@ def _counted_sum(pairs):
         if not set(itertools.chain.from_iterable(pt)).isdisjoint(itertools.chain.from_iterable(qt)):
             return None
         runs += itertools.product(us, vs)
-    counts = collections.Counter()
+    counts: dict = {}
     for u_run, v_run in runs:
         uvs = list(itertools.starmap(operator.add, itertools.product(u_run, v_run)))
         for pick, _odd in _merges(len(u_run[0]), len(v_run[0])):
-            counts.update(map(pick, uvs))
-    return dict(zip(counts, map(operator.mul, itertools.repeat(c), counts.values())))
+            collections._count_elements(counts, map(pick, uvs))
+    if c != 1:  # in place: only the values change, so iterating ``counts`` is sound
+        counts.update(zip(counts, map(operator.mul, itertools.repeat(c), counts.values())))
+    return counts
 
 
 def _shuffle_sum(pairs, qval) -> FreePoly:

@@ -9,10 +9,14 @@ sets ``points`` of a row that reads it).  A case is an id plus its
 parameters, named like the CLI flags.  Building a case completes and checks
 them (``report.complete``); the domain's measures are the case's `--max` caps.
 
-Cases, the config and the reports are ``NamedTuple`` records, which pickle
-to and from the workers of `--jobs N>1`.  ``run_suite`` imports the process
-pool only when it starts one, so a serial run never loads
-``concurrent.futures`` or ``multiprocessing``.
+`--jobs N>1` runs the cases on N workers, at most one per case, made by
+``os.fork``, which ``os.register_at_fork`` hooks (a profiler's) follow;
+the package starts no thread, so forking is safe.  Before the first fork every case number is
+written into one pipe as a 4-byte record and the write end is closed, so
+each worker's 4-byte read takes exactly one whole case until the pipe is
+empty.  A worker sends its reports, ``NamedTuple`` records, back as one
+pickle on a pipe of its own.  No run loads ``concurrent.futures`` or
+``multiprocessing``; where ``os.fork`` does not exist the cases run serially.
 
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from typing import NamedTuple
 
 from .identities import RATIONAL, STRUCTURE, VANDERMONDE, VI, WICK
@@ -155,20 +160,98 @@ def run_suite(config: SuiteConfig) -> tuple[list[tuple[SuiteCase, VerificationRe
     if not cases:
         caps = " ".join(f"--max {name}={limit}" for name, limit in config.caps.items())
         raise ValueError(f"no suite case is within the caps {caps}")
-    if config.jobs > 1:
-        # Imported here, so that a serial run never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # About 8 chunks per worker: fewer round trips than one per case, little imbalance.
-        chunksize = -(-len(cases) // (8 * config.jobs))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(run_case, cases, itertools.repeat(config), chunksize=chunksize))
+    jobs = min(config.jobs, len(cases))
+    if jobs > 1 and hasattr(os, "fork"):
+        reports = _run_forked(cases, config, jobs)
     else:
         reports = [run_case(c, config) for c in cases]
     results = list(zip(cases, reports))
     results.sort(key=lambda cr: _sort_key(cr[1]))
     ok = all(r.equal == c.expect_equal for c, r in results)
     return results, ok
+
+
+class WorkerError(RuntimeError):
+    """A `--jobs` worker ended without a full report."""
+
+
+def _work(queue: int, out: int, cases, config) -> None:
+    """A forked worker: run each case whose number it reads from ``queue``,
+    then write its ``(number, report or exception)`` pairs to ``out`` as one
+    pickle.  It ends in ``os._exit``, never returning into the caller's frames
+    nor flushing the stdio it inherited."""
+    import pickle
+
+    code = 1
+    try:
+        outcomes = []
+        while record := os.read(queue, 4):
+            i = int.from_bytes(record, "little")
+            try:
+                outcomes.append((i, run_case(cases[i], config)))
+            except Exception as exc:  # sent back, raised by the parent
+                outcomes.append((i, exc))
+        with open(out, "wb") as f:
+            pickle.dump(outcomes, f)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(cases, config, jobs: int) -> list:
+    """The reports of ``cases`` in order, run on ``jobs`` forked workers.
+    Raises the exception of the lowest-numbered case that raised one, as a
+    serial run would, or ``WorkerError`` if a worker ended without its full
+    report.  Every worker is reaped; on an exception the live ones are killed
+    first.  The queue holds at most 64 KiB of records (a pipe's buffer) before
+    any worker reads it: the default matrix takes 904 bytes."""
+    import pickle
+
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(cases))))
+    os.close(feed)
+    workers = {}  # pid: the read end of its report pipe
+    try:
+        for _ in range(jobs):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _work(queue, write_end, cases, config)
+            os.close(write_end)
+            workers[pid] = open(read_end, "rb")
+        outcomes = {}
+        for pid, reports in workers.items():
+            with reports:
+                data = reports.read()
+            try:
+                outcomes.update(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):  # empty or cut short
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                workers[pid] = None
+                raise WorkerError(f"a worker ended (exit status {status}) without its full report")
+    except BaseException:
+        import signal
+
+        for pid, reports in workers.items():
+            if reports is not None:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, reports in workers.items():
+            if reports is not None:
+                reports.close()
+                os.waitpid(pid, 0)
+    results = [outcomes[i] for i in range(len(cases))]
+    for outcome in results:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return results
 
 
 def _sort_key(report: VerificationReport):

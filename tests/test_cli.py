@@ -10,8 +10,6 @@ import signal
 import subprocess
 import sys
 import time
-import types
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -397,10 +395,10 @@ def test_each_module_imports_first():
 
 
 def test_serial_commands_load_no_pool_and_no_dataclasses(tmp_path):
-    # Only `suite --jobs N>1` starts a pool, so the other commands must not
-    # pay its import.  The modules the site hook loads before the snapshot
-    # do not count.  The pooled run afterwards imports the pool late and
-    # still prints the serial bytes.
+    # No command imports a process pool: `suite --jobs 2` forks its workers,
+    # so neither the serial commands nor the forked run load one.  The
+    # modules the site hook loads before the snapshot do not count.  The
+    # forked run prints the serial bytes.
     path = tmp_path / "alt.json"
     path.write_text(json.dumps({"order": 2, "dim": 4, "entries": [
         {"idx": [1, 2], "num": "1", "den": "1"}, {"idx": [3, 4], "num": "2", "den": "3"}]}))
@@ -418,8 +416,9 @@ def test_serial_commands_load_no_pool_and_no_dataclasses(tmp_path):
         "          out(['suite', '--max', 'size=1', '--json'])]\n"
         "loaded = sorted(set(sys.modules) - before)\n"
         "pooled = out(['suite', '--jobs', '2', '--max', 'size=1', '--json'])\n"
+        "forked = sorted(set(sys.modules) - before)\n"
         "print(json.dumps({'codes': [c for c, _ in serial], 'pf': serial[1][1].decode(),\n"
-        "                  'loaded': loaded, 'same': pooled == serial[2]}))\n"
+        "                  'loaded': loaded, 'forked': forked, 'same': pooled == serial[2]}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
                           text=True, env=_src_env(), timeout=120)
@@ -430,6 +429,7 @@ def test_serial_commands_load_no_pool_and_no_dataclasses(tmp_path):
     assert "spfk.suite" in result["loaded"]
     heavy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
     assert heavy.isdisjoint(result["loaded"])
+    assert {"concurrent.futures", "multiprocessing"}.isdisjoint(result["forked"])
     assert result["same"]
 
 
@@ -840,9 +840,10 @@ def test_suite_parallel_matches_serial(capsys):
 
 
 def test_suite_jobs2_prints_the_golden_report():
-    # A real pool of two workers deals the cases in chunks; the report's bytes
-    # do not depend on the dealing: the full matrix (16 chunks of 15 cases)
-    # and a capped one (28 cases in 14 chunks of 2) match the serial run.
+    # Two forked workers take the cases from one queue in whatever order they
+    # get to them; the report's bytes do not depend on which worker ran which
+    # case: the full matrix (226 cases) and a capped one (28) match the
+    # serial run.
     results, ok = suite.run_suite(suite.SuiteConfig(seed=42, jobs=2))
     assert ok
     assert suite.suite_json_bytes(results) == GOLDEN.read_bytes()
@@ -1044,86 +1045,108 @@ def test_suite_jobs_below_one(capsys, jobs):
     assert "--jobs" in err
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and each map's
-    chunksize, maps in-process."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that ``os.fork`` returns to the parent while the test runs:
+    the real ``os.fork``, counted."""
+    pids = []
+    fork = os.fork
 
-    created = []
-    chunksizes = []
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return map(fn, *iterables)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
 
 
-def _echo_case(case, config):
-    """Stands in for run_case: a report with the case's sort key, no work."""
-    return types.SimpleNamespace(identity=case.runner, params=case.param_dict(),
-                                 seeds=[config.seed + case.seed_offset],
-                                 equal=case.expect_equal)
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs", (2, 64))
-@pytest.mark.parametrize("caps", ({}, {"size": 1}), ids=("all", "size1"))
-def test_suite_deals_at_most_8_chunks_per_worker(monkeypatch, jobs, caps):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.setattr(_SerialPool, "chunksizes", [])
-    monkeypatch.setattr(suite, "run_case", _echo_case)
-    results, ok = suite.run_suite(suite.SuiteConfig(jobs=jobs, caps=caps))
-    assert ok and _SerialPool.created == [jobs]
-    [chunksize] = _SerialPool.chunksizes
-    assert chunksize >= 1
-    assert -(-len(results) // chunksize) <= 8 * jobs
-    if len(results) <= 8 * jobs:
-        assert chunksize == 1
-    if not caps and jobs == 2:
-        assert chunksize == 15  # 16 chunks of the 226 default cases
-
-
-def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.setattr(_SerialPool, "chunksizes", [])
+def test_suite_jobs_clamped_to_cpu_count(capsys, monkeypatch, forks):
     code0, serial, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--json")
+    assert forks == []
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     code1, pooled, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "64", "--json")
-    assert _SerialPool.created == [3]
+    assert len(forks) == 3
+    _assert_no_child()
     monkeypatch.setattr("os.cpu_count", lambda: None)
     code2, single, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "64", "--json")
-    assert _SerialPool.created == [3]
-    assert _SerialPool.chunksizes == [4]  # 82 cases in 21 chunks, at most 8 per worker
+    assert len(forks) == 3
     assert code0 == code1 == code2 == 0
     assert serial == pooled == single
 
 
-class _BrokenPool(_SerialPool):
-    """A pool whose worker died: map raises as ProcessPoolExecutor's does."""
+def test_suite_without_fork_runs_serially(capsys, monkeypatch):
+    code0, serial, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--json")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    code1, pooled, _ = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "2", "--json")
+    assert code0 == code1 == 0
+    assert serial == pooled
 
-    def map(self, fn, *iterables, chunksize=1):
-        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+def _exit_3(case, config):
+    os._exit(3)
 
 
-def test_suite_broken_pool_is_one_error_line(capsys, monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _BrokenPool)
-    monkeypatch.setattr(_BrokenPool, "created", [])
-    monkeypatch.setattr(suite, "run_case", _refuse)
+def test_suite_broken_pool_is_one_error_line(capsys, monkeypatch, forks):
+    # Each real worker dies at its first case, before it reports.
+    monkeypatch.setattr(suite, "run_case", _exit_3)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     code, out, err = run(capsys, "suite", "--jobs", "2", "--json")
-    assert _BrokenPool.created == [2]
+    assert len(forks) == 2
     assert code == 1
     assert out == ""
     assert err == ("error: worker pool failed: "
-                   "A process in the process pool was terminated abruptly\n")
+                   "a worker ended (exit status 3) without its full report\n")
+    _assert_no_child()
+
+
+def test_suite_kills_the_live_workers_when_one_dies(capsys, monkeypatch, forks):
+    # The first worker dies at once; the second would run for a minute, so
+    # the command ends promptly only if it is killed.
+    def first_dies(case, config):
+        if not forks:  # the first worker forked before its pid was counted
+            os._exit(3)
+        time.sleep(60)
+
+    monkeypatch.setattr(suite, "run_case", first_dies)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    start = time.monotonic()
+    code, out, err = run(capsys, "suite", "--jobs", "2", "--json")
+    assert time.monotonic() - start < 30
+    assert (code, out) == (1, "")
+    assert err.startswith("error: worker pool failed: ")
+    _assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "refused",
+    (lambda case: case.runner == "sdb2", lambda case: True, lambda case: case.runner.startswith("debruijn_")),
+    ids=("some", "every", "one_late"),
+)
+def test_suite_case_error_is_the_serial_error(capsys, monkeypatch, forks, refused):
+    # The forked run raises the error of the lowest-numbered case that
+    # raised one, which is the first the serial run meets.
+    def run_case(case, config):
+        if refused(case):
+            raise ValueError(f"refused {case.runner} {case.params}")
+        return real(case, config)
+
+    real = suite.run_case
+    monkeypatch.setattr(suite, "run_case", run_case)
+    serial = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--json")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    pooled = run(capsys, "suite", "--seed", "7", "--max", "size=2", "--jobs", "2", "--json")
+    assert len(forks) == 2
+    assert serial == pooled
+    assert serial[:2] == (2, "") and serial[2].startswith("error: refused ")
+    _assert_no_child()
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,7 @@ def test_counted_dots_match_the_per_pair_recursion(c, seed):
         expected = expected + _by_recursion(p, q, 1)
     got = SHUFFLE_RING.dot(pairs)
     assert got == expected and got.num_terms() == expected.num_terms()
+    assert type(got._terms) is dict
     assert set(map(type, got._terms.values())) <= {int, Fraction}
 
 
