@@ -1,12 +1,12 @@
 """Command-line front end: run single verifiers or the full suite, and
 evaluate (hyper)Pfaffians/hafnians of tensors stored as JSON files.
 
-Exit codes: 0 pass, 1 identity failure, a `--jobs` worker that died or a
-closed stdout (the reader of a pipe went away, as after ``| head -1``), 2
-usage or input error.  The default seed is 42, overridable by the SPFK_SEED
-environment variable and then by --seed.  Every integer in a flag or in
-SPFK_SEED is read by ``core.integer`` (-?[0-9]+ in ASCII); spaces may stand
-only around a list piece, a ``/`` or the ``=`` of ``--max NAME=VALUE``.
+Exit codes: 0 pass, 1 identity failure, a `--jobs` worker that died or
+could not start, or a closed stdout (the reader of a pipe went away, as after
+``| head -1``), 2 usage or input error.  The default seed is 42, overridable
+by the SPFK_SEED environment variable and then by --seed.  Every integer in a
+flag or in SPFK_SEED is read by ``core.integer`` (-?[0-9]+ in ASCII); spaces
+may stand only around a list piece, a ``/`` or the ``=`` of ``--max NAME=VALUE``.
 
 No command imports a process pool: `suite --jobs N>1` forks its workers
 (``suite.run_suite``).

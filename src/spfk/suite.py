@@ -10,13 +10,13 @@ parameters, named like the CLI flags.  Building a case completes and checks
 them (``report.complete``); the domain's measures are the case's `--max` caps.
 
 `--jobs N>1` runs the cases on N workers, at most one per case, made by
-``os.fork``, which ``os.register_at_fork`` hooks (a profiler's) follow;
-the package starts no thread, so forking is safe.  Before the first fork every case number is
-written into one pipe as a 4-byte record and the write end is closed, so
-each worker's 4-byte read takes exactly one whole case until the pipe is
-empty.  A worker sends its reports, ``NamedTuple`` records, back as one
-pickle on a pipe of its own.  No run loads ``concurrent.futures`` or
-``multiprocessing``; where ``os.fork`` does not exist the cases run serially.
+``os.fork``, which ``os.register_at_fork`` hooks (a profiler's) follow; the
+package starts no thread, so forking is safe.  Every case number is first
+written into one pipe as a 4-byte record, so each worker's 4-byte read takes
+one whole case until the pipe is empty.  A worker sends its reports and its
+cases' exceptions back as one pickle on a pipe of its own; then the parent
+kills and reaps every worker.  No run loads ``concurrent.futures`` or
+``multiprocessing``; without ``os.fork`` the cases run serially.
 
 The JSON output is byte-identical across runs for a fixed seed (timing is
 never serialized), and the report array is sorted by identity id, parameters,
@@ -172,27 +172,33 @@ def run_suite(config: SuiteConfig) -> tuple[list[tuple[SuiteCase, VerificationRe
 
 
 class WorkerError(RuntimeError):
-    """A `--jobs` worker ended without a full report."""
+    """A `--jobs` worker could not start or did not send its full report."""
+
+
+class _CaseTraceback(Exception):
+    """A case's traceback text in its worker: the cause of the re-raised error."""
 
 
 def _work(queue: int, out: int, cases, config) -> None:
     """A forked worker: run each case whose number it reads from ``queue``,
-    then write its ``(number, report or exception)`` pairs to ``out`` as one
-    pickle.  It ends in ``os._exit``, never returning into the caller's frames
-    nor flushing the stdio it inherited."""
+    then pickle ``(reports, errors)``, keyed by case number, to ``out``; an
+    error is an exception and its traceback text.  It ends in ``os._exit``,
+    never returning into the caller's frames nor flushing inherited stdio."""
     import pickle
 
     code = 1
     try:
-        outcomes = []
+        reports, errors = {}, {}
         while record := os.read(queue, 4):
             i = int.from_bytes(record, "little")
             try:
-                outcomes.append((i, run_case(cases[i], config)))
+                reports[i] = run_case(cases[i], config)
             except Exception as exc:  # sent back, raised by the parent
-                outcomes.append((i, exc))
+                import traceback
+
+                errors[i] = exc, traceback.format_exc()
         with open(out, "wb") as f:
-            pickle.dump(outcomes, f)
+            pickle.dump((reports, errors), f)
         code = 0
     finally:
         os._exit(code)
@@ -200,58 +206,52 @@ def _work(queue: int, out: int, cases, config) -> None:
 
 def _run_forked(cases, config, jobs: int) -> list:
     """The reports of ``cases`` in order, run on ``jobs`` forked workers.
-    Raises the exception of the lowest-numbered case that raised one, as a
-    serial run would, or ``WorkerError`` if a worker ended without its full
-    report.  Every worker is reaped; on an exception the live ones are killed
-    first.  The queue holds at most 64 KiB of records (a pipe's buffer) before
-    any worker reads it: the default matrix takes 904 bytes."""
+    However it ends, one ``finally`` closes every pipe and kills and reaps
+    every started worker (harmless: a worker whose pipe has ended is in
+    ``os._exit``, an unreaped one keeps its pid).  Then it raises
+    ``WorkerError`` if a worker could not start or sent no full report, else
+    the lowest-numbered case's exception, caused by its worker traceback.
+    The queue's records (904 bytes here) must fit a pipe's 64 KiB buffer."""
     import pickle
+    import signal
 
     queue, feed = os.pipe()
     os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(cases))))
     os.close(feed)
-    workers = {}  # pid: the read end of its report pipe
+    fds, pids, reports, errors, broken = [queue], [], {}, {}, None  # fds: the parent's pipe ends
     try:
         for _ in range(jobs):
-            read_end, write_end = os.pipe()
             try:
+                fds += os.pipe()
                 pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+            except OSError as exc:
+                raise WorkerError(f"cannot start a worker: {exc}") from exc
             if pid == 0:
-                _work(queue, write_end, cases, config)
-            os.close(write_end)
-            workers[pid] = open(read_end, "rb")
-        outcomes = {}
-        for pid, reports in workers.items():
-            with reports:
-                data = reports.read()
+                _work(queue, fds[-1], cases, config)
+            pids.append(pid)
+            os.close(fds.pop())  # the write end: the pipe ends when the worker closes its copy
+        for pid, fd in zip(pids, fds[1:]):
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
             try:
-                outcomes.update(pickle.loads(data))
+                done, failed = pickle.loads(data)
             except (EOFError, pickle.UnpicklingError):  # empty or cut short
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                workers[pid] = None
-                raise WorkerError(f"a worker ended (exit status {status}) without its full report")
-    except BaseException:
-        import signal
-
-        for pid, reports in workers.items():
-            if reports is not None:
-                os.kill(pid, signal.SIGKILL)
-        raise
+                broken = pid
+                break
+            reports.update(done)
+            errors.update(failed)
     finally:
-        os.close(queue)
-        for pid, reports in workers.items():
-            if reports is not None:
-                reports.close()
-                os.waitpid(pid, 0)
-    results = [outcomes[i] for i in range(len(cases))]
-    for outcome in results:
-        if isinstance(outcome, BaseException):
-            raise outcome
-    return results
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        status = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids}
+    if broken is not None:
+        raise WorkerError(f"a worker ended (exit status {status[broken]}) without its full report")
+    if errors:
+        exc, text = errors[min(errors)]
+        raise exc from _CaseTraceback(text)
+    return [reports[i] for i in range(len(cases))]
 
 
 def _sort_key(report: VerificationReport):

@@ -781,6 +781,26 @@ def test_pf_dimension_mismatch(tmp_path, capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize(
+    "command,tensor,message",
+    (
+        pytest.param("hf", {"order": 3, "dim": 6}, "hafnian needs an order-2 tensor", id="hf-order3"),
+        pytest.param("hf", {"order": 2, "dim": 5}, "hafnian needs even dimension", id="hf-dim5"),
+        *(pytest.param(c, {"order": 0, "dim": 2}, "order must be >= 1", id=f"{c}-order0")
+          for c in ("pf", "hf", "hhf")),
+        *(pytest.param(c, {"order": 2, "dim": -2}, "dim must be >= 0", id=f"{c}-dim-2")
+          for c in ("pf", "hf", "hhf")),
+        pytest.param("pf", {"order": 2, "dim": 2, "entries": {}},
+                     "malformed tensor JSON: entries must be a list", id="pf-entries"),
+    ),
+)
+def test_tensor_command_refusals_are_one_error_line(tmp_path, capsys, command, tensor, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"entries": [], **tensor}))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_pf_missing_file(capsys):
     code, _, err = run(capsys, "pf", "/nonexistent/file.json")
     assert code == 2
@@ -1146,6 +1166,44 @@ def test_suite_case_error_is_the_serial_error(capsys, monkeypatch, forks, refuse
     assert len(forks) == 2
     assert serial == pooled
     assert serial[:2] == (2, "") and serial[2].startswith("error: refused ")
+    _assert_no_child()
+
+
+def test_suite_case_error_keeps_the_workers_frames(monkeypatch, forks):
+    # The worker's traceback text is the cause of the error the parent
+    # raises, so a library caller still sees where the case failed.
+    def refuse_in_a_helper(case):
+        raise ValueError(f"refused {case.runner}")
+
+    monkeypatch.setattr(suite, "run_case", lambda case, config: refuse_in_a_helper(case))
+    with pytest.raises(ValueError, match="^refused ") as info:
+        suite.run_suite(suite.SuiteConfig(jobs=2, caps={"size": 1}))
+    assert len(forks) == 2
+    assert "refuse_in_a_helper" in str(info.value.__cause__)
+    _assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_suite_failed_fork_is_one_error_line(capsys, monkeypatch):
+    # The second fork fails as it does at the process limit: the first
+    # worker is killed and reaped, and every pipe end is closed.
+    fork, calls = os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    fds = set(os.listdir("/proc/self/fd"))
+    code, out, err = run(capsys, "suite", "--jobs", "2", "--max", "size=1")
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert len(calls) == 2
+    assert (code, out) == (1, "")
+    assert err == ("error: worker pool failed: cannot start a worker: "
+                   "[Errno 11] Resource temporarily unavailable\n")
     _assert_no_child()
 
 

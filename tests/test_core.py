@@ -82,6 +82,11 @@ def test_sampler_bounds_and_errors():
         SeededSampler(7).positive_distinct(0, 4)
 
 
+def test_next_int_refuses_a_bound_below_one():
+    with pytest.raises(ValueError, match="^bound must be >= 1$"):
+        SeededSampler(7).next_int(0)
+
+
 def test_distinct_keeps_first_draws_in_order():
     draws = iter([3, 1, 3, 2, 1, 5])
     assert SeededSampler(7).distinct(3, lambda: next(draws)) == [3, 1, 2]

@@ -275,6 +275,15 @@ def test_wick_left_side_is_the_permutation_sum(monkeypatch, identity, given):
     assert lhs() == wick_lhs_loop(order, word_of, signed)
 
 
+def test_wick_left_side_drops_a_word_whose_orderings_cancel():
+    # Both signed orderings of the one group of two give the word (0,), so
+    # they cancel: the left side stores no zero coefficient, as no FreePoly does.
+    lhs, _rhs = identities._wick_sides(2, 2, lambda p: ((0,), 1), True, True)
+    value = lhs()
+    assert value == FreePoly.zero()
+    assert value.num_terms() == 0
+
+
 def _right_side_first(sides):
     # The row's sides with the right side evaluated as soon as they are built,
     # before run_check calls the left side.
