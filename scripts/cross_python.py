@@ -10,8 +10,10 @@ give:
 - the sha256 of ``spfk suite --seed 42 --json --paranoid`` that Tier-1 pins;
 - the first 64 samples of ``SeededSampler(42)`` as
   ``tests/golden/sampler_seed42.json``;
-- both sides' digest and term count of the SDB2 Wick check at n = 4
-  (40 320 words, +-1 coefficients, two-digit letters), as Tier-1 pins them;
+- both sides' digest and term count of the SDB2 and FHAFF1 Wick checks at
+  n = 4 (40 320 words each: SDB2's with +-1 coefficients and two-digit
+  letters, FHAFF1's from the largest counted shuffle dot), as Tier-1 pins
+  them;
 - ``spfk pf|hf|hpf|hhf`` of one fixed order-2 tensor file, as pinned below.
 
 Prints one line per interpreter and check, ``ok`` or ``DIFF`` with the
@@ -34,12 +36,14 @@ GOLDEN = ROOT / "tests" / "golden"
 # sha256 of `spfk suite --seed 42 --json --paranoid`, as in tests/test_identities.py.
 PARANOID_SHA256 = "7f2b9e29d91970ce9ecb507d64e715d4cb4885a935d5eaa1538ca7de3743a1f8"
 
-# Digest of both sides of `verify_shuffle_wick("SDB2", 4)`, as in WICK_PINNED of
-# tests/test_identities.py.
+# Digests of both sides of `verify_shuffle_wick(variant, 4)`, as in WICK_PINNED of
+# tests/test_identities.py; WICK takes the variant as its argument.
 SDB2_SHA256 = "afe6b0048c9c5cb6c68050c0df33ac61268a5702c471ae615f1d44a021d94b90"
-SDB2 = (
+FHAFF1_SHA256 = "3d5a64ef032b55d208d0ea9e5a4717e22633adce1846ff78b66ad9b7d5ea9a9b"
+WICK = (
+    "import sys\n"
     "from spfk.identities import verify_shuffle_wick\n"
-    "r = verify_shuffle_wick('SDB2', 4)\n"
+    "r = verify_shuffle_wick(sys.argv[1], 4)\n"
     "print(r.lhs_digest, r.rhs_digest, r.lhs_terms, r.rhs_terms)\n"
 )
 
@@ -94,12 +98,14 @@ def checks(python: str, tensor_file: str) -> list:
             lambda: (_run(python, ["-c", SAMPLER]).decode().split(),
                      json.loads((GOLDEN / "sampler_seed42.json").read_text())),
         ),
-        (
-            "wick sdb2 n=4 digest",
-            lambda: (_run(python, ["-c", SDB2]).decode().split(),
-                     [SDB2_SHA256, SDB2_SHA256, "40320", "40320"]),
-        ),
     ]
+    for variant, pinned in (("SDB2", SDB2_SHA256), ("FHAFF1", FHAFF1_SHA256)):
+        out.append((
+            f"wick {variant.lower()} n=4 digest",
+            lambda variant=variant, pinned=pinned: (
+                _run(python, ["-c", WICK, variant]).decode().split(),
+                [pinned, pinned, "40320", "40320"]),
+        ))
     for command, value in TENSOR_VALUES.items():
         out.append((
             f"{command} tensor",

@@ -13,8 +13,11 @@ every other pair goes to the one memoised q-shuffle recursion (Reutenauer,
 *Free Lie Algebras*, ch. 1), which merges the words that repeated letters
 make equal.  A q = 1 dot whose term pairs all take the merge table with one
 coefficient product (every level of the FHAFF1 and FHAFF2 hafnians) is
-counted instead: the C loop behind ``Counter.update`` counts each merge
-pattern's words into one dict, and each count is scaled by the one product.
+counted instead: the letters of each group of words of one pair of lengths
+are laid out once as columns, one C-level ``zip`` of the columns in each
+merge pattern's order makes that pattern's words, the C loop behind
+``Counter.update`` counts them into one dict, and each count is scaled by
+the one product.
 """
 from __future__ import annotations
 
@@ -176,17 +179,18 @@ _q_shuffle_words = _shuffle_words
 @functools.lru_cache(maxsize=256)
 def _merges(a: int, b: int) -> tuple:
     """The C(a+b, a) interleavings of a word u of length a with a word v of
-    length b, as (getter, odd) pairs: getter(u + v) is the interleaved word,
-    and odd is the parity of its inversions, the (v letter, u letter) pairs
-    in which the v letter comes first.  The q-shuffle coefficient of that
-    word is q ** inversions when the letters of u + v are distinct."""
+    length b, as (getter, odd, perm) triples: getter(u + v) is the
+    interleaved word, perm the positions of u + v it reads in order, and odd
+    the parity of its inversions, the (v letter, u letter) pairs in which
+    the v letter comes first.  The q-shuffle coefficient of that word is
+    q ** inversions when the letters of u + v are distinct."""
     out = []
     for slots in itertools.combinations(range(a + b), a):
         u_at = set(slots)
         u_index, v_index = iter(range(a)), iter(range(a, a + b))
         perm = [next(u_index) if pos in u_at else next(v_index) for pos in range(a + b)]
         inversions = sum(pos - i for i, pos in enumerate(slots))
-        out.append((operator.itemgetter(*perm), inversions & 1))
+        out.append((operator.itemgetter(*perm), inversions & 1, perm))
     return tuple(out)
 
 
@@ -206,11 +210,14 @@ def _counted_sum(pairs):
     all distinct, the two factors of each pair share no letter, and every
     cu * cv is one value c.  Then each merged word has coefficient c times
     the number of times it is made.  Every pair is checked before any is
-    counted; then each pair's concatenations u + v are grouped by word
-    length (a, b), and ``collections._count_elements`` (the C loop behind
-    ``Counter.update``) counts each ``_merges(a, b)`` pattern's picks over
-    its group into the dict that is returned, scaled by c in place.  Pairs
-    with a zero factor add nothing; with none left the dot is zero."""
+    counted; then each pair's words are grouped by word length (a, b).  A
+    group's concatenations u + v are laid out once as a + b column tuples,
+    and for each ``_merges(a, b)`` pattern ``collections._count_elements``
+    (the C loop behind ``Counter.update``) counts the words that ``zip``
+    makes of the columns in the pattern's order into the dict that is
+    returned, scaled by c in place; a group of fewer than 16 words is
+    picked as the word loop does.  Pairs with a zero factor add nothing;
+    with none left the dot is zero."""
     c = None
     runs = []  # (words of p, words of q) of one word length each
     for p, q in pairs:
@@ -234,8 +241,14 @@ def _counted_sum(pairs):
     counts: dict = {}
     for u_run, v_run in runs:
         uvs = list(itertools.starmap(operator.add, itertools.product(u_run, v_run)))
-        for pick, _odd in _merges(len(u_run[0]), len(v_run[0])):
-            collections._count_elements(counts, map(pick, uvs))
+        merges = _merges(len(u_run[0]), len(v_run[0]))
+        if len(uvs) < 16:  # a few words: their picks cost less than zips of short columns
+            for pick, _odd, _perm in merges:
+                collections._count_elements(counts, map(pick, uvs))
+            continue
+        columns = list(zip(*uvs))  # column k: letter k of every u + v
+        for _pick, _odd, perm in merges:
+            collections._count_elements(counts, zip(*map(columns.__getitem__, perm)))
     if c != 1:  # in place: only the values change, so iterating ``counts`` is sound
         counts.update(zip(counts, map(operator.mul, itertools.repeat(c), counts.values())))
     return counts
@@ -271,7 +284,7 @@ def _shuffle_sum(pairs, qval) -> FreePoly:
                 if letters and v and letters.isdisjoint(v) and len(set(v)) == len(v):
                     uv = u + v
                     signed = (c, c * qval)
-                    for pick, odd in _merges(len(u), len(v)):
+                    for pick, odd, _perm in _merges(len(u), len(v)):
                         w = pick(uv)
                         s = get(w, 0) + signed[odd]
                         if s:

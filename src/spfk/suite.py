@@ -215,21 +215,21 @@ def _run_forked(cases, config, jobs: int) -> list:
     import pickle
     import signal
 
-    queue, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(cases))))
-    os.close(feed)
-    fds, pids, reports, errors, broken = [queue], [], {}, {}, None  # fds: the parent's pipe ends
+    fds, pids, reports, errors, broken = [], [], {}, {}, None  # fds: the parent's pipe ends
     try:
-        for _ in range(jobs):
-            try:
+        try:
+            fds += os.pipe()  # fds[0] reads the queue
+            os.write(fds[1], b"".join(i.to_bytes(4, "little") for i in range(len(cases))))
+            os.close(fds.pop())
+            for _ in range(jobs):
                 fds += os.pipe()
                 pid = os.fork()
-            except OSError as exc:
-                raise WorkerError(f"cannot start a worker: {exc}") from exc
-            if pid == 0:
-                _work(queue, fds[-1], cases, config)
-            pids.append(pid)
-            os.close(fds.pop())  # the write end: the pipe ends when the worker closes its copy
+                if pid == 0:
+                    _work(fds[0], fds[-1], cases, config)
+                pids.append(pid)
+                os.close(fds.pop())  # the write end: the pipe ends when the worker closes its copy
+        except OSError as exc:
+            raise WorkerError(f"cannot start a worker: {exc}") from exc
         for pid, fd in zip(pids, fds[1:]):
             with open(fd, "rb", closefd=False) as pipe:
                 data = pipe.read()

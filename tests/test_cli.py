@@ -1207,6 +1207,29 @@ def test_suite_failed_fork_is_one_error_line(capsys, monkeypatch):
     _assert_no_child()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_suite_failed_queue_pipe_is_one_error_line(capsys, monkeypatch, forks):
+    # The first pipe, the case queue, fails as it does at the open-file
+    # limit: no worker starts and no fd is left open.
+    pipe, calls = os.pipe, []
+
+    def first_fails():
+        calls.append(None)
+        if len(calls) == 1:
+            raise OSError(24, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", first_fails)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    fds = set(os.listdir("/proc/self/fd"))
+    code, out, err = run(capsys, "suite", "--jobs", "2", "--max", "size=1")
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert (len(calls), forks) == (1, [])
+    assert (code, out) == (1, "")
+    assert err == "error: worker pool failed: cannot start a worker: [Errno 24] Too many open files\n"
+    _assert_no_child()
+
+
 @pytest.mark.parametrize(
     "record",
     (

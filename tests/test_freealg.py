@@ -160,6 +160,37 @@ def test_counted_dots_match_the_per_pair_recursion(c, seed):
     assert set(map(type, got._terms.values())) <= {int, Fraction}
 
 
+@pytest.mark.parametrize("c", (1, -6, Fraction(7, 3)))
+@pytest.mark.parametrize("seed", range(3))
+def test_counted_dots_of_wide_letters_and_long_words(c, seed):
+    # Letter ids past 255 and factor words of up to 6 letters (12-letter
+    # merged words).  Per factor pair, its word lengths: one word each, more
+    # u words than v words and the reverse, and several length runs on both
+    # sides, in groups below and at the 16 words from which columns are zipped.
+    rng = random.Random(seed)
+    shapes = (
+        ((6,), (6,)),
+        ((2,) * 16 + (3,), (4,)),
+        ((5,), (1,) * 16 + (2, 2)),
+        ((1, 3, 6) * 4 + (1, 3), (2, 6) * 4 + (5,)),
+    )
+    pairs = []
+    for sizes in shapes:
+        letters = iter(rng.sample(range(1201), sum(map(sum, sizes))))
+        p_words, q_words = ([tuple(itertools.islice(letters, n)) for n in side] for side in sizes)
+        cp = rng.choice((1, -2, 3, Fraction(-5, 4)))
+        cq = c // cp if type(c) is type(cp) is int and not c % cp else Fraction(c) / cp
+        pairs.append((FreePoly(dict.fromkeys(p_words, cp)), FreePoly(dict.fromkeys(q_words, cq))))
+    assert max(itertools.chain.from_iterable(pairs[0][0]._terms)) > 255
+    for dot in [[pair] for pair in pairs] + [pairs]:
+        assert freealg._counted_sum(dot) is not None
+        expected = FreePoly.zero()
+        for p, q in dot:
+            expected = expected + _by_recursion(p, q, 1)
+        got = SHUFFLE_RING.dot(dot)
+        assert got == expected and got.num_terms() == expected.num_terms()
+
+
 def test_counted_dot_edges():
     # No pairs, or only zero factors, is the zero polynomial.
     assert freealg._counted_sum([]) == {} and SHUFFLE_RING.dot([]) == FreePoly.zero()

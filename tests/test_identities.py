@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from spfk import identities, integrals, suite, tensors
+from spfk import freealg, identities, integrals, suite, tensors
 from spfk.core import QQ, SeededSampler, mix_seed
 from spfk.freealg import (
     ANTISHUFFLE_RING,
@@ -349,6 +349,25 @@ def test_pfab_one_size_above_the_suite_keeps_its_digest():
     assert report.equal
     assert (report.lhs_digest, report.rhs_digest) == (PFAB_PINNED, PFAB_PINNED)
     assert (report.lhs_terms, report.rhs_terms) == (40320, 40320)
+
+
+@pytest.mark.parametrize("variant", ("FHAFF1", "FHAFF2"))
+def test_the_fhaff_dots_stay_counted(monkeypatch, variant):
+    # Every shuffle dot of the two hafnians is counted, save the bottom
+    # level's (entry, unit) dots, which hold the empty word.
+    counted_sum, calls = freealg._counted_sum, []
+
+    def spy(pairs):
+        counted = counted_sum(pairs)
+        calls.append((pairs, counted))
+        return counted
+
+    monkeypatch.setattr(freealg, "_counted_sum", spy)
+    assert verify_shuffle_wick(variant, 3).equal
+    assert any(counted is not None for _, counted in calls)
+    for pairs, counted in calls:
+        if counted is None:
+            assert pairs and all(q == FreePoly.unit() for _, q in pairs), pairs
 
 
 @pytest.mark.parametrize(
